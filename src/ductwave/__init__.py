@@ -13,7 +13,6 @@ from .analysis import (
     harmonic_spectrum,
     level_db,
     relative_error,
-    resample_probe,
 )
 from .boundaries import (
     ExternalState,
@@ -24,7 +23,7 @@ from .boundaries import (
     inflow_update_velocity,
     outflow_update,
 )
-from .driver import RunReport, RunResult, Scenario, Simulation, initialize, run, step
+from .driver import RunReport, RunResult, Scenario, Simulation, initialize, run
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -67,28 +66,19 @@ from .scheme import (
     Grid,
     StepControl,
     compute_dt,
-    first_time_derivative,
     flux_jacobian,
     lax_wendroff_update,
-    midpoint_jacobian,
-    midpoint_time_derivative,
     physical_flux,
-    second_time_derivative,
 )
 from .signals import MultiHarmonicSignal, SampledSignal, SineSignal
 from .wall import (
     KernelWeights,
     PressureHistory,
-    SourceVector,
     bl_temperature_profile,
     bl_velocity_profile,
     erf,
     quad_one_point,
     quad_two_point,
-    source_time_derivative,
-    source_vector,
-    wall_heat_sum,
-    wall_shear_sum,
 )
 
 __version__ = "0.1.0"

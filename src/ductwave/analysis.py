@@ -1,4 +1,4 @@
-"""Signal post-processing: resampling, harmonic spectra, dB levels, errors.
+"""Signal post-processing: harmonic spectra, dB levels, errors.
 
 Spectra follow the validation protocol of the experiments: sample the
 probe series on a power-of-two grid per fundamental period, window an
@@ -94,34 +94,6 @@ class SpectrumResult:
         """Harmonic level in dB, re the given reference or the fundamental."""
         ref = self.magnitude(1) if reference is None else reference
         return level_db(self.magnitude(k), ref)
-
-
-def resample_probe(record: ProbeRecord, tau_target: float) -> ProbeRecord:
-    """Linear-interpolation resampling onto a coarser uniform grid.
-
-    tau_target must not undersample the native series and the record's
-    span must be an integer multiple of tau_target.
-    """
-    if tau_target < record.tau * (1.0 - 1e-12):
-        raise MisalignedWindowError(
-            f"target period {tau_target} finer than native {record.tau}"
-        )
-    span = (record.n_samples - 1) * record.tau
-    ratio = span / tau_target
-    n_target = int(round(ratio))
-    if n_target < 1 or abs(ratio - n_target) > 1e-6:
-        raise MisalignedWindowError(
-            f"span {span} is not an integer multiple of {tau_target}"
-        )
-    t_new = np.arange(n_target + 1) * tau_target
-    t_old = np.arange(record.n_samples) * record.tau
-    data = np.column_stack([
-        np.interp(t_new, t_old, record.data[:, i]) for i in range(3)
-    ])
-    return ProbeRecord(
-        station_index=record.station_index, x=record.x, tau=tau_target,
-        data=data, t_start=record.t_start,
-    )
 
 
 def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,

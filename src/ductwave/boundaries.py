@@ -120,17 +120,18 @@ def inflow_update_velocity(u_val: float, w0, w1, gas: GasModel, dt: float,
                                w0, w1, gas, dt, dx)
 
 
-def outflow_update(w_jm1, w_j, gas: GasModel, dt: float,
-                   dx: float) -> ConservedState:
+def outflow_update(w_jm1, w_j, gas: GasModel, dt: float, dx: float,
+                   node: int) -> ConservedState:
     """Nonreflecting state at node J from the level-n states at J-1 and J.
 
     Pins the incoming invariant to its rest value -2 c0/(g-1), takes the
     outgoing u+c invariant from the foot point, and the rest entropy.
+    node is the outlet index J, named in any error raised.
     """
     gm1 = gas.gamma - 1.0
-    prim_j, c_j = _boundary_primitive(w_j, gas, node=-1)
+    prim_j, c_j = _boundary_primitive(w_j, gas, node=node)
     foot = foot_point((w_j, w_jm1), prim_j.u + c_j, dt, dx)
-    prim_foot = primitive_from_conserved(_as_state(foot), gas, node=-1)
+    prim_foot = primitive_from_conserved(_as_state(foot), gas, node=node)
     r_plus = prim_foot.u + 2.0 * sound_speed(prim_foot, gas) / gm1
     r_minus = -2.0 * gas.c0 / gm1
     tri = CharacteristicTriple(r_plus=r_plus, r_minus=r_minus, entropy=gas.s0)

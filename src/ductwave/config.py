@@ -9,7 +9,7 @@ parse and serialize are mutual inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import driver, scheme, wall
 from .errors import ConfigError
@@ -25,6 +25,13 @@ def _parse_float(s: str) -> float:
 
 def _parse_int(s: str) -> int:
     v = int(s)
+    return v
+
+
+def _parse_positive_int(s: str) -> int:
+    v = int(s)
+    if v < 1:
+        raise ValueError(f"must be at least 1, got {v}")
     return v
 
 
@@ -129,7 +136,7 @@ KEY_SPECS = {
     "probes.stations": (_parse_floats, _fmt_floats),
     "output.prefix": (str, _fmt_str),
     "output.spectrum_periods": (_parse_int, str),
-    "output.kmax": (_parse_int, str),
+    "output.kmax": (_parse_positive_int, str),
     "output.db_reference": (_parse_float, _fmt_float),
 }
 
@@ -215,6 +222,11 @@ def _build_signal(doc: ConfigDocument, samples_loader=None):
     return SampledSignal(dtau=dtau, values=tuple(values))
 
 
+def _gas_key(name: str) -> str:
+    """Config key of a GasModel field (the conductivity k_cond is gas.k)."""
+    return "gas.k" if name == "k_cond" else f"gas.{name}"
+
+
 def scenario_from_config(doc: ConfigDocument,
                          samples_loader=None) -> driver.Scenario:
     """Assemble a Scenario, applying defaults for omitted optional keys.
@@ -222,25 +234,19 @@ def scenario_from_config(doc: ConfigDocument,
     samples_loader(path) -> (dtau, values) supplies tabulated inflow
     signals; the CLI wires it to a two-column CSV reader.
     """
-    gas = GasModel(
-        gamma=doc.get("gas.gamma", 1.4),
-        mu=doc.get("gas.mu", 1.81e-5),
-        k_cond=doc.get("gas.k", 0.0257),
-        cp=doc.get("gas.cp", 1005.0),
-        rho0=doc.get("gas.rho0", 1.2),
-        p0=doc.get("gas.p0", 101325.0),
-        theta0=doc.get("gas.theta0", 300.0),
-    )
-    grid = scheme.Grid(length=doc.require("grid.length"),
-                       cells=doc.require("grid.cells"))
-    geom = scheme.DuctGeometry(h=doc.require("geometry.h"),
-                               symmetry=doc.get("geometry.symmetry", "plane"))
-    if "run.duration_periods" in doc and "run.duration_s" in doc:
-        raise ConfigError("give run.duration_periods or run.duration_s,"
-                          " not both")
-    if "run.duration_periods" not in doc and "run.duration_s" not in doc:
-        raise ConfigError("missing run.duration_periods or run.duration_s")
     try:
+        gas = GasModel(**{f.name: doc.get(_gas_key(f.name))
+                          for f in fields(GasModel) if _gas_key(f.name) in doc})
+        grid = scheme.Grid(length=doc.require("grid.length"),
+                           cells=doc.require("grid.cells"))
+        geom = scheme.DuctGeometry(h=doc.require("geometry.h"),
+                                   symmetry=doc.get("geometry.symmetry",
+                                                    "plane"))
+        if "run.duration_periods" in doc and "run.duration_s" in doc:
+            raise ConfigError("give run.duration_periods or run.duration_s,"
+                              " not both")
+        if "run.duration_periods" not in doc and "run.duration_s" not in doc:
+            raise ConfigError("missing run.duration_periods or run.duration_s")
         return driver.Scenario(
             gas=gas, grid=grid, geom=geom,
             inflow_kind=doc.require("inflow.kind"),
@@ -264,15 +270,7 @@ def scenario_from_config(doc: ConfigDocument,
 # shock-formation distance for a 20 m/s, 440 Hz inflow.
 # ---------------------------------------------------------------------------
 
-_GAS_DEFAULTS = {
-    "gas.gamma": 1.4,
-    "gas.mu": 1.81e-5,
-    "gas.k": 0.0257,
-    "gas.cp": 1005.0,
-    "gas.rho0": 1.2,
-    "gas.p0": 101325.0,
-    "gas.theta0": 300.0,
-}
+_GAS_DEFAULTS = {_gas_key(f.name): f.default for f in fields(GasModel)}
 
 _SIMPLE_WAVE_LENGTH = 1.425310887140203   # 0.8 * L_shock(20 m/s, 440 Hz)
 

@@ -1,13 +1,14 @@
 """Time-loop orchestration of the coupled duct problem.
 
-One step, all from level-n data: evaluate the wall sources G and their
-rate for every node from the pressure history (identically zero with
-losses off), advance the interior nodes with the second-order expansion,
-rebuild both boundary nodes from their characteristic relations with the
-inflow datum taken at the new time level, then append the new nodal
-pressures to the history. The time step is frozen at the start of the
-run (the convolution weights assume uniform dt), set by the CFL rule on
-the initial rest field.
+One step, all from level-n data: evaluate the wall sources G for every
+node from the pressure history, and their rate against the previous
+step's table (both identically zero with losses off); advance the
+interior nodes with the second-order expansion; rebuild both boundary
+nodes from their characteristic relations with the inflow datum taken
+at the new time level; then append the new nodal pressures to the
+history. The time step is frozen at the start of the run (the
+convolution weights assume uniform dt), set by the CFL rule on the
+initial rest field.
 
 Runs are deterministic: identical scenarios produce bit-identical
 states, histories and probe records.
@@ -146,78 +147,27 @@ def frozen_dt(scenario: Scenario) -> float:
 
 def initialize(scenario: Scenario) -> tuple[FieldState, PressureHistory]:
     """Rest field at (rho0, 0, p0) and a history seeded with p^0 = p0."""
-    state = uniform_field(scenario.grid, scenario.gas,
-                          scenario.gas.rho0, 0.0, scenario.gas.p0)
-    history = PressureHistory(
-        n_nodes=scenario.grid.n_nodes, dt=frozen_dt(scenario),
-        m_max=scenario.m_max,
-    )
-    _, _, p = primitive_arrays(state.w, scenario.gas)
-    history.append(p)
-    return state, history
+    sim = Simulation(scenario)
+    return sim.state, sim.history
 
 
 def _source_tables(history: PressureHistory, n: int, scenario: Scenario,
                    weights: KernelWeights, dt: float,
                    g_prev: np.ndarray | None):
-    """G and dG/dt for all nodes at step n (zeros with losses off)."""
-    shape = (scenario.grid.n_nodes, 3)
+    """G and dG/dt for all nodes at step n (zeros with losses off).
+
+    g_prev is the table of step n-1, or None at the first step, where the
+    rate is zero.
+    """
     if not scenario.losses:
-        zero = np.zeros(shape)
-        return zero, zero, None
+        zero = np.zeros((scenario.grid.n_nodes, 3))
+        return zero, zero
     g_now = wall.source_table(history, n, weights, scenario.gas,
                               scenario.grid, scenario.geom,
                               scenario.kernel_mode)
-    if n == 0:
-        return g_now, np.zeros(shape), g_now
     if g_prev is None:
-        g_prev = wall.source_table(history, n - 1, weights, scenario.gas,
-                                   scenario.grid, scenario.geom,
-                                   scenario.kernel_mode)
-    return g_now, (g_now - g_prev) / dt, g_now
-
-
-def _advance(state: FieldState, history: PressureHistory, scenario: Scenario,
-             weights: KernelWeights, dt: float,
-             g_prev: np.ndarray | None) -> tuple[FieldState, np.ndarray | None]:
-    """Core cycle shared by the pure step() and the cached Simulation."""
-    gas, grid = scenario.gas, scenario.grid
-    g_now, dt_g, g_keep = _source_tables(history, state.n, scenario, weights,
-                                         dt, g_prev)
-    new = lax_wendroff_update(state, g_now, dt_g, gas, grid, dt)
-
-    value = scenario.inflow.value(state.t + dt)
-    if scenario.inflow_kind == PRESSURE:
-        w0 = inflow_update_pressure(gas.p0 + value, state.w[0], state.w[1],
-                                    gas, dt, grid.dx)
-    else:
-        w0 = inflow_update_velocity(value, state.w[0], state.w[1],
-                                    gas, dt, grid.dx)
-    w_out = outflow_update(state.w[-2], state.w[-1], gas, dt, grid.dx)
-    new.w[0] = np.asarray(w0)
-    new.w[-1] = np.asarray(w_out)
-    new.validate(step=new.n)
-
-    _, _, p = primitive_arrays(new.w, gas)
-    history.append(p)
-    return new, g_keep
-
-
-def step(state: FieldState, history: PressureHistory, scenario: Scenario,
-         weights: KernelWeights | None = None,
-         dt: float | None = None) -> FieldState:
-    """Advance one full coupled cycle, appending the new pressures.
-
-    Self-contained: the previous source table needed by the source rate is
-    reconstructed from the history, so the result depends only on
-    (state, history, scenario).
-    """
-    if weights is None:
-        weights = KernelWeights()
-    if dt is None:
-        dt = history.dt
-    new, _ = _advance(state, history, scenario, weights, dt, g_prev=None)
-    return new
+        return g_now, np.zeros_like(g_now)
+    return g_now, (g_now - g_prev) / dt
 
 
 class Simulation:
@@ -228,18 +178,18 @@ class Simulation:
         self.scenario = scenario
         self.dt = frozen_dt(scenario)
         self.weights = KernelWeights()
+        gas = scenario.gas
         if initial_field is None:
-            self.state, self.history = initialize(scenario)
-        else:
-            if initial_field.w.shape != (scenario.grid.n_nodes, 3):
-                raise ValueError("initial field does not match the grid")
-            self.state = initial_field.copy()
-            self.history = PressureHistory(
-                n_nodes=scenario.grid.n_nodes, dt=self.dt,
-                m_max=scenario.m_max,
-            )
-            _, _, p = primitive_arrays(self.state.w, scenario.gas)
-            self.history.append(p)
+            initial_field = uniform_field(scenario.grid, gas, gas.rho0, 0.0,
+                                          gas.p0)
+        elif initial_field.w.shape != (scenario.grid.n_nodes, 3):
+            raise ValueError("initial field does not match the grid")
+        self.state = initial_field.copy()
+        self.history = PressureHistory(
+            n_nodes=scenario.grid.n_nodes, dt=self.dt, m_max=scenario.m_max,
+        )
+        _, _, p = primitive_arrays(self.state.w, gas)
+        self.history.append(p)
         self._g_prev: np.ndarray | None = None
         self._probe_nodes = tuple(
             scenario.grid.nearest_node(x) for x in scenario.probes
@@ -256,10 +206,29 @@ class Simulation:
 
     def advance(self):
         """One coupled step (sources, interior, boundaries, history, probes)."""
-        self.state, self._g_prev = _advance(
-            self.state, self.history, self.scenario, self.weights, self.dt,
-            self._g_prev,
-        )
+        sc, state, dt = self.scenario, self.state, self.dt
+        gas, grid = sc.gas, sc.grid
+        g_now, dt_g = _source_tables(self.history, state.n, sc, self.weights,
+                                     dt, self._g_prev)
+        self._g_prev = g_now
+        new = lax_wendroff_update(state, g_now, dt_g, gas, grid, dt)
+
+        value = sc.inflow.value(state.t + dt)
+        if sc.inflow_kind == PRESSURE:
+            w0 = inflow_update_pressure(gas.p0 + value, state.w[0],
+                                        state.w[1], gas, dt, grid.dx)
+        else:
+            w0 = inflow_update_velocity(value, state.w[0], state.w[1],
+                                        gas, dt, grid.dx)
+        w_out = outflow_update(state.w[-2], state.w[-1], gas, dt, grid.dx,
+                               node=grid.cells)
+        new.w[0] = np.asarray(w0)
+        new.w[-1] = np.asarray(w_out)
+        new.validate(step=new.n)
+
+        _, _, p = primitive_arrays(new.w, gas)
+        self.history.append(p)
+        self.state = new
         self._record_probes()
 
     def native_records(self) -> tuple[ProbeRecord, ...]:

@@ -157,47 +157,6 @@ def flux_jacobian(w, gas: GasModel) -> np.ndarray:
     return a
 
 
-def midpoint_jacobian(w_j, w_j1, gas: GasModel) -> np.ndarray:
-    """Jacobian at j+1/2 as the mean of the two nodal Jacobians."""
-    return 0.5 * (flux_jacobian(w_j, gas) + flux_jacobian(w_j1, gas))
-
-
-def first_time_derivative(field: FieldState, j: int, source: np.ndarray,
-                          gas: GasModel, grid: Grid) -> np.ndarray:
-    """dW/dt at interior node j: G_j minus the centered flux difference."""
-    if not (1 <= j <= grid.cells - 1):
-        raise IndexError(f"node {j} is not interior")
-    f_minus = physical_flux(field.w[j - 1], gas)
-    f_plus = physical_flux(field.w[j + 1], gas)
-    return np.asarray(source, dtype=float) - (f_plus - f_minus) / (2.0 * grid.dx)
-
-
-def midpoint_time_derivative(field: FieldState, j: int, source_j, source_j1,
-                             gas: GasModel, grid: Grid) -> np.ndarray:
-    """dW/dt at j+1/2: averaged sources minus the one-sided flux difference."""
-    if not (0 <= j <= grid.cells - 1):
-        raise IndexError(f"midpoint {j}+1/2 outside the grid")
-    f_j = physical_flux(field.w[j], gas)
-    f_j1 = physical_flux(field.w[j + 1], gas)
-    g_mid = 0.5 * (np.asarray(source_j, dtype=float)
-                   + np.asarray(source_j1, dtype=float))
-    return g_mid - (f_j1 - f_j) / grid.dx
-
-
-def second_time_derivative(field: FieldState, j: int, dt_g_j,
-                           mid_jac_minus, mid_jac_plus,
-                           mid_dt_minus, mid_dt_plus,
-                           grid: Grid) -> np.ndarray:
-    """d2W/dt2 at interior node j from midpoint Jacobians and midpoint
-    time derivatives (space derivative of the evolution equation)."""
-    if not (1 <= j <= grid.cells - 1):
-        raise IndexError(f"node {j} is not interior")
-    flux_rate_plus = np.asarray(mid_jac_plus) @ np.asarray(mid_dt_plus)
-    flux_rate_minus = np.asarray(mid_jac_minus) @ np.asarray(mid_dt_minus)
-    return (np.asarray(dt_g_j, dtype=float)
-            - (flux_rate_plus - flux_rate_minus) / grid.dx)
-
-
 def lax_wendroff_update(field: FieldState, sources: np.ndarray,
                         dt_sources: np.ndarray, gas: GasModel, grid: Grid,
                         dt: float) -> FieldState:

@@ -15,15 +15,16 @@ temperature profile) and sqrt(mu/(rho0 cp pi)) in "as-printed" mode.
 The two quadrature rules underlying the sums integrate phi(z) dz/sqrt(z)
 over one step and are exact for constant phi.
 
+Both sums are one product of p with a summation-by-parts coefficient block.
 The sums run over the full pressure history (cost O(n) per node per
-step); an optional truncation window m <= M_max bounds the memory of
-long runs. Uniform dt is required by the weight table.
+step); an optional truncation window m <= M_max bounds the summation
+window only, while storage still grows by one row per step. Uniform dt
+is required by the weight table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -67,13 +68,7 @@ class KernelWeights:
 
 
 class PressureHistory:
-    """Append-only nodal pressure series p_j^m on a uniform time step.
-
-    Alongside the raw levels it maintains the two derived row families the
-    convolution sums consume: pair sums (p^m + p^{m+1}) and time
-    differences (p^{m+1} - p^m), so each step's sums are plain dot
-    products against contiguous rows.
-    """
+    """Append-only nodal pressure series p_j^m on a uniform time step."""
 
     def __init__(self, n_nodes: int, dt: float, m_max: int | None = None,
                  capacity: int = _GROW):
@@ -85,8 +80,6 @@ class PressureHistory:
         self.dt = dt
         self.m_max = m_max
         self._p = np.empty((capacity, n_nodes))
-        self._pair = np.empty((capacity, n_nodes))
-        self._diff = np.empty((capacity, n_nodes))
         self._levels = 0
 
     @property
@@ -94,26 +87,16 @@ class PressureHistory:
         """Number of stored time levels (last level index plus one)."""
         return self._levels
 
-    def _grow(self):
-        cap = self._p.shape[0] * 2
-        for name in ("_p", "_pair", "_diff"):
-            old = getattr(self, name)
-            new = np.empty((cap, self.n_nodes))
-            new[: old.shape[0]] = old
-            setattr(self, name, new)
-
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
         if row.shape != (self.n_nodes,):
             raise ValueError(f"expected {self.n_nodes} nodal pressures")
         if self._levels == self._p.shape[0]:
-            self._grow()
-        m = self._levels
-        self._p[m] = row
-        if m > 0:
-            self._pair[m - 1] = self._p[m - 1] + row
-            self._diff[m - 1] = row - self._p[m - 1]
-        self._levels = m + 1
+            grown = np.empty((2 * self._levels, self.n_nodes))
+            grown[: self._levels] = self._p
+            self._p = grown
+        self._p[self._levels] = row
+        self._levels += 1
 
     def level(self, m: int) -> np.ndarray:
         if not (0 <= m < self._levels):
@@ -132,28 +115,9 @@ class PressureHistory:
         k_last = n - 1 if self.m_max is None else min(n - 1, self.m_max)
         return n - 1 - k_last, n
 
-    def pair_rows(self, lo: int, hi: int) -> np.ndarray:
-        return self._pair[lo:hi]
-
-    def diff_rows(self, lo: int, hi: int) -> np.ndarray:
-        return self._diff[lo:hi]
-
-
-@dataclass(frozen=True)
-class SourceVector:
-    """Wall forcing (0, G2, G3) at one node, with the previous step's value
-    retained for the first-order source time derivative."""
-
-    g: np.ndarray
-    prev: np.ndarray | None = None
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.shape != (3,):
-            raise ValueError("source vector must have 3 components")
-        if g[0] != 0.0:
-            raise ValueError("mass component of the wall source must be zero")
-        object.__setattr__(self, "g", g)
+    def levels(self, lo: int, hi: int) -> np.ndarray:
+        """Stored levels lo..hi inclusive, as a (hi-lo+1, nodes) view."""
+        return self._p[lo:hi + 1]
 
 
 def quad_two_point(phi_a: float, phi_b: float, a: float, b: float) -> float:
@@ -203,57 +167,6 @@ def heat_coefficient(gas: GasModel, geom: DuctGeometry, dt: float,
         / math.sqrt(dt)
 
 
-def wall_shear_sum(hist: PressureHistory, j: int, n: int,
-                   weights: KernelWeights, gas: GasModel, grid: Grid,
-                   geom: DuctGeometry) -> float:
-    """Momentum forcing G2 at interior node j and step n [N/m^3]."""
-    if not (1 <= j <= hist.n_nodes - 2):
-        raise IndexError(f"node {j} is not interior")
-    if n == 0:
-        return 0.0
-    lo, hi = hist.window(n)
-    bracket = hist.pair_rows(lo, hi)[:, j + 1] - hist.pair_rows(lo, hi)[:, j - 1]
-    w = weights.table(hi - lo)         # w_m for m = 0..hi-lo-1
-    total = float(np.dot(w[::-1], bracket))
-    return shear_coefficient(gas, geom, grid, hist.dt) * total
-
-
-def wall_heat_sum(hist: PressureHistory, j: int, n: int,
-                  weights: KernelWeights, gas: GasModel, geom: DuctGeometry,
-                  mode: str = CONSISTENT) -> float:
-    """Energy forcing G3 at node j and step n [W/m^3]."""
-    if n == 0:
-        return 0.0
-    lo, hi = hist.window(n)
-    diffs = hist.diff_rows(lo, hi)[:, j]
-    w = weights.table(hi - lo)
-    total = float(np.dot(w[::-1], diffs))
-    return heat_coefficient(gas, geom, hist.dt, mode) * total
-
-
-def source_vector(hist: PressureHistory, j: int, n: int,
-                  weights: KernelWeights, gas: GasModel, grid: Grid,
-                  geom: DuctGeometry, mode: str = CONSISTENT,
-                  prev: SourceVector | None = None) -> SourceVector:
-    """Assemble (0, G2, G3) at node j, retaining the previous-step value."""
-    g2 = wall_shear_sum(hist, j, n, weights, gas, grid, geom)
-    g3 = wall_heat_sum(hist, j, n, weights, gas, geom, mode)
-    return SourceVector(g=np.array([0.0, g2, g3]),
-                        prev=None if prev is None else prev.g)
-
-
-def source_time_derivative(current: SourceVector,
-                           previous: SourceVector | None,
-                           dt: float) -> np.ndarray:
-    """First-order source rate (G^n - G^{n-1})/dt; zero at n = 0."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    prev = current.prev if previous is None else previous.g
-    if prev is None:
-        return np.zeros(3)
-    return (current.g - np.asarray(prev, dtype=float)) / dt
-
-
 def source_table(hist: PressureHistory, n: int, weights: KernelWeights,
                  gas: GasModel, grid: Grid, geom: DuctGeometry,
                  mode: str = CONSISTENT) -> np.ndarray:
@@ -263,14 +176,24 @@ def source_table(hist: PressureHistory, n: int, weights: KernelWeights,
     pressure-gradient bracket of G2 is undefined at j = 0 and j = J, so
     boundary rows copy their adjacent interior value (they only feed the
     midpoint source averages of the interior expansion).
+
+    Summation by parts puts both sums on the stored levels p^{n-k},
+    k = 0..K+1 with K = min(n-1, M_max): the pair sum weighs lag k by
+    w_{k-1} + w_k and the difference sum by w_k - w_{k-1}, with w zero
+    outside m = 0..K.
     """
     out = np.zeros((hist.n_nodes, 3))
     if n == 0:
         return out
     lo, hi = hist.window(n)
     w_rev = weights.table(hi - lo)[::-1]
-    pair_acc = w_rev @ hist.pair_rows(lo, hi)    # (nodes,)
-    diff_acc = w_rev @ hist.diff_rows(lo, hi)
+    # column i is level lo+i, at lag k = n-lo-i, and w_rev[i] = w_{k-1}
+    coef = np.zeros((2, hi - lo + 1))
+    coef[0, :-1] = w_rev
+    coef[0, 1:] += w_rev
+    coef[1, 1:] = w_rev
+    coef[1, :-1] -= w_rev
+    pair_acc, diff_acc = coef @ hist.levels(lo, hi)     # (2, nodes)
     c2 = shear_coefficient(gas, geom, grid, hist.dt)
     c3 = heat_coefficient(gas, geom, hist.dt, mode)
     out[1:-1, 1] = c2 * (pair_acc[2:] - pair_acc[:-2])

@@ -34,7 +34,7 @@ from ductwave.wall import (
     heat_kernel_constant,
     quad_one_point,
     quad_two_point,
-    wall_heat_sum,
+    source_table,
 )
 
 AIR = GasModel()
@@ -220,7 +220,8 @@ class TestA5SourceTermOracle:
         hist = PressureHistory(n_nodes=5, dt=dt)
         for m in range(n + 1):
             hist.append(np.full(5, AIR.p0 + amp * math.sin(omega * m * dt)))
-        g3 = wall_heat_sum(hist, 2, n, KernelWeights(), AIR, geom, CONSISTENT)
+        g3 = source_table(hist, n, KernelWeights(), AIR, Grid(0.1, 4), geom,
+                          CONSISTENT)[2, 2]
 
         t_end = n * dt
         integral, quad_err = integrate.quad(

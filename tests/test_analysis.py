@@ -10,9 +10,12 @@ from ductwave.analysis import (
     harmonic_spectrum,
     level_db,
     relative_error,
-    resample_probe,
 )
+from ductwave.driver import VELOCITY, Scenario, _resample_on_period_grid
 from ductwave.errors import MisalignedWindowError, UndefinedReferenceError
+from ductwave.gas import GasModel
+from ductwave.scheme import DuctGeometry, Grid
+from ductwave.signals import SineSignal
 
 OMEGA0 = 2.0 * math.pi * 100.0
 PERIOD = 2.0 * math.pi / OMEGA0
@@ -28,6 +31,17 @@ def _sine_record(amplitude=1.0, periods=4, per_period=256, harmonic=1,
     u = dc + amplitude * np.sin(harmonic * OMEGA0 * t + phase)
     data = np.column_stack([np.full_like(u, 1.2), u, np.full_like(u, 101325.0)])
     return ProbeRecord(station_index=0, x=0.0, tau=tau, data=data)
+
+
+def _period_grid(record, exponent):
+    """The run's resampling of a record onto tau = PERIOD / 2^exponent."""
+    scenario = Scenario(
+        gas=GasModel(), grid=Grid(length=1.0, cells=4),
+        geom=DuctGeometry(h=0.005), inflow_kind=VELOCITY,
+        inflow=SineSignal(amplitude=1.0, omega0=OMEGA0), duration_s=1.0,
+        sampling_exponent=exponent,
+    )
+    return _resample_on_period_grid(record, scenario)
 
 
 class TestProbeRecord:
@@ -51,15 +65,15 @@ class TestProbeRecord:
 
 class TestResample:
     def test_identity_at_native_period(self):
-        rec = _sine_record(periods=2, per_period=64)
-        out = resample_probe(rec, rec.tau)
-        # spans (M-1) tau, so the resampled record keeps all M samples
+        rec = _sine_record(periods=2, per_period=64, endpoint=True)
+        out = _period_grid(rec, 6)
+        # spans two whole periods, so the resampled record keeps all samples
         np.testing.assert_array_equal(out.data, rec.data)
 
     def test_constant_stays_constant(self):
         rec = _sine_record(amplitude=0.0, dc=3.3, periods=2, per_period=64,
                            endpoint=True)
-        out = resample_probe(rec, 4.0 * rec.tau)
+        out = _period_grid(rec, 4)
         np.testing.assert_allclose(out.component("u"), 3.3, rtol=1e-14)
 
     def test_sine_amplitude_retained(self):
@@ -67,19 +81,14 @@ class TestResample:
         # the fundamental to better than 1e-4 relative
         rec = _sine_record(amplitude=2.0, periods=4, per_period=4096,
                            endpoint=True)
-        out = resample_probe(rec, PERIOD / 1024.0)
+        out = _period_grid(rec, 10)
         spec = harmonic_spectrum(out.window(0.0, 4.0 * PERIOD), OMEGA0, 1)
         assert spec.magnitude(1) == pytest.approx(2.0, rel=1e-4)
 
-    def test_upsampling_rejected(self):
-        rec = _sine_record(periods=1, per_period=32)
-        with pytest.raises(MisalignedWindowError):
-            resample_probe(rec, rec.tau / 2.0)
-
     def test_span_mismatch_rejected(self):
+        # a record shorter than one whole period has nothing to resample
         rec = _sine_record(periods=1, per_period=33)
-        with pytest.raises(MisalignedWindowError):
-            resample_probe(rec, PERIOD / 7.0)
+        assert _period_grid(rec, 3) is None
 
 
 class TestHarmonicSpectrum:

@@ -25,6 +25,7 @@ from ductwave.gas import (
 
 DT = 2e-5
 DX = 0.01
+J_OUT = 40      # outlet node index passed to outflow_update
 
 
 def _rest(air):
@@ -174,7 +175,7 @@ class TestInflowUpdates:
 class TestOutflowUpdate:
     def test_rest_fixed_point(self, air):
         w = _rest(air)
-        out = outflow_update(w, w, air, DT, DX)
+        out = outflow_update(w, w, air, DT, DX, J_OUT)
         prim = primitive_from_conserved(out, air)
         assert abs(prim.u) < 1e-12
         assert prim.p == pytest.approx(air.p0, rel=1e-13)
@@ -182,7 +183,8 @@ class TestOutflowUpdate:
     def test_riemann_invariant_pinned(self, air):
         w_in = conserved_from_primitive(PrimitiveState(1.25, 6.0, 1.08e5), air)
         w_b = conserved_from_primitive(PrimitiveState(1.22, 4.0, 1.05e5), air)
-        out = primitive_from_conserved(outflow_update(w_in, w_b, air, DT, DX), air)
+        out = primitive_from_conserved(
+            outflow_update(w_in, w_b, air, DT, DX, J_OUT), air)
         c = sound_speed(out, air)
         r_minus = out.u - 2.0 * c / 0.4
         assert r_minus == pytest.approx(-2.0 * air.c0 / 0.4, rel=1e-12)
@@ -191,7 +193,8 @@ class TestOutflowUpdate:
     def test_matches_root_finder(self, air):
         w_in = conserved_from_primitive(PrimitiveState(1.21, 3.0, 1.03e5), air)
         w_b = conserved_from_primitive(PrimitiveState(1.2, 2.0, 1.01e5), air)
-        out = primitive_from_conserved(outflow_update(w_in, w_b, air, DT, DX), air)
+        out = primitive_from_conserved(
+            outflow_update(w_in, w_b, air, DT, DX, J_OUT), air)
         # oracle recomputes the foot state and the invariant transport
         prim_b = primitive_from_conserved(w_b, air)
         lam = abs(prim_b.u + sound_speed(prim_b, air)) * DT / DX
@@ -205,5 +208,5 @@ class TestOutflowUpdate:
 
     def test_supersonic_rejected(self, air):
         fast = conserved_from_primitive(PrimitiveState(1.2, 400.0, 101325.0), air)
-        with pytest.raises(UnsupportedRegimeError):
-            outflow_update(fast, fast, air, DT, DX)
+        with pytest.raises(UnsupportedRegimeError, match=f"node {J_OUT}:"):
+            outflow_update(fast, fast, air, DT, DX, J_OUT)

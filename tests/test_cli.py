@@ -75,6 +75,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid.cells", "2"),
+        ("gas.gamma", "0.9"),
+        ("geometry.h", "-1.0"),
+        ("output.kmax", "0"),
+    ])
+    def test_invalid_value_exits_with_config_code(self, key, value, tmp_path,
+                                                  capsys):
+        lines = [ln for ln in SMALL_CONFIG.splitlines()
+                 if not ln.startswith(key + " ")]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n",
+                       encoding="utf-8")
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_losses_override(self, config_file, tmp_path):
         out_on = tmp_path / "on"
         out_off = tmp_path / "off"

@@ -1,6 +1,7 @@
 """Coupled time loop: initialization, stepping, runs, degenerate modes."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,15 @@ from ductwave.driver import (
     frozen_dt,
     initialize,
     run,
-    step,
 )
-from ductwave.gas import GasModel, conserved_array, primitive_arrays
+from ductwave.errors import UnsupportedRegimeError
+from ductwave.gas import (
+    GasModel,
+    PrimitiveState,
+    conserved_array,
+    conserved_from_primitive,
+    primitive_arrays,
+)
 from ductwave.scheme import DuctGeometry, FieldState, Grid, lax_wendroff_update
 from ductwave.boundaries import inflow_update_velocity, outflow_update
 from ductwave.signals import SineSignal
@@ -78,6 +85,16 @@ class TestInitialize:
         sc = _small_scenario(air)
         assert frozen_dt(sc) == pytest.approx(
             0.8 * sc.grid.dx / air.c0, rel=1e-12)
+
+    def test_courant_warning_issued_once_per_run(self, air):
+        sc = _small_scenario(
+            air, cfl=0.99, duration_s=None, duration_periods=0.5,
+            inflow=SineSignal(amplitude=5e3, omega0=2.0 * math.pi * 500.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(sc)
+        courant = [w for w in caught if "Courant" in str(w.message)]
+        assert len(courant) == 1
 
     def test_aggressive_cfl_warns(self, air):
         sc = _small_scenario(
@@ -271,18 +288,31 @@ class TestStepAgainstOracle:
             want = np.asarray(oracle[n])
             assert np.max(np.abs(got - want) / scales) < 1e-13, f"step {n}"
 
-    def test_pure_step_matches_simulation(self, air):
+    def test_rest_initial_field_matches_default_start(self, air):
+        # an explicit rest field takes the same construction path
         sc = _small_scenario(air)
         sim = Simulation(sc)
-        state, history = initialize(sc)
+        state, _ = initialize(sc)
+        explicit = Simulation(sc, initial_field=state)
         for _ in range(4):
             sim.advance()
-            state = step(state, history, sc)
-        np.testing.assert_array_equal(state.w, sim.state.w)
-        assert state.t == sim.state.t
+            explicit.advance()
+        np.testing.assert_array_equal(explicit.state.w, sim.state.w)
+        assert explicit.state.t == sim.state.t
         np.testing.assert_array_equal(
-            history.level(history.n_levels - 1),
-            sim.history.level(sim.history.n_levels - 1))
+            explicit.history.level(4), sim.history.level(4))
+
+
+class TestBoundaryErrors:
+    def test_supersonic_outlet_names_node_j(self, air):
+        sc = _small_scenario(air, losses=False)
+        state, _ = initialize(sc)
+        state.w[-1] = conserved_from_primitive(
+            PrimitiveState(air.rho0, 400.0, air.p0), air).as_array()
+        sim = Simulation(sc, initial_field=state)
+        with pytest.raises(UnsupportedRegimeError,
+                           match=f"node {sc.grid.cells}:"):
+            sim.advance()
 
 
 class TestRun:
@@ -341,7 +371,7 @@ class TestDegenerateCoupling:
             new.w[0] = np.asarray(inflow_update_velocity(
                 u_val, state.w[0], state.w[1], air, dt, sc.grid.dx))
             new.w[-1] = np.asarray(outflow_update(
-                state.w[-2], state.w[-1], air, dt, sc.grid.dx))
+                state.w[-2], state.w[-1], air, dt, sc.grid.dx, sc.grid.cells))
             state = new
         np.testing.assert_array_equal(sim.state.w, state.w)
 

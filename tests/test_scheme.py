@@ -13,13 +13,9 @@ from ductwave.scheme import (
     Grid,
     StepControl,
     compute_dt,
-    first_time_derivative,
     flux_jacobian,
     lax_wendroff_update,
-    midpoint_jacobian,
-    midpoint_time_derivative,
     physical_flux,
-    second_time_derivative,
     uniform_field,
 )
 
@@ -103,16 +99,6 @@ class TestFluxJacobian:
             # tenfold eps reduction (allow roundoff floor)
             assert errs[1] < errs[0] * 0.05 + 1e-10
 
-    def test_midpoint_jacobian(self, air):
-        a = flux_jacobian(REST, air)
-        b = flux_jacobian(MOVING, air)
-        np.testing.assert_allclose(
-            midpoint_jacobian(REST, MOVING, air), 0.5 * (a + b), rtol=1e-15)
-        np.testing.assert_allclose(
-            midpoint_jacobian(MOVING, REST, air),
-            midpoint_jacobian(REST, MOVING, air), rtol=1e-15)
-        np.testing.assert_allclose(midpoint_jacobian(REST, REST, air), a, rtol=1e-15)
-
 
 def _ramp_field(grid, air, slope):
     """Fluid at rest with p = p0 + slope * x."""
@@ -122,83 +108,92 @@ def _ramp_field(grid, air, slope):
     return FieldState(w=conserved_array(rho, u, p, air))
 
 
+def _increment(field, g, dt_g, gas, grid, dt):
+    """Change of the field over one lax_wendroff_update step."""
+    return lax_wendroff_update(field, g, dt_g, gas, grid, dt).w - field.w
+
+
 class TestTimeDerivatives:
+    """The Taylor terms dW/dt and d2W/dt2, read off the runtime update."""
+
     def test_uniform_rest_zero_source(self, air):
         grid = Grid(1.0, 10)
         field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
-        zero = np.zeros(3)
-        np.testing.assert_array_equal(
-            first_time_derivative(field, 3, zero, air, grid), np.zeros(3))
-        np.testing.assert_array_equal(
-            midpoint_time_derivative(field, 3, zero, zero, air, grid), np.zeros(3))
+        zeros = np.zeros_like(field.w)
+        for dt in (1e-6, 1e-4):
+            np.testing.assert_array_equal(
+                _increment(field, zeros, zeros, air, grid, dt), zeros)
 
     def test_uniform_field_source_passthrough(self, air):
+        # uniform flux: dW/dt = G and d2W/dt2 = dG/dt
         grid = Grid(1.0, 10)
         field = uniform_field(grid, air, 1.2, 3.0, 101325.0)
-        g = np.array([0.0, 4.5, -2.0])
+        g = np.tile([0.0, 4.5e3, -2.0e5], (grid.n_nodes, 1))
+        dt_g = np.tile([0.0, -3.0e5, 7.0e6], (grid.n_nodes, 1))
+        dt = 1e-3
+        inc = _increment(field, g, dt_g, air, grid, dt)
         np.testing.assert_allclose(
-            first_time_derivative(field, 5, g, air, grid), g, rtol=1e-12)
-        np.testing.assert_allclose(
-            midpoint_time_derivative(field, 5, g, g, air, grid), g, rtol=1e-12)
+            inc[1:-1], (dt * g + 0.5 * dt * dt * dt_g)[1:-1], rtol=1e-9)
 
     def test_linear_pressure_ramp(self, air):
+        # at rest with p = p0 + s x: dW/dt = (0, -s, 0), and the energy row
+        # of d2W/dt2 is s^2 gamma / (rho (gamma - 1)) by hand
         grid = Grid(1.0, 8)
         slope = 250.0
         field = _ramp_field(grid, air, slope)
-        zero = np.zeros(3)
-        np.testing.assert_allclose(
-            first_time_derivative(field, 4, zero, air, grid),
-            [0.0, -slope, 0.0], atol=1e-9)
-        np.testing.assert_allclose(
-            midpoint_time_derivative(field, 4, zero, zero, air, grid),
-            [0.0, -slope, 0.0], atol=1e-9)
+        zeros = np.zeros_like(field.w)
+        dt = 1e-3
+        inc = _increment(field, zeros, zeros, air, grid, dt)
+        g = air.gamma
+        expected = [0.0, -slope * dt,
+                    0.5 * dt * dt * slope ** 2 * g / (1.2 * (g - 1.0))]
+        for j in range(1, grid.cells):
+            np.testing.assert_allclose(inc[j], expected, rtol=1e-8, atol=1e-12)
 
     def test_interior_bounds_enforced(self, air):
+        # only nodes 1..J-1 are written; the boundary rows pass through
         grid = Grid(1.0, 8)
-        field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
-        zero = np.zeros(3)
-        with pytest.raises(IndexError):
-            first_time_derivative(field, 0, zero, air, grid)
-        with pytest.raises(IndexError):
-            first_time_derivative(field, 8, zero, air, grid)
+        field = _ramp_field(grid, air, 250.0)
+        g = np.tile([0.0, 10.0, -50.0], (grid.n_nodes, 1))
+        new = lax_wendroff_update(field, g, g, air, grid, 1e-4)
+        np.testing.assert_array_equal(new.w[[0, -1]], field.w[[0, -1]])
+        assert np.all(np.any(new.w[1:-1] != field.w[1:-1], axis=1))
 
     def test_second_derivative_zero_cases(self, air):
+        # uniform field and uniform source with zero source rate: the
+        # constant Jacobian annihilates the uniform midpoint rate, so the
+        # step is first order in dt exactly
         grid = Grid(1.0, 8)
-        field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
-        zero = np.zeros(3)
-        a = flux_jacobian(field.w[0], air)
-        out = second_time_derivative(field, 2, zero, a, a, zero, zero, grid)
-        np.testing.assert_array_equal(out, np.zeros(3))
-        # constant Jacobian annihilates a spatially uniform midpoint rate
-        rate = np.array([0.1, -0.2, 0.3])
-        out = second_time_derivative(field, 2, zero, a, a, rate, rate, grid)
-        np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
+        field = uniform_field(grid, air, 1.2, 3.0, 101325.0)
+        zeros = np.zeros_like(field.w)
+        g = np.tile([0.0, 4.5e3, -2.0e5], (grid.n_nodes, 1))
+        dt = 1e-3
+        inc = _increment(field, g, zeros, air, grid, dt)
+        np.testing.assert_allclose(inc[1:-1], dt * g[1:-1], rtol=1e-9)
 
-    def test_second_derivative_hand_case(self, air):
-        # direct arithmetic on a 3-entry stencil, no library calls
-        grid = Grid(1.0, 8)
-        field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
-        dt_g = np.array([1.0, 2.0, 3.0])
-        jac_m = np.diag([1.0, 2.0, 3.0])
-        jac_p = np.diag([2.0, 1.0, 1.0])
-        rate_m = np.array([1.0, 1.0, 2.0])
-        rate_p = np.array([0.5, 1.5, -1.0])
-        dx = grid.dx
-        expected = dt_g - (jac_p @ rate_p - jac_m @ rate_m) / dx
-        manual = np.array([
-            1.0 - (2.0 * 0.5 - 1.0 * 1.0) / dx,
-            2.0 - (1.0 * 1.5 - 2.0 * 1.0) / dx,
-            3.0 - (1.0 * -1.0 - 3.0 * 2.0) / dx,
-        ])
-        np.testing.assert_allclose(expected, manual, rtol=1e-15)
-        out = second_time_derivative(field, 2, dt_g, jac_m, jac_p,
-                                     rate_m, rate_p, grid)
-        np.testing.assert_allclose(out, manual, rtol=1e-14)
+    def test_second_derivative_hand_case(self, air, rng):
+        # nonuniform field with nonuniform sources and source rates on a
+        # 3-interior-node stencil, against the per-node loop reference
+        grid = Grid(0.04, 4)
+        x = grid.x
+        u = 2.0 * np.sin(40.0 * x)
+        p = 101325.0 + 300.0 * np.cos(60.0 * x)
+        rho = 1.2 + 0.002 * np.sin(50.0 * x)
+        field = FieldState(w=conserved_array(rho, u, p, air))
+        g = np.zeros_like(field.w)
+        g[:, 1:] = rng.normal(scale=[50.0, 2e4], size=(grid.n_nodes, 2))
+        dt_g = np.zeros_like(field.w)
+        dt_g[:, 1:] = rng.normal(scale=[5e6, 2e9], size=(grid.n_nodes, 2))
+        dt = 0.8 * grid.dx / air.c0 / 1.1
+        ours = lax_wendroff_update(field, g, dt_g, air, grid, dt)
+        ref = _classical_lax_wendroff(field.w, air, grid.dx, dt, g, dt_g)
+        np.testing.assert_allclose(ours.w, ref, rtol=1e-12)
 
 
-def _classical_lax_wendroff(w, gas, dx, dt):
-    """Reference single-step Lax-Wendroff in flux form (G = 0), written
-    independently of the library implementation."""
+def _classical_lax_wendroff(w, gas, dx, dt, g=None, dt_g=None):
+    """Reference single-step Lax-Wendroff in flux form, written
+    independently of the library implementation. With sources G and their
+    rate, the Taylor terms gain dt G and dt^2/2 (dG/dt - d(A G)/dx)."""
     f = physical_flux(w, gas)
     jac = flux_jacobian(w, gas)
     out = w.copy()
@@ -209,6 +204,11 @@ def _classical_lax_wendroff(w, gas, dx, dt):
                   - dt / (2.0 * dx) * (f[j + 1] - f[j - 1])
                   + dt * dt / (2.0 * dx * dx)
                   * (a_plus @ (f[j + 1] - f[j]) - a_minus @ (f[j] - f[j - 1])))
+        if g is not None:
+            g_plus = 0.5 * (g[j] + g[j + 1])
+            g_minus = 0.5 * (g[j - 1] + g[j])
+            out[j] += dt * g[j] + 0.5 * dt * dt * (
+                dt_g[j] - (a_plus @ g_plus - a_minus @ g_minus) / dx)
     return out
 
 

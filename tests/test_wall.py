@@ -1,6 +1,7 @@
 """Memory-kernel wall sources: weights, quadratures, sums, erf profiles."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,13 +11,14 @@ from scipy import integrate
 
 mpmath.mp.dps = 50
 
+from ductwave.driver import Scenario, _source_tables
 from ductwave.scheme import DuctGeometry, Grid
+from ductwave.signals import SineSignal
 from ductwave.wall import (
     AS_PRINTED,
     CONSISTENT,
     KernelWeights,
     PressureHistory,
-    SourceVector,
     bl_temperature_profile,
     bl_velocity_profile,
     erf,
@@ -24,10 +26,6 @@ from ductwave.wall import (
     quad_one_point,
     quad_two_point,
     source_table,
-    source_time_derivative,
-    source_vector,
-    wall_heat_sum,
-    wall_shear_sum,
 )
 
 GEOM = DuctGeometry(h=0.005, symmetry="axisymmetric")
@@ -39,6 +37,25 @@ def _history(levels, dt=1e-5, n_nodes=5, m_max=None):
     for row in levels:
         hist.append(np.asarray(row, dtype=float))
     return hist
+
+
+def _g2(hist, j, n, gas, grid=GRID, geom=GEOM):
+    """Shear source G2 at node j from the runtime source table."""
+    return source_table(hist, n, KernelWeights(), gas, grid, geom)[j, 1]
+
+
+def _g3(hist, j, n, gas, geom=GEOM, mode=CONSISTENT):
+    """Heat source G3 at node j from the runtime source table."""
+    return source_table(hist, n, KernelWeights(), gas, GRID, geom, mode)[j, 2]
+
+
+def _scenario(gas, **overrides):
+    """Lossy 5-node scenario on GRID/GEOM for the driver's source tables."""
+    base = dict(gas=gas, grid=GRID, geom=GEOM, inflow_kind="pressure",
+                inflow=SineSignal(amplitude=50.0, omega0=2000.0),
+                duration_s=1e-3)
+    base.update(overrides)
+    return Scenario(**base)
 
 
 def _brute_force_g2(p, j, n, dt, dx, gas, geom):
@@ -157,13 +174,12 @@ class TestPressureHistory:
 class TestWallShearSum:
     def test_uniform_pressure_is_silent(self, air):
         hist = _history([np.full(5, 101325.0)] * 6)
-        w = KernelWeights()
         for n in range(6):
-            assert wall_shear_sum(hist, 2, n, w, air, GRID, GEOM) == 0.0
+            assert _g2(hist, 2, n, air) == 0.0
 
     def test_empty_history_is_zero(self, air):
         hist = _history([np.full(5, 101325.0)])
-        assert wall_shear_sum(hist, 1, 0, KernelWeights(), air, GRID, GEOM) == 0.0
+        assert _g2(hist, 1, 0, air) == 0.0
 
     def test_standing_ramp_single_term(self, air):
         # p_j^m = a x_j for all m; at n = 1 the bracket telescopes to
@@ -172,7 +188,7 @@ class TestWallShearSum:
         dt = 2e-6
         row = a * GRID.x
         hist = _history([row, row], dt=dt)
-        got = wall_shear_sum(hist, 2, 1, KernelWeights(), air, GRID, GEOM)
+        got = _g2(hist, 2, 1, air)
         closed = (GEOM.beta / GEOM.h) * math.sqrt(air.mu / (air.rho0 * math.pi)) \
             * math.sqrt(dt) * 2.0 * a
         assert got == pytest.approx(closed, rel=1e-13)
@@ -183,33 +199,25 @@ class TestWallShearSum:
         dt = 5e-6
         levels = [101325.0 + 40.0 * rng.standard_normal(5) for _ in range(9)]
         hist = _history(levels, dt=dt)
-        w = KernelWeights()
         for n in (1, 4, 8):
             for j in (1, 2, 3):
-                got = wall_shear_sum(hist, j, n, w, air, GRID, GEOM)
+                got = _g2(hist, j, n, air)
                 brute = _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM)
-                assert got == pytest.approx(brute, rel=1e-12, abs=1e-30)
-
-    def test_boundary_nodes_rejected(self, air):
-        hist = _history([np.full(5, 101325.0)] * 3)
-        with pytest.raises(IndexError):
-            wall_shear_sum(hist, 0, 2, KernelWeights(), air, GRID, GEOM)
-        with pytest.raises(IndexError):
-            wall_shear_sum(hist, 4, 2, KernelWeights(), air, GRID, GEOM)
+                # rounding against p0 in the table's reassociated sums
+                assert got == pytest.approx(brute, rel=1e-9)
 
 
 class TestWallHeatSum:
     def test_constant_in_time_is_silent(self, air):
         hist = _history([np.full(5, 90000.0)] * 7)
-        w = KernelWeights()
         for n in range(7):
-            assert wall_heat_sum(hist, 2, n, w, air, GEOM) == 0.0
+            assert _g3(hist, 2, n, air) == 0.0
 
     def test_single_step_jump(self, air):
         dp = 250.0
         dt = 4e-6
         hist = _history([np.full(5, 101325.0), np.full(5, 101325.0 + dp)], dt=dt)
-        got = wall_heat_sum(hist, 2, 1, KernelWeights(), air, GEOM)
+        got = _g3(hist, 2, 1, air)
         kappa = math.sqrt(air.k_cond / (air.rho0 * air.cp * math.pi))
         assert got == pytest.approx(
             -2.0 * GEOM.beta / GEOM.h * kappa * dp / math.sqrt(dt), rel=1e-13)
@@ -218,20 +226,19 @@ class TestWallHeatSum:
         dt = 5e-6
         levels = [101325.0 + 10.0 * rng.standard_normal(5) for _ in range(8)]
         hist = _history(levels, dt=dt)
-        w = KernelWeights()
         kappa = heat_kernel_constant(air, CONSISTENT)
         for n in (1, 3, 7):
-            got = wall_heat_sum(hist, 0, n, w, air, GEOM)
+            got = _g3(hist, 0, n, air)
             brute = _brute_force_g3(levels, 0, n, dt, air, GEOM, kappa)
-            assert got == pytest.approx(brute, rel=1e-12, abs=1e-30)
+            # rounding against p0 in the table's reassociated sums
+            assert got == pytest.approx(brute, rel=1e-9)
 
     def test_as_printed_mode_rescales_by_sqrt_mu_over_k(self, air):
         # the verbatim kernel swaps k for mu under the square root
         dt = 4e-6
         hist = _history([np.full(5, 101325.0), np.full(5, 101400.0)], dt=dt)
-        w = KernelWeights()
-        ratio = wall_heat_sum(hist, 2, 1, w, air, GEOM, AS_PRINTED) \
-            / wall_heat_sum(hist, 2, 1, w, air, GEOM, CONSISTENT)
+        ratio = _g3(hist, 2, 1, air, mode=AS_PRINTED) \
+            / _g3(hist, 2, 1, air, mode=CONSISTENT)
         assert ratio == pytest.approx(math.sqrt(air.mu / air.k_cond), rel=1e-12)
 
     def test_sine_matches_continuous_integral(self, air):
@@ -246,7 +253,7 @@ class TestWallHeatSum:
         rows = [np.full(5, air.p0 + amp * math.sin(omega * m * dt))
                 for m in range(n + 1)]
         hist = _history(rows, dt=dt)
-        got = wall_heat_sum(hist, 2, n, KernelWeights(), air, GEOM)
+        got = _g3(hist, 2, n, air)
         kappa = heat_kernel_constant(air, CONSISTENT)
         integral, _ = integrate.quad(
             lambda z: amp * omega * math.cos(omega * (t_end - z)),
@@ -258,57 +265,101 @@ class TestWallHeatSum:
 class TestSourceAssembly:
     def test_zero_history_gives_zero_vector(self, air):
         hist = _history([np.full(5, 101325.0)] * 4)
-        sv = source_vector(hist, 2, 3, KernelWeights(), air, GRID, GEOM)
-        np.testing.assert_array_equal(sv.g, np.zeros(3))
+        table = source_table(hist, 3, KernelWeights(), air, GRID, GEOM)
+        np.testing.assert_array_equal(table, np.zeros((5, 3)))
 
     def test_components_match_the_sums(self, air, rng):
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
+        dt = 3e-6
+        hist = _history(levels, dt=dt)
+        row = source_table(hist, 5, KernelWeights(), air, GRID, GEOM)[2]
+        kappa = heat_kernel_constant(air, CONSISTENT)
+        assert row[0] == 0.0
+        assert row[1] == pytest.approx(
+            _brute_force_g2(levels, 2, 5, dt, GRID.dx, air, GEOM), rel=1e-9)
+        assert row[2] == pytest.approx(
+            _brute_force_g3(levels, 2, 5, dt, air, GEOM, kappa), rel=1e-9)
+
+    def test_mass_component_must_vanish(self, air, rng):
+        levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
         hist = _history(levels, dt=3e-6)
         w = KernelWeights()
-        sv = source_vector(hist, 2, 5, w, air, GRID, GEOM)
-        assert sv.g[0] == 0.0
-        assert sv.g[1] == wall_shear_sum(hist, 2, 5, w, air, GRID, GEOM)
-        assert sv.g[2] == wall_heat_sum(hist, 2, 5, w, air, GEOM)
+        for n in range(6):
+            table = source_table(hist, n, w, air, GRID, GEOM)
+            assert np.all(table[:, 0] == 0.0)
 
-    def test_mass_component_must_vanish(self):
-        with pytest.raises(ValueError):
-            SourceVector(g=np.array([1.0, 0.0, 0.0]))
-
-    def test_source_time_derivative(self):
-        cur = SourceVector(g=np.array([0.0, 2.0, 6.0]),
-                           prev=np.array([0.0, 1.0, 2.0]))
-        out = source_time_derivative(cur, None, 0.5)
-        np.testing.assert_allclose(out, [0.0, 2.0, 8.0], rtol=1e-15)
-        same = SourceVector(g=np.array([0.0, 3.0, 3.0]))
-        prev = SourceVector(g=np.array([0.0, 3.0, 3.0]))
+    def test_source_time_derivative(self, air, rng):
+        # the runtime rate is the first-order difference of two tables
+        levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
+        dt = 3e-6
+        hist = _history(levels, dt=dt)
+        w = KernelWeights()
+        sc = _scenario(air)
+        g_prev = source_table(hist, 4, w, air, GRID, GEOM)
+        g_now, rate = _source_tables(hist, 5, sc, w, dt, g_prev)
         np.testing.assert_array_equal(
-            source_time_derivative(same, prev, 0.5), np.zeros(3))
+            g_now, source_table(hist, 5, w, air, GRID, GEOM))
+        np.testing.assert_allclose(rate, (g_now - g_prev) / dt, rtol=1e-15)
+        assert np.abs(rate).max() > 0.0
+        g_off, rate_off = _source_tables(hist, 5, replace(sc, losses=False),
+                                         w, dt, g_prev)
+        np.testing.assert_array_equal(g_off, np.zeros((5, 3)))
+        np.testing.assert_array_equal(rate_off, np.zeros((5, 3)))
 
-    def test_first_step_has_zero_rate(self):
-        cur = SourceVector(g=np.array([0.0, 4.0, -1.0]), prev=None)
-        np.testing.assert_array_equal(source_time_derivative(cur, None, 1e-5),
-                                      np.zeros(3))
+    def test_first_step_has_zero_rate(self, air):
+        hist = _history([np.full(5, 101325.0)], dt=1e-5)
+        _, rate = _source_tables(hist, 0, _scenario(air), KernelWeights(),
+                                 1e-5, None)
+        np.testing.assert_array_equal(rate, np.zeros((5, 3)))
 
     def test_table_matches_per_node_ops(self, air, rng):
         levels = [101325.0 + 30.0 * rng.standard_normal(7) for _ in range(7)]
-        hist = PressureHistory(n_nodes=7, dt=2e-6)
+        dt = 2e-6
+        hist = PressureHistory(n_nodes=7, dt=dt)
         for row in levels:
             hist.append(row)
         grid = Grid(length=0.06, cells=6)
-        w = KernelWeights()
-        table = source_table(hist, 6, w, air, grid, GEOM)
-        # the table reassociates the dot products, so agreement is to
-        # rounding against the absolute-pressure magnitudes in the sums
+        table = source_table(hist, 6, KernelWeights(), air, grid, GEOM)
+        kappa = heat_kernel_constant(air, CONSISTENT)
+        # summation by parts reassociates the sums, so agreement with the
+        # per-node oracles is to rounding against the absolute pressures
         for j in range(1, 6):
             assert table[j, 1] == pytest.approx(
-                wall_shear_sum(hist, j, 6, w, air, grid, GEOM), rel=1e-9)
+                _brute_force_g2(levels, j, 6, dt, grid.dx, air, GEOM),
+                rel=1e-9)
         for j in range(7):
             assert table[j, 2] == pytest.approx(
-                wall_heat_sum(hist, j, 6, w, air, GEOM), rel=1e-9)
+                _brute_force_g3(levels, j, 6, dt, air, GEOM, kappa), rel=1e-9)
         # boundary shear rows copy the adjacent interior values
         assert table[0, 1] == table[1, 1]
         assert table[6, 1] == table[5, 1]
         assert np.all(table[:, 0] == 0.0)
+
+    def test_long_history_matches_brute_force(self, air):
+        """2,000 levels near p0: the summation-by-parts coefficients cancel
+        the large constant part, here over the full and a truncated window."""
+        omega = 2.0 * math.pi * 300.0
+        dt = 1.0 / 300.0 / 64
+        n = 1999
+        x = GRID.x
+        levels = [air.p0 + 50.0 * np.sin(omega * m * dt + 3.0 * x)
+                  * (1.0 + x / GRID.length) for m in range(n + 1)]
+        kappa = heat_kernel_constant(air, CONSISTENT)
+        for m_max in (None, 300):
+            hist = _history(levels, dt=dt, m_max=m_max)
+            table = source_table(hist, n, KernelWeights(), air, GRID, GEOM)
+            # the oracles sum the full window; truncation keeps the first
+            # m_max + 1 lags, i.e. the levels from n - m_max - 1 on
+            used = levels if m_max is None else levels[n - m_max - 1:]
+            n_used = len(used) - 1
+            for j in range(1, 4):
+                assert table[j, 1] == pytest.approx(
+                    _brute_force_g2(used, j, n_used, dt, GRID.dx, air, GEOM),
+                    rel=1e-9)
+            for j in range(5):
+                assert table[j, 2] == pytest.approx(
+                    _brute_force_g3(used, j, n_used, dt, air, GEOM, kappa),
+                    rel=1e-9)
 
     def test_linearity_in_history(self, air, rng):
         base = [101325.0 + 20.0 * rng.standard_normal(5) for _ in range(6)]
@@ -445,6 +496,6 @@ class TestBoundaryLayerProfiles:
         rows = [air.p0 + amp * math.sin(omega * m * dt) * grid.x
                 for m in range(n + 1)]
         hist = _history(rows, dt=dt)
-        g2 = wall_shear_sum(hist, 2, n, KernelWeights(), air, grid, GEOM)
+        g2 = _g2(hist, 2, n, air, grid=grid)
         g2_ref = -(GEOM.beta * air.mu / GEOM.h) * slope_ref
         assert g2 == pytest.approx(g2_ref, rel=0.01)
