@@ -96,14 +96,19 @@ class SpectrumResult:
         return level_db(self.magnitude(k), ref)
 
 
+def min_samples_per_period(k_max: int) -> int:
+    """Anti-aliasing floor of a K_max spectrum: 8 K_max samples per period."""
+    return 8 * k_max
+
+
 def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
                       component: str = "u") -> SpectrumResult:
     """Harmonic magnitudes over an integer number of fundamental periods.
 
     The M samples are treated as one rectangular window of length M tau
     (periodic continuation), which must equal an integer number >= 1 of
-    periods with at least 8 K_max samples per period to keep aliasing out
-    of the band of interest.
+    periods with at least `min_samples_per_period(k_max)` samples per
+    period to keep aliasing out of the band of interest.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -115,10 +120,11 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
         raise MisalignedWindowError(
             f"window covers {n_periods:.6f} periods; integer count required"
         )
-    if m_samples / n_periods < 8 * k_max:
+    floor = min_samples_per_period(k_max)
+    if m_samples / n_periods < floor:
         raise MisalignedWindowError(
             f"{m_samples / n_periods:.0f} samples/period under the"
-            f" anti-aliasing floor {8 * k_max} for K_max={k_max}"
+            f" anti-aliasing floor {floor} for K_max={k_max}"
         )
     t_rel = np.arange(m_samples) * record.tau
     k = np.arange(1, k_max + 1)

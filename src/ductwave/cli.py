@@ -23,6 +23,7 @@ import numpy as np
 
 from . import analysis, driver, oracles
 from .config import (
+    DEFAULT_KMAX,
     builtin_scenarios,
     parse_config,
     scenario_from_config,
@@ -189,7 +190,7 @@ def _spectrum_rows(record, scenario, doc):
     periods = min(doc.get("output.spectrum_periods", 4), avail)
     if periods < 1:
         return None
-    k_max = doc.get("output.kmax", 15)
+    k_max = doc.get("output.kmax", DEFAULT_KMAX)
     t_hi = record.t_start + avail * period
     t_lo = t_hi - periods * period
     window = record.window(t_lo, t_hi)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from . import driver, scheme, wall
+from . import analysis, driver, scheme, wall
 from .errors import ConfigError
 from .gas import GasModel
 from .signals import MultiHarmonicSignal, SampledSignal, SineSignal
 
 TWO_PI = 6.283185307179586476925287
+DEFAULT_KMAX = 15   # harmonics in the spectrum outputs
 
 
 def _parse_float(s: str) -> float:
@@ -247,7 +248,7 @@ def scenario_from_config(doc: ConfigDocument,
                               " not both")
         if "run.duration_periods" not in doc and "run.duration_s" not in doc:
             raise ConfigError("missing run.duration_periods or run.duration_s")
-        return driver.Scenario(
+        scenario = driver.Scenario(
             gas=gas, grid=grid, geom=geom,
             inflow_kind=doc.require("inflow.kind"),
             inflow=_build_signal(doc, samples_loader),
@@ -262,6 +263,15 @@ def scenario_from_config(doc: ConfigDocument,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if scenario.fundamental_period is not None:
+        k_max = doc.get("output.kmax", DEFAULT_KMAX)
+        floor = analysis.min_samples_per_period(k_max)
+        if 2.0 ** scenario.sampling_exponent < floor:
+            raise ConfigError(
+                f"run.sampling_exponent = {scenario.sampling_exponent} gives"
+                f" {2.0 ** scenario.sampling_exponent:g} samples/period, under"
+                f" the anti-aliasing floor {floor} for output.kmax = {k_max}")
+    return scenario
 
 
 # ---------------------------------------------------------------------------

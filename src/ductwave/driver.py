@@ -1,14 +1,16 @@
 """Time-loop orchestration of the coupled duct problem.
 
 One step, all from level-n data: evaluate the wall sources G for every
-node from the pressure history, and their rate against the previous
-step's table (both identically zero with losses off); advance the
-interior nodes with the second-order expansion; rebuild both boundary
-nodes from their characteristic relations with the inflow datum taken
-at the new time level; then append the new nodal pressures to the
-history. The time step is frozen at the start of the run (the
-convolution weights assume uniform dt), set by the CFL rule on the
-initial rest field.
+node from the wall memory of the pressure history, and their rate
+against the previous step's table (both identically zero with losses
+off); advance the interior nodes with the second-order expansion;
+rebuild both boundary nodes from their characteristic relations with the
+inflow datum taken at the new time level; then, with losses on, append
+the new nodal pressures to the wall memory, whose storage and per-step
+cost do not depend on the step index. With losses off the wall memory
+keeps only the initial level. The time step is frozen at the start of the
+run (the convolution weights assume uniform dt), set by the CFL rule on
+the initial rest field.
 
 Runs are deterministic: identical scenarios produce bit-identical
 states, histories and probe records.
@@ -36,7 +38,7 @@ from .scheme import (
     lax_wendroff_update,
     uniform_field,
 )
-from .wall import KernelWeights, PressureHistory
+from .wall import PressureHistory
 
 PRESSURE = "pressure"
 VELOCITY = "velocity"
@@ -78,6 +80,8 @@ class Scenario:
                 raise ValueError(f"probe station {x} outside the duct")
         if self.kernel_mode not in (wall.CONSISTENT, wall.AS_PRINTED):
             raise ValueError(f"unknown kernel mode {self.kernel_mode!r}")
+        if not (0.0 < self.cfl <= 1.0):
+            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
 
     @property
     def fundamental_period(self) -> float | None:
@@ -152,8 +156,7 @@ def initialize(scenario: Scenario) -> tuple[FieldState, PressureHistory]:
 
 
 def _source_tables(history: PressureHistory, n: int, scenario: Scenario,
-                   weights: KernelWeights, dt: float,
-                   g_prev: np.ndarray | None):
+                   dt: float, g_prev: np.ndarray | None):
     """G and dG/dt for all nodes at step n (zeros with losses off).
 
     g_prev is the table of step n-1, or None at the first step, where the
@@ -162,9 +165,8 @@ def _source_tables(history: PressureHistory, n: int, scenario: Scenario,
     if not scenario.losses:
         zero = np.zeros((scenario.grid.n_nodes, 3))
         return zero, zero
-    g_now = wall.source_table(history, n, weights, scenario.gas,
-                              scenario.grid, scenario.geom,
-                              scenario.kernel_mode)
+    g_now = wall.source_table(history, n, scenario.gas, scenario.grid,
+                              scenario.geom, scenario.kernel_mode)
     if g_prev is None:
         return g_now, np.zeros_like(g_now)
     return g_now, (g_now - g_prev) / dt
@@ -177,7 +179,6 @@ class Simulation:
                  initial_field: FieldState | None = None):
         self.scenario = scenario
         self.dt = frozen_dt(scenario)
-        self.weights = KernelWeights()
         gas = scenario.gas
         if initial_field is None:
             initial_field = uniform_field(scenario.grid, gas, gas.rho0, 0.0,
@@ -188,19 +189,23 @@ class Simulation:
         self.history = PressureHistory(
             n_nodes=scenario.grid.n_nodes, dt=self.dt, m_max=scenario.m_max,
         )
-        _, _, p = primitive_arrays(self.state.w, gas)
-        self.history.append(p)
+        prim = primitive_arrays(self.state.w, gas)
+        self.history.append(prim[2])
         self._g_prev: np.ndarray | None = None
         self._probe_nodes = tuple(
             scenario.grid.nearest_node(x) for x in scenario.probes
         )
         self._probe_rows = [[] for _ in self._probe_nodes]
-        self._record_probes()
+        self._record_probes(prim)
 
-    def _record_probes(self):
+    def _record_probes(self, prim=None):
+        """Probe rows of the current state, from its primitive arrays
+        (computed here unless the step already has them)."""
         if not self._probe_nodes:
             return
-        rho, u, p = primitive_arrays(self.state.w, self.scenario.gas)
+        if prim is None:
+            prim = primitive_arrays(self.state.w, self.scenario.gas)
+        rho, u, p = prim
         for rows, j in zip(self._probe_rows, self._probe_nodes):
             rows.append((rho[j], u[j], p[j]))
 
@@ -208,8 +213,8 @@ class Simulation:
         """One coupled step (sources, interior, boundaries, history, probes)."""
         sc, state, dt = self.scenario, self.state, self.dt
         gas, grid = sc.gas, sc.grid
-        g_now, dt_g = _source_tables(self.history, state.n, sc, self.weights,
-                                     dt, self._g_prev)
+        g_now, dt_g = _source_tables(self.history, state.n, sc, dt,
+                                     self._g_prev)
         self._g_prev = g_now
         new = lax_wendroff_update(state, g_now, dt_g, gas, grid, dt)
 
@@ -226,10 +231,12 @@ class Simulation:
         new.w[-1] = np.asarray(w_out)
         new.validate(step=new.n)
 
-        _, _, p = primitive_arrays(new.w, gas)
-        self.history.append(p)
         self.state = new
-        self._record_probes()
+        prim = None
+        if sc.losses:
+            prim = primitive_arrays(new.w, gas)
+            self.history.append(prim[2])
+        self._record_probes(prim)
 
     def native_records(self) -> tuple[ProbeRecord, ...]:
         dx = self.scenario.grid.dx

@@ -15,11 +15,14 @@ temperature profile) and sqrt(mu/(rho0 cp pi)) in "as-printed" mode.
 The two quadrature rules underlying the sums integrate phi(z) dz/sqrt(z)
 over one step and are exact for constant phi.
 
-Both sums are one product of p with a summation-by-parts coefficient block.
-The sums run over the full pressure history (cost O(n) per node per
-step); an optional truncation window m <= M_max bounds the summation
-window only, while storage still grows by one row per step. Uniform dt
-is required by the weight table.
+The sums run over the full pressure history, summed by parts on the
+stored levels. `PressureHistory` keeps them in fixed storage: the last K0
+levels exactly, and the older ones folded into Q exponential modes per
+node, from a sum-of-exponentials form of w_m (the diffusive representation
+of the kernel). Each step then costs O((K0+Q) J) whatever its index, and
+the tail matches the exact sums to about 1e-8 relative. An optional
+truncation window m <= M_max is summed exactly from a ring of M_max + 2
+levels. Uniform dt is required by the weights.
 """
 
 from __future__ import annotations
@@ -67,11 +70,40 @@ class KernelWeights:
         return float(self._w[m])
 
 
-class PressureHistory:
-    """Append-only nodal pressure series p_j^m on a uniform time step."""
+def _soe_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_q and weights c_q with w_m ~ sum_q c_q exp(-s_q m), m >= k0 - 1.
 
-    def __init__(self, n_nodes: int, dt: float, m_max: int | None = None,
-                 capacity: int = _GROW):
+    w_m = sqrt(m+1) - sqrt(m) = (1/(2 sqrt(pi))) integral_0^inf
+    s^(-3/2) (1 - e^(-s)) e^(-s m) ds, integrated by the trapezoid rule in
+    ln s with step 0.35 from s = 40/(k0-1), where e^(-s m) < 5e-18 on every
+    lag it serves, down to s = e^-55, which leaves out sqrt(s/pi) < 1e-12.
+    Relative error on those lags: below 1.4e-9 up to m = 10^6.
+    """
+    step = 0.35
+    ln_s = np.arange(math.log(40.0 / (k0 - 1)), -55.0, -step)
+    s = np.exp(ln_s)
+    c = step / (2.0 * math.sqrt(math.pi)) * np.exp(-0.5 * ln_s) * -np.expm1(-s)
+    return s, c
+
+
+K0 = 32                             # exact near lags of the full window
+_SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 158 exponential modes
+
+
+class PressureHistory:
+    """Wall memory of the nodal pressure series p_j^m on a uniform time step.
+
+    The storage is fixed at construction. The deviations q = p - p^0 from
+    the first level p^0 stored sit in a ring of the last R levels, which
+    carries the near lags exactly. Levels that leave the ring fold into Q
+    exponential modes per node, Y_q <- e^(-s_q) Y_q + q, which carry the
+    older lags through the sum-of-exponentials form of the weights. The
+    full window uses R = K0 and the Q modes; a window m <= m_max uses
+    R = m_max + 2 and no modes, which holds the whole window exactly.
+    Only the latest level can be summed.
+    """
+
+    def __init__(self, n_nodes: int, dt: float, m_max: int | None = None):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if m_max is not None and m_max < 0:
@@ -79,45 +111,78 @@ class PressureHistory:
         self.n_nodes = n_nodes
         self.dt = dt
         self.m_max = m_max
-        self._p = np.empty((capacity, n_nodes))
+        if m_max is None:
+            ring, s, c = K0, _SOE_S, _SOE_C
+            w = KernelWeights(ring).table(ring)
+        else:
+            ring, s, c = m_max + 2, _SOE_S[:0], _SOE_C[:0]
+            w = np.append(KernelWeights(ring).table(ring - 1), 0.0)
+        # lag k = 0..R-1 weighs w_{k-1} + w_k (pair) and w_k - w_{k-1}
+        # (difference); the block is stored reversed and twice, so that the
+        # ring slots of any step read one contiguous slice of it
+        w_prev = np.append(0.0, w[:-1])
+        rev = np.stack([w_prev + w, w - w_prev])[:, ::-1]
+        self._coef = np.hstack([rev, rev])
+        # lag R + i of the tail weighs c_q e^(-s_q (R+i)) (e^(s_q) +- 1)
+        scale = c * np.exp(-s * ring)
+        self._tail = np.stack([scale * (np.exp(s) + 1.0),
+                               -scale * np.expm1(s)])
+        self._decay = np.exp(-s)[:, None]
+        self._ring = np.zeros((ring, n_nodes))
+        self._modes = np.zeros((s.size, n_nodes))
+        self.p0 = np.zeros(n_nodes)
         self._levels = 0
 
     @property
     def n_levels(self) -> int:
-        """Number of stored time levels (last level index plus one)."""
+        """Number of levels appended (last level index plus one)."""
         return self._levels
+
+    @property
+    def nbytes(self) -> int:
+        return self._ring.nbytes + self._modes.nbytes + self.p0.nbytes
 
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
         if row.shape != (self.n_nodes,):
             raise ValueError(f"expected {self.n_nodes} nodal pressures")
-        if self._levels == self._p.shape[0]:
-            grown = np.empty((2 * self._levels, self.n_nodes))
-            grown[: self._levels] = self._p
-            self._p = grown
-        self._p[self._levels] = row
+        if self._levels == 0:
+            self.p0[:] = row
+        # the slot holds the level leaving the ring (zeros while it fills)
+        slot = self._levels % self._ring.shape[0]
+        self._modes *= self._decay
+        self._modes += self._ring[slot]
+        np.subtract(row, self.p0, out=self._ring[slot])
         self._levels += 1
 
-    def level(self, m: int) -> np.ndarray:
-        if not (0 <= m < self._levels):
-            raise IndexError(f"level {m} not recorded")
-        return self._p[m]
-
-    def series(self, j: int) -> np.ndarray:
-        """Pressure history at node j, levels 0..n."""
-        return self._p[: self._levels, j].copy()
-
     def window(self, n: int) -> tuple[int, int]:
-        """Summation row range [lo, n) at step n after truncation."""
+        """Summation level range [lo, n) at step n after truncation."""
         if n > self._levels - 1:
             raise IndexError(f"history populated through level {self._levels - 1},"
                              f" step {n} requested")
         k_last = n - 1 if self.m_max is None else min(n - 1, self.m_max)
         return n - 1 - k_last, n
 
-    def levels(self, lo: int, hi: int) -> np.ndarray:
-        """Stored levels lo..hi inclusive, as a (hi-lo+1, nodes) view."""
-        return self._p[lo:hi + 1]
+    def sums(self, n: int) -> np.ndarray:
+        """Pair and difference sums at step n, as a (2, nodes) array.
+
+        Summation by parts puts both sums on the levels p^{n-k},
+        k = 0..K+1 with K = min(n-1, M_max): the pair sum weighs lag k by
+        w_{k-1} + w_k and the difference sum by w_k - w_{k-1}, with w zero
+        outside m = 0..K. On p = p^0 + q the constant part of the pair sum
+        telescopes to 2 p^0 sqrt(K+1) and that of the difference sum to 0.
+        """
+        if n != self._levels - 1:
+            raise IndexError(f"wall memory holds step {self._levels - 1},"
+                             f" step {n} requested")
+        ring = self._ring.shape[0]
+        first = ring - 1 - n % ring
+        filled = min(n + 1, ring)
+        acc = self._coef[:, first:first + filled] @ self._ring[:filled]
+        acc += self._tail @ self._modes
+        lo, hi = self.window(n)
+        acc[0] += 2.0 * math.sqrt(hi - lo) * self.p0
+        return acc
 
 
 def quad_two_point(phi_a: float, phi_b: float, a: float, b: float) -> float:
@@ -167,33 +232,19 @@ def heat_coefficient(gas: GasModel, geom: DuctGeometry, dt: float,
         / math.sqrt(dt)
 
 
-def source_table(hist: PressureHistory, n: int, weights: KernelWeights,
-                 gas: GasModel, grid: Grid, geom: DuctGeometry,
-                 mode: str = CONSISTENT) -> np.ndarray:
+def source_table(hist: PressureHistory, n: int, gas: GasModel, grid: Grid,
+                 geom: DuctGeometry, mode: str = CONSISTENT) -> np.ndarray:
     """G at every node for step n, as a (J+1, 3) array.
 
-    Interior nodes follow the convolution sums exactly. The centered
-    pressure-gradient bracket of G2 is undefined at j = 0 and j = J, so
-    boundary rows copy their adjacent interior value (they only feed the
-    midpoint source averages of the interior expansion).
-
-    Summation by parts puts both sums on the stored levels p^{n-k},
-    k = 0..K+1 with K = min(n-1, M_max): the pair sum weighs lag k by
-    w_{k-1} + w_k and the difference sum by w_k - w_{k-1}, with w zero
-    outside m = 0..K.
+    Interior nodes follow the convolution sums of `hist.sums(n)`. The
+    centered pressure-gradient bracket of G2 is undefined at j = 0 and
+    j = J, so boundary rows copy their adjacent interior value (they only
+    feed the midpoint source averages of the interior expansion).
     """
     out = np.zeros((hist.n_nodes, 3))
     if n == 0:
         return out
-    lo, hi = hist.window(n)
-    w_rev = weights.table(hi - lo)[::-1]
-    # column i is level lo+i, at lag k = n-lo-i, and w_rev[i] = w_{k-1}
-    coef = np.zeros((2, hi - lo + 1))
-    coef[0, :-1] = w_rev
-    coef[0, 1:] += w_rev
-    coef[1, 1:] = w_rev
-    coef[1, :-1] -= w_rev
-    pair_acc, diff_acc = coef @ hist.levels(lo, hi)     # (2, nodes)
+    pair_acc, diff_acc = hist.sums(n)
     c2 = shear_coefficient(gas, geom, grid, hist.dt)
     c3 = heat_coefficient(gas, geom, hist.dt, mode)
     out[1:-1, 1] = c2 * (pair_acc[2:] - pair_acc[:-2])

@@ -29,7 +29,6 @@ from ductwave.scheme import (
 from ductwave.signals import SineSignal, raised_cosine_pulse
 from ductwave.wall import (
     CONSISTENT,
-    KernelWeights,
     PressureHistory,
     heat_kernel_constant,
     quad_one_point,
@@ -220,8 +219,7 @@ class TestA5SourceTermOracle:
         hist = PressureHistory(n_nodes=5, dt=dt)
         for m in range(n + 1):
             hist.append(np.full(5, AIR.p0 + amp * math.sin(omega * m * dt)))
-        g3 = source_table(hist, n, KernelWeights(), AIR, Grid(0.1, 4), geom,
-                          CONSISTENT)[2, 2]
+        g3 = source_table(hist, n, AIR, Grid(0.1, 4), geom, CONSISTENT)[2, 2]
 
         t_end = n * dt
         integral, quad_err = integrate.quad(

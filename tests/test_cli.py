@@ -92,6 +92,51 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--cfl", "1.5"), ("--cfl", "0"), ("--cfl", "-0.2"),
+    ])
+    def test_cfl_outside_unit_interval_exits_before_any_step(
+            self, config_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(config_file), "--out", str(out),
+                     flag, value])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cfl" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exponent, kmax", [(-1, 15), (5, 5), (6, 9)])
+    def test_too_coarse_sampling_exits_before_any_step(
+            self, tmp_path, capsys, exponent, kmax):
+        # 2^N samples per period must reach the 8 K_max anti-aliasing floor
+        lines = [ln for ln in SMALL_CONFIG.splitlines()
+                 if not ln.startswith(("run.sampling_exponent ",
+                                       "output.kmax "))]
+        bad = tmp_path / "coarse.cfg"
+        bad.write_text("\n".join(lines + [
+            f"run.sampling_exponent = {exponent}", f"output.kmax = {kmax}"])
+            + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "anti-aliasing floor" in err
+        assert not out.exists()
+
+    def test_sampling_at_the_floor_runs(self, tmp_path):
+        lines = [ln for ln in SMALL_CONFIG.splitlines()
+                 if not ln.startswith(("run.sampling_exponent ",
+                                       "output.kmax "))]
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("\n".join(lines + [
+            "run.sampling_exponent = 6", "output.kmax = 8"]) + "\n",
+            encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_OK
+        _, body = read_csv(out / "smoke_probe24_spectrum.csv")
+        assert body.shape[0] == 8
+
     def test_losses_override(self, config_file, tmp_path):
         out_on = tmp_path / "on"
         out_off = tmp_path / "off"

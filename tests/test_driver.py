@@ -27,6 +27,8 @@ from ductwave.gas import (
 from ductwave.scheme import DuctGeometry, FieldState, Grid, lax_wendroff_update
 from ductwave.boundaries import inflow_update_velocity, outflow_update
 from ductwave.signals import SineSignal
+from ductwave.wall import K0
+from exact_history import ExactHistory
 
 
 def _small_scenario(air, **overrides):
@@ -78,8 +80,10 @@ class TestInitialize:
         # trapezoid mass per unit area: rho0 * L
         mass = np.trapezoid(rho, dx=sc.grid.dx)
         assert mass == pytest.approx(air.rho0 * sc.grid.length, rel=1e-13)
+        # the wall memory holds the initial pressures as its first level
         assert history.n_levels == 1
-        np.testing.assert_allclose(history.level(0), air.p0, rtol=1e-13)
+        np.testing.assert_allclose(p, air.p0, rtol=1e-13)
+        np.testing.assert_array_equal(history.p0, p)
 
     def test_frozen_dt_is_rest_cfl(self, air):
         sc = _small_scenario(air)
@@ -299,8 +303,59 @@ class TestStepAgainstOracle:
             explicit.advance()
         np.testing.assert_array_equal(explicit.state.w, sim.state.w)
         assert explicit.state.t == sim.state.t
+        # the level the wall memory took last is the pressure of that state
+        assert explicit.history.n_levels == sim.history.n_levels == 5
         np.testing.assert_array_equal(
-            explicit.history.level(4), sim.history.level(4))
+            primitive_arrays(explicit.state.w, air)[2],
+            primitive_arrays(sim.state.w, air)[2])
+        np.testing.assert_array_equal(
+            explicit.history.sums(4), sim.history.sums(4))
+
+
+class TestWallMemoryInTheLoop:
+    def test_lossy_run_matches_exact_history(self, air):
+        """Past K0 steps the wall memory sums its older levels through the
+        exponential modes; the run agrees with the same run summing the
+        exact full history."""
+        sc = _small_scenario(air, grid=Grid(length=0.1, cells=12),
+                             probes=(0.05,))
+        fast = Simulation(sc)
+        exact = Simulation(sc)
+        exact.history = ExactHistory(n_nodes=sc.grid.n_nodes, dt=exact.dt)
+        exact.history.append(primitive_arrays(exact.state.w, air)[2])
+        n_steps = 4 * K0
+        for _ in range(n_steps):
+            fast.advance()
+            exact.advance()
+        assert fast.history.n_levels == exact.history.n_levels == n_steps + 1
+        np.testing.assert_allclose(fast.state.w, exact.state.w, rtol=1e-9)
+        _, u_fast, p_fast = primitive_arrays(fast.state.w, air)
+        _, u_exact, p_exact = primitive_arrays(exact.state.w, air)
+        # the acoustic part alone, against its own scale
+        np.testing.assert_allclose(u_fast, u_exact, rtol=0.0,
+                                   atol=1e-9 * np.abs(u_exact).max())
+        np.testing.assert_allclose(p_fast - air.p0, p_exact - air.p0,
+                                   rtol=0.0,
+                                   atol=1e-9 * np.abs(p_exact - air.p0).max())
+        rec_fast = fast.native_records()[0].data
+        rec_exact = exact.native_records()[0].data
+        for col, ref in ((0, air.rho0), (1, 0.0), (2, air.p0)):
+            dev = rec_exact[:, col] - ref
+            np.testing.assert_allclose(rec_fast[:, col] - ref, dev, rtol=0.0,
+                                       atol=1e-9 * np.abs(dev).max())
+
+    def test_lossless_run_leaves_one_level(self, air):
+        sc = _small_scenario(air, losses=False, probes=(0.05,),
+                             duration_s=None, duration_periods=1.0)
+        result = run(sc)
+        assert result.report.n_steps > K0
+        assert result.history.n_levels == 1
+        assert result.records[0].n_samples == result.report.n_steps + 1
+
+    def test_lossy_run_feeds_every_level(self, air):
+        sc = _small_scenario(air, duration_s=None, duration_periods=1.0)
+        result = run(sc)
+        assert result.history.n_levels == result.report.n_steps + 1
 
 
 class TestBoundaryErrors:
