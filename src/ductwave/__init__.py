@@ -15,7 +15,6 @@ from .analysis import (
     relative_error,
 )
 from .boundaries import (
-    ExternalState,
     external_from_pressure,
     external_from_velocity,
     foot_point,
@@ -38,16 +37,11 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .gas import (
-    CharacteristicTriple,
-    ConservedState,
     GasModel,
-    PrimitiveState,
-    characteristics_from_primitive,
-    conserved_from_primitive,
+    conserved_array,
+    primitive_arrays,
     primitive_from_characteristics,
-    primitive_from_conserved,
-    sound_speed,
-    temperature_from_state,
+    sound_speed_array,
 )
 from .oracles import (
     KirchhoffModel,
@@ -64,7 +58,6 @@ from .scheme import (
     DuctGeometry,
     FieldState,
     Grid,
-    StepControl,
     compute_dt,
     flux_jacobian,
     lax_wendroff_update,

@@ -24,6 +24,7 @@ import numpy as np
 from . import analysis, driver, oracles
 from .config import (
     DEFAULT_KMAX,
+    _parse_truncate,
     builtin_scenarios,
     parse_config,
     scenario_from_config,
@@ -136,11 +137,14 @@ def cmd_run(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     doc = parse_config(text)
     if args.truncate is not None:
+        try:
+            truncate = _parse_truncate(args.truncate)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --truncate: {exc}") from None
         # "unbounded" must override a config-set window, so bypass the
         # None-filtering of with_overrides
         vals = dict(doc.values)
-        vals["run.truncate"] = (None if args.truncate == "unbounded"
-                                else int(args.truncate))
+        vals["run.truncate"] = truncate
         doc = type(doc)(vals)
     doc = doc.with_overrides(**{
         "run.losses": None if args.losses is None else args.losses == "on",

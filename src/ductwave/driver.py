@@ -33,7 +33,6 @@ from .scheme import (
     DuctGeometry,
     FieldState,
     Grid,
-    StepControl,
     compute_dt,
     lax_wendroff_update,
     uniform_field,
@@ -82,6 +81,9 @@ class Scenario:
             raise ValueError(f"unknown kernel mode {self.kernel_mode!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if self.m_max is not None and self.m_max < 0:
+            raise ValueError(
+                f"kernel truncation must be non-negative, got {self.m_max}")
 
     @property
     def fundamental_period(self) -> float | None:
@@ -136,8 +138,7 @@ def frozen_dt(scenario: Scenario) -> float:
     """Time step used for the whole run: CFL rule on the initial rest field."""
     rest = uniform_field(scenario.grid, scenario.gas,
                          scenario.gas.rho0, 0.0, scenario.gas.p0)
-    dt = compute_dt(rest, scenario.grid, scenario.gas,
-                    StepControl(cfl=scenario.cfl))
+    dt = compute_dt(rest, scenario.grid, scenario.gas, scenario.cfl)
     gas = scenario.gas
     stretch = 1.0 + 0.5 * (gas.gamma + 1.0) * scenario.velocity_bound() / gas.c0
     if scenario.cfl * stretch > 1.0:
@@ -227,8 +228,8 @@ class Simulation:
                                         gas, dt, grid.dx)
         w_out = outflow_update(state.w[-2], state.w[-1], gas, dt, grid.dx,
                                node=grid.cells)
-        new.w[0] = np.asarray(w0)
-        new.w[-1] = np.asarray(w_out)
+        new.w[0] = w0
+        new.w[-1] = w_out
         new.validate(step=new.n)
 
         self.state = new

@@ -22,7 +22,16 @@ class InvalidStateError(DuctwaveError):
 
 
 class InvalidCharacteristicsError(DuctwaveError):
-    """Characteristic triple with r_plus <= r_minus (non-positive sound speed)."""
+    """Riemann invariants with r_plus <= r_minus (non-positive sound speed).
+
+    Carries optional node context, like InvalidStateError.
+    """
+
+    def __init__(self, message, node=None):
+        if node is not None:
+            message = f"{message} (node {node})"
+        super().__init__(message)
+        self.node = node
 
 
 class BlowUpError(DuctwaveError):

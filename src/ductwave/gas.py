@@ -7,8 +7,9 @@ the conserved vector W = (rho, rho*u, rho*(e + u^2/2)), its primitive view
 (rho, u, p) with p = (gamma - 1) * rho * e, and the characteristic
 variables u +/- 2c/(gamma - 1) and S = p / rho^gamma.
 
-All quantities are strict SI. Conversions are pure functions; positivity
-is enforced at the conversion boundary, not inside inner arithmetic.
+All quantities are strict SI. Conversions are pure functions. The array
+forms do not check positivity: the field is validated after each step,
+and the boundaries check the nodes they read.
 """
 
 from __future__ import annotations
@@ -78,126 +79,10 @@ class GasModel:
         return self.cp / self.gamma
 
 
-@dataclass(frozen=True)
-class PrimitiveState:
-    """Primitive gas state (density, velocity, pressure) at one node."""
-
-    rho: float
-    u: float
-    p: float
-
-    def __post_init__(self):
-        if not (self.rho > 0.0):
-            raise InvalidStateError(f"non-positive density {self.rho}")
-        if not (self.p > 0.0):
-            raise InvalidStateError(f"non-positive pressure {self.p}")
-
-
-@dataclass(frozen=True)
-class ConservedState:
-    """Conserved gas state (rho, rho*u, rho*(e + u^2/2)) at one node."""
-
-    rho: float
-    mom: float
-    etot: float
-
-    def __post_init__(self):
-        if not (self.rho > 0.0):
-            raise InvalidStateError(f"non-positive density {self.rho}")
-        if not (self.etot - self.mom ** 2 / (2.0 * self.rho) > 0.0):
-            raise InvalidStateError("non-positive internal energy")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.rho, self.mom, self.etot], dtype=dtype or float)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rho, self.mom, self.etot])
-
-
-@dataclass(frozen=True)
-class CharacteristicTriple:
-    """Riemann invariants u +/- 2c/(gamma-1) and entropy p/rho^gamma."""
-
-    r_plus: float
-    r_minus: float
-    entropy: float
-
-    def __post_init__(self):
-        if not (self.r_plus > self.r_minus):
-            raise InvalidCharacteristicsError(
-                f"r_plus={self.r_plus} must exceed r_minus={self.r_minus}"
-            )
-
-
-def primitive_from_conserved(w: ConservedState, gas: GasModel,
-                             node: int | None = None) -> PrimitiveState:
-    """Convert conserved variables to (rho, u, p).
-
-    Raises InvalidStateError (with node context, when given) if density or
-    internal energy is non-positive.
-    """
-    if not (w.rho > 0.0):
-        raise InvalidStateError(f"non-positive density {w.rho}", node=node)
-    u = w.mom / w.rho
-    e_int = w.etot - w.mom ** 2 / (2.0 * w.rho)
-    if not (e_int > 0.0):
-        raise InvalidStateError(f"non-positive internal energy {e_int}", node=node)
-    return PrimitiveState(rho=w.rho, u=u, p=(gas.gamma - 1.0) * e_int)
-
-
-def conserved_from_primitive(prim: PrimitiveState, gas: GasModel) -> ConservedState:
-    """Convert (rho, u, p) to conserved variables."""
-    etot = prim.p / (gas.gamma - 1.0) + 0.5 * prim.rho * prim.u ** 2
-    return ConservedState(rho=prim.rho, mom=prim.rho * prim.u, etot=etot)
-
-
-def sound_speed(prim: PrimitiveState, gas: GasModel) -> float:
-    """Sound speed sqrt(gamma * p / rho) [m/s]."""
-    return math.sqrt(gas.gamma * prim.p / prim.rho)
-
-
-def characteristics_from_primitive(prim: PrimitiveState,
-                                   gas: GasModel) -> CharacteristicTriple:
-    """Riemann invariants and entropy of a primitive state."""
-    c = sound_speed(prim, gas)
-    gm1 = gas.gamma - 1.0
-    return CharacteristicTriple(
-        r_plus=prim.u + 2.0 * c / gm1,
-        r_minus=prim.u - 2.0 * c / gm1,
-        entropy=prim.p / prim.rho ** gas.gamma,
-    )
-
-
-def primitive_from_characteristics(tri: CharacteristicTriple,
-                                   gas: GasModel) -> PrimitiveState:
-    """Reconstruct the primitive state from (r_plus, r_minus, S).
-
-    Inverts characteristics_from_primitive: u is the mean of the
-    invariants, c their scaled difference, and rho follows from
-    c^2 = gamma * S * rho^(gamma-1).
-    """
-    gm1 = gas.gamma - 1.0
-    u = 0.5 * (tri.r_plus + tri.r_minus)
-    c = gm1 * (tri.r_plus - tri.r_minus) / 4.0
-    rho = (c * c / (gas.gamma * tri.entropy)) ** (1.0 / gm1)
-    p = tri.entropy * rho ** gas.gamma
-    return PrimitiveState(rho=rho, u=u, p=p)
-
-
-def temperature_from_state(prim: PrimitiveState, gas: GasModel) -> float:
-    """Temperature T = e / cv with e = p / ((gamma-1) rho) [K]."""
-    e_int = prim.p / ((gas.gamma - 1.0) * prim.rho)
-    return e_int / gas.cv
-
-
-def rest_state(gas: GasModel) -> PrimitiveState:
-    """The reference rest state (rho0, 0, p0)."""
-    return PrimitiveState(rho=gas.rho0, u=0.0, p=gas.p0)
-
-
 # ---------------------------------------------------------------------------
-# Vectorized counterparts used by the field-level scheme. Same formulas as
-# the scalar conversions, over arrays of shape (..., 3).
+# Conversions. The array forms broadcast over a leading axis and serve the
+# interior field, the probes and the wall history; the characteristic
+# inverse rebuilds one boundary node from plain numbers.
 # ---------------------------------------------------------------------------
 
 def primitive_arrays(w: np.ndarray, gas: GasModel):
@@ -218,4 +103,31 @@ def conserved_array(rho, u, p, gas: GasModel) -> np.ndarray:
 
 
 def sound_speed_array(rho, p, gas: GasModel) -> np.ndarray:
+    """Sound speed sqrt(gamma * p / rho) of (rho, p) arrays [m/s]."""
     return np.sqrt(gas.gamma * np.asarray(p) / np.asarray(rho))
+
+
+def primitive_from_characteristics(r_plus: float, r_minus: float,
+                                   entropy: float, gas: GasModel,
+                                   node: int | None = None):
+    """(rho, u, p) with Riemann invariants u +/- 2c/(gamma-1) and entropy
+    S = p / rho^gamma, as plain numbers.
+
+    u is the mean of the invariants, c their scaled difference, and rho
+    follows from c^2 = gamma * S * rho^(gamma-1). Raises
+    InvalidCharacteristicsError unless r_plus > r_minus, and
+    InvalidStateError if the rebuilt density or pressure is not positive;
+    both name node when it is given.
+    """
+    if not (r_plus > r_minus):
+        raise InvalidCharacteristicsError(
+            f"r_plus={r_plus} must exceed r_minus={r_minus}", node=node)
+    gm1 = gas.gamma - 1.0
+    u = 0.5 * (r_plus + r_minus)
+    c = gm1 * (r_plus - r_minus) / 4.0
+    rho = (c * c / (gas.gamma * entropy)) ** (1.0 / gm1)
+    p = entropy * rho ** gas.gamma
+    if not (rho > 0.0 and p > 0.0):
+        raise InvalidStateError(
+            f"non-positive rebuilt state rho={rho}, p={p}", node=node)
+    return rho, u, p

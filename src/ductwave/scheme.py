@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlowUpError
-from .gas import GasModel
+from .gas import GasModel, conserved_array, primitive_arrays, sound_speed_array
 
 PLANE = "plane"
 AXISYMMETRIC = "axisymmetric"
@@ -111,24 +111,10 @@ class FieldState:
             raise BlowUpError("state lost positivity", step=step, node=node)
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Courant number and the time step currently in force."""
-
-    cfl: float = 0.8
-    dt: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-
-
 def physical_flux(w, gas: GasModel) -> np.ndarray:
     """Euler flux (rho u, rho u^2 + p, u (etot + p)) of states (..., 3)."""
     w = np.asarray(w, dtype=float)
-    rho = w[..., 0]
-    u = w[..., 1] / rho
-    p = (gas.gamma - 1.0) * (w[..., 2] - 0.5 * w[..., 1] * u)
+    _, u, p = primitive_arrays(w, gas)
     return np.stack([w[..., 1], w[..., 1] * u + p, u * (w[..., 2] + p)], axis=-1)
 
 
@@ -192,19 +178,17 @@ def lax_wendroff_update(field: FieldState, sources: np.ndarray,
 
 
 def compute_dt(field: FieldState, grid: Grid, gas: GasModel,
-               ctrl: StepControl) -> float:
-    """CFL time step cfl * dx / max_j(|u_j| + c_j)."""
-    rho = field.w[:, 0]
-    u = field.w[:, 1] / rho
-    p = (gas.gamma - 1.0) * (field.w[:, 2] - 0.5 * field.w[:, 1] * u)
-    c = np.sqrt(gas.gamma * p / rho)
-    radius = float(np.max(np.abs(u) + c))
-    return ctrl.cfl * grid.dx / radius
+               cfl: float) -> float:
+    """CFL time step cfl * dx / max_j(|u_j| + c_j), for cfl in (0, 1]."""
+    if not (0.0 < cfl <= 1.0):
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+    rho, u, p = primitive_arrays(field.w, gas)
+    radius = float(np.max(np.abs(u) + sound_speed_array(rho, p, gas)))
+    return cfl * grid.dx / radius
 
 
 def uniform_field(grid: Grid, gas: GasModel, rho: float, u: float,
                   p: float) -> FieldState:
     """A spatially uniform field, handy for initialization and tests."""
-    etot = p / (gas.gamma - 1.0) + 0.5 * rho * u * u
-    w = np.tile(np.array([rho, rho * u, etot]), (grid.n_nodes, 1))
+    w = np.tile(conserved_array(rho, u, p, gas), (grid.n_nodes, 1))
     return FieldState(w=w)

@@ -14,14 +14,12 @@ from ductwave.boundaries import (
     inflow_update_velocity,
     outflow_update,
 )
-from ductwave.errors import UnsupportedRegimeError
-from ductwave.gas import (
-    ConservedState,
-    PrimitiveState,
-    conserved_from_primitive,
-    primitive_from_conserved,
-    sound_speed,
+from ductwave.errors import (
+    InvalidCharacteristicsError,
+    InvalidStateError,
+    UnsupportedRegimeError,
 )
+from ductwave.gas import conserved_array, primitive_arrays
 
 DT = 2e-5
 DX = 0.01
@@ -29,7 +27,11 @@ J_OUT = 40      # outlet node index passed to outflow_update
 
 
 def _rest(air):
-    return conserved_from_primitive(PrimitiveState(air.rho0, 0.0, air.p0), air)
+    return conserved_array(air.rho0, 0.0, air.p0, air)
+
+
+def _sound_speed(rho, p, air):
+    return math.sqrt(air.gamma * p / rho)
 
 
 def _solve_three_conditions(air, r_minus, r_plus):
@@ -53,48 +55,49 @@ def _solve_three_conditions(air, r_minus, r_plus):
 
 class TestExternalState:
     def test_matched_pressure_is_rest(self, air):
-        ext = external_from_pressure(air.p0, air)
-        assert ext.u_e == 0.0
-        assert ext.c_e == air.c0
+        u_e, c_e = external_from_pressure(air.p0, air)
+        assert u_e == 0.0
+        assert c_e == air.c0
 
     def test_unit_velocity_construction(self, air):
-        ext = external_from_pressure(air.p0 + air.rho0 * air.c0, air)
-        assert ext.u_e == pytest.approx(1.0, rel=1e-14)
+        u_e, _ = external_from_pressure(air.p0 + air.rho0 * air.c0, air)
+        assert u_e == pytest.approx(1.0, rel=1e-14)
 
     def test_small_overpressure(self, air):
-        ext = external_from_pressure(air.p0 + 100.0, air)
-        assert ext.u_e == pytest.approx(0.2424, abs=1e-3)
-        assert ext.c_e - air.c0 == pytest.approx(0.0485, abs=1e-4)
+        u_e, c_e = external_from_pressure(air.p0 + 100.0, air)
+        assert u_e == pytest.approx(0.2424, abs=1e-3)
+        assert c_e - air.c0 == pytest.approx(0.0485, abs=1e-4)
 
     def test_velocity_variants(self, air):
         assert external_from_velocity(0.0, air) \
             == external_from_pressure(air.p0, air)
-        ext = external_from_velocity(1.0, air)
-        assert ext.c_e - air.c0 == pytest.approx(0.2, rel=1e-12)
-        neg = external_from_velocity(-1.0, air)
-        assert neg.c_e - air.c0 == pytest.approx(-(ext.c_e - air.c0), rel=1e-12)
+        _, c_e = external_from_velocity(1.0, air)
+        assert c_e - air.c0 == pytest.approx(0.2, rel=1e-12)
+        _, c_neg = external_from_velocity(-1.0, air)
+        assert c_neg - air.c0 == pytest.approx(-(c_e - air.c0), rel=1e-12)
 
     def test_invalid_pressure_rejected(self, air):
         with pytest.raises(ValueError):
             external_from_pressure(0.0, air)
+        # c_e = c0 + (g-1)/2 u_e must stay positive
+        with pytest.raises(ValueError, match="external sound speed"):
+            external_from_velocity(-2000.0, air)
 
 
 class TestFootPoint:
     def test_zero_celerity_keeps_boundary(self, air):
-        w_b = np.asarray(_rest(air))
-        w_n = np.asarray(conserved_from_primitive(
-            PrimitiveState(1.3, 5.0, 1.1e5), air))
+        w_b = _rest(air)
+        w_n = conserved_array(1.3, 5.0, 1.1e5, air)
         np.testing.assert_array_equal(foot_point((w_b, w_n), 0.0, DT, DX), w_b)
 
     def test_full_courant_reaches_neighbor(self, air):
-        w_b = np.asarray(_rest(air))
-        w_n = np.asarray(conserved_from_primitive(
-            PrimitiveState(1.3, 5.0, 1.1e5), air))
+        w_b = _rest(air)
+        w_n = conserved_array(1.3, 5.0, 1.1e5, air)
         out = foot_point((w_b, w_n), DX / DT, DT, DX)
         np.testing.assert_allclose(out, w_n, rtol=1e-15)
 
     def test_uniform_field_is_interpolation_proof(self, air):
-        w = np.asarray(_rest(air))
+        w = _rest(air)
         for celerity in (0.0, 123.4, -250.0, 1e5):
             np.testing.assert_array_equal(foot_point((w, w), celerity, DT, DX), w)
 
@@ -116,28 +119,28 @@ class TestInflowUpdates:
     def test_pressure_rest_fixed_point(self, air):
         w = _rest(air)
         out = inflow_update_pressure(air.p0, w, w, air, DT, DX)
-        prim = primitive_from_conserved(out, air)
-        assert abs(prim.u) < 1e-12
-        assert prim.p == pytest.approx(air.p0, rel=1e-13)
-        assert prim.rho == pytest.approx(air.rho0, rel=1e-13)
+        rho, u, p = primitive_arrays(out, air)
+        assert abs(u) < 1e-12
+        assert p == pytest.approx(air.p0, rel=1e-13)
+        assert rho == pytest.approx(air.rho0, rel=1e-13)
 
     def test_velocity_rest_fixed_point(self, air):
         w = _rest(air)
         out = inflow_update_velocity(0.0, w, w, air, DT, DX)
-        prim = primitive_from_conserved(out, air)
-        assert abs(prim.u) < 1e-12
+        _, u, _ = primitive_arrays(out, air)
+        assert abs(u) < 1e-12
 
     @pytest.mark.parametrize("pi_extra", [100.0, -150.0, 2000.0])
     def test_entropy_pinned(self, air, pi_extra):
         w = _rest(air)
         out = inflow_update_pressure(air.p0 + pi_extra, w, w, air, DT, DX)
-        prim = primitive_from_conserved(out, air)
-        assert prim.p / prim.rho ** air.gamma == pytest.approx(air.s0, rel=1e-12)
+        rho, _, p = primitive_arrays(out, air)
+        assert p / rho ** air.gamma == pytest.approx(air.s0, rel=1e-12)
 
     def test_pressure_update_matches_root_finder(self, air):
         w = _rest(air)
         pi_val = air.p0 + 100.0
-        out = primitive_from_conserved(
+        out_rho, out_u, out_p = primitive_arrays(
             inflow_update_pressure(pi_val, w, w, air, DT, DX), air)
         # independent oracle: foot point of a uniform rest field is rest
         u_e = (pi_val - air.p0) / (air.rho0 * air.c0)
@@ -145,30 +148,30 @@ class TestInflowUpdates:
         r_minus = 0.0 - 2.0 * air.c0 / 0.4
         r_plus = u_e + 2.0 * c_e / 0.4
         rho, u, p = _solve_three_conditions(air, r_minus, r_plus)
-        assert out.u == pytest.approx(u, rel=1e-9)
-        assert out.rho == pytest.approx(rho, rel=1e-9)
-        assert out.p == pytest.approx(p, rel=1e-9)
+        assert out_u == pytest.approx(u, rel=1e-9)
+        assert out_rho == pytest.approx(rho, rel=1e-9)
+        assert out_p == pytest.approx(p, rel=1e-9)
         # linearized expectation: half the external velocity jump appears
         # immediately; against a rest interior the boundary carries u_e/2
         # the incoming invariant raises u by u_e/2 twice (r+ and c_e)
-        assert out.u == pytest.approx(u_e, rel=1e-3)
+        assert out_u == pytest.approx(u_e, rel=1e-3)
 
     def test_velocity_update_matches_root_finder(self, air):
         w = _rest(air)
         u_val = 0.1
-        out = primitive_from_conserved(
+        out_rho, out_u, out_p = primitive_arrays(
             inflow_update_velocity(u_val, w, w, air, DT, DX), air)
         c_e = air.c0 + 0.2 * u_val
         r_minus = -2.0 * air.c0 / 0.4
         r_plus = u_val + 2.0 * c_e / 0.4
         rho, u, p = _solve_three_conditions(air, r_minus, r_plus)
-        assert out.u == pytest.approx(u, rel=1e-9)
-        assert out.p == pytest.approx(p, rel=1e-9)
-        assert out.u == pytest.approx(u_val, rel=1e-6)
+        assert out_u == pytest.approx(u, rel=1e-9)
+        assert out_p == pytest.approx(p, rel=1e-9)
+        assert out_u == pytest.approx(u_val, rel=1e-6)
 
     def test_supersonic_boundary_rejected(self, air):
-        fast = conserved_from_primitive(PrimitiveState(1.2, 500.0, 101325.0), air)
-        with pytest.raises(UnsupportedRegimeError):
+        fast = conserved_array(1.2, 500.0, 101325.0, air)
+        with pytest.raises(UnsupportedRegimeError, match="node 0:"):
             inflow_update_velocity(0.0, fast, fast, air, DT, DX)
 
 
@@ -176,37 +179,68 @@ class TestOutflowUpdate:
     def test_rest_fixed_point(self, air):
         w = _rest(air)
         out = outflow_update(w, w, air, DT, DX, J_OUT)
-        prim = primitive_from_conserved(out, air)
-        assert abs(prim.u) < 1e-12
-        assert prim.p == pytest.approx(air.p0, rel=1e-13)
+        _, u, p = primitive_arrays(out, air)
+        assert abs(u) < 1e-12
+        assert p == pytest.approx(air.p0, rel=1e-13)
 
     def test_riemann_invariant_pinned(self, air):
-        w_in = conserved_from_primitive(PrimitiveState(1.25, 6.0, 1.08e5), air)
-        w_b = conserved_from_primitive(PrimitiveState(1.22, 4.0, 1.05e5), air)
-        out = primitive_from_conserved(
+        w_in = conserved_array(1.25, 6.0, 1.08e5, air)
+        w_b = conserved_array(1.22, 4.0, 1.05e5, air)
+        out_rho, out_u, out_p = primitive_arrays(
             outflow_update(w_in, w_b, air, DT, DX, J_OUT), air)
-        c = sound_speed(out, air)
-        r_minus = out.u - 2.0 * c / 0.4
+        c = _sound_speed(out_rho, out_p, air)
+        r_minus = out_u - 2.0 * c / 0.4
         assert r_minus == pytest.approx(-2.0 * air.c0 / 0.4, rel=1e-12)
-        assert out.p / out.rho ** air.gamma == pytest.approx(air.s0, rel=1e-12)
+        assert out_p / out_rho ** air.gamma == pytest.approx(air.s0, rel=1e-12)
 
     def test_matches_root_finder(self, air):
-        w_in = conserved_from_primitive(PrimitiveState(1.21, 3.0, 1.03e5), air)
-        w_b = conserved_from_primitive(PrimitiveState(1.2, 2.0, 1.01e5), air)
-        out = primitive_from_conserved(
+        w_in = conserved_array(1.21, 3.0, 1.03e5, air)
+        w_b = conserved_array(1.2, 2.0, 1.01e5, air)
+        out_rho, out_u, out_p = primitive_arrays(
             outflow_update(w_in, w_b, air, DT, DX, J_OUT), air)
         # oracle recomputes the foot state and the invariant transport
-        prim_b = primitive_from_conserved(w_b, air)
-        lam = abs(prim_b.u + sound_speed(prim_b, air)) * DT / DX
-        foot = np.asarray(w_b) + lam * (np.asarray(w_in) - np.asarray(w_b))
-        prim_foot = primitive_from_conserved(
-            ConservedState(*[float(v) for v in foot]), air)
-        r_plus = prim_foot.u + 2.0 * sound_speed(prim_foot, air) / 0.4
+        rho_b, u_b, p_b = primitive_arrays(w_b, air)
+        lam = abs(u_b + _sound_speed(rho_b, p_b, air)) * DT / DX
+        foot = w_b + lam * (w_in - w_b)
+        rho_f, u_f, p_f = primitive_arrays(foot, air)
+        r_plus = u_f + 2.0 * _sound_speed(rho_f, p_f, air) / 0.4
         rho, u, p = _solve_three_conditions(air, -2.0 * air.c0 / 0.4, r_plus)
-        assert out.u == pytest.approx(u, rel=1e-9)
-        assert out.p == pytest.approx(p, rel=1e-9)
+        assert out_u == pytest.approx(u, rel=1e-9)
+        assert out_p == pytest.approx(p, rel=1e-9)
 
     def test_supersonic_rejected(self, air):
-        fast = conserved_from_primitive(PrimitiveState(1.2, 400.0, 101325.0), air)
+        fast = conserved_array(1.2, 400.0, 101325.0, air)
         with pytest.raises(UnsupportedRegimeError, match=f"node {J_OUT}:"):
             outflow_update(fast, fast, air, DT, DX, J_OUT)
+
+
+def _inflow(w_b, w_n, air, dt):
+    return inflow_update_velocity(0.0, w_b, w_n, air, dt, DX)
+
+
+def _outflow(w_b, w_n, air, dt):
+    return outflow_update(w_n, w_b, air, dt, DX, J_OUT)
+
+
+@pytest.mark.parametrize("update, node", [(_inflow, 0), (_outflow, J_OUT)])
+class TestFailuresNameTheNode:
+    """Every boundary check names the node: 0 at the inflow, J at the outflow
+    (the supersonic case is checked in the classes above).
+
+    A step of dt = 2 dx/c0 from a rest boundary node clamps the foot point
+    onto the interior neighbour, so the neighbour's state is the foot state.
+    """
+
+    def test_non_positive_foot_state(self, air, update, node):
+        with pytest.raises(InvalidStateError,
+                           match=rf"non-positive density .*\(node {node}\)"):
+            update(_rest(air), np.array([-1.0, 0.0, 1e5]), air, 2 * DX / air.c0)
+
+    def test_crossed_invariants(self, air, update, node):
+        # a foot moving away from the boundary at 4000 m/s carries an
+        # outgoing invariant beyond the incoming one: r_plus <= r_minus
+        u_foot = 4000.0 if node == 0 else -4000.0
+        foot = conserved_array(air.rho0, u_foot, air.p0, air)
+        with pytest.raises(InvalidCharacteristicsError,
+                           match=rf"\(node {node}\)"):
+            update(_rest(air), foot, air, 2 * DX / air.c0)

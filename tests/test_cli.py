@@ -94,6 +94,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--cfl", "1.5"), ("--cfl", "0"), ("--cfl", "-0.2"),
+        ("--truncate", "-3"), ("--truncate", "abc"),
     ])
     def test_cfl_outside_unit_interval_exits_before_any_step(
             self, config_file, tmp_path, capsys, flag, value):
@@ -102,7 +103,7 @@ class TestRunCommand:
                      flag, value])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "cfl" in err
+        assert err.startswith("error: ") and flag.lstrip("-") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("exponent, kmax", [(-1, 15), (5, 5), (6, 9)])

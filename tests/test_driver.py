@@ -17,13 +17,7 @@ from ductwave.driver import (
     run,
 )
 from ductwave.errors import UnsupportedRegimeError
-from ductwave.gas import (
-    GasModel,
-    PrimitiveState,
-    conserved_array,
-    conserved_from_primitive,
-    primitive_arrays,
-)
+from ductwave.gas import GasModel, conserved_array, primitive_arrays
 from ductwave.scheme import DuctGeometry, FieldState, Grid, lax_wendroff_update
 from ductwave.boundaries import inflow_update_velocity, outflow_update
 from ductwave.signals import SineSignal
@@ -63,6 +57,8 @@ class TestScenario:
             _small_scenario(air, probes=(0.5,))   # outside the 0.1 m duct
         with pytest.raises(ValueError):
             _small_scenario(air, kernel_mode="best-effort")
+        with pytest.raises(ValueError, match="truncation"):
+            _small_scenario(air, m_max=-3)
 
     def test_velocity_bound_converts_pressure(self, air):
         sc = _small_scenario(air)
@@ -362,8 +358,7 @@ class TestBoundaryErrors:
     def test_supersonic_outlet_names_node_j(self, air):
         sc = _small_scenario(air, losses=False)
         state, _ = initialize(sc)
-        state.w[-1] = conserved_from_primitive(
-            PrimitiveState(air.rho0, 400.0, air.p0), air).as_array()
+        state.w[-1] = conserved_array(air.rho0, 400.0, air.p0, air)
         sim = Simulation(sc, initial_field=state)
         with pytest.raises(UnsupportedRegimeError,
                            match=f"node {sc.grid.cells}:"):

@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ductwave.boundaries import inflow_update_velocity, outflow_update
 from ductwave.errors import InvalidCharacteristicsError, InvalidStateError
 from ductwave.gas import (
-    CharacteristicTriple,
-    ConservedState,
     GasModel,
-    PrimitiveState,
-    characteristics_from_primitive,
     conserved_array,
-    conserved_from_primitive,
     primitive_arrays,
     primitive_from_characteristics,
-    primitive_from_conserved,
-    sound_speed,
-    temperature_from_state,
+    sound_speed_array,
 )
 
 # Acoustic-regime states: kinetic energy stays below the internal energy,
@@ -54,139 +48,132 @@ class TestGasModel:
             GasModel(**kwargs)
 
 
+def _invariants(rho, u, p, gas):
+    """Riemann invariants and entropy of a primitive state, by hand."""
+    c = math.sqrt(gas.gamma * p / rho)
+    gm1 = gas.gamma - 1.0
+    return u + 2.0 * c / gm1, u - 2.0 * c / gm1, p / rho ** gas.gamma
+
+
 class TestConversions:
     def test_primitive_from_conserved_rest(self, air):
         # etot = p/(gamma-1) = 101325/0.4 by hand
-        prim = primitive_from_conserved(
-            ConservedState(rho=1.2, mom=0.0, etot=253312.5), air)
-        assert prim.rho == 1.2
-        assert prim.u == 0.0
-        assert prim.p == pytest.approx(101325.0, rel=1e-14)
+        rho, u, p = primitive_arrays(np.array([1.2, 0.0, 253312.5]), air)
+        assert rho == 1.2
+        assert u == 0.0
+        assert p == pytest.approx(101325.0, rel=1e-14)
 
     def test_primitive_from_conserved_rest_any_energy(self, air):
         e0 = 1.7e5
-        prim = primitive_from_conserved(ConservedState(1.0, 0.0, e0), air)
-        assert prim.u == 0.0
-        assert prim.p == pytest.approx(0.4 * e0, rel=1e-14)
+        _, u, p = primitive_arrays(np.array([1.0, 0.0, e0]), air)
+        assert u == 0.0
+        assert p == pytest.approx(0.4 * e0, rel=1e-14)
 
     def test_primitive_from_conserved_with_kinetic_energy(self, air):
         # add kinetic energy 0.5*1.2*100 = 60 J/m^3 by hand
-        w = ConservedState(rho=1.2, mom=12.0, etot=253312.5 + 60.0)
-        prim = primitive_from_conserved(w, air)
-        assert prim.u == pytest.approx(10.0, rel=1e-14)
-        assert prim.p == pytest.approx(101325.0, rel=1e-12)
+        _, u, p = primitive_arrays(np.array([1.2, 12.0, 253312.5 + 60.0]), air)
+        assert u == pytest.approx(10.0, rel=1e-14)
+        assert p == pytest.approx(101325.0, rel=1e-12)
 
     def test_conserved_from_primitive_examples(self, air):
-        w = conserved_from_primitive(PrimitiveState(1.2, 0.0, 101325.0), air)
-        assert w.etot == pytest.approx(253312.5, rel=1e-14)
-        w = conserved_from_primitive(PrimitiveState(1.2, 10.0, 101325.0), air)
-        assert w.mom == pytest.approx(12.0, rel=1e-14)
-        assert w.etot == pytest.approx(253372.5, rel=1e-14)
+        w = conserved_array(1.2, 0.0, 101325.0, air)
+        assert w[2] == pytest.approx(253312.5, rel=1e-14)
+        w = conserved_array(1.2, 10.0, 101325.0, air)
+        assert w[1] == pytest.approx(12.0, rel=1e-14)
+        assert w[2] == pytest.approx(253372.5, rel=1e-14)
 
     def test_invalid_states_rejected(self, air):
-        with pytest.raises(InvalidStateError):
-            ConservedState(rho=-1.0, mom=0.0, etot=1e5)
-        with pytest.raises(InvalidStateError):
-            ConservedState(rho=1.0, mom=100.0, etot=100.0 ** 2 / 2.0)
-        with pytest.raises(InvalidStateError):
-            PrimitiveState(rho=1.0, u=0.0, p=0.0)
+        # every conserved row a boundary reads: positive density and
+        # internal energy
+        updates = (
+            lambda w: inflow_update_velocity(0.0, w, w, air, 2e-5, 0.01),
+            lambda w: outflow_update(w, w, air, 2e-5, 0.01, node=9),
+        )
+        for update in updates:
+            with pytest.raises(InvalidStateError, match="non-positive density"):
+                update(np.array([-1.0, 0.0, 1e5]))
+            with pytest.raises(InvalidStateError, match="internal energy"):
+                update(np.array([1.0, 100.0, 100.0 ** 2 / 2.0]))
+        # the characteristic inverse: positive sound speed and density
+        with pytest.raises(InvalidCharacteristicsError):
+            primitive_from_characteristics(1.0, 2.0, air.s0, air)
+        with pytest.raises(InvalidStateError, match="non-positive rebuilt"):
+            primitive_from_characteristics(1e-150, 0.0, air.s0, air)
 
     def test_error_carries_node_context(self, air):
-        w = ConservedState.__new__(ConservedState)
-        object.__setattr__(w, "rho", -1.0)
-        object.__setattr__(w, "mom", 0.0)
-        object.__setattr__(w, "etot", 1.0)
-        with pytest.raises(InvalidStateError, match="node 7"):
-            primitive_from_conserved(w, air, node=7)
+        with pytest.raises(InvalidStateError, match=r"\(node 7\)"):
+            primitive_from_characteristics(1e-150, 0.0, air.s0, air, node=7)
+        with pytest.raises(InvalidCharacteristicsError, match=r"\(node 7\)"):
+            primitive_from_characteristics(1.0, 1.0, air.s0, air, node=7)
 
     @given(rho=finite_rho, u=finite_u, p=finite_p)
     def test_round_trip_primitive_conserved(self, rho, u, p):
         air = GasModel()
-        prim = PrimitiveState(rho, u, p)
-        back = primitive_from_conserved(conserved_from_primitive(prim, air), air)
-        assert back.rho == pytest.approx(rho, rel=1e-14)
-        assert back.u == pytest.approx(u, rel=1e-14, abs=1e-12)
-        assert back.p == pytest.approx(p, rel=1e-14)
+        back = primitive_arrays(conserved_array(rho, u, p, air), air)
+        assert back[0] == pytest.approx(rho, rel=1e-14)
+        assert back[1] == pytest.approx(u, rel=1e-14, abs=1e-12)
+        assert back[2] == pytest.approx(p, rel=1e-14)
 
 
 class TestSoundSpeed:
     def test_reference_value(self, air):
-        c = sound_speed(PrimitiveState(1.2, 5.0, 101325.0), air)
+        c = sound_speed_array(1.2, 101325.0, air)
         assert c == pytest.approx(343.82, abs=0.01)
 
     def test_joint_scaling_invariance(self, air):
-        base = sound_speed(PrimitiveState(1.2, 0.0, 101325.0), air)
-        for lam in (0.3, 2.0, 17.5):
-            scaled = sound_speed(PrimitiveState(1.2 * lam, 0.0, 101325.0 * lam), air)
-            assert scaled == pytest.approx(base, rel=1e-14)
+        base = sound_speed_array(1.2, 101325.0, air)
+        lam = np.array([0.3, 2.0, 17.5])
+        scaled = sound_speed_array(1.2 * lam, 101325.0 * lam, air)
+        np.testing.assert_allclose(scaled, base, rtol=1e-14)
 
     def test_square_root_law(self, air):
-        c1 = sound_speed(PrimitiveState(1.2, 0.0, 101325.0), air)
-        c2 = sound_speed(PrimitiveState(1.2, 0.0, 4.0 * 101325.0), air)
+        c1 = sound_speed_array(1.2, 101325.0, air)
+        c2 = sound_speed_array(1.2, 4.0 * 101325.0, air)
         assert c2 == pytest.approx(2.0 * c1, rel=1e-14)
 
 
 class TestCharacteristics:
     def test_rest_state_invariants(self, air):
-        tri = characteristics_from_primitive(PrimitiveState(1.2, 0.0, 101325.0), air)
-        assert tri.r_minus == pytest.approx(-1719.1, abs=0.1)
-        assert tri.r_plus == pytest.approx(-tri.r_minus, rel=1e-14)
-        assert tri.entropy == pytest.approx(air.s0, rel=1e-14)
+        r_plus, r_minus, entropy = _invariants(1.2, 0.0, 101325.0, air)
+        assert r_minus == pytest.approx(-1719.1, abs=0.1)
+        assert r_plus == pytest.approx(-r_minus, rel=1e-14)
+        assert entropy == pytest.approx(air.s0, rel=1e-14)
+        rho, u, p = primitive_from_characteristics(r_plus, r_minus, entropy,
+                                                   air)
+        assert (rho, u, p) == pytest.approx((1.2, 0.0, 101325.0), rel=1e-13)
 
     def test_spread_is_four_c_over_gm1(self, air):
-        prim = PrimitiveState(0.9, 12.0, 88000.0)
-        tri = characteristics_from_primitive(prim, air)
-        c = sound_speed(prim, air)
-        assert tri.r_plus - tri.r_minus == pytest.approx(4.0 * c / 0.4, rel=1e-14)
+        r_plus, r_minus = 1780.0, -1650.0
+        rho, _, p = primitive_from_characteristics(r_plus, r_minus, air.s0, air)
+        c = sound_speed_array(rho, p, air)
+        assert r_plus - r_minus == pytest.approx(4.0 * c / 0.4, rel=1e-14)
 
     def test_round_trip(self, air):
-        prim = PrimitiveState(1.05, -7.5, 97000.0)
-        back = primitive_from_characteristics(
-            characteristics_from_primitive(prim, air), air)
-        assert back.rho == pytest.approx(prim.rho, rel=1e-12)
-        assert back.u == pytest.approx(prim.u, rel=1e-12)
-        assert back.p == pytest.approx(prim.p, rel=1e-12)
+        rho, u, p = 1.05, -7.5, 97000.0
+        back = primitive_from_characteristics(*_invariants(rho, u, p, air), air)
+        assert back[0] == pytest.approx(rho, rel=1e-12)
+        assert back[1] == pytest.approx(u, rel=1e-12)
+        assert back[2] == pytest.approx(p, rel=1e-12)
 
     @given(rho=finite_rho, u=finite_u, p=finite_p)
     def test_round_trip_random(self, rho, u, p):
         air = GasModel()
-        prim = PrimitiveState(rho, u, p)
-        back = primitive_from_characteristics(
-            characteristics_from_primitive(prim, air), air)
-        assert back.rho == pytest.approx(rho, rel=1e-12)
-        assert back.p == pytest.approx(p, rel=1e-12)
+        back = primitive_from_characteristics(*_invariants(rho, u, p, air), air)
+        assert back[0] == pytest.approx(rho, rel=1e-12)
+        assert back[2] == pytest.approx(p, rel=1e-12)
 
     def test_shifted_rest_invariants_give_uniform_velocity(self, air):
         # r_+/- = +/-2c0/(gamma-1) + U solves to u = U, c = c0 by hand.
         big_u = 3.7
-        tri = CharacteristicTriple(
-            r_plus=2.0 * air.c0 / 0.4 + big_u,
-            r_minus=-2.0 * air.c0 / 0.4 + big_u,
-            entropy=air.s0,
-        )
-        prim = primitive_from_characteristics(tri, air)
-        assert prim.u == pytest.approx(big_u, rel=1e-13)
-        assert sound_speed(prim, air) == pytest.approx(air.c0, rel=1e-13)
+        rho, u, p = primitive_from_characteristics(
+            2.0 * air.c0 / 0.4 + big_u, -2.0 * air.c0 / 0.4 + big_u,
+            air.s0, air)
+        assert u == pytest.approx(big_u, rel=1e-13)
+        assert sound_speed_array(rho, p, air) == pytest.approx(air.c0, rel=1e-13)
 
-    def test_degenerate_triple_rejected(self):
+    def test_degenerate_triple_rejected(self, air):
         with pytest.raises(InvalidCharacteristicsError):
-            CharacteristicTriple(r_plus=1.0, r_minus=1.0, entropy=1e5)
-
-
-class TestTemperature:
-    def test_reference_value(self, air):
-        t = temperature_from_state(PrimitiveState(1.2, 0.0, 101325.0), air)
-        # 101325/(0.4*1.2)/(1005/1.4) by hand
-        assert t == pytest.approx(294.1, abs=0.1)
-
-    def test_linear_in_pressure(self, air):
-        t1 = temperature_from_state(PrimitiveState(1.2, 0.0, 101325.0), air)
-        t2 = temperature_from_state(PrimitiveState(1.2, 0.0, 202650.0), air)
-        assert t2 == pytest.approx(2.0 * t1, rel=1e-14)
-
-    @given(rho=finite_rho, u=finite_u, p=finite_p)
-    def test_positive(self, rho, u, p):
-        assert temperature_from_state(PrimitiveState(rho, u, p), GasModel()) > 0.0
+            primitive_from_characteristics(1.0, 1.0, 1e5, air)
 
 
 class TestArrayHelpers:
@@ -200,6 +187,9 @@ class TestArrayHelpers:
         np.testing.assert_allclose(u2, u, rtol=1e-14)
         np.testing.assert_allclose(p2, p, rtol=1e-13)
         for i in range(8):
-            w_scalar = conserved_from_primitive(
-                PrimitiveState(rho[i], u[i], p[i]), air)
-            np.testing.assert_allclose(w[i], np.asarray(w_scalar), rtol=1e-14)
+            # per-node reference: W = (rho, rho u, p/(gamma-1) + rho u^2/2)
+            etot = p[i] / 0.4 + 0.5 * rho[i] * u[i] ** 2
+            np.testing.assert_allclose(
+                w[i], [rho[i], rho[i] * u[i], etot], rtol=1e-14)
+            np.testing.assert_allclose(
+                conserved_array(rho[i], u[i], p[i], air), w[i], rtol=1e-14)

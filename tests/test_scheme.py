@@ -11,7 +11,6 @@ from ductwave.scheme import (
     DuctGeometry,
     FieldState,
     Grid,
-    StepControl,
     compute_dt,
     flux_jacobian,
     lax_wendroff_update,
@@ -265,29 +264,29 @@ class TestComputeDt:
     def test_rest_value(self, air):
         grid = Grid(0.1, 10)    # dx = 0.01
         field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
-        dt = compute_dt(field, grid, air, StepControl(cfl=0.8))
+        dt = compute_dt(field, grid, air, 0.8)
         assert dt == pytest.approx(2.327e-5, abs=1e-8)
 
     def test_linear_in_dx(self, air):
         f1 = uniform_field(Grid(0.1, 10), air, 1.2, 0.0, 101325.0)
         f2 = uniform_field(Grid(0.2, 10), air, 1.2, 0.0, 101325.0)
-        dt1 = compute_dt(f1, Grid(0.1, 10), air, StepControl(cfl=0.8))
-        dt2 = compute_dt(f2, Grid(0.2, 10), air, StepControl(cfl=0.8))
+        dt1 = compute_dt(f1, Grid(0.1, 10), air, 0.8)
+        dt2 = compute_dt(f2, Grid(0.2, 10), air, 0.8)
         assert dt2 == pytest.approx(2.0 * dt1, rel=1e-14)
 
     def test_velocity_decreases_dt(self, air):
         grid = Grid(0.1, 10)
         still = uniform_field(grid, air, 1.2, 0.0, 101325.0)
         moving = uniform_field(grid, air, 1.2, 30.0, 101325.0)
-        ctrl = StepControl(cfl=0.8)
-        assert compute_dt(moving, grid, air, ctrl) \
-            < compute_dt(still, grid, air, ctrl)
+        assert compute_dt(moving, grid, air, 0.8) \
+            < compute_dt(still, grid, air, 0.8)
 
-    def test_cfl_bounds(self):
-        with pytest.raises(ValueError):
-            StepControl(cfl=0.0)
-        with pytest.raises(ValueError):
-            StepControl(cfl=1.5)
+    def test_cfl_bounds(self, air):
+        grid = Grid(0.1, 10)
+        field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
+        for cfl in (0.0, 1.5):
+            with pytest.raises(ValueError, match="cfl"):
+                compute_dt(field, grid, air, cfl)
 
 
 class TestConservation:
