@@ -22,7 +22,7 @@ from .boundaries import (
     inflow_update_velocity,
     outflow_update,
 )
-from .driver import RunReport, RunResult, Scenario, Simulation, initialize, run
+from .driver import RunReport, RunResult, Scenario, Simulation, run
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -65,11 +65,11 @@ from .scheme import (
 )
 from .signals import MultiHarmonicSignal, SampledSignal, SineSignal
 from .wall import (
-    KernelWeights,
     PressureHistory,
     bl_temperature_profile,
     bl_velocity_profile,
     erf,
+    kernel_weights,
     quad_one_point,
     quad_two_point,
 )

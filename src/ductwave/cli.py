@@ -24,7 +24,6 @@ import numpy as np
 from . import analysis, driver, oracles
 from .config import (
     DEFAULT_KMAX,
-    _parse_truncate,
     builtin_scenarios,
     parse_config,
     scenario_from_config,
@@ -84,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--losses", choices=["on", "off"])
     p_run.add_argument("--kernel-mode", choices=["consistent", "as-printed"])
     p_run.add_argument("--cfl", type=float)
-    p_run.add_argument("--truncate", help="kernel window (steps) or 'unbounded'")
     p_run.set_defaults(func=cmd_run)
 
     p_oc = sub.add_parser("oracle-characteristics",
@@ -136,16 +134,6 @@ def _load_samples(path):
 def cmd_run(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     doc = parse_config(text)
-    if args.truncate is not None:
-        try:
-            truncate = _parse_truncate(args.truncate)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for --truncate: {exc}") from None
-        # "unbounded" must override a config-set window, so bypass the
-        # None-filtering of with_overrides
-        vals = dict(doc.values)
-        vals["run.truncate"] = truncate
-        doc = type(doc)(vals)
     doc = doc.with_overrides(**{
         "run.losses": None if args.losses is None else args.losses == "on",
         "run.kernel_mode": args.kernel_mode,
@@ -226,8 +214,6 @@ def _report_text(result) -> str:
         f"cfl = {rep.cfl!r}",
         f"losses = {'on' if rep.losses else 'off'}",
         f"kernel_mode = {rep.kernel_mode}",
-        f"kernel_truncation = "
-        f"{'unbounded' if rep.m_max is None else rep.m_max}",
         f"probes = {', '.join(repr(r.x) for r in result.records)}",
     ]
     return "\n".join(lines) + "\n"

@@ -75,15 +75,6 @@ def _parse_harmonics(s: str) -> tuple[tuple[int, float, float], ...]:
     return tuple(out)
 
 
-def _parse_truncate(s: str):
-    if s == "unbounded":
-        return None
-    v = int(s)
-    if v < 0:
-        raise ValueError("truncation must be non-negative or 'unbounded'")
-    return v
-
-
 def _fmt_float(v) -> str:
     return repr(float(v))
 
@@ -102,10 +93,6 @@ def _fmt_floats(v) -> str:
 
 def _fmt_harmonics(v) -> str:
     return ", ".join(f"{k}:{repr(float(a))}:{repr(float(p))}" for k, a, p in v)
-
-
-def _fmt_truncate(v) -> str:
-    return "unbounded" if v is None else str(v)
 
 
 # Registry: canonical order, parser, serializer.
@@ -132,7 +119,6 @@ KEY_SPECS = {
     "run.duration_periods": (_parse_float, _fmt_float),
     "run.duration_s": (_parse_float, _fmt_float),
     "run.kernel_mode": (_parse_choice("consistent", "as-printed"), _fmt_str),
-    "run.truncate": (_parse_truncate, _fmt_truncate),
     "run.sampling_exponent": (_parse_int, str),
     "probes.stations": (_parse_floats, _fmt_floats),
     "output.prefix": (str, _fmt_str),
@@ -259,7 +245,6 @@ def scenario_from_config(doc: ConfigDocument,
             probes=doc.get("probes.stations", (grid.length,)),
             sampling_exponent=doc.get("run.sampling_exponent", 10),
             kernel_mode=doc.get("run.kernel_mode", wall.CONSISTENT),
-            m_max=doc.get("run.truncate"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -301,7 +286,6 @@ def builtin_scenarios() -> dict[str, ConfigDocument]:
         "run.cfl": 0.85,
         "run.duration_periods": 9.0,
         "run.kernel_mode": "consistent",
-        "run.truncate": None,
         "run.sampling_exponent": 10,
         "probes.stations": (_SIMPLE_WAVE_LENGTH,),
         "output.prefix": "simple_wave",
@@ -322,7 +306,6 @@ def builtin_scenarios() -> dict[str, ConfigDocument]:
         "run.cfl": 0.8,
         "run.duration_periods": 9.0,
         "run.kernel_mode": "consistent",
-        "run.truncate": None,
         "run.sampling_exponent": 10,
         "probes.stations": (0.25, 0.85),
         "output.prefix": "kirchhoff",
@@ -343,7 +326,6 @@ def builtin_scenarios() -> dict[str, ConfigDocument]:
         "run.cfl": 0.85,
         "run.duration_periods": 9.0,
         "run.kernel_mode": "consistent",
-        "run.truncate": None,
         "run.sampling_exponent": 10,
         "probes.stations": (_SIMPLE_WAVE_LENGTH,),
         "output.prefix": "coupled",
@@ -369,7 +351,6 @@ def builtin_scenarios() -> dict[str, ConfigDocument]:
         "run.cfl": 0.75,
         "run.duration_periods": 8.0,
         "run.kernel_mode": "consistent",
-        "run.truncate": None,
         "run.sampling_exponent": 10,
         "probes.stations": (1.5,),
         "output.prefix": "trombone",

@@ -3,9 +3,10 @@
 One step, all from level-n data: evaluate the wall sources G for every
 node from the wall memory of the pressure history, and their rate
 against the previous step's table (both identically zero with losses
-off); advance the interior nodes with the second-order expansion;
-rebuild both boundary nodes from their characteristic relations with the
-inflow datum taken at the new time level; then, with losses on, append
+off); advance the interior nodes with the second-order expansion, which
+validates the field it returns; rebuild both boundary nodes from their
+characteristic relations with the inflow datum taken at the new time
+level, each checking the node it rebuilds; then, with losses on, append
 the new nodal pressures to the wall memory, whose storage and per-step
 cost do not depend on the step index. With losses off the wall memory
 keeps only the initial level. The time step is frozen at the start of the
@@ -63,7 +64,6 @@ class Scenario:
     probes: tuple[float, ...] = ()
     sampling_exponent: int = 10
     kernel_mode: str = wall.CONSISTENT
-    m_max: int | None = None
 
     def __post_init__(self):
         if self.inflow_kind not in (PRESSURE, VELOCITY):
@@ -81,9 +81,6 @@ class Scenario:
             raise ValueError(f"unknown kernel mode {self.kernel_mode!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.m_max is not None and self.m_max < 0:
-            raise ValueError(
-                f"kernel truncation must be non-negative, got {self.m_max}")
 
     @property
     def fundamental_period(self) -> float | None:
@@ -120,7 +117,6 @@ class RunReport:
     cfl: float
     losses: bool
     kernel_mode: str
-    m_max: int | None
     wall_clock_s: float
 
 
@@ -148,12 +144,6 @@ def frozen_dt(scenario: Scenario) -> float:
             stacklevel=2,
         )
     return dt
-
-
-def initialize(scenario: Scenario) -> tuple[FieldState, PressureHistory]:
-    """Rest field at (rho0, 0, p0) and a history seeded with p^0 = p0."""
-    sim = Simulation(scenario)
-    return sim.state, sim.history
 
 
 def _source_tables(history: PressureHistory, n: int, scenario: Scenario,
@@ -187,9 +177,8 @@ class Simulation:
         elif initial_field.w.shape != (scenario.grid.n_nodes, 3):
             raise ValueError("initial field does not match the grid")
         self.state = initial_field.copy()
-        self.history = PressureHistory(
-            n_nodes=scenario.grid.n_nodes, dt=self.dt, m_max=scenario.m_max,
-        )
+        self.history = PressureHistory(n_nodes=scenario.grid.n_nodes,
+                                       dt=self.dt)
         prim = primitive_arrays(self.state.w, gas)
         self.history.append(prim[2])
         self._g_prev: np.ndarray | None = None
@@ -230,7 +219,6 @@ class Simulation:
                                node=grid.cells)
         new.w[0] = w0
         new.w[-1] = w_out
-        new.validate(step=new.n)
 
         self.state = new
         prim = None
@@ -272,8 +260,7 @@ def run(scenario: Scenario,
         dt=sim.dt, n_steps=n_steps, dx=scenario.grid.dx,
         cells=scenario.grid.cells, length=scenario.grid.length,
         cfl=scenario.cfl, losses=scenario.losses,
-        kernel_mode=scenario.kernel_mode, m_max=scenario.m_max,
-        wall_clock_s=elapsed,
+        kernel_mode=scenario.kernel_mode, wall_clock_s=elapsed,
     )
     return RunResult(scenario=scenario, state=sim.state, history=sim.history,
                      records=records, resampled=resampled, report=report)

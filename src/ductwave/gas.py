@@ -8,8 +8,9 @@ the conserved vector W = (rho, rho*u, rho*(e + u^2/2)), its primitive view
 variables u +/- 2c/(gamma - 1) and S = p / rho^gamma.
 
 All quantities are strict SI. Conversions are pure functions. The array
-forms do not check positivity: the field is validated after each step,
-and the boundaries check the nodes they read.
+forms do not check positivity: the interior update validates the field
+it produces once per step (`scheme.lax_wendroff_update`), and the
+boundaries check the nodes they read and the rows they rebuild.
 """
 
 from __future__ import annotations

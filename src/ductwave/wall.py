@@ -20,9 +20,8 @@ stored levels. `PressureHistory` keeps them in fixed storage: the last K0
 levels exactly, and the older ones folded into Q exponential modes per
 node, from a sum-of-exponentials form of w_m (the diffusive representation
 of the kernel). Each step then costs O((K0+Q) J) whatever its index, and
-the tail matches the exact sums to about 1e-8 relative. An optional
-truncation window m <= M_max is summed exactly from a ring of M_max + 2
-levels. Uniform dt is required by the weights.
+the tail matches the exact sums to about 1e-8 relative. Uniform dt is
+required by the weights.
 """
 
 from __future__ import annotations
@@ -38,36 +37,14 @@ from .scheme import DuctGeometry, Grid
 CONSISTENT = "consistent"
 AS_PRINTED = "as-printed"
 
-_GROW = 1024
 
+def kernel_weights(n: int) -> np.ndarray:
+    """Convolution weights w_m = 1/(sqrt(m)+sqrt(m+1)), m = 0..n-1.
 
-class KernelWeights:
-    """Precomputed convolution weights w_m = 1/(sqrt(m)+sqrt(m+1)).
-
-    w_0 = 1 and the sequence decreases strictly toward zero. The table
-    grows on demand and is shared across nodes and steps.
+    w_0 = 1 and the sequence decreases strictly toward zero.
     """
-
-    def __init__(self, n_max: int = _GROW):
-        self._w = self._build(max(n_max, 1))
-
-    @staticmethod
-    def _build(n: int) -> np.ndarray:
-        m = np.arange(n, dtype=float)
-        return 1.0 / (np.sqrt(m) + np.sqrt(m + 1.0))
-
-    def ensure(self, n: int):
-        if n > self._w.size:
-            self._w = self._build(((n // _GROW) + 1) * _GROW)
-
-    def table(self, n: int) -> np.ndarray:
-        """First n weights, m = 0..n-1."""
-        self.ensure(n)
-        return self._w[:n]
-
-    def __getitem__(self, m: int) -> float:
-        self.ensure(m + 1)
-        return float(self._w[m])
+    m = np.arange(n, dtype=float)
+    return 1.0 / (np.sqrt(m) + np.sqrt(m + 1.0))
 
 
 def _soe_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,7 +63,7 @@ def _soe_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
-K0 = 32                             # exact near lags of the full window
+K0 = 32                             # near lags summed exactly from the ring
 _SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 158 exponential modes
 
 
@@ -94,42 +71,32 @@ class PressureHistory:
     """Wall memory of the nodal pressure series p_j^m on a uniform time step.
 
     The storage is fixed at construction. The deviations q = p - p^0 from
-    the first level p^0 stored sit in a ring of the last R levels, which
+    the first level p^0 stored sit in a ring of the last K0 levels, which
     carries the near lags exactly. Levels that leave the ring fold into Q
     exponential modes per node, Y_q <- e^(-s_q) Y_q + q, which carry the
-    older lags through the sum-of-exponentials form of the weights. The
-    full window uses R = K0 and the Q modes; a window m <= m_max uses
-    R = m_max + 2 and no modes, which holds the whole window exactly.
-    Only the latest level can be summed.
+    older lags through the sum-of-exponentials form of the weights. Only
+    the latest level can be summed.
     """
 
-    def __init__(self, n_nodes: int, dt: float, m_max: int | None = None):
+    def __init__(self, n_nodes: int, dt: float):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if m_max is not None and m_max < 0:
-            raise ValueError("m_max must be non-negative or None")
         self.n_nodes = n_nodes
         self.dt = dt
-        self.m_max = m_max
-        if m_max is None:
-            ring, s, c = K0, _SOE_S, _SOE_C
-            w = KernelWeights(ring).table(ring)
-        else:
-            ring, s, c = m_max + 2, _SOE_S[:0], _SOE_C[:0]
-            w = np.append(KernelWeights(ring).table(ring - 1), 0.0)
-        # lag k = 0..R-1 weighs w_{k-1} + w_k (pair) and w_k - w_{k-1}
+        w = kernel_weights(K0)
+        # lag k = 0..K0-1 weighs w_{k-1} + w_k (pair) and w_k - w_{k-1}
         # (difference); the block is stored reversed and twice, so that the
         # ring slots of any step read one contiguous slice of it
         w_prev = np.append(0.0, w[:-1])
         rev = np.stack([w_prev + w, w - w_prev])[:, ::-1]
         self._coef = np.hstack([rev, rev])
-        # lag R + i of the tail weighs c_q e^(-s_q (R+i)) (e^(s_q) +- 1)
-        scale = c * np.exp(-s * ring)
-        self._tail = np.stack([scale * (np.exp(s) + 1.0),
-                               -scale * np.expm1(s)])
-        self._decay = np.exp(-s)[:, None]
-        self._ring = np.zeros((ring, n_nodes))
-        self._modes = np.zeros((s.size, n_nodes))
+        # lag K0 + i of the tail weighs c_q e^(-s_q (K0+i)) (e^(s_q) +- 1)
+        scale = _SOE_C * np.exp(-_SOE_S * K0)
+        self._tail = np.stack([scale * (np.exp(_SOE_S) + 1.0),
+                               -scale * np.expm1(_SOE_S)])
+        self._decay = np.exp(-_SOE_S)[:, None]
+        self._ring = np.zeros((K0, n_nodes))
+        self._modes = np.zeros((_SOE_S.size, n_nodes))
         self.p0 = np.zeros(n_nodes)
         self._levels = 0
 
@@ -149,39 +116,36 @@ class PressureHistory:
         if self._levels == 0:
             self.p0[:] = row
         # the slot holds the level leaving the ring (zeros while it fills)
-        slot = self._levels % self._ring.shape[0]
+        slot = self._levels % K0
         self._modes *= self._decay
         self._modes += self._ring[slot]
         np.subtract(row, self.p0, out=self._ring[slot])
         self._levels += 1
 
     def window(self, n: int) -> tuple[int, int]:
-        """Summation level range [lo, n) at step n after truncation."""
+        """Summation level range [lo, n) at step n: the whole history."""
         if n > self._levels - 1:
             raise IndexError(f"history populated through level {self._levels - 1},"
                              f" step {n} requested")
-        k_last = n - 1 if self.m_max is None else min(n - 1, self.m_max)
-        return n - 1 - k_last, n
+        return 0, n
 
     def sums(self, n: int) -> np.ndarray:
         """Pair and difference sums at step n, as a (2, nodes) array.
 
         Summation by parts puts both sums on the levels p^{n-k},
-        k = 0..K+1 with K = min(n-1, M_max): the pair sum weighs lag k by
-        w_{k-1} + w_k and the difference sum by w_k - w_{k-1}, with w zero
-        outside m = 0..K. On p = p^0 + q the constant part of the pair sum
-        telescopes to 2 p^0 sqrt(K+1) and that of the difference sum to 0.
+        k = 0..n: the pair sum weighs lag k by w_{k-1} + w_k and the
+        difference sum by w_k - w_{k-1}, with w zero outside m = 0..n-1.
+        On p = p^0 + q the constant part of the pair sum telescopes to
+        2 p^0 sqrt(n) and that of the difference sum to 0.
         """
         if n != self._levels - 1:
             raise IndexError(f"wall memory holds step {self._levels - 1},"
                              f" step {n} requested")
-        ring = self._ring.shape[0]
-        first = ring - 1 - n % ring
-        filled = min(n + 1, ring)
+        first = K0 - 1 - n % K0
+        filled = min(n + 1, K0)
         acc = self._coef[:, first:first + filled] @ self._ring[:filled]
         acc += self._tail @ self._modes
-        lo, hi = self.window(n)
-        acc[0] += 2.0 * math.sqrt(hi - lo) * self.p0
+        acc[0] += 2.0 * math.sqrt(n) * self.p0
         return acc
 
 

@@ -4,30 +4,25 @@
 forms the pair and difference sums over the whole summation window with
 the exact weights w_m = 1/(sqrt(m)+sqrt(m+1)), at a cost of O(n) per node
 per step. It has the interface `wall.source_table` reads from the runtime
-wall memory (`n_nodes`, `dt`, `m_max`, `n_levels`, `append`, `window`,
-`sums`), so a table or a whole `Simulation` can run on either.
+wall memory (`n_nodes`, `dt`, `n_levels`, `append`, `window`, `sums`),
+so a table or a whole `Simulation` can run on either.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ductwave.wall import KernelWeights
+from ductwave.wall import kernel_weights
 
 
 class ExactHistory:
     """Append-only nodal pressure series p_j^m on a uniform time step."""
 
-    def __init__(self, n_nodes: int, dt: float, m_max: int | None = None,
-                 capacity: int = 1024):
+    def __init__(self, n_nodes: int, dt: float, capacity: int = 1024):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if m_max is not None and m_max < 0:
-            raise ValueError("m_max must be non-negative or None")
         self.n_nodes = n_nodes
         self.dt = dt
-        self.m_max = m_max
-        self.weights = KernelWeights()
         self._p = np.empty((capacity, n_nodes))
         self._levels = 0
 
@@ -56,22 +51,21 @@ class ExactHistory:
         return self._p[: self._levels, j].copy()
 
     def window(self, n: int) -> tuple[int, int]:
-        """Summation row range [lo, n) at step n after truncation."""
+        """Summation row range [lo, n) at step n: the whole history."""
         if n > self._levels - 1:
             raise IndexError(f"history populated through level"
                              f" {self._levels - 1}, step {n} requested")
-        k_last = n - 1 if self.m_max is None else min(n - 1, self.m_max)
-        return n - 1 - k_last, n
+        return 0, n
 
     def sums(self, n: int) -> np.ndarray:
         """Pair and difference sums at step n, as a (2, nodes) array.
 
-        Summation by parts: the stored level p^{n-k}, k = 0..K+1, weighs
+        Summation by parts: the stored level p^{n-k}, k = 0..n, weighs
         w_{k-1} + w_k in the pair sum and w_k - w_{k-1} in the difference
-        sum, with w zero outside m = 0..K.
+        sum, with w zero outside m = 0..n-1.
         """
         lo, hi = self.window(n)
-        w_rev = self.weights.table(hi - lo)[::-1]
+        w_rev = kernel_weights(hi - lo)[::-1]
         # column i is level lo+i, at lag k = n-lo-i, and w_rev[i] = w_{k-1}
         coef = np.zeros((2, hi - lo + 1))
         coef[0, :-1] = w_rev

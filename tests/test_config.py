@@ -68,12 +68,6 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("inflow.harmonics = 1:100.0\n")
 
-    def test_truncate_forms(self):
-        assert parse_config("run.truncate = unbounded\n").get("run.truncate") is None
-        assert parse_config("run.truncate = 250\n").get("run.truncate") == 250
-        with pytest.raises(ConfigError):
-            parse_config("run.truncate = -3\n")
-
 
 class TestRoundTrip:
     def test_parse_serialize_is_identity(self):
@@ -107,7 +101,6 @@ class TestScenarioConstruction:
                                                  rel=1e-12)
         assert sc.probes == (1.0,)    # defaults to the outlet
         assert sc.kernel_mode == "consistent"
-        assert sc.m_max is None
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="grid.cells"):

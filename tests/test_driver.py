@@ -13,7 +13,6 @@ from ductwave.driver import (
     Scenario,
     Simulation,
     frozen_dt,
-    initialize,
     run,
 )
 from ductwave.errors import UnsupportedRegimeError
@@ -57,8 +56,6 @@ class TestScenario:
             _small_scenario(air, probes=(0.5,))   # outside the 0.1 m duct
         with pytest.raises(ValueError):
             _small_scenario(air, kernel_mode="best-effort")
-        with pytest.raises(ValueError, match="truncation"):
-            _small_scenario(air, m_max=-3)
 
     def test_velocity_bound_converts_pressure(self, air):
         sc = _small_scenario(air)
@@ -69,7 +66,8 @@ class TestScenario:
 class TestInitialize:
     def test_rest_everywhere(self, air):
         sc = _small_scenario(air)
-        state, history = initialize(sc)
+        sim = Simulation(sc)
+        state, history = sim.state, sim.history
         rho, u, p = primitive_arrays(state.w, air)
         assert np.all(u == 0.0)
         np.testing.assert_allclose(p / rho ** air.gamma, air.s0, rtol=1e-13)
@@ -292,8 +290,7 @@ class TestStepAgainstOracle:
         # an explicit rest field takes the same construction path
         sc = _small_scenario(air)
         sim = Simulation(sc)
-        state, _ = initialize(sc)
-        explicit = Simulation(sc, initial_field=state)
+        explicit = Simulation(sc, initial_field=Simulation(sc).state)
         for _ in range(4):
             sim.advance()
             explicit.advance()
@@ -306,6 +303,22 @@ class TestStepAgainstOracle:
             primitive_arrays(sim.state.w, air)[2])
         np.testing.assert_array_equal(
             explicit.history.sums(4), sim.history.sums(4))
+
+    def test_each_step_validates_the_field_once(self, air, monkeypatch):
+        # the interior update validates its result; the boundary rebuilds
+        # check their own nodes, so the driver adds no second pass
+        steps = []
+        validate = FieldState.validate
+
+        def counting(self, step=None):
+            steps.append(step)
+            return validate(self, step=step)
+
+        monkeypatch.setattr(FieldState, "validate", counting)
+        sim = Simulation(_small_scenario(air))
+        for _ in range(3):
+            sim.advance()
+        assert steps == [1, 2, 3]
 
 
 class TestWallMemoryInTheLoop:
@@ -357,7 +370,7 @@ class TestWallMemoryInTheLoop:
 class TestBoundaryErrors:
     def test_supersonic_outlet_names_node_j(self, air):
         sc = _small_scenario(air, losses=False)
-        state, _ = initialize(sc)
+        state = Simulation(sc).state
         state.w[-1] = conserved_array(air.rho0, 400.0, air.p0, air)
         sim = Simulation(sc, initial_field=state)
         with pytest.raises(UnsupportedRegimeError,
@@ -411,7 +424,7 @@ class TestDegenerateCoupling:
                              duration_periods=2.0, inflow_kind=VELOCITY,
                              inflow=SineSignal(0.05, 2.0 * math.pi * 500.0))
         sim = Simulation(sc)
-        state, _ = initialize(sc)
+        state = Simulation(sc).state
         zeros = np.zeros_like(state.w)
         dt = frozen_dt(sc)
         for _ in range(30):

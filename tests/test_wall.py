@@ -16,12 +16,12 @@ from ductwave.wall import (
     AS_PRINTED,
     CONSISTENT,
     K0,
-    KernelWeights,
     PressureHistory,
     bl_temperature_profile,
     bl_velocity_profile,
     erf,
     heat_kernel_constant,
+    kernel_weights,
     quad_one_point,
     quad_two_point,
     source_table,
@@ -32,8 +32,8 @@ GEOM = DuctGeometry(h=0.005, symmetry="axisymmetric")
 GRID = Grid(length=0.1, cells=4)
 
 
-def _history(levels, dt=1e-5, n_nodes=5, m_max=None, kind=PressureHistory):
-    hist = kind(n_nodes=n_nodes, dt=dt, m_max=m_max)
+def _history(levels, dt=1e-5, n_nodes=5, kind=PressureHistory):
+    hist = kind(n_nodes=n_nodes, dt=dt)
     for row in levels:
         hist.append(np.asarray(row, dtype=float))
     return hist
@@ -87,16 +87,16 @@ def _brute_force_g3(p, j, n, dt, gas, geom, kappa):
 
 class TestKernelWeights:
     def test_first_weight_is_one(self):
-        assert KernelWeights()[0] == 1.0
+        assert kernel_weights(1)[0] == 1.0
 
     def test_strictly_decreasing_in_unit_interval(self):
-        w = KernelWeights().table(500)
+        w = kernel_weights(500)
         assert np.all(np.diff(w) < 0.0)
         assert np.all(w > 0.0)
         assert np.all(w <= 1.0)
 
     def test_closed_form(self):
-        w = KernelWeights()
+        w = kernel_weights(5001)
         for m in (0, 1, 7, 1000, 5000):
             assert w[m] == pytest.approx(
                 1.0 / (math.sqrt(m) + math.sqrt(m + 1)), rel=1e-15)
@@ -168,8 +168,6 @@ class TestPressureHistory:
                 hist.append(np.zeros(3))
             with pytest.raises(ValueError):
                 kind(n_nodes=5, dt=0.0)
-            with pytest.raises(ValueError):
-                kind(n_nodes=5, dt=1.0, m_max=-1)
 
     def test_growth_preserves_rows(self):
         hist = ExactHistory(n_nodes=2, dt=1.0, capacity=2)
@@ -180,14 +178,11 @@ class TestPressureHistory:
     def test_window_truncation(self):
         levels = [np.full(5, float(i)) for i in range(10)]
         for kind in (ExactHistory, PressureHistory):
-            hist = _history(levels, m_max=3, kind=kind)
-            lo, hi = hist.window(9)
-            assert (lo, hi) == (5, 9)      # m = 0..3 uses rows 5..8
-            hist_free = _history(levels, kind=kind)
-            assert hist_free.window(9) == (0, 9)
-            assert hist_free.window(4) == (0, 4)
+            hist = _history(levels, kind=kind)
+            assert hist.window(9) == (0, 9)
+            assert hist.window(4) == (0, 4)
             with pytest.raises(IndexError):
-                hist_free.window(10)
+                hist.window(10)
 
     def test_oracle_matches_brute_force(self, air):
         rng = np.random.default_rng(7)
@@ -213,15 +208,14 @@ class TestWallMemory:
 
     def test_storage_does_not_grow(self):
         rng = np.random.default_rng(3)
-        for m_max in (None, 50):
-            hist = PressureHistory(n_nodes=5, dt=1e-5, m_max=m_max)
-            for _ in range(100):
-                hist.append(101325.0 + rng.standard_normal(5))
-            early = hist.nbytes
-            for _ in range(10_000 - 100):
-                hist.append(101325.0 + rng.standard_normal(5))
-            assert hist.n_levels == 10_000
-            assert hist.nbytes == early
+        hist = PressureHistory(n_nodes=5, dt=1e-5)
+        for _ in range(100):
+            hist.append(101325.0 + rng.standard_normal(5))
+        early = hist.nbytes
+        for _ in range(10_000 - 100):
+            hist.append(101325.0 + rng.standard_normal(5))
+        assert hist.n_levels == 10_000
+        assert hist.nbytes == early
 
     def test_only_the_latest_level_is_summed(self):
         hist = _history([np.full(5, 101325.0)] * 4)
@@ -249,31 +243,6 @@ class TestWallMemory:
             rel = np.abs(got[:, col] - want[:, col]).max() \
                 / np.abs(want[:, col]).max()
             assert rel <= 1e-6, (col, rel)
-
-    def test_truncated_path_matches_brute_force(self, air):
-        """With a window the ring holds it whole: exact sums at every step,
-        while levels leave the ring long before the run ends."""
-        rng = np.random.default_rng(5)
-        dt = 3e-6
-        m_max = 7
-        levels = [air.p0 + 20.0 * rng.standard_normal(5) for _ in range(60)]
-        hist = PressureHistory(n_nodes=5, dt=dt, m_max=m_max)
-        kappa = heat_kernel_constant(air, CONSISTENT)
-        for n, row in enumerate(levels):
-            hist.append(row)
-            if n == 0:
-                continue
-            table = source_table(hist, n, air, GRID, GEOM)
-            lo = max(0, n - m_max - 1)
-            used = levels[lo:n + 1]
-            for j in (1, 2, 3):
-                assert table[j, 1] == pytest.approx(
-                    _brute_force_g2(used, j, n - lo, dt, GRID.dx, air, GEOM),
-                    rel=1e-9)
-            for j in range(5):
-                assert table[j, 2] == pytest.approx(
-                    _brute_force_g3(used, j, n - lo, dt, air, GEOM, kappa),
-                    rel=1e-9)
 
     def test_matches_oracle_through_the_ring_edge(self, air):
         """Step by step across the first K0 + 5 levels, where levels start
@@ -451,7 +420,7 @@ class TestSourceAssembly:
 
     def test_long_history_matches_brute_force(self, air):
         """2,000 levels near p0: the summation-by-parts coefficients cancel
-        the large constant part, here over the full and a truncated window."""
+        the large constant part over the whole window."""
         omega = 2.0 * math.pi * 300.0
         dt = 1.0 / 300.0 / 64
         n = 1999
@@ -459,21 +428,15 @@ class TestSourceAssembly:
         levels = [air.p0 + 50.0 * np.sin(omega * m * dt + 3.0 * x)
                   * (1.0 + x / GRID.length) for m in range(n + 1)]
         kappa = heat_kernel_constant(air, CONSISTENT)
-        for m_max in (None, 300):
-            hist = _history(levels, dt=dt, m_max=m_max)
-            table = source_table(hist, n, air, GRID, GEOM)
-            # the oracles sum the full window; truncation keeps the first
-            # m_max + 1 lags, i.e. the levels from n - m_max - 1 on
-            used = levels if m_max is None else levels[n - m_max - 1:]
-            n_used = len(used) - 1
-            for j in range(1, 4):
-                assert table[j, 1] == pytest.approx(
-                    _brute_force_g2(used, j, n_used, dt, GRID.dx, air, GEOM),
-                    rel=1e-9)
-            for j in range(5):
-                assert table[j, 2] == pytest.approx(
-                    _brute_force_g3(used, j, n_used, dt, air, GEOM, kappa),
-                    rel=1e-9)
+        table = source_table(_history(levels, dt=dt), n, air, GRID, GEOM)
+        for j in range(1, 4):
+            assert table[j, 1] == pytest.approx(
+                _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
+                rel=1e-9)
+        for j in range(5):
+            assert table[j, 2] == pytest.approx(
+                _brute_force_g3(levels, j, n, dt, air, GEOM, kappa),
+                rel=1e-9)
 
     def test_linearity_in_history(self, air, rng):
         base = [101325.0 + 20.0 * rng.standard_normal(5) for _ in range(6)]
@@ -488,38 +451,6 @@ class TestSourceAssembly:
         g_bump = g_of([np.full(5, 101325.0) + d for d in bump])
         np.testing.assert_allclose(g_sum, g_base + g_bump, rtol=1e-10,
                                    atol=1e-18)
-
-    def test_truncation_behaviour(self, air):
-        omega = 2.0 * math.pi * 300.0
-        dt = 1.0 / 300.0 / 64
-        n_last = 640
-        x = GRID.x
-        rows = [air.p0 + 50.0 * math.sin(omega * m * dt)
-                * (1.0 + x / GRID.length) for m in range(n_last + 1)]
-        full_512 = _table(rows, 512, air, dt=dt)
-        same = source_table(_history(rows[:513], dt=dt, m_max=511), 512, air,
-                            GRID, GEOM)
-        # the window m <= 511 covers the whole history; the full window
-        # sums its older lags through the exponential tail
-        np.testing.assert_allclose(full_512, same, rtol=1e-9, atol=0.0)
-
-        # the instantaneous deviation oscillates with the cut phase, so
-        # compare phase averages over one period of evaluation steps
-        hist_full = _history(rows[:512], dt=dt)
-        truncated = {m_max: _history(rows[:512], dt=dt, m_max=m_max)
-                     for m_max in (4, 40, 400)}
-        acc = {m_max: [] for m_max in truncated}
-        for n in range(512, 576):
-            hist_full.append(rows[n])
-            g_full = source_table(hist_full, n, air, GRID, GEOM)
-            for m_max, hist_tr in truncated.items():
-                hist_tr.append(rows[n])
-                g_tr = source_table(hist_tr, n, air, GRID, GEOM)
-                acc[m_max].append(np.abs(g_tr - g_full).max()
-                                  / np.abs(g_full).max())
-        devs = [np.mean(acc[m_max]) for m_max in (4, 40, 400)]
-        assert devs[0] > devs[1] > devs[2]
-
 
 class TestErf:
     def test_origin_and_oddness(self):
