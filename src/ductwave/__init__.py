@@ -15,9 +15,6 @@ from .analysis import (
     relative_error,
 )
 from .boundaries import (
-    external_from_pressure,
-    external_from_velocity,
-    foot_point,
     inflow_update_pressure,
     inflow_update_velocity,
     outflow_update,
@@ -50,9 +47,7 @@ from .oracles import (
     kirchhoff_phase_speed,
     kirchhoff_propagate,
     sample_period,
-    scaled_abscissa,
     shock_distance,
-    simple_wave_velocity,
 )
 from .scheme import (
     DuctGeometry,
@@ -64,14 +59,6 @@ from .scheme import (
     physical_flux,
 )
 from .signals import MultiHarmonicSignal, SampledSignal, SineSignal
-from .wall import (
-    PressureHistory,
-    bl_temperature_profile,
-    bl_velocity_profile,
-    erf,
-    kernel_weights,
-    quad_one_point,
-    quad_two_point,
-)
+from .wall import PressureHistory, kernel_weights
 
 __version__ = "0.1.0"

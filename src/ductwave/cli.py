@@ -219,9 +219,35 @@ def _report_text(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_NON_NEGATIVE = ("must be non-negative", lambda v: v >= 0)
+
+
+def _check_flags(args, **rules):
+    """Refuse the first flag whose value breaks its (text, test) rule."""
+    for name, (text, ok) in rules.items():
+        value = getattr(args, name)
+        if not ok(value):
+            raise ConfigError(f"--{name.replace('_', '-')} {text},"
+                              f" got {value!r}")
+
+
 def cmd_oracle_characteristics(args) -> int:
-    gas = GasModel()
+    _check_flags(args, u0=_NON_NEGATIVE, freq=_POSITIVE, s=_NON_NEGATIVE,
+                 periods=_POSITIVE, kmax=_POSITIVE)
     omega0 = 2.0 * math.pi * args.freq
+    try:
+        tau = oracles.sample_period(omega0, args.sampling_exponent)
+    except ValueError as exc:
+        raise ConfigError(f"--sampling-exponent: {exc}") from None
+    per_period = 2 ** args.sampling_exponent
+    floor = analysis.min_samples_per_period(args.kmax)
+    if per_period < floor:
+        raise ConfigError(
+            f"--sampling-exponent {args.sampling_exponent} gives {per_period}"
+            f" samples/period, under the anti-aliasing floor {floor} for"
+            f" --kmax {args.kmax}")
+    gas = GasModel()
     if args.s >= 1.0:
         raise ShockRegimeError(
             f"s = {args.s} >= 1: station at or beyond the shock-formation"
@@ -238,8 +264,6 @@ def cmd_oracle_characteristics(args) -> int:
     prob = oracles.SimpleWaveProblem(signal=signal, gas=gas, station=station)
 
     period = signal.period
-    tau = oracles.sample_period(omega0, args.sampling_exponent)
-    per_period = 2 ** args.sampling_exponent
     # Start after the slowest characteristic of the first period arrives.
     slow = gas.c0 - 0.5 * (gas.gamma + 1.0) * args.u0
     arrival = station / slow if slow > 0.0 else station / gas.c0
@@ -273,6 +297,8 @@ def cmd_oracle_characteristics(args) -> int:
 
 
 def cmd_oracle_kirchhoff(args) -> int:
+    _check_flags(args, freq=_POSITIVE, h=_POSITIVE, xmax=_NON_NEGATIVE,
+                 nx=_POSITIVE)
     gas = GasModel()
     omega = 2.0 * math.pi * args.freq
     stations = np.linspace(0.0, args.xmax, args.nx)

@@ -24,6 +24,13 @@ def _parse_float(s: str) -> float:
     return float(s)
 
 
+def _parse_positive_float(s: str) -> float:
+    v = float(s)
+    if not v > 0.0:
+        raise ValueError(f"must be positive, got {v!r}")
+    return v
+
+
 def _parse_int(s: str) -> int:
     v = int(s)
     return v
@@ -122,9 +129,9 @@ KEY_SPECS = {
     "run.sampling_exponent": (_parse_int, str),
     "probes.stations": (_parse_floats, _fmt_floats),
     "output.prefix": (str, _fmt_str),
-    "output.spectrum_periods": (_parse_int, str),
+    "output.spectrum_periods": (_parse_positive_int, str),
     "output.kmax": (_parse_positive_int, str),
-    "output.db_reference": (_parse_float, _fmt_float),
+    "output.db_reference": (_parse_positive_float, _fmt_float),
 }
 
 

@@ -38,13 +38,6 @@ def shock_distance(u0_amp: float, omega0: float, gas: GasModel) -> float:
     return 2.0 * gas.c0 ** 2 / ((gas.gamma + 1.0) * omega0 * u0_amp)
 
 
-def scaled_abscissa(x: float, l_shock: float) -> float:
-    """Abscissa in units of the shock-formation distance, s = x / L_shock."""
-    if l_shock <= 0.0:
-        raise ValueError("shock distance must be positive")
-    return x / l_shock
-
-
 def sample_period(omega0: float, n_exp: int) -> float:
     """Probe sampling period tau = T0 / 2^N for spectral post-processing."""
     if n_exp < 4:
@@ -138,11 +131,6 @@ class SimpleWaveProblem:
         if t < self.station / self.gas.c0:
             return 0.0
         return self.signal.value(self.emission_time(t))
-
-
-def simple_wave_velocity(prob: SimpleWaveProblem, t: float) -> float:
-    """Exact simple-wave velocity at the problem's station and time t."""
-    return prob.velocity(t)
 
 
 @dataclass(frozen=True)

@@ -134,16 +134,3 @@ class SampledSignal:
     def max_rate(self) -> float:
         diffs = np.diff(np.asarray(self.values))
         return float(np.abs(diffs).max() / self.dtau)
-
-
-def raised_cosine_pulse(peak: float, width: float, dtau: float,
-                        total: float) -> SampledSignal:
-    """One-sided sin^2 pulse of given peak and base width, then silence.
-
-    Convenience for boundary-transparency experiments: smooth, compactly
-    supported, and exactly zero after the pulse has been emitted.
-    """
-    n = int(round(total / dtau)) + 1
-    t = np.arange(n) * dtau
-    vals = np.where(t < width, peak * np.sin(np.pi * t / width) ** 2, 0.0)
-    return SampledSignal(dtau=dtau, values=tuple(float(v) for v in vals))

@@ -13,7 +13,8 @@ where the heat-kernel constant kappa is sqrt(k/(rho0 cp pi)) in the
 default self-consistent mode (the eta-derivative of the closed-form erf
 temperature profile) and sqrt(mu/(rho0 cp pi)) in "as-printed" mode.
 The two quadrature rules underlying the sums integrate phi(z) dz/sqrt(z)
-over one step and are exact for constant phi.
+over one step and are exact for constant phi; they and the erf profiles
+are kept as test oracles in `tests/reference_forms.py`.
 
 The sums run over the full pressure history, summed by parts on the
 stored levels. `PressureHistory` keeps them in fixed storage: the last K0
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .gas import GasModel
 from .scheme import DuctGeometry, Grid
@@ -149,28 +149,6 @@ class PressureHistory:
         return acc
 
 
-def quad_two_point(phi_a: float, phi_b: float, a: float, b: float) -> float:
-    """Two-point rule for integral of phi(z) dz/sqrt(z) over [a, b].
-
-    Exact for constant phi: (phi(a)+phi(b)) (b-a)/(sqrt(a)+sqrt(b)).
-    """
-    if not (0.0 <= a < b):
-        raise ValueError("need 0 <= a < b")
-    return (phi_a + phi_b) * (b - a) / (math.sqrt(a) + math.sqrt(b))
-
-
-def quad_one_point(phi_mid: float, a: float, b: float) -> float:
-    """One-point (midpoint) rule for integral of phi(z) dz/sqrt(z)."""
-    if not (0.0 <= a < b):
-        raise ValueError("need 0 <= a < b")
-    return 2.0 * phi_mid * (b - a) / (math.sqrt(a) + math.sqrt(b))
-
-
-def erf(x):
-    """Error function (2/sqrt(pi)) integral of exp(-s^2), odd and monotone."""
-    return special.erf(x)
-
-
 def shear_coefficient(gas: GasModel, geom: DuctGeometry, grid: Grid,
                       dt: float) -> float:
     """Prefactor of the G2 convolution sum [Pa/m per Pa]."""
@@ -216,39 +194,3 @@ def source_table(hist: PressureHistory, n: int, gas: GasModel, grid: Grid,
     out[-1, 1] = out[-2, 1]
     out[:, 2] = c3 * diff_acc
     return out
-
-
-def bl_velocity_profile(dpdx_history: np.ndarray, dt: float, eta: float,
-                        gas: GasModel) -> float:
-    """Boundary-layer velocity xi(t, eta) from the pressure-gradient history.
-
-    Evaluates the diffusion convolution
-        xi = -(1/rho0) integral_0^t dp/dx(z) erf(eta / sqrt(4 nu (t-z))) dz
-    with the trapezoid rule on the uniform history grid; the kernel tends
-    to 1 at z -> t for eta > 0 and vanishes identically at the wall.
-    """
-    vals = np.asarray(dpdx_history, dtype=float)
-    kern = _erf_kernel(vals.size, dt, eta, gas.mu / gas.rho0)
-    return -float(np.trapezoid(vals * kern, dx=dt)) / gas.rho0
-
-
-def bl_temperature_profile(dpdt_history: np.ndarray, dt: float, eta: float,
-                           gas: GasModel) -> float:
-    """Boundary-layer temperature theta(t, eta); theta(., 0) = theta0."""
-    vals = np.asarray(dpdt_history, dtype=float)
-    kern = _erf_kernel(vals.size, dt, eta, gas.k_cond / (gas.rho0 * gas.cp))
-    integral = float(np.trapezoid(vals * kern, dx=dt))
-    return gas.theta0 + integral / (gas.rho0 * gas.cp)
-
-
-def _erf_kernel(n: int, dt: float, eta: float, diffusivity: float) -> np.ndarray:
-    """erf(eta / sqrt(4 D (t - z))) on z = 0..(n-1) dt, with the z = t limit."""
-    if eta < 0.0:
-        raise ValueError("eta must be non-negative")
-    if n < 2:
-        raise ValueError("history must cover at least one step")
-    lag = (np.arange(n - 1, -1, -1, dtype=float)) * dt   # t - z_i
-    kern = np.empty(n)
-    kern[:-1] = special.erf(eta / np.sqrt(4.0 * diffusivity * lag[:-1]))
-    kern[-1] = 1.0 if eta > 0.0 else 0.0
-    return kern

@@ -1,0 +1,85 @@
+"""The paper's derivation forms of the wall kernel, kept as test oracles.
+
+The 1/sqrt(z) kernel of `ductwave.wall` comes from the erf boundary-layer
+profiles of the linear visco-thermal layer and from two singular-measure
+quadrature rules for integral phi(z) dz/sqrt(z) over one step. The solver
+only uses the weights that result, w_m = 1/(sqrt(m)+sqrt(m+1)); these are
+the forms themselves, kept as independent oracles for A2 (the pulse), A6
+(the quadratures), `test_wall` and `test_signals`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy import special
+
+from ductwave.gas import GasModel
+from ductwave.signals import SampledSignal
+
+
+def quad_two_point(phi_a: float, phi_b: float, a: float, b: float) -> float:
+    """Two-point rule for integral of phi(z) dz/sqrt(z) over [a, b].
+
+    Exact for constant phi: (phi(a)+phi(b)) (b-a)/(sqrt(a)+sqrt(b)).
+    """
+    if not (0.0 <= a < b):
+        raise ValueError("need 0 <= a < b")
+    return (phi_a + phi_b) * (b - a) / (math.sqrt(a) + math.sqrt(b))
+
+
+def quad_one_point(phi_mid: float, a: float, b: float) -> float:
+    """One-point (midpoint) rule for integral of phi(z) dz/sqrt(z)."""
+    if not (0.0 <= a < b):
+        raise ValueError("need 0 <= a < b")
+    return 2.0 * phi_mid * (b - a) / (math.sqrt(a) + math.sqrt(b))
+
+
+def bl_velocity_profile(dpdx_history: np.ndarray, dt: float, eta: float,
+                        gas: GasModel) -> float:
+    """Boundary-layer velocity xi(t, eta) from the pressure-gradient history.
+
+    Evaluates the diffusion convolution
+        xi = -(1/rho0) integral_0^t dp/dx(z) erf(eta / sqrt(4 nu (t-z))) dz
+    with the trapezoid rule on the uniform history grid; the kernel tends
+    to 1 at z -> t for eta > 0 and vanishes identically at the wall.
+    """
+    vals = np.asarray(dpdx_history, dtype=float)
+    kern = _erf_kernel(vals.size, dt, eta, gas.mu / gas.rho0)
+    return -float(np.trapezoid(vals * kern, dx=dt)) / gas.rho0
+
+
+def bl_temperature_profile(dpdt_history: np.ndarray, dt: float, eta: float,
+                           gas: GasModel) -> float:
+    """Boundary-layer temperature theta(t, eta); theta(., 0) = theta0."""
+    vals = np.asarray(dpdt_history, dtype=float)
+    kern = _erf_kernel(vals.size, dt, eta, gas.k_cond / (gas.rho0 * gas.cp))
+    integral = float(np.trapezoid(vals * kern, dx=dt))
+    return gas.theta0 + integral / (gas.rho0 * gas.cp)
+
+
+def _erf_kernel(n: int, dt: float, eta: float, diffusivity: float) -> np.ndarray:
+    """erf(eta / sqrt(4 D (t - z))) on z = 0..(n-1) dt, with the z = t limit."""
+    if eta < 0.0:
+        raise ValueError("eta must be non-negative")
+    if n < 2:
+        raise ValueError("history must cover at least one step")
+    lag = (np.arange(n - 1, -1, -1, dtype=float)) * dt   # t - z_i
+    kern = np.empty(n)
+    kern[:-1] = special.erf(eta / np.sqrt(4.0 * diffusivity * lag[:-1]))
+    kern[-1] = 1.0 if eta > 0.0 else 0.0
+    return kern
+
+
+def raised_cosine_pulse(peak: float, width: float, dtau: float,
+                        total: float) -> SampledSignal:
+    """One-sided sin^2 pulse of given peak and base width, then silence.
+
+    Convenience for boundary-transparency experiments: smooth, compactly
+    supported, and exactly zero after the pulse has been emitted.
+    """
+    n = int(round(total / dtau)) + 1
+    t = np.arange(n) * dtau
+    vals = np.where(t < width, peak * np.sin(np.pi * t / width) ** 2, 0.0)
+    return SampledSignal(dtau=dtau, values=tuple(float(v) for v in vals))

@@ -26,15 +26,14 @@ from ductwave.scheme import (
     lax_wendroff_update,
     physical_flux,
 )
-from ductwave.signals import SineSignal, raised_cosine_pulse
+from ductwave.signals import SineSignal
 from ductwave.wall import (
     CONSISTENT,
     PressureHistory,
     heat_kernel_constant,
-    quad_one_point,
-    quad_two_point,
     source_table,
 )
+from reference_forms import quad_one_point, quad_two_point, raised_cosine_pulse
 
 AIR = GasModel()
 F0 = 440.0

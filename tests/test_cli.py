@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ductwave
 
 from ductwave.cli import (
     EXIT_CONFIG,
@@ -86,6 +92,8 @@ class TestRunCommand:
         ("gas.gamma", "0.9"),
         ("geometry.h", "-1.0"),
         ("output.kmax", "0"),
+        ("output.spectrum_periods", "-2"),
+        ("output.db_reference", "0.0"),
     ])
     def test_invalid_value_exits_with_config_code(self, key, value, tmp_path,
                                                   capsys):
@@ -211,6 +219,38 @@ class TestOracleKirchhoff:
             kirchhoff_alpha(model, 2.0 * math.pi * 1000.0), rel=1e-12)
 
 
+_ORACLE_ARGS = {
+    "oracle-kirchhoff": {"--freq": "1000", "--h": "0.005"},
+    "oracle-characteristics": {"--u0": "10", "--freq": "440", "--s": "0.5"},
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("oracle-kirchhoff", "--h", "-0.005"),
+    ("oracle-kirchhoff", "--freq", "0"),
+    ("oracle-kirchhoff", "--nx", "0"),
+    ("oracle-kirchhoff", "--xmax", "-1"),
+    ("oracle-characteristics", "--freq", "-440"),
+    ("oracle-characteristics", "--u0", "-10"),
+    ("oracle-characteristics", "--s", "-0.5"),
+    ("oracle-characteristics", "--sampling-exponent", "3"),
+    # 64 samples/period is under the 160 floor of the default --kmax 20
+    ("oracle-characteristics", "--sampling-exponent", "6"),
+    ("oracle-characteristics", "--kmax", "0"),
+    ("oracle-characteristics", "--periods", "0"),
+])
+def test_bad_oracle_argument_exits_before_any_file(command, flag, value,
+                                                   tmp_path, capsys):
+    args = dict(_ORACLE_ARGS[command], **{flag: value})
+    out = tmp_path / "o"
+    argv = [command, *(x for pair in args.items() for x in pair),
+            "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()
+
+
 class TestCompare:
     def test_file_against_itself(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
@@ -276,3 +316,26 @@ class TestScenarioCommand:
         assert main(["scenario", "trombone", "--emit-config",
                      "--out", str(target)]) == EXIT_OK
         assert "inflow.harmonics" in target.read_text()
+
+
+def test_package_never_loads_scipy(tmp_path):
+    """A fresh interpreter imports the package and runs a lossy preset
+    through the CLI without loading scipy (this test process has it)."""
+    script = f"""
+import sys
+import ductwave, ductwave.cli
+cfg = {str(tmp_path / "k.cfg")!r}
+assert ductwave.cli.main(["scenario", "kirchhoff", "--emit-config",
+                          "--out", cfg]) == 0
+assert ductwave.cli.main(["run", "--config", cfg,
+                          "--out", {str(tmp_path / "out")!r}]) == 0
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+    src = str(Path(ductwave.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "kirchhoff_report.txt").exists()

@@ -5,12 +5,8 @@ import math
 import pytest
 
 from ductwave.errors import SignalRangeError
-from ductwave.signals import (
-    MultiHarmonicSignal,
-    SampledSignal,
-    SineSignal,
-    raised_cosine_pulse,
-)
+from ductwave.signals import MultiHarmonicSignal, SampledSignal, SineSignal
+from reference_forms import raised_cosine_pulse
 
 
 def test_sine_value_and_derivative():

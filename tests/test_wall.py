@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
+from scipy.special import erf
 
 from ductwave.driver import Scenario, _source_tables
 from ductwave.scheme import DuctGeometry, Grid
@@ -17,16 +18,17 @@ from ductwave.wall import (
     CONSISTENT,
     K0,
     PressureHistory,
-    bl_temperature_profile,
-    bl_velocity_profile,
-    erf,
     heat_kernel_constant,
     kernel_weights,
-    quad_one_point,
-    quad_two_point,
     source_table,
 )
 from exact_history import ExactHistory
+from reference_forms import (
+    bl_temperature_profile,
+    bl_velocity_profile,
+    quad_one_point,
+    quad_two_point,
+)
 
 GEOM = DuctGeometry(h=0.005, symmetry="axisymmetric")
 GRID = Grid(length=0.1, cells=4)
