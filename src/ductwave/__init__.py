@@ -54,9 +54,7 @@ from .scheme import (
     FieldState,
     Grid,
     compute_dt,
-    flux_jacobian,
     lax_wendroff_update,
-    physical_flux,
 )
 from .signals import MultiHarmonicSignal, SampledSignal, SineSignal
 from .wall import PressureHistory, kernel_weights

@@ -2,16 +2,18 @@
 
 One step, all from level-n data: evaluate the wall sources G for every
 node from the wall memory of the pressure history, and their rate
-against the previous step's table (both identically zero with losses
-off); advance the interior nodes with the second-order expansion, which
-validates the field it returns; rebuild both boundary nodes from their
-characteristic relations with the inflow datum taken at the new time
-level, each checking the node it rebuilds; then, with losses on, append
-the new nodal pressures to the wall memory, whose storage and per-step
-cost do not depend on the step index. With losses off the wall memory
-keeps only the initial level. The time step is frozen at the start of the
-run (the convolution weights assume uniform dt), set by the CFL rule on
-the initial rest field.
+against the previous step's table (both one shared read-only zero table
+with losses off); advance the interior nodes with the second-order
+expansion, from the primitive arrays (rho, u, p) kept from the previous
+step, which validates the field it returns; rebuild both boundary nodes
+from their characteristic relations with the inflow datum taken at the
+new time level, each checking the node it rebuilds; then compute the
+primitive arrays of the completed field, once, and keep them for the
+probes and the next step. With losses on their pressures are appended to
+the wall memory, whose storage and per-step cost do not depend on the
+step index; with losses off the wall memory keeps only the initial level.
+The time step is frozen at the start of the run (the convolution weights
+assume uniform dt), set by the CFL rule on the initial rest field.
 
 Runs are deterministic: identical scenarios produce bit-identical
 states, histories and probe records.
@@ -147,24 +149,25 @@ def frozen_dt(scenario: Scenario) -> float:
 
 
 def _source_tables(history: PressureHistory, n: int, scenario: Scenario,
-                   dt: float, g_prev: np.ndarray | None):
+                   dt: float, g_prev: np.ndarray | None, zero: np.ndarray):
     """G and dG/dt for all nodes at step n (zeros with losses off).
 
     g_prev is the table of step n-1, or None at the first step, where the
-    rate is zero.
+    rate is zero. zero is a read-only (J+1, 3) zero table, returned in
+    place of every table that is identically zero.
     """
     if not scenario.losses:
-        zero = np.zeros((scenario.grid.n_nodes, 3))
         return zero, zero
     g_now = wall.source_table(history, n, scenario.gas, scenario.grid,
                               scenario.geom, scenario.kernel_mode)
     if g_prev is None:
-        return g_now, np.zeros_like(g_now)
+        return g_now, zero
     return g_now, (g_now - g_prev) / dt
 
 
 class Simulation:
-    """Stateful runner that caches the previous source table between steps."""
+    """Stateful runner that caches, between steps, the primitive arrays
+    (rho, u, p) of its current state and the previous source table."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: FieldState | None = None):
@@ -177,25 +180,22 @@ class Simulation:
         elif initial_field.w.shape != (scenario.grid.n_nodes, 3):
             raise ValueError("initial field does not match the grid")
         self.state = initial_field.copy()
+        self.prim = primitive_arrays(self.state.w, gas)
         self.history = PressureHistory(n_nodes=scenario.grid.n_nodes,
                                        dt=self.dt)
-        prim = primitive_arrays(self.state.w, gas)
-        self.history.append(prim[2])
+        self.history.append(self.prim[2])
         self._g_prev: np.ndarray | None = None
+        self._zero = np.zeros((scenario.grid.n_nodes, 3))
+        self._zero.flags.writeable = False
         self._probe_nodes = tuple(
             scenario.grid.nearest_node(x) for x in scenario.probes
         )
         self._probe_rows = [[] for _ in self._probe_nodes]
-        self._record_probes(prim)
+        self._record_probes()
 
-    def _record_probes(self, prim=None):
-        """Probe rows of the current state, from its primitive arrays
-        (computed here unless the step already has them)."""
-        if not self._probe_nodes:
-            return
-        if prim is None:
-            prim = primitive_arrays(self.state.w, self.scenario.gas)
-        rho, u, p = prim
+    def _record_probes(self):
+        """Probe rows of the current state, from its primitive arrays."""
+        rho, u, p = self.prim
         for rows, j in zip(self._probe_rows, self._probe_nodes):
             rows.append((rho[j], u[j], p[j]))
 
@@ -204,9 +204,10 @@ class Simulation:
         sc, state, dt = self.scenario, self.state, self.dt
         gas, grid = sc.gas, sc.grid
         g_now, dt_g = _source_tables(self.history, state.n, sc, dt,
-                                     self._g_prev)
+                                     self._g_prev, self._zero)
         self._g_prev = g_now
-        new = lax_wendroff_update(state, g_now, dt_g, gas, grid, dt)
+        new = lax_wendroff_update(state, g_now, dt_g, gas, grid, dt,
+                                  self.prim)
 
         value = sc.inflow.value(state.t + dt)
         if sc.inflow_kind == PRESSURE:
@@ -221,11 +222,10 @@ class Simulation:
         new.w[-1] = w_out
 
         self.state = new
-        prim = None
+        self.prim = primitive_arrays(new.w, gas)
         if sc.losses:
-            prim = primitive_arrays(new.w, gas)
-            self.history.append(prim[2])
-        self._record_probes(prim)
+            self.history.append(self.prim[2])
+        self._record_probes()
 
     def native_records(self) -> tuple[ProbeRecord, ...]:
         dx = self.scenario.grid.dx

@@ -10,7 +10,10 @@ variables u +/- 2c/(gamma - 1) and S = p / rho^gamma.
 All quantities are strict SI. Conversions are pure functions. The array
 forms do not check positivity: the interior update validates the field
 it produces once per step (`scheme.lax_wendroff_update`), and the
-boundaries check the nodes they read and the rows they rebuild.
+boundaries check the nodes they read and the rows they rebuild. A run
+evaluates `primitive_arrays` once per step, on the field whose boundary
+rows are written (`driver.Simulation.advance`); those arrays serve the
+wall memory, the probes and the next interior update.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ differences. Boundary nodes are owned by `boundaries` and never written
 here.
 
 Array conventions: field values are (J+1, 3) float arrays over grid
-nodes; flux and Jacobian helpers broadcast over leading axes.
+nodes. The update forms the flux and the Jacobian products from the
+primitive arrays (rho, u, p) of the field, which the driver computes once
+per step and hands in; the field it returns is validated once, by
+`FieldState.validate`.
 """
 
 from __future__ import annotations
@@ -102,71 +105,69 @@ class FieldState:
         return FieldState(w=self.w.copy(), t=self.t, n=self.n)
 
     def validate(self, step: int | None = None):
-        """Raise BlowUpError at the first node violating positivity."""
-        rho = self.w[:, 0]
-        e_int = self.w[:, 2] - 0.5 * self.w[:, 1] ** 2 / rho
-        bad = ~(np.isfinite(self.w).all(axis=1) & (rho > 0.0) & (e_int > 0.0))
-        if bad.any():
-            node = int(np.argmax(bad))
-            raise BlowUpError("state lost positivity", step=step, node=node)
+        """Raise BlowUpError at the first node violating positivity.
 
-
-def physical_flux(w, gas: GasModel) -> np.ndarray:
-    """Euler flux (rho u, rho u^2 + p, u (etot + p)) of states (..., 3)."""
-    w = np.asarray(w, dtype=float)
-    _, u, p = primitive_arrays(w, gas)
-    return np.stack([w[..., 1], w[..., 1] * u + p, u * (w[..., 2] + p)], axis=-1)
-
-
-def flux_jacobian(w, gas: GasModel) -> np.ndarray:
-    """Analytic Jacobian of the Euler flux w.r.t. conserved variables.
-
-    For states of shape (..., 3) returns (..., 3, 3). Eigenvalues are
-    u - c, u, u + c.
-    """
-    w = np.asarray(w, dtype=float)
-    g = gas.gamma
-    rho = w[..., 0]
-    u = w[..., 1] / rho
-    etot = w[..., 2]
-    u2 = u * u
-    a = np.empty(w.shape[:-1] + (3, 3))
-    a[..., 0, 0] = 0.0
-    a[..., 0, 1] = 1.0
-    a[..., 0, 2] = 0.0
-    a[..., 1, 0] = 0.5 * (g - 3.0) * u2
-    a[..., 1, 1] = (3.0 - g) * u
-    a[..., 1, 2] = g - 1.0
-    a[..., 2, 0] = (g - 1.0) * u * u2 - g * u * etot / rho
-    a[..., 2, 1] = g * etot / rho - 1.5 * (g - 1.0) * u2
-    a[..., 2, 2] = g * u
-    return a
+        A healthy field passes on three reductions; the per-node mask that
+        locates the failing node is built only when one of them fails.
+        """
+        w = self.w
+        rho = w[:, 0]
+        e_int = w[:, 2] - 0.5 * w[:, 1] ** 2 / rho
+        if rho.min() > 0.0 and e_int.min() > 0.0 and np.isfinite(w).all():
+            return
+        bad = ~(np.isfinite(w).all(axis=1) & (rho > 0.0) & (e_int > 0.0))
+        node = int(np.argmax(bad))
+        raise BlowUpError("state lost positivity", step=step, node=node)
 
 
 def lax_wendroff_update(field: FieldState, sources: np.ndarray,
                         dt_sources: np.ndarray, gas: GasModel, grid: Grid,
-                        dt: float) -> FieldState:
+                        dt: float, prim=None) -> FieldState:
     """Advance interior nodes 1..J-1 one step of size dt.
 
     sources and dt_sources are (J+1, 3) arrays of G and its time
     derivative at every node (boundary entries feed only the midpoint
-    averages). Boundary nodes are copied through untouched. Raises
-    BlowUpError if the update destroys positivity.
+    averages). prim is the (rho, u, p) of field.w when the caller already
+    has it; it is computed here otherwise. Boundary nodes are copied
+    through untouched. Raises BlowUpError if the update destroys
+    positivity.
+
+    The Euler flux is (rho u, rho u^2 + p, u (etot + p)). Its Jacobian A
+    has first row (0, 1, 0) and A_12 = gamma - 1; the midpoint products
+    A v are formed from the five other entries, evaluated at the nodes
+    and averaged to the midpoints.
     """
     w = field.w
     g = np.asarray(sources, dtype=float)
     dt_g = np.asarray(dt_sources, dtype=float)
     if g.shape != w.shape or dt_g.shape != w.shape:
         raise ValueError("sources must be supplied for all nodes")
+    rho, u, p = primitive_arrays(w, gas) if prim is None else prim
+    gam = gas.gamma
+    mom, etot = w[:, 1], w[:, 2]
 
-    f = physical_flux(w, gas)
-    jac = flux_jacobian(w, gas)
+    f = np.empty_like(w)
+    f[:, 0] = mom
+    f[:, 1] = mom * u + p
+    f[:, 2] = u * (etot + p)
 
     dt_w = g[1:-1] - (f[2:] - f[:-2]) / (2.0 * grid.dx)
 
-    jac_mid = 0.5 * (jac[:-1] + jac[1:])                       # (J, 3, 3)
-    dt_w_mid = 0.5 * (g[:-1] + g[1:]) - (f[1:] - f[:-1]) / grid.dx
-    flux_rate = np.einsum("jab,jb->ja", jac_mid, dt_w_mid)     # (J, 3)
+    v = 0.5 * (g[:-1] + g[1:]) - (f[1:] - f[:-1]) / grid.dx   # (J, 3)
+    u2 = u * u
+    a = np.empty((5, w.shape[0]))
+    a[0] = 0.5 * (gam - 3.0) * u2                               # A_10
+    a[1] = (3.0 - gam) * u                                      # A_11
+    a[2] = (gam - 1.0) * u * u2 - gam * u * etot / rho          # A_20
+    a[3] = gam * etot / rho - 1.5 * (gam - 1.0) * u2            # A_21
+    a[4] = gam * u                                              # A_22
+    a_mid = 0.5 * (a[:, :-1] + a[:, 1:])
+    flux_rate = np.empty_like(v)
+    flux_rate[:, 0] = v[:, 1]
+    flux_rate[:, 1] = (a_mid[0] * v[:, 0] + a_mid[1] * v[:, 1]
+                       + (gam - 1.0) * v[:, 2])
+    flux_rate[:, 2] = (a_mid[2] * v[:, 0] + a_mid[3] * v[:, 1]
+                       + a_mid[4] * v[:, 2])
     d2t_w = dt_g[1:-1] - (flux_rate[1:] - flux_rate[:-1]) / grid.dx
 
     w_new = w.copy()

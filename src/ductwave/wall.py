@@ -20,8 +20,10 @@ The sums run over the full pressure history, summed by parts on the
 stored levels. `PressureHistory` keeps them in fixed storage: the last K0
 levels exactly, and the older ones folded into Q exponential modes per
 node, from a sum-of-exponentials form of w_m (the diffusive representation
-of the kernel). Each step then costs O((K0+Q) J) whatever its index, and
-the tail matches the exact sums to about 1e-8 relative. Uniform dt is
+of the kernel), Q = 88 of them after the modes whose decay is 1 to within
+1e-13 are folded into one running sum. Each step then costs O((K0+Q) J)
+whatever its index, and the sum-of-exponentials weights match w_m to
+1.4e-9 relative on every lag from K0 - 1 to 10^6. Uniform dt is
 required by the weights.
 """
 
@@ -54,28 +56,55 @@ def _soe_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     s^(-3/2) (1 - e^(-s)) e^(-s m) ds, integrated by the trapezoid rule in
     ln s with step 0.35 from s = 40/(k0-1), where e^(-s m) < 5e-18 on every
     lag it serves, down to s = e^-55, which leaves out sqrt(s/pi) < 1e-12.
-    Relative error on those lags: below 1.4e-9 up to m = 10^6.
+    Below s = 1e-13 the decays e^(-s) lie within 1e-13 of 1 (most of them
+    round to exactly 1), so those nodes fold into one running-sum node
+    s = 0 that carries their summed weight. Relative error on the lags
+    served: below 1.4e-9 up to m = 10^6.
     """
     step = 0.35
     ln_s = np.arange(math.log(40.0 / (k0 - 1)), -55.0, -step)
     s = np.exp(ln_s)
     c = step / (2.0 * math.sqrt(math.pi)) * np.exp(-0.5 * ln_s) * -np.expm1(-s)
-    return s, c
+    slow = s < 1e-13
+    return np.append(s[~slow], 0.0), np.append(c[~slow], c[slow].sum())
+
+
+def _slot_blocks(k0: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Coefficients of the pair and difference sums on the wall memory's
+    rows, one (2, k0 + Q) block per ring phase r = n mod k0.
+
+    Ring slot i holds the level at lag k = (r - i) mod k0, which weighs
+    w_{k-1} + w_k in the pair sum and w_k - w_{k-1} in the difference sum
+    (w_{-1} = 0). Mode q carries the lags k0 + i, each weighing
+    c_q e^(-s_q (k0+i)) (e^(s_q) +- 1).
+    """
+    w = kernel_weights(k0)
+    w_prev = np.append(0.0, w[:-1])
+    by_lag = np.stack([w_prev + w, w - w_prev])                 # (2, k0)
+    lag = (np.arange(k0)[:, None] - np.arange(k0)) % k0         # [r, i]
+    scale = c * np.exp(-s * k0)
+    tail = np.stack([scale * (np.exp(s) + 1.0), -scale * np.expm1(s)])
+    blocks = np.empty((k0, 2, k0 + s.size))
+    blocks[:, :, :k0] = by_lag[:, lag].transpose(1, 0, 2)
+    blocks[:, :, k0:] = tail
+    return blocks
 
 
 K0 = 32                             # near lags summed exactly from the ring
-_SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 158 exponential modes
+_SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 88 exponential modes
+_BLOCKS = _slot_blocks(K0, _SOE_S, _SOE_C)
 
 
 class PressureHistory:
     """Wall memory of the nodal pressure series p_j^m on a uniform time step.
 
-    The storage is fixed at construction. The deviations q = p - p^0 from
-    the first level p^0 stored sit in a ring of the last K0 levels, which
-    carries the near lags exactly. Levels that leave the ring fold into Q
-    exponential modes per node, Y_q <- e^(-s_q) Y_q + q, which carry the
-    older lags through the sum-of-exponentials form of the weights. Only
-    the latest level can be summed.
+    The storage is fixed at construction: one (K0 + Q, nodes) array. The
+    deviations q = p - p^0 from the first level p^0 stored sit in its
+    first K0 rows, a ring of the last K0 levels, which carries the near
+    lags exactly. Levels that leave the ring fold into the Q exponential
+    modes below it, Y_q <- e^(-s_q) Y_q + q, which carry the older lags
+    through the sum-of-exponentials form of the weights. Only the latest
+    level can be summed.
     """
 
     def __init__(self, n_nodes: int, dt: float):
@@ -83,20 +112,12 @@ class PressureHistory:
             raise ValueError("dt must be positive")
         self.n_nodes = n_nodes
         self.dt = dt
-        w = kernel_weights(K0)
-        # lag k = 0..K0-1 weighs w_{k-1} + w_k (pair) and w_k - w_{k-1}
-        # (difference); the block is stored reversed and twice, so that the
-        # ring slots of any step read one contiguous slice of it
-        w_prev = np.append(0.0, w[:-1])
-        rev = np.stack([w_prev + w, w - w_prev])[:, ::-1]
-        self._coef = np.hstack([rev, rev])
-        # lag K0 + i of the tail weighs c_q e^(-s_q (K0+i)) (e^(s_q) +- 1)
-        scale = _SOE_C * np.exp(-_SOE_S * K0)
-        self._tail = np.stack([scale * (np.exp(_SOE_S) + 1.0),
-                               -scale * np.expm1(_SOE_S)])
-        self._decay = np.exp(-_SOE_S)[:, None]
-        self._ring = np.zeros((K0, n_nodes))
-        self._modes = np.zeros((_SOE_S.size, n_nodes))
+        self._store = np.zeros((K0 + _SOE_S.size, n_nodes))
+        self._ring = self._store[:K0]
+        self._modes = self._store[K0:]
+        # the decays at full size: one contiguous multiply per step is
+        # faster than broadcasting a column over the mode rows
+        self._decay = np.repeat(np.exp(-_SOE_S)[:, None], n_nodes, axis=1)
         self.p0 = np.zeros(n_nodes)
         self._levels = 0
 
@@ -107,7 +128,7 @@ class PressureHistory:
 
     @property
     def nbytes(self) -> int:
-        return self._ring.nbytes + self._modes.nbytes + self.p0.nbytes
+        return self._store.nbytes + self._decay.nbytes + self.p0.nbytes
 
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
@@ -136,15 +157,14 @@ class PressureHistory:
         k = 0..n: the pair sum weighs lag k by w_{k-1} + w_k and the
         difference sum by w_k - w_{k-1}, with w zero outside m = 0..n-1.
         On p = p^0 + q the constant part of the pair sum telescopes to
-        2 p^0 sqrt(n) and that of the difference sum to 0.
+        2 p^0 sqrt(n) and that of the difference sum to 0. Ring slots not
+        yet written and modes not yet fed hold zeros, so one product with
+        the block of the step's ring phase covers every n.
         """
         if n != self._levels - 1:
             raise IndexError(f"wall memory holds step {self._levels - 1},"
                              f" step {n} requested")
-        first = K0 - 1 - n % K0
-        filled = min(n + 1, K0)
-        acc = self._coef[:, first:first + filled] @ self._ring[:filled]
-        acc += self._tail @ self._modes
+        acc = _BLOCKS[n % K0] @ self._store
         acc[0] += 2.0 * math.sqrt(n) * self.p0
         return acc
 

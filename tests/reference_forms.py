@@ -6,6 +6,11 @@ quadrature rules for integral phi(z) dz/sqrt(z) over one step. The solver
 only uses the weights that result, w_m = 1/(sqrt(m)+sqrt(m+1)); these are
 the forms themselves, kept as independent oracles for A2 (the pulse), A6
 (the quadratures), `test_wall` and `test_signals`.
+
+The Euler flux and its analytic Jacobian, as whole arrays over any leading
+axes, are the matrix form of the interior scheme: `ductwave.scheme` forms
+the flux and the Jacobian products entry by entry, and `test_scheme`, A7
+and the classical Lax-Wendroff reference check it against these.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import numpy as np
 from scipy import special
 
-from ductwave.gas import GasModel
+from ductwave.gas import GasModel, primitive_arrays
 from ductwave.signals import SampledSignal
 
 
@@ -83,3 +88,35 @@ def raised_cosine_pulse(peak: float, width: float, dtau: float,
     t = np.arange(n) * dtau
     vals = np.where(t < width, peak * np.sin(np.pi * t / width) ** 2, 0.0)
     return SampledSignal(dtau=dtau, values=tuple(float(v) for v in vals))
+
+
+def physical_flux(w, gas: GasModel) -> np.ndarray:
+    """Euler flux (rho u, rho u^2 + p, u (etot + p)) of states (..., 3)."""
+    w = np.asarray(w, dtype=float)
+    _, u, p = primitive_arrays(w, gas)
+    return np.stack([w[..., 1], w[..., 1] * u + p, u * (w[..., 2] + p)], axis=-1)
+
+
+def flux_jacobian(w, gas: GasModel) -> np.ndarray:
+    """Analytic Jacobian of the Euler flux w.r.t. conserved variables.
+
+    For states of shape (..., 3) returns (..., 3, 3). Eigenvalues are
+    u - c, u, u + c.
+    """
+    w = np.asarray(w, dtype=float)
+    g = gas.gamma
+    rho = w[..., 0]
+    u = w[..., 1] / rho
+    etot = w[..., 2]
+    u2 = u * u
+    a = np.empty(w.shape[:-1] + (3, 3))
+    a[..., 0, 0] = 0.0
+    a[..., 0, 1] = 1.0
+    a[..., 0, 2] = 0.0
+    a[..., 1, 0] = 0.5 * (g - 3.0) * u2
+    a[..., 1, 1] = (3.0 - g) * u
+    a[..., 1, 2] = g - 1.0
+    a[..., 2, 0] = (g - 1.0) * u * u2 - g * u * etot / rho
+    a[..., 2, 1] = g * etot / rho - 1.5 * (g - 1.0) * u2
+    a[..., 2, 2] = g * u
+    return a

@@ -22,9 +22,7 @@ from ductwave.scheme import (
     DuctGeometry,
     FieldState,
     Grid,
-    flux_jacobian,
     lax_wendroff_update,
-    physical_flux,
 )
 from ductwave.signals import SineSignal
 from ductwave.wall import (
@@ -33,7 +31,13 @@ from ductwave.wall import (
     heat_kernel_constant,
     source_table,
 )
-from reference_forms import quad_one_point, quad_two_point, raised_cosine_pulse
+from reference_forms import (
+    flux_jacobian,
+    physical_flux,
+    quad_one_point,
+    quad_two_point,
+    raised_cosine_pulse,
+)
 
 AIR = GasModel()
 F0 = 440.0

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ductwave import driver
 from ductwave.driver import (
     PRESSURE,
     VELOCITY,
@@ -320,6 +321,21 @@ class TestStepAgainstOracle:
             sim.advance()
         assert steps == [1, 2, 3]
 
+    @pytest.mark.parametrize("kind, amplitude", [(PRESSURE, 80.0),
+                                                 (VELOCITY, 0.2)])
+    def test_held_primitives_are_those_of_the_state(self, air, kind,
+                                                    amplitude):
+        # the (rho, u, p) a step hands to the wall memory, the probes and
+        # the next update must be taken after both boundary rows are written
+        sc = _small_scenario(air, grid=Grid(length=0.1, cells=8),
+                             inflow_kind=kind, probes=(0.0, 0.1),
+                             inflow=SineSignal(amplitude, 2.0 * math.pi * 500.0))
+        sim = Simulation(sc)
+        for _ in range(K0 + 8):
+            sim.advance()
+            for held, fresh in zip(sim.prim, primitive_arrays(sim.state.w, air)):
+                np.testing.assert_array_equal(held, fresh)
+
 
 class TestWallMemoryInTheLoop:
     def test_lossy_run_matches_exact_history(self, air):
@@ -437,6 +453,26 @@ class TestDegenerateCoupling:
                 state.w[-2], state.w[-1], air, dt, sc.grid.dx, sc.grid.cells))
             state = new
         np.testing.assert_array_equal(sim.state.w, state.w)
+
+    def test_lossless_steps_share_one_read_only_zero_table(self, air,
+                                                          monkeypatch):
+        seen = []
+        update = driver.lax_wendroff_update
+
+        def recording(field, sources, dt_sources, *args):
+            seen.append((sources, dt_sources))
+            return update(field, sources, dt_sources, *args)
+
+        monkeypatch.setattr(driver, "lax_wendroff_update", recording)
+        sim = Simulation(_small_scenario(air, losses=False))
+        for _ in range(3):
+            sim.advance()
+        assert len({id(table) for pair in seen for table in pair}) == 1
+        zero = seen[0][0]
+        assert zero.shape == (sim.scenario.grid.n_nodes, 3)
+        assert not zero.any()
+        with pytest.raises(ValueError):
+            zero[1, 2] = 1.0
 
     def test_vanishing_transport_coefficients_kill_the_sources(self, air):
         gas_thin = GasModel(mu=1e-300, k_cond=1e-300)

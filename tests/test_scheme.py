@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from ductwave.errors import BlowUpError
-from ductwave.gas import conserved_array
+from ductwave.gas import conserved_array, primitive_arrays
 from ductwave.scheme import (
     DuctGeometry,
     FieldState,
     Grid,
     compute_dt,
-    flux_jacobian,
     lax_wendroff_update,
-    physical_flux,
     uniform_field,
 )
+from reference_forms import flux_jacobian, physical_flux
 
 REST = np.array([1.2, 0.0, 253312.5])
 MOVING = np.array([1.2, 12.0, 253372.5])    # u = 10 m/s, p = 101325
@@ -251,6 +250,44 @@ class TestLaxWendroffUpdate:
             lax_wendroff_update(field, g, zeros, air, grid, 1e-3)
         assert err.value.step == 1
         assert 1 <= err.value.node <= 11
+
+    @pytest.mark.parametrize("component, value", [
+        (0, -7.2e10),          # rho <= 0
+        (2, -1.2e16),          # internal energy <= 0
+        (0, np.nan),
+        (1, np.nan),
+        (2, np.nan),
+        (2, np.inf),           # e_int = +inf passes a min-only check
+    ])
+    def test_blow_up_names_step_and_node(self, air, component, value):
+        # a source rate reaches only its own node (the midpoint averages
+        # take the sources, not their rate), so the fault sits at node 7
+        grid = Grid(1.0, 12)
+        field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
+        field.n = 6
+        zeros = np.zeros_like(field.w)
+        dt_g = zeros.copy()
+        dt_g[7, component] = value
+        with pytest.raises(BlowUpError) as err:
+            lax_wendroff_update(field, zeros, dt_g, air, grid, 1e-5)
+        assert (err.value.step, err.value.node) == (7, 7)
+
+    def test_given_primitives_change_nothing(self, air, rng):
+        grid = Grid(0.5, 30)
+        x = grid.x
+        u = 3.0 * np.sin(9.0 * x)
+        p = 101325.0 + 400.0 * np.cos(7.0 * x)
+        rho = 1.2 + 0.003 * np.sin(11.0 * x)
+        field = FieldState(w=conserved_array(rho, u, p, air))
+        g = np.zeros_like(field.w)
+        g[:, 1:] = rng.normal(scale=[50.0, 2e4], size=(grid.n_nodes, 2))
+        dt_g = np.zeros_like(field.w)
+        dt_g[:, 1:] = rng.normal(scale=[5e6, 2e9], size=(grid.n_nodes, 2))
+        dt = 0.8 * grid.dx / air.c0 / 1.1
+        alone = lax_wendroff_update(field, g, dt_g, air, grid, dt)
+        given = lax_wendroff_update(field, g, dt_g, air, grid, dt,
+                                    primitive_arrays(field.w, air))
+        np.testing.assert_array_equal(given.w, alone.w)
 
     def test_sources_required_for_all_nodes(self, air):
         grid = Grid(1.0, 12)

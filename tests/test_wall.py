@@ -14,6 +14,8 @@ from ductwave.driver import Scenario, _source_tables
 from ductwave.scheme import DuctGeometry, Grid
 from ductwave.signals import SineSignal
 from ductwave.wall import (
+    _SOE_C,
+    _SOE_S,
     AS_PRINTED,
     CONSISTENT,
     K0,
@@ -246,6 +248,19 @@ class TestWallMemory:
                 / np.abs(want[:, col]).max()
             assert rel <= 1e-6, (col, rel)
 
+    def test_no_two_modes_share_a_decay(self):
+        # a decay repeated by another mode would keep a second copy of
+        # the same running sum
+        assert np.unique(np.exp(-_SOE_S)).size == _SOE_S.size
+
+    def test_folded_weights_match_exact_over_long_lags(self):
+        """sum_q c_q e^(-s_q m) against w_m = sqrt(m+1) - sqrt(m) on the
+        lags the modes serve, far past the 10^4 levels summed above."""
+        m = np.unique(np.round(np.geomspace(K0 - 1, 1e6, 4000)))
+        exact = 1.0 / (np.sqrt(m) + np.sqrt(m + 1.0))
+        approx = np.exp(-np.outer(m, _SOE_S)) @ _SOE_C
+        assert np.abs(approx / exact - 1.0).max() <= 1e-8
+
     def test_matches_oracle_through_the_ring_edge(self, air):
         """Step by step across the first K0 + 5 levels, where levels start
         to leave the ring for the modes."""
@@ -382,19 +397,21 @@ class TestSourceAssembly:
         sc = _scenario(air)
         g_prev = source_table(hist, 4, air, GRID, GEOM)
         hist.append(levels[5])
-        g_now, rate = _source_tables(hist, 5, sc, dt, g_prev)
+        zero = np.zeros((5, 3))
+        g_now, rate = _source_tables(hist, 5, sc, dt, g_prev, zero)
         np.testing.assert_array_equal(
             g_now, source_table(hist, 5, air, GRID, GEOM))
         np.testing.assert_allclose(rate, (g_now - g_prev) / dt, rtol=1e-15)
         assert np.abs(rate).max() > 0.0
         g_off, rate_off = _source_tables(hist, 5, replace(sc, losses=False),
-                                         dt, g_prev)
+                                         dt, g_prev, zero)
         np.testing.assert_array_equal(g_off, np.zeros((5, 3)))
         np.testing.assert_array_equal(rate_off, np.zeros((5, 3)))
 
     def test_first_step_has_zero_rate(self, air):
         hist = _history([np.full(5, 101325.0)], dt=1e-5)
-        _, rate = _source_tables(hist, 0, _scenario(air), 1e-5, None)
+        zero = np.zeros((5, 3))
+        _, rate = _source_tables(hist, 0, _scenario(air), 1e-5, None, zero)
         np.testing.assert_array_equal(rate, np.zeros((5, 3)))
 
     def test_table_matches_per_node_ops(self, air, rng):
