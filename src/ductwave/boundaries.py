@@ -1,21 +1,25 @@
 """Characteristic boundary updates for subsonic inflow and outflow.
 
-At each end of the duct the new boundary state is reconstructed from
-three characteristic relations: the outgoing u-c (or incoming u+c)
-Riemann invariant traced back to an interpolated foot point at the
-previous time level, the rest entropy, and a datum carried by the
-incoming wave. Pressure-driven and velocity-driven inflows use a locally
-linearized external state; the outflow pins the incoming invariant to
-its rest value so outgoing waves leave without reflection.
+Both ends of the duct are rebuilt by one update. On side s (-1 at the
+inlet, node 0; +1 at the outlet, node J) three characteristic relations
+fix the new boundary state:
 
-The foot point interpolates linearly toward the interior neighbor with
-weight lambda = |u -/+ c| dt/dx, clamped to [0, 1]; the CFL bound keeps
-the exact foot inside the first cell.
+- the outgoing invariant u + s 2c/(gamma-1), traced back to a foot point
+  between the node and its interior neighbour at the previous time level;
+- the incoming invariant u - s 2c/(gamma-1) of a locally linearized
+  external state moving at u_e, with c_e = c0 + (gamma-1)/2 u_e;
+- the rest entropy S0.
 
-States are conserved (3,) rows and every update works on plain numbers.
-Each check (positive density and internal energy at the node and at its
-foot point, |u| < c at the node, r_plus > r_minus) names the boundary
-node in its error.
+An inflow takes u_e from the imposed acoustic velocity, or from the
+imposed total pressure pi as (pi - p0)/(rho0 c0). The nonreflecting
+outflow is the same update with u_e = 0, the rest external state. The
+foot point lies at lambda = |u + s c| dt/dx of the way to the neighbour,
+clamped to [0, 1]; the CFL bound keeps the exact foot in the first cell.
+
+States are conserved (3,) rows and the update works on plain numbers.
+Each check (positive imposed pressure and external sound speed, positive
+density and internal energy at the node and at its foot point, |u| < c
+at the node, r_plus > r_minus) names the boundary node in its error.
 """
 
 from __future__ import annotations
@@ -28,26 +32,14 @@ from .errors import InvalidStateError, UnsupportedRegimeError
 from .gas import GasModel, primitive_from_characteristics
 
 
-def _external(u_e: float, gas: GasModel) -> tuple[float, float]:
+def _external(u_e: float, gas: GasModel, node: int) -> float:
+    """Sound speed c_e of the linearized external state moving at u_e."""
     c_e = gas.c0 + 0.5 * (gas.gamma - 1.0) * u_e
     if c_e <= 0.0:
-        raise ValueError("external sound speed must be positive")
-    return u_e, c_e
-
-
-def external_from_pressure(pi_val: float,
-                           gas: GasModel) -> tuple[float, float]:
-    """External state (u_e, c_e) for an imposed total pressure pi
-    (locally linearized)."""
-    if pi_val <= 0.0:
-        raise ValueError("imposed pressure must be positive")
-    return _external((pi_val - gas.p0) / (gas.rho0 * gas.c0), gas)
-
-
-def external_from_velocity(u_val: float,
-                           gas: GasModel) -> tuple[float, float]:
-    """External state (u_e, c_e) for an imposed acoustic velocity U."""
-    return _external(u_val, gas)
+        raise UnsupportedRegimeError(
+            f"external sound speed must be positive at boundary node {node}:"
+            f" c_e={c_e:.3f} for u_e={u_e:.3f}")
+    return c_e
 
 
 def foot_point(states_near_boundary: tuple, celerity_signed: float,
@@ -79,69 +71,50 @@ def _node_state(w, gas: GasModel, node: int):
     return rho, u, p, math.sqrt(gas.gamma * p / rho)
 
 
-def _subsonic_speeds(w, gas: GasModel, node: int) -> tuple[float, float]:
-    """(u, c) at the boundary node, which must be subsonic."""
-    _, u, _, c = _node_state(w, gas, node)
+def _characteristic_update(w_b, w_n, u_e: float, side: int, gas: GasModel,
+                           dt: float, dx: float, node: int) -> np.ndarray:
+    """New row at boundary node `node` from the level-n rows w_b of the node
+    and w_n of its interior neighbour, for external velocity u_e on side
+    -1 (inlet) or +1 (outlet)."""
+    gm1 = gas.gamma - 1.0
+    c_e = _external(u_e, gas, node)
+    _, u, _, c = _node_state(w_b, gas, node)
     if abs(u) >= c:
         raise UnsupportedRegimeError(
             f"supersonic state at boundary node {node}: |u|={abs(u):.3f}"
-            f" >= c={c:.3f}"
-        )
-    return u, c
-
-
-def _rest_entropy_row(r_plus: float, r_minus: float, gas: GasModel,
-                      node: int) -> np.ndarray:
-    """Conserved row with invariants r_plus, r_minus and the rest entropy."""
+            f" >= c={c:.3f}")
+    foot = foot_point((w_b, w_n), u + side * c, dt, dx)
+    _, u_foot, _, c_foot = _node_state(foot, gas, node)
+    outgoing = u_foot + side * 2.0 * c_foot / gm1
+    incoming = u_e - side * 2.0 * c_e / gm1
+    r_plus, r_minus = (outgoing, incoming) if side > 0 else (incoming, outgoing)
     rho, u, p = primitive_from_characteristics(r_plus, r_minus, gas.s0, gas,
                                                node=node)
-    etot = p / (gas.gamma - 1.0) + 0.5 * rho * u ** 2
-    return np.array([rho, rho * u, etot])
-
-
-def _inflow_reconstruct(external: tuple[float, float], w0, w1,
-                        gas: GasModel, dt: float, dx: float) -> np.ndarray:
-    gm1 = gas.gamma - 1.0
-    u_e, c_e = external
-    u0, c0_node = _subsonic_speeds(w0, gas, node=0)
-    foot = foot_point((w0, w1), u0 - c0_node, dt, dx)
-    _, u_foot, _, c_foot = _node_state(foot, gas, node=0)
-    r_minus = u_foot - 2.0 * c_foot / gm1
-    r_plus = u_e + 2.0 * c_e / gm1
-    return _rest_entropy_row(r_plus, r_minus, gas, node=0)
+    return np.array([rho, rho * u, p / gm1 + 0.5 * rho * u ** 2])
 
 
 def inflow_update_pressure(pi_val: float, w0, w1, gas: GasModel, dt: float,
                            dx: float) -> np.ndarray:
-    """New state at node 0 for an imposed total pressure pi at the new level.
+    """New row at node 0 for an imposed total pressure pi at the new level.
 
     w0, w1 are the conserved rows at nodes 0 and 1 at the current level.
-    The update solves: u - 2c/(g-1) from the foot point, entropy = S0, and
-    u + 2c/(g-1) from the external state of the imposed pressure.
     """
-    return _inflow_reconstruct(external_from_pressure(pi_val, gas),
-                               w0, w1, gas, dt, dx)
+    if pi_val <= 0.0:
+        raise UnsupportedRegimeError(
+            f"imposed pressure must be positive at boundary node 0:"
+            f" pi={pi_val:.3f} Pa")
+    u_e = (pi_val - gas.p0) / (gas.rho0 * gas.c0)
+    return _characteristic_update(w0, w1, u_e, -1, gas, dt, dx, node=0)
 
 
 def inflow_update_velocity(u_val: float, w0, w1, gas: GasModel, dt: float,
                            dx: float) -> np.ndarray:
-    """New state at node 0 for an imposed acoustic velocity at the new level."""
-    return _inflow_reconstruct(external_from_velocity(u_val, gas),
-                               w0, w1, gas, dt, dx)
+    """New row at node 0 for an imposed acoustic velocity at the new level."""
+    return _characteristic_update(w0, w1, u_val, -1, gas, dt, dx, node=0)
 
 
 def outflow_update(w_jm1, w_j, gas: GasModel, dt: float, dx: float,
                    node: int) -> np.ndarray:
-    """Nonreflecting state at node J from the level-n rows at J-1 and J.
-
-    Pins the incoming invariant to its rest value -2 c0/(g-1), takes the
-    outgoing u+c invariant from the foot point, and the rest entropy.
-    node is the outlet index J, named in any error raised.
-    """
-    gm1 = gas.gamma - 1.0
-    u_j, c_j = _subsonic_speeds(w_j, gas, node)
-    foot = foot_point((w_j, w_jm1), u_j + c_j, dt, dx)
-    _, u_foot, _, c_foot = _node_state(foot, gas, node)
-    r_plus = u_foot + 2.0 * c_foot / gm1
-    r_minus = -2.0 * gas.c0 / gm1
-    return _rest_entropy_row(r_plus, r_minus, gas, node)
+    """Nonreflecting row at the outlet node J (passed as node) from the
+    level-n rows at J-1 and J: the inflow update with u_e = 0, mirrored."""
+    return _characteristic_update(w_j, w_jm1, 0.0, 1, gas, dt, dx, node)

@@ -1,8 +1,10 @@
 """Minimal CSV emission and ingestion.
 
 Comma separators, LF line endings, mandatory header row, '.' decimal
-point, and full round-trip precision: every float is written with
-repr(), so reading the file back reproduces the values bit for bit.
+point, and full round-trip precision: rows hold Python numbers (an array
+is handed over row by row through `ndarray.tolist`), and str() of a
+Python float is its shortest round-trip repr, so reading the file back
+reproduces the values bit for bit.
 """
 
 from __future__ import annotations
@@ -14,18 +16,10 @@ import numpy as np
 from .errors import ConfigError
 
 
-def format_value(v) -> str:
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
-    return repr(float(v))
-
-
 def write_csv(path, header: list[str], rows) -> None:
-    path = Path(path)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(",".join(map(str, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

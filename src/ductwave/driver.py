@@ -16,7 +16,9 @@ The time step is frozen at the start of the run (the convolution weights
 assume uniform dt), set by the CFL rule on the initial rest field.
 
 Runs are deterministic: identical scenarios produce bit-identical
-states, histories and probe records.
+states, histories and probe records. An error raised inside the time loop
+names the step and t/T0 it failed at (BlowUpError already names the step
+and node).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from . import wall
 from .analysis import ProbeRecord
 from .boundaries import inflow_update_pressure, inflow_update_velocity, outflow_update
+from .errors import BlowUpError, DuctwaveError
 from .gas import GasModel, primitive_arrays
 from .scheme import (
     DuctGeometry,
@@ -83,6 +86,9 @@ class Scenario:
             raise ValueError(f"unknown kernel mode {self.kernel_mode!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if self.duration_periods is not None and self.fundamental_period is None:
+            raise ValueError(
+                "duration_periods needs an inflow signal with a period")
 
     @property
     def fundamental_period(self) -> float | None:
@@ -92,12 +98,7 @@ class Scenario:
     def duration(self) -> float:
         if self.duration_s is not None:
             return self.duration_s
-        period = self.fundamental_period
-        if period is None:
-            raise ValueError(
-                "duration_periods needs an inflow signal with a period"
-            )
-        return self.duration_periods * period
+        return self.duration_periods * self.fundamental_period
 
     def velocity_bound(self) -> float:
         """Conservative bound on the boundary velocity amplitude [m/s]."""
@@ -247,8 +248,14 @@ def run(scenario: Scenario,
     started = time.perf_counter()
     sim = Simulation(scenario, initial_field=initial_field)
     n_steps = int(math.ceil(scenario.duration / sim.dt - 1e-9))
-    for _ in range(n_steps):
-        sim.advance()
+    try:
+        for _ in range(n_steps):
+            sim.advance()
+    except BlowUpError:
+        raise
+    except DuctwaveError as exc:
+        exc.args = (f"{exc} ({_step_context(sim)})",)
+        raise
     elapsed = time.perf_counter() - started
 
     records = sim.native_records()
@@ -264,6 +271,15 @@ def run(scenario: Scenario,
     )
     return RunResult(scenario=scenario, state=sim.state, history=sim.history,
                      records=records, resampled=resampled, report=report)
+
+
+def _step_context(sim: Simulation) -> str:
+    """'step n, t/T0 = x' of the step sim failed to take ('t = x s' when
+    the inflow has no period); sim.state is still the last good level."""
+    t = sim.state.t + sim.dt
+    period = sim.scenario.fundamental_period
+    when = f"t = {t:.6g} s" if period is None else f"t/T0 = {t / period:.3f}"
+    return f"step {sim.state.n + 1}, {when}"
 
 
 def _resample_on_period_grid(record: ProbeRecord,

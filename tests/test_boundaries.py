@@ -7,8 +7,6 @@ import pytest
 from scipy import optimize
 
 from ductwave.boundaries import (
-    external_from_pressure,
-    external_from_velocity,
     foot_point,
     inflow_update_pressure,
     inflow_update_velocity,
@@ -53,35 +51,79 @@ def _solve_three_conditions(air, r_minus, r_plus):
     return sol[0]
 
 
+def _mirror(w):
+    """The row seen from the other end of the duct: u -> -u."""
+    return np.array([w[0], -w[1], w[2]])
+
+
+def _speeds(w, air):
+    """(u, c) of a conserved row."""
+    rho, u, p = primitive_arrays(w, air)
+    return u, _sound_speed(rho, p, air)
+
+
 class TestExternalState:
+    """The linearized external state (u_e, c_e = c0 + (g-1)/2 u_e) enters
+    only through the inflow updates. Against a rest interior the rebuilt
+    node takes it: u = u_e and c = c_e, up to rounding."""
+
     def test_matched_pressure_is_rest(self, air):
-        u_e, c_e = external_from_pressure(air.p0, air)
-        assert u_e == 0.0
-        assert c_e == air.c0
+        # pi = p0 gives u_e = 0 exactly: the u_e = 0 velocity update
+        w_b = conserved_array(1.21, 3.0, 1.03e5, air)
+        w_n = conserved_array(1.2, 2.0, 1.01e5, air)
+        np.testing.assert_array_equal(
+            inflow_update_pressure(air.p0, w_b, w_n, air, DT, DX),
+            inflow_update_velocity(0.0, w_b, w_n, air, DT, DX))
 
     def test_unit_velocity_construction(self, air):
-        u_e, _ = external_from_pressure(air.p0 + air.rho0 * air.c0, air)
-        assert u_e == pytest.approx(1.0, rel=1e-14)
+        w_b = conserved_array(1.21, 3.0, 1.03e5, air)
+        w_n = conserved_array(1.2, 2.0, 1.01e5, air)
+        np.testing.assert_allclose(
+            inflow_update_pressure(air.p0 + air.rho0 * air.c0, w_b, w_n, air,
+                                   DT, DX),
+            inflow_update_velocity(1.0, w_b, w_n, air, DT, DX), rtol=1e-12)
 
     def test_small_overpressure(self, air):
-        u_e, c_e = external_from_pressure(air.p0 + 100.0, air)
-        assert u_e == pytest.approx(0.2424, abs=1e-3)
-        assert c_e - air.c0 == pytest.approx(0.0485, abs=1e-4)
+        w = _rest(air)
+        u, c = _speeds(inflow_update_pressure(air.p0 + 100.0, w, w, air,
+                                              DT, DX), air)
+        assert u == pytest.approx(0.2424, abs=1e-3)
+        assert c - air.c0 == pytest.approx(0.0485, abs=1e-4)
 
     def test_velocity_variants(self, air):
-        assert external_from_velocity(0.0, air) \
-            == external_from_pressure(air.p0, air)
-        _, c_e = external_from_velocity(1.0, air)
-        assert c_e - air.c0 == pytest.approx(0.2, rel=1e-12)
-        _, c_neg = external_from_velocity(-1.0, air)
-        assert c_neg - air.c0 == pytest.approx(-(c_e - air.c0), rel=1e-12)
+        w = _rest(air)
+        _, c_e = _speeds(inflow_update_velocity(1.0, w, w, air, DT, DX), air)
+        assert c_e - air.c0 == pytest.approx(0.2, rel=1e-9)
+        _, c_neg = _speeds(inflow_update_velocity(-1.0, w, w, air, DT, DX),
+                           air)
+        assert c_neg - air.c0 == pytest.approx(-(c_e - air.c0), rel=1e-9)
 
     def test_invalid_pressure_rejected(self, air):
-        with pytest.raises(ValueError):
-            external_from_pressure(0.0, air)
+        w = _rest(air)
+        with pytest.raises(UnsupportedRegimeError,
+                           match="imposed pressure .*node 0:"):
+            inflow_update_pressure(0.0, w, w, air, DT, DX)
         # c_e = c0 + (g-1)/2 u_e must stay positive
-        with pytest.raises(ValueError, match="external sound speed"):
-            external_from_velocity(-2000.0, air)
+        with pytest.raises(UnsupportedRegimeError,
+                           match="external sound speed .*node 0:"):
+            inflow_update_velocity(-2000.0, w, w, air, DT, DX)
+
+
+def test_outlet_is_the_mirrored_rest_inlet(air):
+    """The nonreflecting outflow is the inflow update with u_e = 0 seen
+    from the other end: bitwise, on random subsonic states and steps."""
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        rho = air.rho0 * rng.uniform(0.8, 1.2, 2)
+        u = rng.uniform(-150.0, 150.0, 2)
+        p = air.p0 * rng.uniform(0.8, 1.2, 2)
+        w_jm1, w_j = (conserved_array(rho[i], u[i], p[i], air)
+                      for i in range(2))
+        dt = rng.uniform(0.1, 1.0) * DX / air.c0
+        inlet = inflow_update_velocity(0.0, _mirror(w_j), _mirror(w_jm1),
+                                       air, dt, DX)
+        np.testing.assert_array_equal(
+            outflow_update(w_jm1, w_j, air, dt, DX, J_OUT), _mirror(inlet))
 
 
 class TestFootPoint:

@@ -40,6 +40,17 @@ output.kmax = 5
 """
 
 
+def _edited_config(tmp_path, edits):
+    """SMALL_CONFIG with each key in edits replaced by its value (dropped
+    when the value is None), written to tmp_path / "edited.cfg"."""
+    lines = [ln for ln in SMALL_CONFIG.splitlines()
+             if ln.split(" = ")[0] not in edits]
+    lines += [f"{k} = {v}" for k, v in edits.items() if v is not None]
+    path = tmp_path / "edited.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "case.cfg"
@@ -150,6 +161,51 @@ class TestRunCommand:
             == EXIT_OK
         _, body = read_csv(out / "smoke_probe24_spectrum.csv")
         assert body.shape[0] == 8
+
+    def _sampled_config(self, tmp_path, values, **edits):
+        samples = tmp_path / "u.csv"
+        write_csv(samples, ["t_s", "u_mps"],
+                  [(i * 1e-3, v) for i, v in enumerate(values)])
+        return _edited_config(tmp_path, {
+            "inflow.shape": "samples", "inflow.samples_file": samples,
+            "inflow.amplitude": None, "inflow.frequency_hz": None,
+            **edits})
+
+    @pytest.mark.filterwarnings("ignore:effective Courant")
+    def test_negative_external_sound_speed_exits_with_runtime_code(
+            self, tmp_path, capsys):
+        # u_e = -2000 m/s puts c_e = c0 + (g-1)/2 u_e below zero
+        cfg = self._sampled_config(tmp_path, [-2000.0, -2000.0],
+                                   **{"run.duration_periods": None,
+                                      "run.duration_s": "5e-4"})
+        code = main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: external sound speed")
+        assert "node 0:" in err and "(step 1, t = " in err
+
+    @pytest.mark.filterwarnings("ignore:effective Courant")
+    def test_non_positive_imposed_pressure_exits_with_runtime_code(
+            self, tmp_path, capsys):
+        cfg = _edited_config(tmp_path, {"inflow.kind": "pressure",
+                                        "inflow.amplitude": "-300000.0"})
+        code = main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: imposed pressure must be positive")
+        assert "node 0:" in err and "t/T0 = 0." in err
+
+    def test_periods_of_a_sampled_inflow_exit_before_any_step(
+            self, tmp_path, capsys):
+        cfg = self._sampled_config(tmp_path, [0.0, 0.5, 0.0])
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "needs an inflow signal with a period" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_losses_override(self, config_file, tmp_path):
         out_on = tmp_path / "on"

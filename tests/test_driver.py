@@ -16,7 +16,7 @@ from ductwave.driver import (
     frozen_dt,
     run,
 )
-from ductwave.errors import UnsupportedRegimeError
+from ductwave.errors import BlowUpError, UnsupportedRegimeError
 from ductwave.gas import GasModel, conserved_array, primitive_arrays
 from ductwave.scheme import DuctGeometry, FieldState, Grid, lax_wendroff_update
 from ductwave.boundaries import inflow_update_velocity, outflow_update
@@ -392,6 +392,44 @@ class TestBoundaryErrors:
         with pytest.raises(UnsupportedRegimeError,
                            match=f"node {sc.grid.cells}:"):
             sim.advance()
+
+
+def _first_failure(sc, error):
+    """Step a Simulation of sc until it raises error; return the error and
+    the (step, t) it failed at."""
+    sim = Simulation(sc)
+    with pytest.raises(error) as info:
+        while True:
+            sim.advance()
+    return info.value, sim.state.n + 1, sim.state.t + sim.dt
+
+
+@pytest.mark.filterwarnings("ignore:effective Courant")
+class TestRunFailures:
+    def test_failure_names_the_step_and_the_period(self, air):
+        # a -400 m/s velocity swing drives the inlet supersonic within the
+        # first quarter period
+        sc = _small_scenario(
+            air, inflow_kind=VELOCITY, duration_s=None, duration_periods=1.0,
+            inflow=SineSignal(amplitude=-400.0, omega0=2.0 * math.pi * 500.0))
+        _, step, t = _first_failure(sc, UnsupportedRegimeError)
+        period = sc.fundamental_period
+        assert step > 1 and t < period
+        with pytest.raises(UnsupportedRegimeError, match="node 0:") as info:
+            run(sc)
+        assert str(info.value).endswith(
+            f" (step {step}, t/T0 = {t / period:.3f})")
+
+    def test_blow_up_keeps_its_step_and_node(self, air):
+        sc = _small_scenario(
+            air, inflow_kind=VELOCITY, duration_s=None, duration_periods=1.0,
+            inflow=SineSignal(amplitude=300.0, omega0=2.0 * math.pi * 500.0))
+        error, step, _ = _first_failure(sc, BlowUpError)
+        with pytest.raises(BlowUpError) as info:
+            run(sc)
+        assert str(info.value) == str(error)
+        assert str(error).startswith("state lost positivity (step")
+        assert info.value.step == step
 
 
 class TestRun:
