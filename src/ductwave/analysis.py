@@ -90,11 +90,6 @@ class SpectrumResult:
             raise IndexError(f"harmonic {k} outside 1..{self.k_max}")
         return float(self.magnitudes[k - 1])
 
-    def level(self, k: int, reference: float | None = None) -> float:
-        """Harmonic level in dB, re the given reference or the fundamental."""
-        ref = self.magnitude(1) if reference is None else reference
-        return level_db(self.magnitude(k), ref)
-
 
 def min_samples_per_period(k_max: int) -> int:
     """Anti-aliasing floor of a K_max spectrum: 8 K_max samples per period."""

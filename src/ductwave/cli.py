@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 simulation or
 oracle domain errors (blow-up, shock regime), 4 I/O failures. Output
-files are deterministic; timing goes to stdout only.
+files are deterministic; timing goes to stdout only. Errors and warnings
+go to stderr, one line each. A `run` that fails removes the output
+directory it created.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -54,6 +59,12 @@ def main(argv=None) -> int:
     except DuctwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+
+def _print_warning(message, category, filename, lineno, file=None,
+                   line=None):
+    """Show a warning as one stderr line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,8 +139,15 @@ def cmd_run(args) -> int:
     scenario = scenario_from_config(doc, samples_loader=_load_samples)
 
     out_dir = Path(args.out)
+    # the directories this call makes, innermost first, go if the run fails
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = driver.run(scenario)
+    try:
+        result = driver.run(scenario)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
     prefix = doc.get("output.prefix", "run")
 
     for record in (result.resampled or result.records):

@@ -2,23 +2,24 @@
 
 One step, all from level-n data: evaluate the wall sources G for every
 node from the wall memory of the pressure history, and their rate
-against the previous step's table (both one shared read-only zero table
-with losses off); advance the interior nodes with the second-order
-expansion, from the primitive arrays (rho, u, p) kept from the previous
-step, which validates the field it returns; rebuild both boundary nodes
-from their characteristic relations with the inflow datum taken at the
-new time level, each checking the node it rebuilds; then compute the
-primitive arrays of the completed field, once, and keep them for the
-probes and the next step. With losses on their pressures are appended to
-the wall memory, whose storage and per-step cost do not depend on the
-step index; with losses off the wall memory keeps only the initial level.
-The time step is frozen at the start of the run (the convolution weights
-assume uniform dt), set by the CFL rule on the initial rest field.
+against the previous step's table (zero before the first step; with
+losses off both are one shared read-only zero table); advance the
+interior nodes with the second-order expansion, from the primitive arrays
+(rho, u, p) kept from the previous step; rebuild both boundary nodes from
+their characteristic relations with the inflow datum taken at the new
+time level, each checking the node it rebuilds; then compute the
+primitive arrays of the completed field, once, check the state on them
+(as for the initial field), and keep them for the probes and the next
+step. With losses on their pressures are appended
+to the wall memory, whose storage and per-step cost do not depend on the
+step index; with losses off the wall memory keeps only the initial
+level. The time step is frozen at the start of the run (the convolution
+weights assume uniform dt), set by the CFL rule on the initial rest
+field.
 
 Runs are deterministic: identical scenarios produce bit-identical
 states, histories and probe records. An error raised inside the time loop
-names the step and t/T0 it failed at (BlowUpError already names the step
-and node).
+of `run` names the step and t/T0 it failed at.
 """
 
 from __future__ import annotations
@@ -150,20 +151,35 @@ def frozen_dt(scenario: Scenario) -> float:
 
 
 def _source_tables(history: PressureHistory, n: int, scenario: Scenario,
-                   dt: float, g_prev: np.ndarray | None, zero: np.ndarray):
+                   dt: float, g_prev: np.ndarray, zero: np.ndarray):
     """G and dG/dt for all nodes at step n (zeros with losses off).
 
-    g_prev is the table of step n-1, or None at the first step, where the
-    rate is zero. zero is a read-only (J+1, 3) zero table, returned in
-    place of every table that is identically zero.
+    g_prev is the table of step n-1; at the first step it is zero, as the
+    table of step 0 itself is. zero is a read-only (J+1, 3) zero table,
+    passed as that first g_prev and returned in place of every table that
+    is identically zero.
     """
     if not scenario.losses:
         return zero, zero
     g_now = wall.source_table(history, n, scenario.gas, scenario.grid,
                               scenario.geom, scenario.kernel_mode)
-    if g_prev is None:
-        return g_now, zero
     return g_now, (g_now - g_prev) / dt
+
+
+def _checked_primitives(w: np.ndarray, gas: GasModel):
+    """primitive_arrays(w, gas) of a field with positive density and
+    pressure and finite rows, else BlowUpError naming the first bad node.
+    A healthy field passes on three reductions; only a failing one builds
+    the per-node mask, silencing the float warnings of broken rows."""
+    rho = w[:, 0]
+    if rho.min() > 0.0 and np.isfinite(w).all():
+        prim = primitive_arrays(w, gas)
+        if prim[2].min() > 0.0:
+            return prim
+    with np.errstate(all="ignore"):
+        p = primitive_arrays(w, gas)[2]
+        bad = ~(np.isfinite(w).all(axis=1) & (rho > 0.0) & (p > 0.0))
+    raise BlowUpError("state lost positivity", node=int(np.argmax(bad)))
 
 
 class Simulation:
@@ -181,13 +197,13 @@ class Simulation:
         elif initial_field.w.shape != (scenario.grid.n_nodes, 3):
             raise ValueError("initial field does not match the grid")
         self.state = initial_field.copy()
-        self.prim = primitive_arrays(self.state.w, gas)
+        self.prim = _checked_primitives(self.state.w, gas)
         self.history = PressureHistory(n_nodes=scenario.grid.n_nodes,
                                        dt=self.dt)
         self.history.append(self.prim[2])
-        self._g_prev: np.ndarray | None = None
         self._zero = np.zeros((scenario.grid.n_nodes, 3))
         self._zero.flags.writeable = False
+        self._g_prev = self._zero
         self._probe_nodes = tuple(
             scenario.grid.nearest_node(x) for x in scenario.probes
         )
@@ -222,8 +238,9 @@ class Simulation:
         new.w[0] = w0
         new.w[-1] = w_out
 
+        # checked before it is kept: a failed step leaves the last good level
+        self.prim = _checked_primitives(new.w, gas)
         self.state = new
-        self.prim = primitive_arrays(new.w, gas)
         if sc.losses:
             self.history.append(self.prim[2])
         self._record_probes()
@@ -251,8 +268,6 @@ def run(scenario: Scenario,
     try:
         for _ in range(n_steps):
             sim.advance()
-    except BlowUpError:
-        raise
     except DuctwaveError as exc:
         exc.args = (f"{exc} ({_step_context(sim)})",)
         raise

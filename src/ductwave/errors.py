@@ -1,4 +1,8 @@
-"""Exception hierarchy for the ductwave package."""
+"""Exception hierarchy for the ductwave package.
+
+Invalid gas states raise InvalidStateError or a subclass, naming the node;
+inside the time loop of `driver.run` any error also names step and t/T0.
+"""
 
 
 class DuctwaveError(Exception):
@@ -8,23 +12,7 @@ class DuctwaveError(Exception):
 class InvalidStateError(DuctwaveError):
     """A gas state violates positivity of density or internal energy.
 
-    Carries optional node/step context so blow-ups can be located.
-    """
-
-    def __init__(self, message, node=None, step=None):
-        if node is not None:
-            message = f"{message} (node {node})"
-        if step is not None:
-            message = f"{message} (step {step})"
-        super().__init__(message)
-        self.node = node
-        self.step = step
-
-
-class InvalidCharacteristicsError(DuctwaveError):
-    """Riemann invariants with r_plus <= r_minus (non-positive sound speed).
-
-    Carries optional node context, like InvalidStateError.
+    Carries optional node context so the failure can be located.
     """
 
     def __init__(self, message, node=None):
@@ -34,16 +22,13 @@ class InvalidCharacteristicsError(DuctwaveError):
         self.node = node
 
 
-class BlowUpError(DuctwaveError):
-    """The time integration produced an invalid state.
+class InvalidCharacteristicsError(InvalidStateError):
+    """Riemann invariants with r_plus <= r_minus (non-positive sound speed)."""
 
-    Attributes step and node identify where positivity first failed.
-    """
 
-    def __init__(self, message, step, node):
-        super().__init__(f"{message} (step {step}, node {node})")
-        self.step = step
-        self.node = node
+class BlowUpError(InvalidStateError):
+    """A field with a non-positive density or pressure or a non-finite row;
+    node is the first such node."""
 
 
 class UnsupportedRegimeError(DuctwaveError):

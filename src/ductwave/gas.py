@@ -8,12 +8,12 @@ the conserved vector W = (rho, rho*u, rho*(e + u^2/2)), its primitive view
 variables u +/- 2c/(gamma - 1) and S = p / rho^gamma.
 
 All quantities are strict SI. Conversions are pure functions. The array
-forms do not check positivity: the interior update validates the field
-it produces once per step (`scheme.lax_wendroff_update`), and the
-boundaries check the nodes they read and the rows they rebuild. A run
-evaluates `primitive_arrays` once per step, on the field whose boundary
-rows are written (`driver.Simulation.advance`); those arrays serve the
-wall memory, the probes and the next interior update.
+forms do not check positivity: a run evaluates `primitive_arrays` once
+per state, on the initial field and then on each field whose boundary
+rows are written, and checks the state on those arrays
+(`driver.Simulation`); they serve the wall memory, the probes and the
+next interior update. The boundaries check the nodes they read and the
+rows they rebuild.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ class GasModel:
         visc = (4.0 / 3.0) * self.mu / (self.rho0 * self.c0)
         therm = (self.gamma - 1.0) * self.k_cond / (self.rho0 * self.c0 * self.cp)
         return visc + therm
-
-    @property
-    def cv(self) -> float:
-        """Specific heat at constant volume cp / gamma [J/(kg K)]."""
-        return self.cp / self.gamma
 
 
 # ---------------------------------------------------------------------------

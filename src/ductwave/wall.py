@@ -201,11 +201,10 @@ def source_table(hist: PressureHistory, n: int, gas: GasModel, grid: Grid,
     Interior nodes follow the convolution sums of `hist.sums(n)`. The
     centered pressure-gradient bracket of G2 is undefined at j = 0 and
     j = J, so boundary rows copy their adjacent interior value (they only
-    feed the midpoint source averages of the interior expansion).
+    feed the midpoint source averages of the interior expansion). At
+    n = 0 the sums, and so the table, are zero.
     """
     out = np.zeros((hist.n_nodes, 3))
-    if n == 0:
-        return out
     pair_acc, diff_acc = hist.sums(n)
     c2 = shear_coefficient(gas, geom, grid, hist.dt)
     c3 = heat_coefficient(gas, geom, hist.dt, mode)

@@ -304,7 +304,8 @@ class TestA7ConservationAndFixedPoints:
                 -dt / (2.0 * grid.dx) * (f[-1] + f[-2] - f[1] - f[0])
                 - dt * dt / (2.0 * grid.dx)
                 * (jac_mid[-1] @ rate_mid[-1] - jac_mid[0] @ rate_mid[0]))
-            state = lax_wendroff_update(state, zeros, zeros, AIR, grid, dt)
+            state = lax_wendroff_update(state, zeros, zeros, AIR, grid, dt,
+                                        primitive_arrays(state.w, AIR))
         totals = state.w[1:-1].sum(axis=0)
         n_int = grid.n_nodes - 2
         scales = np.array([AIR.rho0 * n_int, AIR.rho0 * AIR.c0 * n_int,

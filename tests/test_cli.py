@@ -178,24 +178,58 @@ class TestRunCommand:
         cfg = self._sampled_config(tmp_path, [-2000.0, -2000.0],
                                    **{"run.duration_periods": None,
                                       "run.duration_s": "5e-4"})
-        code = main(["run", "--config", str(cfg), "--out",
-                     str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: external sound speed")
         assert "node 0:" in err and "(step 1, t = " in err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:effective Courant")
     def test_non_positive_imposed_pressure_exits_with_runtime_code(
             self, tmp_path, capsys):
         cfg = _edited_config(tmp_path, {"inflow.kind": "pressure",
                                         "inflow.amplitude": "-300000.0"})
-        code = main(["run", "--config", str(cfg), "--out",
-                     str(tmp_path / "o")])
+        out = tmp_path / "o" / "nested"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: imposed pressure must be positive")
         assert "node 0:" in err and "t/T0 = 0." in err
+        # neither the output directory nor the parent made for it is left
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("ignore:effective Courant")
+    def test_failed_run_keeps_an_existing_output_directory(self, tmp_path,
+                                                           capsys):
+        cfg = _edited_config(tmp_path, {"inflow.kind": "pressure",
+                                        "inflow.amplitude": "-300000.0"})
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept\n", encoding="utf-8")
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert [p.name for p in out.iterdir()] == ["earlier.txt"]
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(empty)]) == EXIT_RUNTIME
+        assert empty.is_dir()
+
+    def test_courant_warning_is_one_line(self, tmp_path, capsys):
+        # a 30 m/s velocity peak stretches cfl 0.99 past 1
+        cfg = _edited_config(tmp_path, {"inflow.amplitude": "30.0",
+                                        "run.cfl": "0.99",
+                                        "run.duration_periods": "1.0",
+                                        "output.spectrum_periods": "1"})
+        code = main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")])
+        assert code == EXIT_OK
+        stretch = 1.0 + 0.5 * 2.4 * 30.0 / GasModel().c0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: effective Courant number may reach {0.99 * stretch:.3f}"
+            " at the signal peak; reduce cfl"]
 
     def test_periods_of_a_sampled_inflow_exit_before_any_step(
             self, tmp_path, capsys):

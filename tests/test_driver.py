@@ -306,20 +306,38 @@ class TestStepAgainstOracle:
             explicit.history.sums(4), sim.history.sums(4))
 
     def test_each_step_validates_the_field_once(self, air, monkeypatch):
-        # the interior update validates its result; the boundary rebuilds
-        # check their own nodes, so the driver adds no second pass
-        steps = []
-        validate = FieldState.validate
+        # every state is checked where its primitive arrays are computed:
+        # the initial field once, then each completed field once; the
+        # interior update checks nothing and the boundary rebuilds check
+        # only their own nodes
+        fields = []
+        check = driver._checked_primitives
 
-        def counting(self, step=None):
-            steps.append(step)
-            return validate(self, step=step)
+        def counting(w, gas):
+            fields.append(w)
+            return check(w, gas)
 
-        monkeypatch.setattr(FieldState, "validate", counting)
+        monkeypatch.setattr(driver, "_checked_primitives", counting)
         sim = Simulation(_small_scenario(air))
         for _ in range(3):
             sim.advance()
-        assert steps == [1, 2, 3]
+        assert len(fields) == 4
+        assert fields[-1] is sim.state.w
+
+    @pytest.mark.parametrize("row", [
+        (1.2, 0.0, -25.0),     # p = -10 Pa
+        (0.0, 0.0, 253312.5),  # rho = 0: u = 0/0 must not end as a warning
+    ])
+    def test_invalid_initial_field_fails_before_any_step(self, air, row):
+        # the constructor checks the field, so no step and no step context
+        sc = _small_scenario(air, grid=Grid(length=0.1, cells=8))
+        state = Simulation(sc).state
+        state.w[5] = row
+        with pytest.raises(BlowUpError, match=r"\(node 5\)$") as info:
+            Simulation(sc, initial_field=state)
+        assert info.value.node == 5
+        with pytest.raises(BlowUpError, match=r"\(node 5\)$"):
+            run(sc, initial_field=state)
 
     @pytest.mark.parametrize("kind, amplitude", [(PRESSURE, 80.0),
                                                  (VELOCITY, 0.2)])
@@ -421,15 +439,20 @@ class TestRunFailures:
             f" (step {step}, t/T0 = {t / period:.3f})")
 
     def test_blow_up_keeps_its_step_and_node(self, air):
+        # a blow-up takes the same path out of the loop as every other
+        # failure: its node, then the step and the period
         sc = _small_scenario(
             air, inflow_kind=VELOCITY, duration_s=None, duration_periods=1.0,
             inflow=SineSignal(amplitude=300.0, omega0=2.0 * math.pi * 500.0))
-        error, step, _ = _first_failure(sc, BlowUpError)
+        error, step, t = _first_failure(sc, BlowUpError)
+        node = error.node
+        assert str(error) == f"state lost positivity (node {node})"
         with pytest.raises(BlowUpError) as info:
             run(sc)
-        assert str(info.value) == str(error)
-        assert str(error).startswith("state lost positivity (step")
-        assert info.value.step == step
+        assert info.value.node == node
+        assert str(info.value) == (
+            f"state lost positivity (node {node})"
+            f" (step {step}, t/T0 = {t / sc.fundamental_period:.3f})")
 
 
 class TestRun:
@@ -483,7 +506,8 @@ class TestDegenerateCoupling:
         dt = frozen_dt(sc)
         for _ in range(30):
             sim.advance()
-            new = lax_wendroff_update(state, zeros, zeros, air, sc.grid, dt)
+            new = lax_wendroff_update(state, zeros, zeros, air, sc.grid, dt,
+                                      primitive_arrays(state.w, air))
             u_val = sc.inflow.value(state.t + dt)
             new.w[0] = np.asarray(inflow_update_velocity(
                 u_val, state.w[0], state.w[1], air, dt, sc.grid.dx))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ductwave import driver
 from ductwave.errors import BlowUpError
 from ductwave.gas import conserved_array, primitive_arrays
 from ductwave.scheme import (
@@ -15,6 +16,7 @@ from ductwave.scheme import (
     lax_wendroff_update,
     uniform_field,
 )
+from ductwave.signals import SineSignal
 from reference_forms import flux_jacobian, physical_flux
 
 REST = np.array([1.2, 0.0, 253312.5])
@@ -108,7 +110,8 @@ def _ramp_field(grid, air, slope):
 
 def _increment(field, g, dt_g, gas, grid, dt):
     """Change of the field over one lax_wendroff_update step."""
-    return lax_wendroff_update(field, g, dt_g, gas, grid, dt).w - field.w
+    return lax_wendroff_update(field, g, dt_g, gas, grid, dt,
+                               primitive_arrays(field.w, gas)).w - field.w
 
 
 class TestTimeDerivatives:
@@ -153,7 +156,8 @@ class TestTimeDerivatives:
         grid = Grid(1.0, 8)
         field = _ramp_field(grid, air, 250.0)
         g = np.tile([0.0, 10.0, -50.0], (grid.n_nodes, 1))
-        new = lax_wendroff_update(field, g, g, air, grid, 1e-4)
+        new = lax_wendroff_update(field, g, g, air, grid, 1e-4,
+                                  primitive_arrays(field.w, air))
         np.testing.assert_array_equal(new.w[[0, -1]], field.w[[0, -1]])
         assert np.all(np.any(new.w[1:-1] != field.w[1:-1], axis=1))
 
@@ -183,7 +187,8 @@ class TestTimeDerivatives:
         dt_g = np.zeros_like(field.w)
         dt_g[:, 1:] = rng.normal(scale=[5e6, 2e9], size=(grid.n_nodes, 2))
         dt = 0.8 * grid.dx / air.c0 / 1.1
-        ours = lax_wendroff_update(field, g, dt_g, air, grid, dt)
+        ours = lax_wendroff_update(field, g, dt_g, air, grid, dt,
+                                   primitive_arrays(field.w, air))
         ref = _classical_lax_wendroff(field.w, air, grid.dx, dt, g, dt_g)
         np.testing.assert_allclose(ours.w, ref, rtol=1e-12)
 
@@ -215,7 +220,8 @@ class TestLaxWendroffUpdate:
         grid = Grid(1.0, 12)
         field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
         zeros = np.zeros_like(field.w)
-        new = lax_wendroff_update(field, zeros, zeros, air, grid, 1e-5)
+        new = lax_wendroff_update(field, zeros, zeros, air, grid, 1e-5,
+                                  primitive_arrays(field.w, air))
         np.testing.assert_array_equal(new.w, field.w)
         assert new.n == 1
 
@@ -223,7 +229,8 @@ class TestLaxWendroffUpdate:
         grid = Grid(1.0, 12)
         field = uniform_field(grid, air, 1.05, 37.0, 94000.0)
         zeros = np.zeros_like(field.w)
-        new = lax_wendroff_update(field, zeros, zeros, air, grid, 1e-5)
+        new = lax_wendroff_update(field, zeros, zeros, air, grid, 1e-5,
+                                  primitive_arrays(field.w, air))
         np.testing.assert_array_equal(new.w, field.w)
 
     def test_matches_classical_flux_form(self, air):
@@ -236,19 +243,23 @@ class TestLaxWendroffUpdate:
         field = FieldState(w=conserved_array(rho, u, p, air))
         dt = 0.8 * grid.dx / float((np.abs(u) + c).max())
         zeros = np.zeros_like(field.w)
-        ours = lax_wendroff_update(field, zeros, zeros, air, grid, dt)
+        ours = lax_wendroff_update(field, zeros, zeros, air, grid, dt,
+                                   primitive_arrays(field.w, air))
         ref = _classical_lax_wendroff(field.w, air, grid.dx, dt)
         np.testing.assert_allclose(ours.w, ref, rtol=1e-12)
 
     def test_blow_up_detected_with_context(self, air):
+        # the update returns its field unchecked; the run's state check
+        # finds the fault and names an interior node
         grid = Grid(1.0, 12)
         field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
         zeros = np.zeros_like(field.w)
         g = zeros.copy()
         g[:, 2] = -1e12    # drain energy violently
+        new = lax_wendroff_update(field, g, zeros, air, grid, 1e-3,
+                                  primitive_arrays(field.w, air))
         with pytest.raises(BlowUpError) as err:
-            lax_wendroff_update(field, g, zeros, air, grid, 1e-3)
-        assert err.value.step == 1
+            driver._checked_primitives(new.w, air)
         assert 1 <= err.value.node <= 11
 
     @pytest.mark.parametrize("component, value", [
@@ -259,42 +270,41 @@ class TestLaxWendroffUpdate:
         (2, np.nan),
         (2, np.inf),           # e_int = +inf passes a min-only check
     ])
-    def test_blow_up_names_step_and_node(self, air, component, value):
+    def test_blow_up_names_step_and_node(self, air, component, value,
+                                         monkeypatch):
         # a source rate reaches only its own node (the midpoint averages
-        # take the sources, not their rate), so the fault sits at node 7
-        grid = Grid(1.0, 12)
-        field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
-        field.n = 6
-        zeros = np.zeros_like(field.w)
-        dt_g = zeros.copy()
-        dt_g[7, component] = value
-        with pytest.raises(BlowUpError) as err:
-            lax_wendroff_update(field, zeros, dt_g, air, grid, 1e-5)
-        assert (err.value.step, err.value.node) == (7, 7)
+        # take the sources, not their rate), so a fault put into the rate
+        # of step 7 at node 7 makes the run fail there
+        tables = driver._source_tables
 
-    def test_given_primitives_change_nothing(self, air, rng):
-        grid = Grid(0.5, 30)
-        x = grid.x
-        u = 3.0 * np.sin(9.0 * x)
-        p = 101325.0 + 400.0 * np.cos(7.0 * x)
-        rho = 1.2 + 0.003 * np.sin(11.0 * x)
-        field = FieldState(w=conserved_array(rho, u, p, air))
-        g = np.zeros_like(field.w)
-        g[:, 1:] = rng.normal(scale=[50.0, 2e4], size=(grid.n_nodes, 2))
-        dt_g = np.zeros_like(field.w)
-        dt_g[:, 1:] = rng.normal(scale=[5e6, 2e9], size=(grid.n_nodes, 2))
-        dt = 0.8 * grid.dx / air.c0 / 1.1
-        alone = lax_wendroff_update(field, g, dt_g, air, grid, dt)
-        given = lax_wendroff_update(field, g, dt_g, air, grid, dt,
-                                    primitive_arrays(field.w, air))
-        np.testing.assert_array_equal(given.w, alone.w)
+        def faulty(history, n, *args):
+            g, dt_g = tables(history, n, *args)
+            if n == 6:
+                dt_g = dt_g.copy()
+                dt_g[7, component] = value
+            return g, dt_g
+
+        monkeypatch.setattr(driver, "_source_tables", faulty)
+        period = 2e-3
+        sc = driver.Scenario(
+            gas=air, grid=Grid(1.0, 12), geom=DuctGeometry(h=0.005),
+            inflow_kind=driver.VELOCITY,
+            inflow=SineSignal(amplitude=0.0, omega0=2.0 * math.pi / period),
+            losses=False, duration_periods=1.0)
+        dt = driver.frozen_dt(sc)
+        with pytest.raises(BlowUpError) as err:
+            driver.run(sc)
+        assert err.value.node == 7
+        assert str(err.value).endswith(
+            f"(node 7) (step 7, t/T0 = {7 * dt / period:.3f})")
 
     def test_sources_required_for_all_nodes(self, air):
         grid = Grid(1.0, 12)
         field = uniform_field(grid, air, 1.2, 0.0, 101325.0)
         with pytest.raises(ValueError):
             lax_wendroff_update(field, np.zeros((3, 3)),
-                                np.zeros_like(field.w), air, grid, 1e-5)
+                                np.zeros_like(field.w), air, grid, 1e-5,
+                                primitive_arrays(field.w, air))
 
 
 class TestComputeDt:
@@ -352,7 +362,8 @@ class TestConservation:
                 - dt * dt / (2.0 * grid.dx)
                 * (jac_mid[-1] @ rate_mid[-1] - jac_mid[0] @ rate_mid[0])
             )
-            state = lax_wendroff_update(state, zeros, zeros, air, grid, dt)
+            state = lax_wendroff_update(state, zeros, zeros, air, grid, dt,
+                                        primitive_arrays(state.w, air))
         totals = state.w[1:-1].sum(axis=0)
         n_int = grid.n_nodes - 2
         scales = np.array([

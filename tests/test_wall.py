@@ -409,9 +409,13 @@ class TestSourceAssembly:
         np.testing.assert_array_equal(rate_off, np.zeros((5, 3)))
 
     def test_first_step_has_zero_rate(self, air):
+        # the first step's previous table is the zero table, and the table
+        # of step 0 is itself zero
         hist = _history([np.full(5, 101325.0)], dt=1e-5)
         zero = np.zeros((5, 3))
-        _, rate = _source_tables(hist, 0, _scenario(air), 1e-5, None, zero)
+        g_now, rate = _source_tables(hist, 0, _scenario(air), 1e-5, zero,
+                                     zero)
+        np.testing.assert_array_equal(g_now, np.zeros((5, 3)))
         np.testing.assert_array_equal(rate, np.zeros((5, 3)))
 
     def test_table_matches_per_node_ops(self, air, rng):
