@@ -38,7 +38,6 @@ from .gas import (
     conserved_array,
     primitive_arrays,
     primitive_from_characteristics,
-    sound_speed_array,
 )
 from .oracles import (
     KirchhoffModel,
@@ -53,10 +52,9 @@ from .scheme import (
     DuctGeometry,
     FieldState,
     Grid,
-    compute_dt,
     lax_wendroff_update,
 )
-from .signals import MultiHarmonicSignal, SampledSignal, SineSignal
+from .signals import MultiHarmonicSignal, SampledSignal
 from .wall import PressureHistory, kernel_weights
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .config import (
 from .csvio import read_csv, write_csv
 from .errors import ConfigError, DuctwaveError, ShockRegimeError
 from .gas import GasModel
-from .signals import SineSignal
+from .signals import MultiHarmonicSignal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,6 +121,8 @@ def _load_samples(path):
     header, body = read_csv(path)
     if body.shape[1] < 2:
         raise ConfigError(f"{path}: need two columns (t_s, value)")
+    if not np.isfinite(body[:, :2]).all():
+        raise ConfigError(f"{path}: sample times and values must be finite")
     t = body[:, 0]
     dta = np.diff(t)
     if dta.size == 0 or not np.allclose(dta, dta[0], rtol=1e-9, atol=0.0):
@@ -207,24 +209,25 @@ def _spectrum_rows(record, scenario, doc):
 
 
 def _report_text(result) -> str:
-    rep = result.report
+    sc, rep = result.scenario, result.report
     lines = [
         "ductwave run report",
-        f"length_m = {rep.length!r}",
-        f"cells = {rep.cells}",
-        f"dx_m = {rep.dx!r}",
+        f"length_m = {sc.grid.length!r}",
+        f"cells = {sc.grid.cells}",
+        f"dx_m = {sc.grid.dx!r}",
         f"dt_s = {rep.dt!r}",
         f"steps = {rep.n_steps}",
-        f"cfl = {rep.cfl!r}",
-        f"losses = {'on' if rep.losses else 'off'}",
-        f"kernel_mode = {rep.kernel_mode}",
+        f"cfl = {sc.cfl!r}",
+        f"losses = {'on' if sc.losses else 'off'}",
+        f"kernel_mode = {sc.kernel_mode}",
         f"probes = {', '.join(repr(r.x) for r in result.records)}",
     ]
     return "\n".join(lines) + "\n"
 
 
-_POSITIVE = ("must be positive", lambda v: v > 0)
-_NON_NEGATIVE = ("must be non-negative", lambda v: v >= 0)
+_POSITIVE = ("must be positive and finite", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("must be non-negative and finite",
+                 lambda v: 0 <= v < math.inf)
 
 
 def _check_flags(args, **rules):
@@ -264,7 +267,7 @@ def cmd_oracle_characteristics(args) -> int:
     else:
         l_shock = oracles.shock_distance(args.u0, omega0, gas)
         station = args.s * l_shock
-    signal = SineSignal(amplitude=args.u0, omega0=omega0)
+    signal = MultiHarmonicSignal(omega0, ((1, args.u0, 0.0),))
     prob = oracles.SimpleWaveProblem(signal=signal, gas=gas, station=station)
 
     period = signal.period

@@ -3,36 +3,35 @@
 Format: one `section.key = value` assignment per line, `#` comments,
 blank lines ignored. Every key is declared in a registry with its type;
 unknown keys are rejected with the offending line number, as are
-duplicates. Serialization is canonical (registry order, repr floats), so
-parse and serialize are mutual inverses.
+duplicates and non-finite numbers. Serialization is canonical (registry
+order, repr floats), so parse and serialize are mutual inverses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from . import analysis, driver, scheme, wall
 from .errors import ConfigError
 from .gas import GasModel
-from .signals import MultiHarmonicSignal, SampledSignal, SineSignal
+from .signals import MultiHarmonicSignal, SampledSignal
 
 TWO_PI = 6.283185307179586476925287
 DEFAULT_KMAX = 15   # harmonics in the spectrum outputs
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_positive_float(s: str) -> float:
     v = float(s)
-    if not v > 0.0:
-        raise ValueError(f"must be positive, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {v!r}")
     return v
 
 
-def _parse_int(s: str) -> int:
-    v = int(s)
+def _parse_positive_float(s: str) -> float:
+    v = _parse_float(s)
+    if not v > 0.0:
+        raise ValueError(f"must be positive, got {v!r}")
     return v
 
 
@@ -63,7 +62,7 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_harmonics(s: str) -> tuple[tuple[int, float, float], ...]:
@@ -76,7 +75,8 @@ def _parse_harmonics(s: str) -> tuple[tuple[int, float, float], ...]:
         bits = part.split(":")
         if len(bits) != 3:
             raise ValueError(f"harmonic {part!r} is not k:amplitude:phase")
-        out.append((int(bits[0]), float(bits[1]), float(bits[2])))
+        out.append((int(bits[0]), _parse_float(bits[1]),
+                    _parse_float(bits[2])))
     if not out:
         raise ValueError("empty harmonic list")
     return tuple(out)
@@ -84,10 +84,6 @@ def _parse_harmonics(s: str) -> tuple[tuple[int, float, float], ...]:
 
 def _fmt_float(v) -> str:
     return repr(float(v))
-
-
-def _fmt_str(v) -> str:
-    return str(v)
 
 
 def _fmt_onoff(v) -> str:
@@ -112,23 +108,23 @@ KEY_SPECS = {
     "gas.p0": (_parse_float, _fmt_float),
     "gas.theta0": (_parse_float, _fmt_float),
     "grid.length": (_parse_float, _fmt_float),
-    "grid.cells": (_parse_int, str),
+    "grid.cells": (int, str),
     "geometry.h": (_parse_float, _fmt_float),
-    "geometry.symmetry": (_parse_choice("plane", "axisymmetric"), _fmt_str),
-    "inflow.kind": (_parse_choice("pressure", "velocity"), _fmt_str),
-    "inflow.shape": (_parse_choice("sine", "multiharmonic", "samples"), _fmt_str),
+    "geometry.symmetry": (_parse_choice("plane", "axisymmetric"), str),
+    "inflow.kind": (_parse_choice("pressure", "velocity"), str),
+    "inflow.shape": (_parse_choice("sine", "multiharmonic", "samples"), str),
     "inflow.amplitude": (_parse_float, _fmt_float),
     "inflow.frequency_hz": (_parse_float, _fmt_float),
     "inflow.harmonics": (_parse_harmonics, _fmt_harmonics),
-    "inflow.samples_file": (str, _fmt_str),
+    "inflow.samples_file": (str, str),
     "run.losses": (_parse_onoff, _fmt_onoff),
     "run.cfl": (_parse_float, _fmt_float),
     "run.duration_periods": (_parse_float, _fmt_float),
     "run.duration_s": (_parse_float, _fmt_float),
-    "run.kernel_mode": (_parse_choice("consistent", "as-printed"), _fmt_str),
-    "run.sampling_exponent": (_parse_int, str),
+    "run.kernel_mode": (_parse_choice("consistent", "as-printed"), str),
+    "run.sampling_exponent": (int, str),
     "probes.stations": (_parse_floats, _fmt_floats),
-    "output.prefix": (str, _fmt_str),
+    "output.prefix": (str, str),
     "output.spectrum_periods": (_parse_positive_int, str),
     "output.kmax": (_parse_positive_int, str),
     "output.db_reference": (_parse_positive_float, _fmt_float),
@@ -200,20 +196,19 @@ def serialize_config(doc: ConfigDocument) -> str:
 
 def _build_signal(doc: ConfigDocument, samples_loader=None):
     shape = doc.require("inflow.shape")
+    if shape == "samples":
+        path = doc.require("inflow.samples_file")
+        if samples_loader is None:
+            raise ConfigError("a samples loader is required for"
+                              " inflow.shape = samples")
+        dtau, values = samples_loader(path)
+        return SampledSignal(dtau=dtau, values=tuple(values))
     if shape == "sine":
-        amp = doc.require("inflow.amplitude")
-        freq = doc.require("inflow.frequency_hz")
-        return SineSignal(amplitude=amp, omega0=TWO_PI * freq)
-    if shape == "multiharmonic":
-        freq = doc.require("inflow.frequency_hz")
+        comps = ((1, doc.require("inflow.amplitude"), 0.0),)
+    else:
         comps = doc.require("inflow.harmonics")
-        return MultiHarmonicSignal(omega0=TWO_PI * freq, components=comps)
-    path = doc.require("inflow.samples_file")
-    if samples_loader is None:
-        raise ConfigError("a samples loader is required for inflow.shape ="
-                          " samples")
-    dtau, values = samples_loader(path)
-    return SampledSignal(dtau=dtau, values=tuple(values))
+    freq = doc.require("inflow.frequency_hz")
+    return MultiHarmonicSignal(omega0=TWO_PI * freq, components=comps)
 
 
 def _gas_key(name: str) -> str:
@@ -278,73 +273,55 @@ _SIMPLE_WAVE_LENGTH = 1.425310887140203   # 0.8 * L_shock(20 m/s, 440 Hz)
 
 
 def builtin_scenarios() -> dict[str, ConfigDocument]:
-    """The four named presets, as full configuration documents."""
-    simple_wave = ConfigDocument({
+    """The four named presets, as full configuration documents: each is
+    the keys it changes on top of a shared base (coupled: of simple-wave)."""
+    base = {
         **_GAS_DEFAULTS,
-        "grid.length": _SIMPLE_WAVE_LENGTH,
-        "grid.cells": 397,
         "geometry.h": 0.007,
         "geometry.symmetry": "axisymmetric",
         "inflow.kind": "velocity",
         "inflow.shape": "sine",
+        "run.losses": True,
+        "run.duration_periods": 9.0,
+        "run.kernel_mode": "consistent",
+        "run.sampling_exponent": 10,
+        "output.spectrum_periods": 4,
+    }
+    simple_wave = {
+        **base,
+        "grid.length": _SIMPLE_WAVE_LENGTH,
+        "grid.cells": 397,
         "inflow.amplitude": 20.0,
         "inflow.frequency_hz": 440.0,
         "run.losses": False,
         "run.cfl": 0.85,
-        "run.duration_periods": 9.0,
-        "run.kernel_mode": "consistent",
-        "run.sampling_exponent": 10,
         "probes.stations": (_SIMPLE_WAVE_LENGTH,),
         "output.prefix": "simple_wave",
-        "output.spectrum_periods": 4,
         "output.kmax": 15,
-    })
-    kirchhoff = ConfigDocument({
-        **_GAS_DEFAULTS,
+    }
+    kirchhoff = {
+        **base,
         "grid.length": 1.0,
         "grid.cells": 73,
         "geometry.h": 0.005,
-        "geometry.symmetry": "axisymmetric",
-        "inflow.kind": "velocity",
-        "inflow.shape": "sine",
         "inflow.amplitude": 0.02,
         "inflow.frequency_hz": 1000.0,
-        "run.losses": True,
         "run.cfl": 0.8,
-        "run.duration_periods": 9.0,
-        "run.kernel_mode": "consistent",
-        "run.sampling_exponent": 10,
         "probes.stations": (0.25, 0.85),
         "output.prefix": "kirchhoff",
-        "output.spectrum_periods": 4,
         "output.kmax": 3,
-    })
-    coupled = ConfigDocument({
-        **_GAS_DEFAULTS,
-        "grid.length": _SIMPLE_WAVE_LENGTH,
+    }
+    # the simple wave with wall losses, on a coarser grid
+    coupled = {
+        **simple_wave,
         "grid.cells": 186,
-        "geometry.h": 0.007,
-        "geometry.symmetry": "axisymmetric",
-        "inflow.kind": "velocity",
-        "inflow.shape": "sine",
-        "inflow.amplitude": 20.0,
-        "inflow.frequency_hz": 440.0,
         "run.losses": True,
-        "run.cfl": 0.85,
-        "run.duration_periods": 9.0,
-        "run.kernel_mode": "consistent",
-        "run.sampling_exponent": 10,
-        "probes.stations": (_SIMPLE_WAVE_LENGTH,),
         "output.prefix": "coupled",
-        "output.spectrum_periods": 4,
-        "output.kmax": 15,
-    })
-    trombone = ConfigDocument({
-        **_GAS_DEFAULTS,
+    }
+    trombone = {
+        **base,
         "grid.length": 1.5,
         "grid.cells": 180,
-        "geometry.h": 0.007,
-        "geometry.symmetry": "axisymmetric",
         "inflow.kind": "pressure",
         "inflow.shape": "multiharmonic",
         "inflow.frequency_hz": 220.0,
@@ -354,19 +331,15 @@ def builtin_scenarios() -> dict[str, ConfigDocument]:
             (3, 600.0, 0.0),
             (4, 300.0, 0.0),
         ),
-        "run.losses": True,
         "run.cfl": 0.75,
         "run.duration_periods": 8.0,
-        "run.kernel_mode": "consistent",
-        "run.sampling_exponent": 10,
         "probes.stations": (1.5,),
         "output.prefix": "trombone",
-        "output.spectrum_periods": 4,
         "output.kmax": 12,
-    })
+    }
     return {
-        "simple-wave": simple_wave,
-        "kirchhoff": kirchhoff,
-        "coupled": coupled,
-        "trombone": trombone,
+        "simple-wave": ConfigDocument(simple_wave),
+        "kirchhoff": ConfigDocument(kirchhoff),
+        "coupled": ConfigDocument(coupled),
+        "trombone": ConfigDocument(trombone),
     }

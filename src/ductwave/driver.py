@@ -14,8 +14,8 @@ step. With losses on their pressures are appended
 to the wall memory, whose storage and per-step cost do not depend on the
 step index; with losses off the wall memory keeps only the initial
 level. The time step is frozen at the start of the run (the convolution
-weights assume uniform dt), set by the CFL rule on the initial rest
-field.
+weights assume uniform dt) at cfl * dx / c0, the CFL step of the rest
+state.
 
 Runs are deterministic: identical scenarios produce bit-identical
 states, histories and probe records. An error raised inside the time loop
@@ -36,14 +36,8 @@ from .analysis import ProbeRecord
 from .boundaries import inflow_update_pressure, inflow_update_velocity, outflow_update
 from .errors import BlowUpError, DuctwaveError
 from .gas import GasModel, primitive_arrays
-from .scheme import (
-    DuctGeometry,
-    FieldState,
-    Grid,
-    compute_dt,
-    lax_wendroff_update,
-    uniform_field,
-)
+from .scheme import (DuctGeometry, FieldState, Grid, lax_wendroff_update,
+                     uniform_field)
 from .wall import PressureHistory
 
 PRESSURE = "pressure"
@@ -111,16 +105,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Run metadata: discretization, cost, and kernel settings."""
+    """What a run decided and cost beyond its scenario: the frozen time
+    step, the step count and the wall-clock time of the time loop."""
 
     dt: float
     n_steps: int
-    dx: float
-    cells: int
-    length: float
-    cfl: float
-    losses: bool
-    kernel_mode: str
     wall_clock_s: float
 
 
@@ -135,11 +124,11 @@ class RunResult:
 
 
 def frozen_dt(scenario: Scenario) -> float:
-    """Time step used for the whole run: CFL rule on the initial rest field."""
-    rest = uniform_field(scenario.grid, scenario.gas,
-                         scenario.gas.rho0, 0.0, scenario.gas.p0)
-    dt = compute_dt(rest, scenario.grid, scenario.gas, scenario.cfl)
+    """Time step used for the whole run, cfl * dx / c0: the CFL step of
+    the rest state. Warns when the signal peak may stretch the Courant
+    number past 1."""
     gas = scenario.gas
+    dt = scenario.cfl * scenario.grid.dx / gas.c0
     stretch = 1.0 + 0.5 * (gas.gamma + 1.0) * scenario.velocity_bound() / gas.c0
     if scenario.cfl * stretch > 1.0:
         warnings.warn(
@@ -278,12 +267,7 @@ def run(scenario: Scenario,
         r for r in (_resample_on_period_grid(rec, scenario) for rec in records)
         if r is not None
     )
-    report = RunReport(
-        dt=sim.dt, n_steps=n_steps, dx=scenario.grid.dx,
-        cells=scenario.grid.cells, length=scenario.grid.length,
-        cfl=scenario.cfl, losses=scenario.losses,
-        kernel_mode=scenario.kernel_mode, wall_clock_s=elapsed,
-    )
+    report = RunReport(dt=sim.dt, n_steps=n_steps, wall_clock_s=elapsed)
     return RunResult(scenario=scenario, state=sim.state, history=sim.history,
                      records=records, resampled=resampled, report=report)
 

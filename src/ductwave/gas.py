@@ -31,8 +31,7 @@ class GasModel:
     """Fluid constants and the reference rest state.
 
     Defaults are standard air data at p0 = 1 atm; override any of them
-    through the configuration layer. Volumic viscosity is fixed to zero,
-    so the visco-thermal length uses 4/3 * mu alone.
+    through the configuration layer.
     """
 
     gamma: float = 1.4            # ratio of specific heats
@@ -60,23 +59,6 @@ class GasModel:
         """Reference entropy p0 / rho0^gamma."""
         return self.p0 / self.rho0 ** self.gamma
 
-    @property
-    def prandtl(self) -> float:
-        """Prandtl number mu * cp / k."""
-        return self.mu * self.cp / self.k_cond
-
-    @property
-    def l_visc(self) -> float:
-        """Viscous length mu / (rho0 * c0) [m]."""
-        return self.mu / (self.rho0 * self.c0)
-
-    @property
-    def l_vh(self) -> float:
-        """Visco-thermal length with zero volumic viscosity [m]."""
-        visc = (4.0 / 3.0) * self.mu / (self.rho0 * self.c0)
-        therm = (self.gamma - 1.0) * self.k_cond / (self.rho0 * self.c0 * self.cp)
-        return visc + therm
-
 
 # ---------------------------------------------------------------------------
 # Conversions. The array forms broadcast over a leading axis and serve the
@@ -99,11 +81,6 @@ def conserved_array(rho, u, p, gas: GasModel) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     etot = p / (gas.gamma - 1.0) + 0.5 * rho * u * u
     return np.stack([rho, rho * u, etot], axis=-1)
-
-
-def sound_speed_array(rho, p, gas: GasModel) -> np.ndarray:
-    """Sound speed sqrt(gamma * p / rho) of (rho, p) arrays [m/s]."""
-    return np.sqrt(gas.gamma * np.asarray(p) / np.asarray(rho))
 
 
 def primitive_from_characteristics(r_plus: float, r_minus: float,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gas import GasModel, conserved_array, primitive_arrays, sound_speed_array
+from .gas import GasModel, conserved_array
 
 PLANE = "plane"
 AXISYMMETRIC = "axisymmetric"
@@ -157,16 +157,6 @@ def lax_wendroff_update(field: FieldState, sources: np.ndarray,
     w_new[1:-1] = w[1:-1] + dt * dt_w + 0.5 * dt * dt * d2t_w
 
     return FieldState(w=w_new, t=field.t + dt, n=field.n + 1)
-
-
-def compute_dt(field: FieldState, grid: Grid, gas: GasModel,
-               cfl: float) -> float:
-    """CFL time step cfl * dx / max_j(|u_j| + c_j), for cfl in (0, 1]."""
-    if not (0.0 < cfl <= 1.0):
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    rho, u, p = primitive_arrays(field.w, gas)
-    radius = float(np.max(np.abs(u) + sound_speed_array(rho, p, gas)))
-    return cfl * grid.dx / radius
 
 
 def uniform_field(grid: Grid, gas: GasModel, rho: float, u: float,

@@ -2,9 +2,11 @@
 
 A signal is the time-dependent boundary datum at x = 0: either a velocity
 u0(t) [m/s] or the acoustic part of a pressure pi(t) - p0 [Pa], depending
-on the scenario's inflow kind. All waveforms expose value(t) and
-derivative(t) plus conservative amplitude/rate bounds used for shock
-distance estimates and time-step sizing.
+on the scenario's inflow kind. There are two families: a sum of harmonics
+of a fundamental (a sine is the one-component sum (1, amplitude, 0.0)),
+and a tabulated series. Both expose value(t) and derivative(t) plus
+amplitude/rate bounds, used for shock distance estimates and the
+Courant warning.
 """
 
 from __future__ import annotations
@@ -15,34 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SignalRangeError
-
-
-@dataclass(frozen=True)
-class SineSignal:
-    """A sin(omega0 t) waveform."""
-
-    amplitude: float
-    omega0: float   # pulsation [rad/s]
-
-    def __post_init__(self):
-        if self.omega0 <= 0.0:
-            raise ValueError("pulsation must be positive")
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega0
-
-    def value(self, t: float) -> float:
-        return self.amplitude * math.sin(self.omega0 * t)
-
-    def derivative(self, t: float) -> float:
-        return self.amplitude * self.omega0 * math.cos(self.omega0 * t)
-
-    def peak(self) -> float:
-        return abs(self.amplitude)
-
-    def max_rate(self) -> float:
-        return abs(self.amplitude) * self.omega0
 
 
 @dataclass(frozen=True)

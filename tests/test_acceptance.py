@@ -24,7 +24,7 @@ from ductwave.scheme import (
     Grid,
     lax_wendroff_update,
 )
-from ductwave.signals import SineSignal
+from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
     CONSISTENT,
     PressureHistory,
@@ -112,7 +112,8 @@ def _convergence_order():
         sc = Scenario(
             gas=AIR, grid=Grid(length, cells),
             geom=DuctGeometry(0.007, "axisymmetric"),
-            inflow_kind="velocity", inflow=SineSignal(u0, OMEGA0),
+            inflow_kind="velocity",
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, u0, 0.0),)),
             losses=False, cfl=0.85, duration_periods=6.0,
             probes=(x_probe,), sampling_exponent=9,
         )
@@ -164,7 +165,8 @@ class TestA3LinearKirchhoff:
             sc = Scenario(
                 gas=AIR, grid=Grid(length, cells),
                 geom=DuctGeometry(radius, "axisymmetric"),
-                inflow_kind="velocity", inflow=SineSignal(u0, omega),
+                inflow_kind="velocity",
+                inflow=MultiHarmonicSignal(omega, ((1, u0, 0.0),)),
                 losses=True, cfl=0.8, duration_periods=9.0,
                 probes=(0.25, 0.85), sampling_exponent=9,
             )
@@ -273,7 +275,8 @@ class TestA7ConservationAndFixedPoints:
         sc = Scenario(
             gas=AIR, grid=Grid(0.5, 40),
             geom=DuctGeometry(0.005, "axisymmetric"),
-            inflow_kind="pressure", inflow=SineSignal(0.0, OMEGA0),
+            inflow_kind="pressure",
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.0, 0.0),)),
             losses=True, cfl=0.8, duration_s=1.0, probes=(),
         )
         sim = Simulation(sc)
@@ -378,7 +381,8 @@ class TestA9ShockDistance:
             sc = Scenario(
                 gas=AIR, grid=Grid(length, cells),
                 geom=DuctGeometry(0.007, "axisymmetric"),
-                inflow_kind="velocity", inflow=SineSignal(u0, omega),
+                inflow_kind="velocity",
+                inflow=MultiHarmonicSignal(omega, ((1, u0, 0.0),)),
                 losses=False, cfl=0.85, duration_periods=9.0,
                 probes=(0.05 * l_shock, length), sampling_exponent=10,
             )
@@ -394,7 +398,7 @@ class TestA9ShockDistance:
         u0, omega = 10.0, 2.0 * math.pi * 440.0
         try:
             dw.SimpleWaveProblem(
-                signal=SineSignal(u0, omega), gas=AIR,
+                signal=MultiHarmonicSignal(omega, ((1, u0, 0.0),)), gas=AIR,
                 station=1.05 * dw.shock_distance(u0, omega, AIR))
             refusal_ok = False
         except ShockRegimeError:

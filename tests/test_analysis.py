@@ -15,7 +15,7 @@ from ductwave.driver import VELOCITY, Scenario, _resample_on_period_grid
 from ductwave.errors import MisalignedWindowError, UndefinedReferenceError
 from ductwave.gas import GasModel
 from ductwave.scheme import DuctGeometry, Grid
-from ductwave.signals import SineSignal
+from ductwave.signals import MultiHarmonicSignal
 
 OMEGA0 = 2.0 * math.pi * 100.0
 PERIOD = 2.0 * math.pi / OMEGA0
@@ -38,7 +38,7 @@ def _period_grid(record, exponent):
     scenario = Scenario(
         gas=GasModel(), grid=Grid(length=1.0, cells=4),
         geom=DuctGeometry(h=0.005), inflow_kind=VELOCITY,
-        inflow=SineSignal(amplitude=1.0, omega0=OMEGA0), duration_s=1.0,
+        inflow=MultiHarmonicSignal(OMEGA0, ((1, 1.0, 0.0),)), duration_s=1.0,
         sampling_exponent=exponent,
     )
     return _resample_on_period_grid(record, scenario)

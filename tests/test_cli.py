@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -105,6 +106,12 @@ class TestRunCommand:
         ("output.kmax", "0"),
         ("output.spectrum_periods", "-2"),
         ("output.db_reference", "0.0"),
+        # non-finite numbers are refused where they are parsed
+        ("inflow.frequency_hz", "nan"),
+        ("run.duration_periods", "inf"),
+        ("grid.length", "inf"),
+        ("geometry.h", "nan"),
+        ("inflow.harmonics", "1:nan:0.0"),
     ])
     def test_invalid_value_exits_with_config_code(self, key, value, tmp_path,
                                                   capsys):
@@ -170,6 +177,18 @@ class TestRunCommand:
             "inflow.shape": "samples", "inflow.samples_file": samples,
             "inflow.amplitude": None, "inflow.frequency_hz": None,
             **edits})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sample_exits_with_config_code(self, tmp_path, capsys,
+                                                      value):
+        cfg = self._sampled_config(tmp_path, [0.0, value, 0.0],
+                                   **{"run.duration_periods": None,
+                                      "run.duration_s": "1e-3"})
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:effective Courant")
     def test_negative_external_sound_speed_exits_with_runtime_code(
@@ -328,6 +347,12 @@ _ORACLE_ARGS = {
     ("oracle-characteristics", "--sampling-exponent", "6"),
     ("oracle-characteristics", "--kmax", "0"),
     ("oracle-characteristics", "--periods", "0"),
+    ("oracle-kirchhoff", "--xmax", "inf"),
+    ("oracle-kirchhoff", "--h", "inf"),
+    ("oracle-kirchhoff", "--freq", "inf"),
+    ("oracle-characteristics", "--u0", "inf"),
+    ("oracle-characteristics", "--freq", "inf"),
+    ("oracle-characteristics", "--s", "inf"),
 ])
 def test_bad_oracle_argument_exits_before_any_file(command, flag, value,
                                                    tmp_path, capsys):
@@ -392,6 +417,20 @@ class TestCsvRoundTrip:
             assert body[i, 1] == v * 3.0
 
 
+# sha256 of each preset's emitted text: the presets are part of the
+# deterministic output contract, so their text may not drift
+_PRESET_SHA256 = {
+    "simple-wave":
+        "338f38d1ded8f4d2c4420976a8ce14cc7b748022e203e84ce21d1628221f9dba",
+    "kirchhoff":
+        "0220121db4183cc5ff84cc39938226c58cf1447713cb1b4c245bb07d6ed4cbb1",
+    "coupled":
+        "de790ac827d90fa852bb9c3d4b3ca909cbce918896f228c3b40e093bd2bde4d0",
+    "trombone":
+        "f0dd881e49c9a4b0371de7afc34b54e4a6ae666524a765d97ff8823e1aceb4d2",
+}
+
+
 class TestScenarioCommand:
     @pytest.mark.parametrize("name", ["simple-wave", "kirchhoff", "coupled",
                                       "trombone"])
@@ -400,6 +439,8 @@ class TestScenarioCommand:
         text = capsys.readouterr().out
         from ductwave.config import parse_config, scenario_from_config
         scenario_from_config(parse_config(text))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == _PRESET_SHA256[name]
 
     def test_write_to_file(self, tmp_path):
         target = tmp_path / "preset.cfg"

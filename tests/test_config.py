@@ -12,7 +12,7 @@ from ductwave.config import (
     serialize_config,
 )
 from ductwave.errors import ConfigError
-from ductwave.signals import MultiHarmonicSignal, SineSignal
+from ductwave.signals import MultiHarmonicSignal
 
 MINIMAL = """
 # minimal runnable document
@@ -56,6 +56,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("run.losses = maybe\n")
 
+    @pytest.mark.parametrize("line", [
+        "gas.gamma = nan",
+        "grid.length = inf",
+        "output.db_reference = inf",
+        "probes.stations = 0.1, -inf",
+        "inflow.harmonics = 1:100.0:0.0, 2:nan:0.0",
+        "inflow.harmonics = 1:100.0:inf",
+    ])
+    def test_non_finite_number_reports_line(self, line):
+        with pytest.raises(ConfigError, match="line 2.*must be finite"):
+            parse_config("grid.cells = 50\n" + line + "\n")
+
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("grid.length 1.0\n")
@@ -96,7 +108,9 @@ class TestScenarioConstruction:
         sc = scenario_from_config(parse_config(MINIMAL))
         assert sc.grid.cells == 50
         assert sc.geom.beta == 2
-        assert isinstance(sc.inflow, SineSignal)
+        # a sine is the one-component sum of harmonics
+        assert isinstance(sc.inflow, MultiHarmonicSignal)
+        assert sc.inflow.components == ((1, 0.5, 0.0),)
         assert sc.inflow.omega0 == pytest.approx(2.0 * math.pi * 440.0,
                                                  rel=1e-12)
         assert sc.probes == (1.0,)    # defaults to the outlet

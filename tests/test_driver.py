@@ -20,9 +20,12 @@ from ductwave.errors import BlowUpError, UnsupportedRegimeError
 from ductwave.gas import GasModel, conserved_array, primitive_arrays
 from ductwave.scheme import DuctGeometry, FieldState, Grid, lax_wendroff_update
 from ductwave.boundaries import inflow_update_velocity, outflow_update
-from ductwave.signals import SineSignal
+from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import K0
 from exact_history import ExactHistory
+
+
+OMEGA0 = 2.0 * math.pi * 500.0   # the 500 Hz fundamental of _small_scenario
 
 
 def _small_scenario(air, **overrides):
@@ -31,7 +34,7 @@ def _small_scenario(air, **overrides):
         grid=Grid(length=0.1, cells=4),
         geom=DuctGeometry(h=0.005, symmetry="axisymmetric"),
         inflow_kind=PRESSURE,
-        inflow=SineSignal(amplitude=80.0, omega0=2.0 * math.pi * 500.0),
+        inflow=MultiHarmonicSignal(OMEGA0, ((1, 80.0, 0.0),)),
         losses=True,
         cfl=0.8,
         duration_s=1e-3,
@@ -82,13 +85,12 @@ class TestInitialize:
 
     def test_frozen_dt_is_rest_cfl(self, air):
         sc = _small_scenario(air)
-        assert frozen_dt(sc) == pytest.approx(
-            0.8 * sc.grid.dx / air.c0, rel=1e-12)
+        assert frozen_dt(sc) == 0.8 * sc.grid.dx / air.c0
 
     def test_courant_warning_issued_once_per_run(self, air):
         sc = _small_scenario(
             air, cfl=0.99, duration_s=None, duration_periods=0.5,
-            inflow=SineSignal(amplitude=5e3, omega0=2.0 * math.pi * 500.0))
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, 5e3, 0.0),)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run(sc)
@@ -98,7 +100,7 @@ class TestInitialize:
     def test_aggressive_cfl_warns(self, air):
         sc = _small_scenario(
             air, cfl=0.99,
-            inflow=SineSignal(amplitude=5e3, omega0=2.0 * math.pi * 500.0))
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, 5e3, 0.0),)))
         with pytest.warns(UserWarning, match="Courant"):
             frozen_dt(sc)
 
@@ -107,7 +109,7 @@ class TestFixedPoints:
     def test_lossless_rest_state_unchanged(self, air):
         sc = _small_scenario(
             air, losses=False,
-            inflow=SineSignal(amplitude=0.0, omega0=2.0 * math.pi * 500.0))
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.0, 0.0),)))
         sim = Simulation(sc)
         w0 = sim.state.w.copy()
         sim.advance()
@@ -125,7 +127,7 @@ class TestFixedPoints:
         # constant history means G = 0, so losses change nothing at rest
         sc = _small_scenario(
             air, losses=True, inflow_kind=VELOCITY,
-            inflow=SineSignal(amplitude=0.0, omega0=2.0 * math.pi * 500.0))
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.0, 0.0),)))
         sim = Simulation(sc)
         for _ in range(50):
             sim.advance()
@@ -347,7 +349,8 @@ class TestStepAgainstOracle:
         # the next update must be taken after both boundary rows are written
         sc = _small_scenario(air, grid=Grid(length=0.1, cells=8),
                              inflow_kind=kind, probes=(0.0, 0.1),
-                             inflow=SineSignal(amplitude, 2.0 * math.pi * 500.0))
+                             inflow=MultiHarmonicSignal(
+                                 OMEGA0, ((1, amplitude, 0.0),)))
         sim = Simulation(sc)
         for _ in range(K0 + 8):
             sim.advance()
@@ -429,7 +432,7 @@ class TestRunFailures:
         # first quarter period
         sc = _small_scenario(
             air, inflow_kind=VELOCITY, duration_s=None, duration_periods=1.0,
-            inflow=SineSignal(amplitude=-400.0, omega0=2.0 * math.pi * 500.0))
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, -400.0, 0.0),)))
         _, step, t = _first_failure(sc, UnsupportedRegimeError)
         period = sc.fundamental_period
         assert step > 1 and t < period
@@ -443,7 +446,7 @@ class TestRunFailures:
         # failure: its node, then the step and the period
         sc = _small_scenario(
             air, inflow_kind=VELOCITY, duration_s=None, duration_periods=1.0,
-            inflow=SineSignal(amplitude=300.0, omega0=2.0 * math.pi * 500.0))
+            inflow=MultiHarmonicSignal(OMEGA0, ((1, 300.0, 0.0),)))
         error, step, t = _first_failure(sc, BlowUpError)
         node = error.node
         assert str(error) == f"state lost positivity (node {node})"
@@ -458,7 +461,7 @@ class TestRunFailures:
 class TestRun:
     def test_zero_amplitude_probes_flat(self, air):
         sc = _small_scenario(
-            air, inflow=SineSignal(amplitude=0.0, omega0=2.0 * math.pi * 500.0),
+            air, inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.0, 0.0),)),
             probes=(0.05,), duration_s=None, duration_periods=2.0)
         result = run(sc)
         rec = result.records[0]
@@ -482,8 +485,9 @@ class TestRun:
         rep = result.report
         assert rep.dt == pytest.approx(frozen_dt(sc), rel=1e-15)
         assert rep.n_steps == math.ceil(sc.duration / rep.dt - 1e-9)
-        assert rep.cells == 4
-        assert rep.kernel_mode == "consistent"
+        assert result.scenario is sc
+        assert result.scenario.grid.cells == 4
+        assert result.scenario.kernel_mode == "consistent"
         assert rep.wall_clock_s >= 0.0
 
     def test_resampled_grid_shape(self, air):
@@ -499,7 +503,7 @@ class TestDegenerateCoupling:
     def test_losses_off_equals_manual_lossless_stepping(self, air):
         sc = _small_scenario(air, losses=False, duration_s=None,
                              duration_periods=2.0, inflow_kind=VELOCITY,
-                             inflow=SineSignal(0.05, 2.0 * math.pi * 500.0))
+                             inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.05, 0.0),)))
         sim = Simulation(sc)
         state = Simulation(sc).state
         zeros = np.zeros_like(state.w)
@@ -554,7 +558,8 @@ class TestCoupledPhysics:
         sc = Scenario(
             gas=air, grid=Grid(length=0.9, cells=120),
             geom=DuctGeometry(h=0.004, symmetry="axisymmetric"),
-            inflow_kind=VELOCITY, inflow=SineSignal(8.0, omega),
+            inflow_kind=VELOCITY,
+            inflow=MultiHarmonicSignal(omega, ((1, 8.0, 0.0),)),
             losses=True, cfl=0.8, duration_periods=7.0, probes=(0.9,),
             sampling_exponent=8,
         )
@@ -581,7 +586,8 @@ class TestCoupledPhysics:
         sc = Scenario(
             gas=air, grid=Grid(length=5.0 * lam, cells=100),
             geom=DuctGeometry(h=0.005), inflow_kind=VELOCITY,
-            inflow=SineSignal(0.01, 2.0 * math.pi * freq), losses=False,
+            inflow=MultiHarmonicSignal(2.0 * math.pi * freq, ((1, 0.01, 0.0),)),
+            losses=False,
             cfl=0.8, duration_periods=50.0, probes=(2.5 * lam,),
         )
         result = run(sc)
@@ -607,7 +613,7 @@ class TestCoupledPhysics:
         sc = Scenario(
             gas=air, grid=grid, geom=DuctGeometry(h=0.007),
             inflow_kind=PRESSURE,
-            inflow=SineSignal(0.0, 2.0 * math.pi * 100.0),
+            inflow=MultiHarmonicSignal(2.0 * math.pi * 100.0, ((1, 0.0, 0.0),)),
             losses=False, cfl=0.8, duration_s=0.8 / air.c0, probes=(),
         )
         result = run(sc, initial_field=init)

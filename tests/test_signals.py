@@ -5,12 +5,17 @@ import math
 import pytest
 
 from ductwave.errors import SignalRangeError
-from ductwave.signals import MultiHarmonicSignal, SampledSignal, SineSignal
+from ductwave.signals import MultiHarmonicSignal, SampledSignal
 from reference_forms import raised_cosine_pulse
 
 
 def test_sine_value_and_derivative():
-    sig = SineSignal(amplitude=2.0, omega0=100.0)
+    # a sine is the one-component sum; 1*w + 0.0 and 0 + a*sin(w) are
+    # exact, so it evaluates bit for bit as a*sin(w t)
+    sig = MultiHarmonicSignal(100.0, ((1, 2.0, 0.0),))
+    for t in (0.013, 0.3, 7.7):
+        assert sig.value(t) == 2.0 * math.sin(100.0 * t)
+        assert sig.derivative(t) == 2.0 * 100.0 * math.cos(100.0 * t)
     assert sig.value(0.0) == 0.0
     assert sig.value(math.pi / 200.0) == pytest.approx(2.0, rel=1e-12)
     assert sig.derivative(0.0) == pytest.approx(200.0, rel=1e-12)
@@ -21,7 +26,7 @@ def test_sine_value_and_derivative():
 
 def test_sine_rejects_bad_pulsation():
     with pytest.raises(ValueError):
-        SineSignal(1.0, 0.0)
+        MultiHarmonicSignal(0.0, ((1, 1.0, 0.0),))
 
 
 def test_multiharmonic_matches_manual_sum():

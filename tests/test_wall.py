@@ -12,7 +12,7 @@ from scipy.special import erf
 
 from ductwave.driver import Scenario, _source_tables
 from ductwave.scheme import DuctGeometry, Grid
-from ductwave.signals import SineSignal
+from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
     _SOE_C,
     _SOE_S,
@@ -63,7 +63,7 @@ def _g3(levels, j, n, gas, geom=GEOM, mode=CONSISTENT, dt=1e-5):
 def _scenario(gas, **overrides):
     """Lossy 5-node scenario on GRID/GEOM for the driver's source tables."""
     base = dict(gas=gas, grid=GRID, geom=GEOM, inflow_kind="pressure",
-                inflow=SineSignal(amplitude=50.0, omega0=2000.0),
+                inflow=MultiHarmonicSignal(2000.0, ((1, 50.0, 0.0),)),
                 duration_s=1e-3)
     base.update(overrides)
     return Scenario(**base)
