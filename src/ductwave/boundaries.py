@@ -14,9 +14,10 @@ An inflow takes u_e from the imposed acoustic velocity, or from the
 imposed total pressure pi as (pi - p0)/(rho0 c0). The nonreflecting
 outflow is the same update with u_e = 0, the rest external state. The
 foot point lies at lambda = |u + s c| dt/dx of the way to the neighbour,
-clamped to [0, 1]; the CFL bound keeps the exact foot in the first cell.
+clamped to 1; the CFL bound keeps the exact foot in the first cell.
 
-States are conserved (3,) rows and the update works on plain numbers.
+States are conserved (3,) rows, read as plain floats: the update, foot
+point included, works on plain numbers and returns the new row.
 Each check (positive imposed pressure and external sound speed, positive
 density and internal energy at the node and at its foot point, |u| < c
 at the node, r_plus > r_minus) names the boundary node in its error.
@@ -43,23 +44,22 @@ def _external(u_e: float, gas: GasModel, node: int) -> float:
 
 
 def foot_point(states_near_boundary: tuple, celerity_signed: float,
-               dt: float, dx: float) -> np.ndarray:
+               dt: float, dx: float) -> tuple[float, float, float]:
     """Backward-characteristic foot state between boundary and neighbor.
 
     states_near_boundary is (boundary state, interior neighbor state),
-    each a conserved 3-array. Written as W_b + lambda*(W_n - W_b) so
-    interpolating identical states is bitwise exact.
+    each a conserved 3-sequence of floats. Written as
+    W_b + lambda*(W_n - W_b), lambda clamped to 1, so interpolating
+    identical states is bitwise exact.
     """
-    w_b = np.asarray(states_near_boundary[0], dtype=float)
-    w_n = np.asarray(states_near_boundary[1], dtype=float)
-    lam = abs(celerity_signed) * dt / dx
-    lam = min(max(lam, 0.0), 1.0)
-    return w_b + lam * (w_n - w_b)
+    w_b, w_n = states_near_boundary
+    lam = min(abs(celerity_signed) * dt / dx, 1.0)
+    return tuple(b + lam * (n - b) for b, n in zip(w_b, w_n))
 
 
 def _node_state(w, gas: GasModel, node: int):
-    """(rho, u, p, c) of a conserved row read at boundary node `node`."""
-    rho, mom, etot = float(w[0]), float(w[1]), float(w[2])
+    """(rho, u, p, c) of a conserved row of floats at boundary node `node`."""
+    rho, mom, etot = w
     if not (rho > 0.0):
         raise InvalidStateError(f"non-positive density {rho}", node=node)
     u = mom / rho
@@ -76,6 +76,7 @@ def _characteristic_update(w_b, w_n, u_e: float, side: int, gas: GasModel,
     """New row at boundary node `node` from the level-n rows w_b of the node
     and w_n of its interior neighbour, for external velocity u_e on side
     -1 (inlet) or +1 (outlet)."""
+    w_b, w_n = w_b.tolist(), w_n.tolist()
     gm1 = gas.gamma - 1.0
     c_e = _external(u_e, gas, node)
     _, u, _, c = _node_state(w_b, gas, node)

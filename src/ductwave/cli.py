@@ -20,6 +20,7 @@ import argparse
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +161,12 @@ def cmd_run(args) -> int:
             map(np.ndarray.tolist, np.column_stack([record.times,
                                                      record.data])),
         )
-        spectrum_rows = _spectrum_rows(record, scenario, doc)
-        if spectrum_rows is not None:
+        if result.resampled:
             write_csv(
                 out_dir / f"{tag}_spectrum.csv",
                 ["k", "mag_u_mps", "mag_p_Pa", "level_p_dbspl",
                  "level_p_rel_db"],
-                spectrum_rows,
+                _spectrum_rows(record, scenario, doc),
             )
 
     report_path = out_dir / f"{prefix}_report.txt"
@@ -179,19 +179,16 @@ def cmd_run(args) -> int:
 
 
 def _spectrum_rows(record, scenario, doc):
-    period = scenario.fundamental_period
-    if period is None:
-        return None
-    omega0 = 2.0 * math.pi / period
-    span = (record.n_samples - 1) * record.tau
-    avail = int(math.floor(span / period + 1e-9))
-    periods = min(doc.get("output.spectrum_periods", 4), avail)
-    if periods < 1:
-        return None
+    """Spectrum rows of the last output.spectrum_periods whole periods of a
+    record resampled on the period grid (2^N samples a period)."""
+    omega0 = 2.0 * math.pi / scenario.fundamental_period
+    per_period = 2 ** scenario.sampling_exponent
+    whole = (record.n_samples - 1) // per_period
+    periods = min(doc.get("output.spectrum_periods", 4), whole)
+    lo, hi = (whole - periods) * per_period, whole * per_period
+    window = replace(record, data=record.data[lo:hi],
+                     t_start=record.t_start + lo * record.tau)
     k_max = doc.get("output.kmax", DEFAULT_KMAX)
-    t_hi = record.t_start + avail * period
-    t_lo = t_hi - periods * period
-    window = record.window(t_lo, t_hi)
     spec_u = analysis.harmonic_spectrum(window, omega0, k_max, component="u")
     spec_p = analysis.harmonic_spectrum(window, omega0, k_max, component="p")
     db_ref = doc.get("output.db_reference", analysis.P_REF_SPL)

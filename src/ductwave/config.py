@@ -194,8 +194,20 @@ def serialize_config(doc: ConfigDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the inflow keys each shape reads; a key another shape reads is refused
+_SHAPE_KEYS = {
+    "sine": ("inflow.amplitude", "inflow.frequency_hz"),
+    "multiharmonic": ("inflow.harmonics", "inflow.frequency_hz"),
+    "samples": ("inflow.samples_file",),
+}
+
+
 def _build_signal(doc: ConfigDocument, samples_loader=None):
     shape = doc.require("inflow.shape")
+    for key in ("inflow.amplitude", "inflow.frequency_hz",
+                "inflow.harmonics", "inflow.samples_file"):
+        if key in doc and key not in _SHAPE_KEYS[shape]:
+            raise ConfigError(f"{key} is not read by inflow.shape = {shape}")
     if shape == "samples":
         path = doc.require("inflow.samples_file")
         if samples_loader is None:

@@ -1,8 +1,8 @@
 """Time-loop orchestration of the coupled duct problem.
 
 One step, all from level-n data: evaluate the wall sources G for every
-node from the wall memory of the pressure history, and their rate
-against the previous step's table (zero before the first step; with
+node from the wall memory and the prefactors fixed at construction, and
+their rate (G - G_prev)/dt (G_prev is zero before the first step; with
 losses off both are one shared read-only zero table); advance the
 interior nodes with the second-order expansion, from the primitive arrays
 (rho, u, p) kept from the previous step; rebuild both boundary nodes from
@@ -38,7 +38,6 @@ from .errors import BlowUpError, DuctwaveError
 from .gas import GasModel, primitive_arrays
 from .scheme import (DuctGeometry, FieldState, Grid, lax_wendroff_update,
                      uniform_field)
-from .wall import PressureHistory
 
 PRESSURE = "pressure"
 VELOCITY = "velocity"
@@ -117,7 +116,7 @@ class RunReport:
 class RunResult:
     scenario: Scenario
     state: FieldState
-    history: PressureHistory
+    history: wall.PressureHistory
     records: tuple[ProbeRecord, ...]
     resampled: tuple[ProbeRecord, ...]
     report: RunReport
@@ -139,22 +138,6 @@ def frozen_dt(scenario: Scenario) -> float:
     return dt
 
 
-def _source_tables(history: PressureHistory, n: int, scenario: Scenario,
-                   dt: float, g_prev: np.ndarray, zero: np.ndarray):
-    """G and dG/dt for all nodes at step n (zeros with losses off).
-
-    g_prev is the table of step n-1; at the first step it is zero, as the
-    table of step 0 itself is. zero is a read-only (J+1, 3) zero table,
-    passed as that first g_prev and returned in place of every table that
-    is identically zero.
-    """
-    if not scenario.losses:
-        return zero, zero
-    g_now = wall.source_table(history, n, scenario.gas, scenario.grid,
-                              scenario.geom, scenario.kernel_mode)
-    return g_now, (g_now - g_prev) / dt
-
-
 def _checked_primitives(w: np.ndarray, gas: GasModel):
     """primitive_arrays(w, gas) of a field with positive density and
     pressure and finite rows, else BlowUpError naming the first bad node.
@@ -172,8 +155,9 @@ def _checked_primitives(w: np.ndarray, gas: GasModel):
 
 
 class Simulation:
-    """Stateful runner that caches, between steps, the primitive arrays
-    (rho, u, p) of its current state and the previous source table."""
+    """Stateful runner that fixes the wall-source prefactors for the run
+    and caches, between steps, the primitive arrays (rho, u, p) of its
+    current state and the previous source table."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: FieldState | None = None):
@@ -187,15 +171,16 @@ class Simulation:
             raise ValueError("initial field does not match the grid")
         self.state = initial_field.copy()
         self.prim = _checked_primitives(self.state.w, gas)
-        self.history = PressureHistory(n_nodes=scenario.grid.n_nodes,
-                                       dt=self.dt)
+        self.history = wall.PressureHistory(n_nodes=scenario.grid.n_nodes)
         self.history.append(self.prim[2])
+        self._c2, self._c3 = wall.source_coefficients(
+            gas, scenario.geom, scenario.grid, self.dt, scenario.kernel_mode)
         self._zero = np.zeros((scenario.grid.n_nodes, 3))
         self._zero.flags.writeable = False
         self._g_prev = self._zero
-        self._probe_nodes = tuple(
-            scenario.grid.nearest_node(x) for x in scenario.probes
-        )
+        # stations that share a node record it once, in first-seen order
+        self._probe_nodes = tuple(dict.fromkeys(
+            scenario.grid.nearest_node(x) for x in scenario.probes))
         self._probe_rows = [[] for _ in self._probe_nodes]
         self._record_probes()
 
@@ -209,8 +194,12 @@ class Simulation:
         """One coupled step (sources, interior, boundaries, history, probes)."""
         sc, state, dt = self.scenario, self.state, self.dt
         gas, grid = sc.gas, sc.grid
-        g_now, dt_g = _source_tables(self.history, state.n, sc, dt,
-                                     self._g_prev, self._zero)
+        if sc.losses:
+            g_now = wall.source_table(self.history, state.n, self._c2,
+                                      self._c3)
+            dt_g = (g_now - self._g_prev) / dt
+        else:
+            g_now = dt_g = self._zero
         self._g_prev = g_now
         new = lax_wendroff_update(state, g_now, dt_g, gas, grid, dt,
                                   self.prim)

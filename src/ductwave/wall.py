@@ -24,7 +24,9 @@ of the kernel), Q = 88 of them after the modes whose decay is 1 to within
 1e-13 are folded into one running sum. Each step then costs O((K0+Q) J)
 whatever its index, and the sum-of-exponentials weights match w_m to
 1.4e-9 relative on every lag from K0 - 1 to 10^6. Uniform dt is
-required by the weights.
+required by the weights. The memory holds pressures only: dt enters
+through the prefactors of the sums, which `source_coefficients` computes
+once per run and each step's `source_table` takes with the step index.
 """
 
 from __future__ import annotations
@@ -107,11 +109,8 @@ class PressureHistory:
     level can be summed.
     """
 
-    def __init__(self, n_nodes: int, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+    def __init__(self, n_nodes: int):
         self.n_nodes = n_nodes
-        self.dt = dt
         self._store = np.zeros((K0 + _SOE_S.size, n_nodes))
         self._ring = self._store[:K0]
         self._modes = self._store[K0:]
@@ -169,13 +168,6 @@ class PressureHistory:
         return acc
 
 
-def shear_coefficient(gas: GasModel, geom: DuctGeometry, grid: Grid,
-                      dt: float) -> float:
-    """Prefactor of the G2 convolution sum [Pa/m per Pa]."""
-    return (geom.beta / geom.h) * math.sqrt(gas.mu / (gas.rho0 * math.pi)) \
-        * math.sqrt(dt) / (2.0 * grid.dx)
-
-
 def heat_kernel_constant(gas: GasModel, mode: str = CONSISTENT) -> float:
     """kappa in the G3 sum: k-based (consistent) or mu-based (as printed)."""
     if mode == CONSISTENT:
@@ -187,18 +179,25 @@ def heat_kernel_constant(gas: GasModel, mode: str = CONSISTENT) -> float:
     return math.sqrt(num / (gas.rho0 * gas.cp * math.pi))
 
 
-def heat_coefficient(gas: GasModel, geom: DuctGeometry, dt: float,
-                     mode: str = CONSISTENT) -> float:
-    """Prefactor of the G3 convolution sum [W/m^3 per Pa]."""
-    return -(2.0 * geom.beta / geom.h) * heat_kernel_constant(gas, mode) \
+def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
+                        dt: float, mode: str = CONSISTENT
+                        ) -> tuple[float, float]:
+    """Prefactors (c2, c3) of the G2 sum [Pa/m per Pa] and the G3 sum
+    [W/m^3 per Pa]: fixed for a run by its gas, duct, frozen dt and
+    kernel mode."""
+    c2 = (geom.beta / geom.h) * math.sqrt(gas.mu / (gas.rho0 * math.pi)) \
+        * math.sqrt(dt) / (2.0 * grid.dx)
+    c3 = -(2.0 * geom.beta / geom.h) * heat_kernel_constant(gas, mode) \
         / math.sqrt(dt)
+    return c2, c3
 
 
-def source_table(hist: PressureHistory, n: int, gas: GasModel, grid: Grid,
-                 geom: DuctGeometry, mode: str = CONSISTENT) -> np.ndarray:
+def source_table(hist: PressureHistory, n: int, c2: float,
+                 c3: float) -> np.ndarray:
     """G at every node for step n, as a (J+1, 3) array.
 
-    Interior nodes follow the convolution sums of `hist.sums(n)`. The
+    Interior nodes follow the convolution sums of `hist.sums(n)`, scaled
+    by the prefactors (c2, c3) of `source_coefficients`. The
     centered pressure-gradient bracket of G2 is undefined at j = 0 and
     j = J, so boundary rows copy their adjacent interior value (they only
     feed the midpoint source averages of the interior expansion). At
@@ -206,8 +205,6 @@ def source_table(hist: PressureHistory, n: int, gas: GasModel, grid: Grid,
     """
     out = np.zeros((hist.n_nodes, 3))
     pair_acc, diff_acc = hist.sums(n)
-    c2 = shear_coefficient(gas, geom, grid, hist.dt)
-    c3 = heat_coefficient(gas, geom, hist.dt, mode)
     out[1:-1, 1] = c2 * (pair_acc[2:] - pair_acc[:-2])
     out[0, 1] = out[1, 1]
     out[-1, 1] = out[-2, 1]

@@ -4,7 +4,7 @@
 forms the pair and difference sums over the whole summation window with
 the exact weights w_m = 1/(sqrt(m)+sqrt(m+1)), at a cost of O(n) per node
 per step. It has the interface `wall.source_table` reads from the runtime
-wall memory (`n_nodes`, `dt`, `n_levels`, `append`, `window`, `sums`),
+wall memory (`n_nodes`, `n_levels`, `append`, `window`, `sums`),
 so a table or a whole `Simulation` can run on either.
 """
 
@@ -18,11 +18,8 @@ from ductwave.wall import kernel_weights
 class ExactHistory:
     """Append-only nodal pressure series p_j^m on a uniform time step."""
 
-    def __init__(self, n_nodes: int, dt: float, capacity: int = 1024):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+    def __init__(self, n_nodes: int, capacity: int = 1024):
         self.n_nodes = n_nodes
-        self.dt = dt
         self._p = np.empty((capacity, n_nodes))
         self._levels = 0
 

@@ -29,6 +29,7 @@ from ductwave.wall import (
     CONSISTENT,
     PressureHistory,
     heat_kernel_constant,
+    source_coefficients,
     source_table,
 )
 from reference_forms import (
@@ -221,10 +222,11 @@ class TestA5SourceTermOracle:
         steps_per_period = 256
         dt = 1.0 / freq / steps_per_period
         n = 10 * steps_per_period
-        hist = PressureHistory(n_nodes=5, dt=dt)
+        hist = PressureHistory(n_nodes=5)
         for m in range(n + 1):
             hist.append(np.full(5, AIR.p0 + amp * math.sin(omega * m * dt)))
-        g3 = source_table(hist, n, AIR, Grid(0.1, 4), geom, CONSISTENT)[2, 2]
+        g3 = source_table(hist, n, *source_coefficients(
+            AIR, geom, Grid(0.1, 4), dt, CONSISTENT))[2, 2]
 
         t_end = n * dt
         integral, quad_err = integrate.quad(

@@ -12,6 +12,7 @@ import pytest
 
 import ductwave
 
+from ductwave import cli
 from ductwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -52,6 +53,39 @@ def _edited_config(tmp_path, edits):
     return path
 
 
+# SMALL_CONFIG's edits to each inflow shape (samples: see _sampled_config)
+_SHAPE_EDITS = {
+    "sine": {},
+    "multiharmonic": {"inflow.shape": "multiharmonic",
+                      "inflow.amplitude": None,
+                      "inflow.harmonics": "1:0.5:0.0"},
+}
+
+# (key, value, inflow shape the rest of the config is written for)
+_INVALID_VALUES = [
+    ("grid.cells", "2", "sine"),
+    ("gas.gamma", "0.9", "sine"),
+    ("geometry.h", "-1.0", "sine"),
+    ("output.kmax", "0", "sine"),
+    ("output.spectrum_periods", "-2", "sine"),
+    ("output.db_reference", "0.0", "sine"),
+    # non-finite numbers are refused where they are parsed
+    ("inflow.frequency_hz", "nan", "sine"),
+    ("run.duration_periods", "inf", "sine"),
+    ("grid.length", "inf", "sine"),
+    ("geometry.h", "nan", "sine"),
+    ("inflow.harmonics", "1:nan:0.0", "sine"),
+    # an inflow key that the shape does not read
+    ("inflow.harmonics", "1:99.0:0.0", "sine"),
+    ("inflow.samples_file", "u.csv", "sine"),
+    ("inflow.amplitude", "0.5", "multiharmonic"),
+    ("inflow.samples_file", "u.csv", "multiharmonic"),
+    ("inflow.harmonics", "1:0.5:0.0", "samples"),
+    ("inflow.amplitude", "0.5", "samples"),
+    ("inflow.frequency_hz", "2000.0", "samples"),
+]
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "case.cfg"
@@ -76,6 +110,26 @@ class TestRunCommand:
         assert header[0] == "k"
         assert body.shape[0] == 5
 
+    def test_stations_sharing_a_node_record_it_once(self, tmp_path,
+                                                    monkeypatch):
+        # 0.1 and 0.1001 both lie nearest node 12 of the 24-cell 0.2 m duct
+        written = []
+        write = cli.write_csv
+
+        def recording(path, *args):
+            written.append(path.name)
+            write(path, *args)
+
+        monkeypatch.setattr(cli, "write_csv", recording)
+        cfg = _edited_config(tmp_path, {"probes.stations": "0.1, 0.1, 0.1001"})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_OK
+        assert written == ["smoke_probe12_series.csv",
+                           "smoke_probe12_spectrum.csv"]
+        report = (out / "smoke_report.txt").read_text().splitlines()
+        assert f"probes = {12 * (0.2 / 24)!r}" in report
+
     def test_rerun_is_byte_identical(self, config_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(config_file), "--out", str(out)])
@@ -99,30 +153,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "line 2" in err and repr(key) in err
 
-    @pytest.mark.parametrize("key, value", [
-        ("grid.cells", "2"),
-        ("gas.gamma", "0.9"),
-        ("geometry.h", "-1.0"),
-        ("output.kmax", "0"),
-        ("output.spectrum_periods", "-2"),
-        ("output.db_reference", "0.0"),
-        # non-finite numbers are refused where they are parsed
-        ("inflow.frequency_hz", "nan"),
-        ("run.duration_periods", "inf"),
-        ("grid.length", "inf"),
-        ("geometry.h", "nan"),
-        ("inflow.harmonics", "1:nan:0.0"),
-    ])
-    def test_invalid_value_exits_with_config_code(self, key, value, tmp_path,
-                                                  capsys):
-        lines = [ln for ln in SMALL_CONFIG.splitlines()
-                 if not ln.startswith(key + " ")]
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n",
-                       encoding="utf-8")
+    @pytest.mark.parametrize("key, value, shape", _INVALID_VALUES,
+                             ids=[f"{k}-{v}" if shape == "sine"
+                                  else f"{k}-{v}-{shape}"
+                                  for k, v, shape in _INVALID_VALUES])
+    def test_invalid_value_exits_with_config_code(self, key, value, shape,
+                                                  tmp_path, capsys):
+        if shape == "samples":
+            bad = self._sampled_config(tmp_path, [0.0, 0.5, 0.0], **{
+                "run.duration_periods": None, "run.duration_s": "1e-3",
+                key: value})
+        else:
+            bad = _edited_config(tmp_path, {**_SHAPE_EDITS[shape],
+                                            key: value})
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if key.startswith("inflow."):
+            assert key in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--cfl", "1.5"), ("--cfl", "0"), ("--cfl", "-0.2"),

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ductwave import driver
+from ductwave import driver, wall
 from ductwave.driver import (
     PRESSURE,
     VELOCITY,
@@ -367,7 +367,7 @@ class TestWallMemoryInTheLoop:
                              probes=(0.05,))
         fast = Simulation(sc)
         exact = Simulation(sc)
-        exact.history = ExactHistory(n_nodes=sc.grid.n_nodes, dt=exact.dt)
+        exact.history = ExactHistory(n_nodes=sc.grid.n_nodes)
         exact.history.append(primitive_arrays(exact.state.w, air)[2])
         n_steps = 4 * K0
         for _ in range(n_steps):
@@ -402,6 +402,20 @@ class TestWallMemoryInTheLoop:
         sc = _small_scenario(air, duration_s=None, duration_periods=1.0)
         result = run(sc)
         assert result.history.n_levels == result.report.n_steps + 1
+
+    def test_prefactors_are_derived_once_per_run(self, air, monkeypatch):
+        calls = []
+        kappa = wall.heat_kernel_constant
+
+        def counting(*args):
+            calls.append(args)
+            return kappa(*args)
+
+        monkeypatch.setattr(wall, "heat_kernel_constant", counting)
+        result = run(_small_scenario(air, duration_s=None,
+                                     duration_periods=1.0))
+        assert result.report.n_steps > K0
+        assert len(calls) == 1
 
 
 class TestBoundaryErrors:

@@ -273,17 +273,15 @@ class TestLaxWendroffUpdate:
                                          monkeypatch):
         # a source rate reaches only its own node (the midpoint averages
         # take the sources, not their rate), so a fault put into the rate
-        # of step 7 at node 7 makes the run fail there
-        tables = driver._source_tables
-
-        def faulty(history, n, *args):
-            g, dt_g = tables(history, n, *args)
-            if n == 6:
+        # that step 7 hands the interior update, at node 7, makes the run
+        # fail there
+        def faulty(state, g, dt_g, *args):
+            if state.n == 6:
                 dt_g = dt_g.copy()
                 dt_g[7, component] = value
-            return g, dt_g
+            return lax_wendroff_update(state, g, dt_g, *args)
 
-        monkeypatch.setattr(driver, "_source_tables", faulty)
+        monkeypatch.setattr(driver, "lax_wendroff_update", faulty)
         period = 2e-3
         sc = driver.Scenario(
             gas=air, grid=Grid(1.0, 12), geom=DuctGeometry(h=0.005),

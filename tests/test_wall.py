@@ -1,7 +1,6 @@
 """Memory-kernel wall sources: weights, quadratures, sums, erf profiles."""
 
 import math
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,8 +9,9 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy.special import erf
 
-from ductwave.driver import Scenario, _source_tables
-from ductwave.scheme import DuctGeometry, Grid
+from ductwave import driver
+from ductwave.driver import Scenario, Simulation
+from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
     _SOE_C,
@@ -22,6 +22,7 @@ from ductwave.wall import (
     PressureHistory,
     heat_kernel_constant,
     kernel_weights,
+    source_coefficients,
     source_table,
 )
 from exact_history import ExactHistory
@@ -36,18 +37,24 @@ GEOM = DuctGeometry(h=0.005, symmetry="axisymmetric")
 GRID = Grid(length=0.1, cells=4)
 
 
-def _history(levels, dt=1e-5, n_nodes=5, kind=PressureHistory):
-    hist = kind(n_nodes=n_nodes, dt=dt)
+def _history(levels, n_nodes=5, kind=PressureHistory):
+    hist = kind(n_nodes=n_nodes)
     for row in levels:
         hist.append(np.asarray(row, dtype=float))
     return hist
 
 
+def _source_table(hist, n, gas, dt, grid=GRID, geom=GEOM, mode=CONSISTENT):
+    """source_table at step n with the prefactors of a run on dt."""
+    return source_table(hist, n,
+                        *source_coefficients(gas, geom, grid, dt, mode))
+
+
 def _table(levels, n, gas, grid=GRID, geom=GEOM, mode=CONSISTENT, dt=1e-5):
     """Runtime source table at step n of the series levels[0..n]; the wall
     memory only answers for its latest level, so it is refilled up to n."""
-    hist = _history(levels[:n + 1], dt=dt, n_nodes=grid.n_nodes)
-    return source_table(hist, n, gas, grid, geom, mode)
+    hist = _history(levels[:n + 1], n_nodes=grid.n_nodes)
+    return _source_table(hist, n, gas, dt, grid, geom, mode)
 
 
 def _g2(levels, j, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
@@ -61,12 +68,34 @@ def _g3(levels, j, n, gas, geom=GEOM, mode=CONSISTENT, dt=1e-5):
 
 
 def _scenario(gas, **overrides):
-    """Lossy 5-node scenario on GRID/GEOM for the driver's source tables."""
+    """Lossy 5-node scenario on GRID/GEOM for a short Simulation."""
     base = dict(gas=gas, grid=GRID, geom=GEOM, inflow_kind="pressure",
                 inflow=MultiHarmonicSignal(2000.0, ((1, 50.0, 0.0),)),
                 duration_s=1e-3)
     base.update(overrides)
     return Scenario(**base)
+
+
+def _step_sources(sim, n_steps, monkeypatch):
+    """(G, dG/dt, table) of each of n_steps steps of sim: the source table
+    and rate the step hands the interior update, and with losses on
+    source_table of the wall memory at that step under the run's
+    prefactors (None with losses off)."""
+    sc = sim.scenario
+    coef = source_coefficients(sc.gas, sc.geom, sc.grid, sim.dt,
+                               sc.kernel_mode)
+    seen = []
+
+    def record(state, g, dt_g, *args):
+        table = source_table(sim.history, state.n, *coef) if sc.losses \
+            else None
+        seen.append((g, dt_g, table))
+        return lax_wendroff_update(state, g, dt_g, *args)
+
+    monkeypatch.setattr(driver, "lax_wendroff_update", record)
+    for _ in range(n_steps):
+        sim.advance()
+    return seen
 
 
 def _brute_force_g2(p, j, n, dt, dx, gas, geom):
@@ -170,11 +199,9 @@ class TestPressureHistory:
             hist = _history([[1, 2, 3, 4, 5]], kind=kind)
             with pytest.raises(ValueError):
                 hist.append(np.zeros(3))
-            with pytest.raises(ValueError):
-                kind(n_nodes=5, dt=0.0)
 
     def test_growth_preserves_rows(self):
-        hist = ExactHistory(n_nodes=2, dt=1.0, capacity=2)
+        hist = ExactHistory(n_nodes=2, capacity=2)
         for i in range(40):
             hist.append([float(i), float(2 * i)])
         np.testing.assert_array_equal(hist.series(0), np.arange(40.0))
@@ -192,10 +219,10 @@ class TestPressureHistory:
         rng = np.random.default_rng(7)
         dt = 5e-6
         levels = [101325.0 + 40.0 * rng.standard_normal(5) for _ in range(9)]
-        hist = _history(levels, dt=dt, kind=ExactHistory)
+        hist = _history(levels, kind=ExactHistory)
         kappa = heat_kernel_constant(air, CONSISTENT)
         for n in (1, 4, 8):
-            table = source_table(hist, n, air, GRID, GEOM)
+            table = _source_table(hist, n, air, dt)
             for j in (1, 2, 3):
                 assert table[j, 1] == pytest.approx(
                     _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
@@ -212,7 +239,7 @@ class TestWallMemory:
 
     def test_storage_does_not_grow(self):
         rng = np.random.default_rng(3)
-        hist = PressureHistory(n_nodes=5, dt=1e-5)
+        hist = PressureHistory(n_nodes=5)
         for _ in range(100):
             hist.append(101325.0 + rng.standard_normal(5))
         early = hist.nbytes
@@ -234,15 +261,15 @@ class TestWallMemory:
         measure near 1e-8 on G2 and 1e-11 on G3)."""
         rng = np.random.default_rng(11)
         dt = 2e-6
-        fast = PressureHistory(n_nodes=5, dt=dt)
-        exact = ExactHistory(n_nodes=5, dt=dt)
+        fast = PressureHistory(n_nodes=5)
+        exact = ExactHistory(n_nodes=5)
         for _ in range(10_000):
             row = air.p0 + 30.0 * rng.standard_normal(5)
             fast.append(row)
             exact.append(row)
         n = 9999
-        got = source_table(fast, n, air, GRID, GEOM)
-        want = source_table(exact, n, air, GRID, GEOM)
+        got = _source_table(fast, n, air, dt)
+        want = _source_table(exact, n, air, dt)
         for col in (1, 2):
             rel = np.abs(got[:, col] - want[:, col]).max() \
                 / np.abs(want[:, col]).max()
@@ -266,15 +293,15 @@ class TestWallMemory:
         to leave the ring for the modes."""
         rng = np.random.default_rng(9)
         dt = 4e-6
-        fast = PressureHistory(n_nodes=5, dt=dt)
-        exact = ExactHistory(n_nodes=5, dt=dt)
+        fast = PressureHistory(n_nodes=5)
+        exact = ExactHistory(n_nodes=5)
         for n in range(K0 + 5):
             row = air.p0 + 25.0 * rng.standard_normal(5)
             fast.append(row)
             exact.append(row)
             np.testing.assert_allclose(
-                source_table(fast, n, air, GRID, GEOM),
-                source_table(exact, n, air, GRID, GEOM), rtol=1e-9, atol=0.0)
+                _source_table(fast, n, air, dt),
+                _source_table(exact, n, air, dt), rtol=1e-9, atol=0.0)
 
 
 class TestWallShearSum:
@@ -366,14 +393,14 @@ class TestWallHeatSum:
 class TestSourceAssembly:
     def test_zero_history_gives_zero_vector(self, air):
         hist = _history([np.full(5, 101325.0)] * 4)
-        table = source_table(hist, 3, air, GRID, GEOM)
+        table = _source_table(hist, 3, air, 1e-5)
         np.testing.assert_array_equal(table, np.zeros((5, 3)))
 
     def test_components_match_the_sums(self, air, rng):
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
         dt = 3e-6
-        hist = _history(levels, dt=dt)
-        row = source_table(hist, 5, air, GRID, GEOM)[2]
+        hist = _history(levels)
+        row = _source_table(hist, 5, air, dt)[2]
         kappa = heat_kernel_constant(air, CONSISTENT)
         assert row[0] == 0.0
         assert row[1] == pytest.approx(
@@ -383,49 +410,43 @@ class TestSourceAssembly:
 
     def test_mass_component_must_vanish(self, air, rng):
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
-        hist = PressureHistory(n_nodes=5, dt=3e-6)
+        hist = PressureHistory(n_nodes=5)
         for n, row in enumerate(levels):
             hist.append(row)
-            table = source_table(hist, n, air, GRID, GEOM)
+            table = _source_table(hist, n, air, 3e-6)
             assert np.all(table[:, 0] == 0.0)
 
-    def test_source_time_derivative(self, air, rng):
-        # the runtime rate is the first-order difference of two tables
-        levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
-        dt = 3e-6
-        hist = _history(levels[:5], dt=dt)
-        sc = _scenario(air)
-        g_prev = source_table(hist, 4, air, GRID, GEOM)
-        hist.append(levels[5])
-        zero = np.zeros((5, 3))
-        g_now, rate = _source_tables(hist, 5, sc, dt, g_prev, zero)
-        np.testing.assert_array_equal(
-            g_now, source_table(hist, 5, air, GRID, GEOM))
-        np.testing.assert_allclose(rate, (g_now - g_prev) / dt, rtol=1e-15)
-        assert np.abs(rate).max() > 0.0
-        g_off, rate_off = _source_tables(hist, 5, replace(sc, losses=False),
-                                         dt, g_prev, zero)
-        np.testing.assert_array_equal(g_off, np.zeros((5, 3)))
-        np.testing.assert_array_equal(rate_off, np.zeros((5, 3)))
+    def test_source_time_derivative(self, air, monkeypatch):
+        # each step hands the interior update the wall memory's table and
+        # its first-order difference from the previous step's table
+        sim = Simulation(_scenario(air))
+        seen = _step_sources(sim, 6, monkeypatch)
+        for (g_prev, _, _), (g_now, rate, table) in zip(seen, seen[1:]):
+            np.testing.assert_array_equal(g_now, table)
+            np.testing.assert_allclose(rate, (g_now - g_prev) / sim.dt,
+                                       rtol=1e-15)
+        assert np.abs(seen[-1][1]).max() > 0.0
+        off = Simulation(_scenario(air, losses=False))
+        for g_off, rate_off, _ in _step_sources(off, 6, monkeypatch):
+            np.testing.assert_array_equal(g_off, np.zeros((5, 3)))
+            np.testing.assert_array_equal(rate_off, np.zeros((5, 3)))
 
-    def test_first_step_has_zero_rate(self, air):
+    def test_first_step_has_zero_rate(self, air, monkeypatch):
         # the first step's previous table is the zero table, and the table
         # of step 0 is itself zero
-        hist = _history([np.full(5, 101325.0)], dt=1e-5)
-        zero = np.zeros((5, 3))
-        g_now, rate = _source_tables(hist, 0, _scenario(air), 1e-5, zero,
-                                     zero)
+        [(g_now, rate, _)] = _step_sources(Simulation(_scenario(air)), 1,
+                                           monkeypatch)
         np.testing.assert_array_equal(g_now, np.zeros((5, 3)))
         np.testing.assert_array_equal(rate, np.zeros((5, 3)))
 
     def test_table_matches_per_node_ops(self, air, rng):
         levels = [101325.0 + 30.0 * rng.standard_normal(7) for _ in range(7)]
         dt = 2e-6
-        hist = PressureHistory(n_nodes=7, dt=dt)
+        hist = PressureHistory(n_nodes=7)
         for row in levels:
             hist.append(row)
         grid = Grid(length=0.06, cells=6)
-        table = source_table(hist, 6, air, grid, GEOM)
+        table = _source_table(hist, 6, air, dt, grid)
         kappa = heat_kernel_constant(air, CONSISTENT)
         # summation by parts reassociates the sums, so agreement with the
         # per-node oracles is to rounding against the absolute pressures
@@ -451,7 +472,7 @@ class TestSourceAssembly:
         levels = [air.p0 + 50.0 * np.sin(omega * m * dt + 3.0 * x)
                   * (1.0 + x / GRID.length) for m in range(n + 1)]
         kappa = heat_kernel_constant(air, CONSISTENT)
-        table = source_table(_history(levels, dt=dt), n, air, GRID, GEOM)
+        table = _source_table(_history(levels), n, air, dt)
         for j in range(1, 4):
             assert table[j, 1] == pytest.approx(
                 _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
@@ -466,8 +487,8 @@ class TestSourceAssembly:
         bump = [15.0 * rng.standard_normal(5) for _ in range(6)]
 
         def g_of(levels):
-            hist = _history([np.asarray(lv) for lv in levels], dt=2e-6)
-            return source_table(hist, 5, air, GRID, GEOM)
+            hist = _history([np.asarray(lv) for lv in levels])
+            return _source_table(hist, 5, air, 2e-6)
 
         g_base = g_of(base)
         g_sum = g_of([b + d for b, d in zip(base, bump)])
