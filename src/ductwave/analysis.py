@@ -18,6 +18,9 @@ from .errors import MisalignedWindowError, UndefinedReferenceError
 
 P_REF_SPL = 2e-5   # standard pressure reference [Pa]
 
+# 2^20 samples a period: 1024 times the presets' grid
+MAX_SAMPLING_EXPONENT = 20
+
 _COMPONENTS = {"rho": 0, "u": 1, "p": 2}
 
 
@@ -94,6 +97,15 @@ class SpectrumResult:
 def min_samples_per_period(k_max: int) -> int:
     """Anti-aliasing floor of a K_max spectrum: 8 K_max samples per period."""
     return 8 * k_max
+
+
+def check_sampling_exponent(n_exp: int) -> None:
+    """Refuse a period grid finer than 2^MAX_SAMPLING_EXPONENT samples a
+    period (ValueError): its records would not fit in memory."""
+    if n_exp > MAX_SAMPLING_EXPONENT:
+        raise ValueError(
+            f"sampling exponent {n_exp} exceeds {MAX_SAMPLING_EXPONENT}"
+            f" (at most 2^{MAX_SAMPLING_EXPONENT} samples a period)")
 
 
 def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,

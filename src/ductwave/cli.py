@@ -43,6 +43,9 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
+# series rows formatted per chunk when a run writes its CSVs
+_SERIES_CHUNK = 4096
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -158,8 +161,7 @@ def cmd_run(args) -> int:
         write_csv(
             out_dir / f"{tag}_series.csv",
             ["t_s", "rho_kgpm3", "u_mps", "p_Pa"],
-            map(np.ndarray.tolist, np.column_stack([record.times,
-                                                     record.data])),
+            _series_rows(record),
         )
         if result.resampled:
             write_csv(
@@ -176,6 +178,15 @@ def cmd_run(args) -> int:
           f" wall clock {result.report.wall_clock_s:.2f} s")
     print(f"outputs in {out_dir}")
     return EXIT_OK
+
+
+def _series_rows(record):
+    """Rows (t, rho, u, p) of a record, built _SERIES_CHUNK at a time, each
+    time t_start + m * tau as in `record.times`."""
+    for lo in range(0, record.n_samples, _SERIES_CHUNK):
+        hi = min(lo + _SERIES_CHUNK, record.n_samples)
+        times = record.t_start + np.arange(lo, hi) * record.tau
+        yield from np.column_stack([times, record.data[lo:hi]]).tolist()
 
 
 def _spectrum_rows(record, scenario, doc):

@@ -4,7 +4,9 @@ Comma separators, LF line endings, mandatory header row, '.' decimal
 point, and full round-trip precision: rows hold Python numbers (an array
 is handed over row by row through `ndarray.tolist`), and str() of a
 Python float is its shortest round-trip repr, so reading the file back
-reproduces the values bit for bit.
+reproduces the values bit for bit. Rows are streamed: each is formatted
+and handed to the file's buffer as it arrives, so writing holds no copy
+of the table.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from .errors import ConfigError
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header line, then one line per row of the iterable."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

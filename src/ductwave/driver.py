@@ -17,6 +17,12 @@ level. The time step is frozen at the start of the run (the convolution
 weights assume uniform dt) at cfl * dx / c0, the CFL step of the rest
 state.
 
+Probe rows are kept as float64 blocks: each step appends one (rho, u, p)
+tuple per probe to a short list, which is folded into a block every
+_FOLD_ROWS steps, so a stored row costs 24 bytes. The period-grid record
+of a probe is written into one preallocated array, _RESAMPLE_CHUNK samples
+at a time, so a run holds its output once.
+
 Runs are deterministic: identical scenarios produce bit-identical
 states, histories and probe records. An error raised inside the time loop
 of `run` names the step and t/T0 it failed at.
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wall
-from .analysis import ProbeRecord
+from .analysis import ProbeRecord, check_sampling_exponent
 from .boundaries import inflow_update_pressure, inflow_update_velocity, outflow_update
 from .errors import BlowUpError, DuctwaveError
 from .gas import GasModel, primitive_arrays
@@ -41,6 +47,11 @@ from .scheme import (DuctGeometry, FieldState, Grid, lax_wendroff_update,
 
 PRESSURE = "pressure"
 VELOCITY = "velocity"
+
+# steps of probe rows kept as tuples before they are folded into a block
+_FOLD_ROWS = 2048
+# period-grid samples interpolated per np.interp call
+_RESAMPLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,7 @@ class Scenario:
         if self.duration_periods is not None and self.fundamental_period is None:
             raise ValueError(
                 "duration_periods needs an inflow signal with a period")
+        check_sampling_exponent(self.sampling_exponent)
 
     @property
     def fundamental_period(self) -> float | None:
@@ -181,14 +193,19 @@ class Simulation:
         # stations that share a node record it once, in first-seen order
         self._probe_nodes = tuple(dict.fromkeys(
             scenario.grid.nearest_node(x) for x in scenario.probes))
+        # per probe: the float64 blocks folded so far, and the pending rows
+        self._probe_blocks = [[] for _ in self._probe_nodes]
         self._probe_rows = [[] for _ in self._probe_nodes]
         self._record_probes()
 
     def _record_probes(self):
         """Probe rows of the current state, from its primitive arrays."""
         rho, u, p = self.prim
-        for rows, j in zip(self._probe_rows, self._probe_nodes):
+        for rows, blocks, j in zip(self._probe_rows, self._probe_blocks,
+                                   self._probe_nodes):
             rows.append((rho[j], u[j], p[j]))
+            if len(rows) == _FOLD_ROWS:
+                _fold(rows, blocks)
 
     def advance(self):
         """One coupled step (sources, interior, boundaries, history, probes)."""
@@ -224,20 +241,30 @@ class Simulation:
         self._record_probes()
 
     def native_records(self) -> tuple[ProbeRecord, ...]:
+        """One record per probe node, at every level reached so far."""
+        for rows, blocks in zip(self._probe_rows, self._probe_blocks):
+            if rows:
+                _fold(rows, blocks)
         dx = self.scenario.grid.dx
         return tuple(
             ProbeRecord(station_index=j, x=j * dx, tau=self.dt,
-                        data=np.asarray(rows), t_start=0.0)
-            for rows, j in zip(self._probe_rows, self._probe_nodes)
+                        data=np.concatenate(blocks), t_start=0.0)
+            for blocks, j in zip(self._probe_blocks, self._probe_nodes)
         )
+
+
+def _fold(rows: list, blocks: list):
+    """Move a probe's pending (rho, u, p) rows into a new float64 block."""
+    blocks.append(np.array(rows))
+    rows.clear()
 
 
 def run(scenario: Scenario,
         initial_field: FieldState | None = None) -> RunResult:
     """Run a scenario to its configured duration.
 
-    Probe records are stored at every native step; when the inflow has a
-    fundamental period they are additionally interpolated onto the
+    Probe records hold every native step, as float64 rows; when the inflow
+    has a fundamental period they are additionally interpolated onto the
     tau = T0/2^N grid over the largest whole number of periods covered.
     """
     started = time.perf_counter()
@@ -272,18 +299,29 @@ def _step_context(sim: Simulation) -> str:
 
 def _resample_on_period_grid(record: ProbeRecord,
                              scenario: Scenario) -> ProbeRecord | None:
+    """The record linearly interpolated at m * T0/2^N, m = 0..n 2^N, over
+    the largest whole number n >= 1 of periods it spans (None if it spans
+    none, or the inflow has no period). Each chunk of the grid reads only
+    the native samples that bracket it; a sample's value does not depend
+    on the chunking."""
     period = scenario.fundamental_period
     if period is None:
         return None
-    tau = period / 2 ** scenario.sampling_exponent
+    per_period = 2 ** scenario.sampling_exponent
+    tau = period / per_period
     span = (record.n_samples - 1) * record.tau
     n_periods = int(math.floor(span / period + 1e-9))
     if n_periods < 1:
         return None
-    t_new = np.arange(n_periods * 2 ** scenario.sampling_exponent + 1) * tau
+    n_new = n_periods * per_period + 1
     t_old = record.times - record.t_start
-    data = np.column_stack([
-        np.interp(t_new, t_old, record.data[:, i]) for i in range(3)
-    ])
+    data = np.empty((n_new, 3))
+    for lo in range(0, n_new, _RESAMPLE_CHUNK):
+        t_new = np.arange(lo, min(lo + _RESAMPLE_CHUNK, n_new)) * tau
+        first = np.searchsorted(t_old, t_new[0], side="right") - 1
+        stop = np.searchsorted(t_old, t_new[-1]) + 1
+        for i in range(3):
+            data[lo:lo + t_new.size, i] = np.interp(
+                t_new, t_old[first:stop], record.data[first:stop, i])
     return ProbeRecord(station_index=record.station_index, x=record.x,
                        tau=tau, data=data, t_start=record.t_start)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analysis import check_sampling_exponent
 from .errors import OutOfValidityError, ShockRegimeError
 from .gas import GasModel
 
@@ -42,6 +43,7 @@ def sample_period(omega0: float, n_exp: int) -> float:
     """Probe sampling period tau = T0 / 2^N for spectral post-processing."""
     if n_exp < 4:
         raise ValueError("sampling exponent must be at least 4")
+    check_sampling_exponent(n_exp)
     return (2.0 * math.pi / omega0) / 2.0 ** n_exp
 
 

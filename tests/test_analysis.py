@@ -11,7 +11,13 @@ from ductwave.analysis import (
     level_db,
     relative_error,
 )
-from ductwave.driver import VELOCITY, Scenario, _resample_on_period_grid
+from ductwave.driver import (
+    _RESAMPLE_CHUNK,
+    VELOCITY,
+    Scenario,
+    _resample_on_period_grid,
+    run,
+)
 from ductwave.errors import MisalignedWindowError, UndefinedReferenceError
 from ductwave.gas import GasModel
 from ductwave.scheme import DuctGeometry, Grid
@@ -33,15 +39,34 @@ def _sine_record(amplitude=1.0, periods=4, per_period=256, harmonic=1,
     return ProbeRecord(station_index=0, x=0.0, tau=tau, data=data)
 
 
-def _period_grid(record, exponent):
-    """The run's resampling of a record onto tau = PERIOD / 2^exponent."""
-    scenario = Scenario(
+def _scenario(exponent, **overrides):
+    """A 1 m, 4-cell duct driven at the 100 Hz fundamental."""
+    base = dict(
         gas=GasModel(), grid=Grid(length=1.0, cells=4),
         geom=DuctGeometry(h=0.005), inflow_kind=VELOCITY,
         inflow=MultiHarmonicSignal(OMEGA0, ((1, 1.0, 0.0),)), duration_s=1.0,
         sampling_exponent=exponent,
     )
-    return _resample_on_period_grid(record, scenario)
+    base.update(overrides)
+    return Scenario(**base)
+
+
+def _period_grid(record, exponent):
+    """The run's resampling of a record onto tau = PERIOD / 2^exponent."""
+    return _resample_on_period_grid(record, _scenario(exponent))
+
+
+def _one_interpolation(record, exponent):
+    """Oracle of the period grid: one np.interp per column over the whole
+    grid, then column_stack."""
+    tau = PERIOD / 2 ** exponent
+    span = (record.n_samples - 1) * record.tau
+    n_periods = int(math.floor(span / PERIOD + 1e-9))
+    t_new = np.arange(n_periods * 2 ** exponent + 1) * tau
+    t_old = record.times - record.t_start
+    return np.column_stack([
+        np.interp(t_new, t_old, record.data[:, i]) for i in range(3)
+    ])
 
 
 class TestProbeRecord:
@@ -84,6 +109,36 @@ class TestResample:
         out = _period_grid(rec, 10)
         spec = harmonic_spectrum(out.window(0.0, 4.0 * PERIOD), OMEGA0, 1)
         assert spec.magnitude(1) == pytest.approx(2.0, rel=1e-4)
+
+    # native samples coarser than the grid, finer, and about as fine
+    @pytest.mark.parametrize("native_per_period, exponent",
+                             [(8, 10), (64, 4), (1000, 10)])
+    def test_chunked_grid_equals_one_interpolation(self, rng,
+                                                   native_per_period,
+                                                   exponent):
+        # three whole chunks and a partial one, and the native samples run
+        # half a period past the grid's end
+        periods = 3 * _RESAMPLE_CHUNK // 2 ** exponent + 1
+        n_native = (periods * native_per_period + 1
+                    + native_per_period // 2)
+        data = rng.standard_normal((n_native, 3)) + [1.2, 0.0, 101325.0]
+        rec = ProbeRecord(station_index=0, x=0.0,
+                          tau=PERIOD / native_per_period, data=data)
+        out = _period_grid(rec, exponent)
+        assert 3 * _RESAMPLE_CHUNK < out.n_samples < 4 * _RESAMPLE_CHUNK
+        np.testing.assert_array_equal(out.data,
+                                      _one_interpolation(rec, exponent))
+
+    def test_resampled_run_equals_one_interpolation(self):
+        periods = 3 * _RESAMPLE_CHUNK // 2 ** 10 + 1
+        result = run(_scenario(10, duration_s=None, duration_periods=periods,
+                               probes=(0.5, 1.0)))
+        assert len(result.resampled) == 2
+        for native, resampled in zip(result.records, result.resampled):
+            assert resampled.n_samples == periods * 2 ** 10 + 1
+            assert resampled.n_samples % _RESAMPLE_CHUNK != 0
+            np.testing.assert_array_equal(resampled.data,
+                                          _one_interpolation(native, 10))
 
     def test_span_mismatch_rejected(self):
         # a record shorter than one whole period has nothing to resample

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,22 @@ class TestRunCommand:
         assert err.startswith("error: ") and "anti-aliasing floor" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exponent", [21, 40])
+    def test_too_fine_sampling_exits_before_any_step(self, tmp_path, capsys,
+                                                     monkeypatch, exponent):
+        def no_run(scenario):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli.driver, "run", no_run)
+        cfg = _edited_config(tmp_path,
+                             {"run.sampling_exponent": str(exponent)})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"exponent {exponent}" in err
+        assert not out.exists()
+
     def test_sampling_at_the_floor_runs(self, tmp_path):
         lines = [ln for ln in SMALL_CONFIG.splitlines()
                  if not ln.startswith(("run.sampling_exponent ",
@@ -394,6 +411,8 @@ _ORACLE_ARGS = {
     ("oracle-characteristics", "--sampling-exponent", "3"),
     # 64 samples/period is under the 160 floor of the default --kmax 20
     ("oracle-characteristics", "--sampling-exponent", "6"),
+    # 2^40 samples a period is past the 2^20 ceiling
+    ("oracle-characteristics", "--sampling-exponent", "40"),
     ("oracle-characteristics", "--kmax", "0"),
     ("oracle-characteristics", "--periods", "0"),
     ("oracle-kirchhoff", "--xmax", "inf"),
@@ -464,6 +483,54 @@ class TestCsvRoundTrip:
         for i, v in enumerate(values):
             assert body[i, 0] == v
             assert body[i, 1] == v * 3.0
+
+
+def _joined(header, rows) -> bytes:
+    """Oracle of a CSV file: the header and every row formatted, joined
+    into one string with LF, then encoded."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvStreaming:
+    def test_bytes_equal_the_joined_table(self, tmp_path, rng):
+        tables = {
+            "series": (["t_s", "rho_kgpm3", "u_mps", "p_Pa"],
+                       rng.standard_normal((300, 4)).tolist()),
+            # integer harmonic numbers and a -inf level
+            "spectrum": (["k", "mag_u_mps", "level_p_rel_db"],
+                         [(1, 0.5, 0.0), (2, 1e-300, float("-inf"))]),
+            "table": (["mode", "x_m"], [("printed", 0.0), ("corrected", 1.0)]),
+            "empty": (["a", "b"], []),
+        }
+        for name, (header, rows) in tables.items():
+            path = tmp_path / f"{name}.csv"
+            write_csv(path, header, iter(rows))
+            assert path.read_bytes() == _joined(header, rows)
+
+    def test_writing_holds_no_copy_of_the_table(self, tmp_path, rng):
+        series = rng.standard_normal((50_000, 4))
+        path = tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, ["t_s", "rho_kgpm3", "u_mps", "p_Pa"],
+                      map(np.ndarray.tolist, series))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+
+    def test_series_rows_equal_the_stacked_record(self):
+        # several row chunks and a partial one, from a record whose times
+        # start off zero
+        n = 2 * cli._SERIES_CHUNK + 7
+        data = np.column_stack([np.full(n, 1.2), np.sin(np.arange(n) * 0.1),
+                                101325.0 + np.cos(np.arange(n) * 0.1)])
+        record = ductwave.ProbeRecord(station_index=3, x=0.1, tau=1.0 / 3.0,
+                                      data=data, t_start=0.7)
+        stacked = np.column_stack([record.times, record.data]).tolist()
+        assert list(cli._series_rows(record)) == stacked
 
 
 # sha256 of each preset's emitted text: the presets are part of the

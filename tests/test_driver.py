@@ -1,13 +1,14 @@
 """Coupled time loop: initialization, stepping, runs, degenerate modes."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ductwave import driver, wall
+from ductwave import config, driver, wall
 from ductwave.driver import (
     PRESSURE,
     VELOCITY,
@@ -60,6 +61,12 @@ class TestScenario:
             _small_scenario(air, probes=(0.5,))   # outside the 0.1 m duct
         with pytest.raises(ValueError):
             _small_scenario(air, kernel_mode="best-effort")
+
+    def test_sampling_exponent_ceiling(self, air):
+        assert _small_scenario(air, sampling_exponent=20).sampling_exponent \
+            == 20
+        with pytest.raises(ValueError, match="exceeds 20"):
+            _small_scenario(air, sampling_exponent=21)
 
     def test_velocity_bound_converts_pressure(self, air):
         sc = _small_scenario(air)
@@ -511,6 +518,48 @@ class TestRun:
         rec = result.resampled[0]
         assert rec.n_samples == 3 * 64 + 1
         assert rec.tau == pytest.approx((1.0 / 500.0) / 64.0, rel=1e-12)
+
+
+class TestProbeStorage:
+    def test_native_records_are_the_probed_primitive_rows(self, air):
+        # two whole blocks and a pending part; the second station shares
+        # the first one's node and is recorded once
+        sc = _small_scenario(air, probes=(0.05, 0.05, 0.1))
+        sim = Simulation(sc)
+        nodes = (2, 4)
+        expected = [[] for _ in nodes]
+        for step in range(2 * driver._FOLD_ROWS + 5):
+            if step:
+                sim.advance()
+            prim = np.stack(primitive_arrays(sim.state.w, air), axis=1)
+            for rows, j in zip(expected, nodes):
+                rows.append(prim[j])
+        records = sim.native_records()
+        assert [r.station_index for r in records] == list(nodes)
+        for rec, rows in zip(records, expected):
+            assert rec.data.dtype == np.float64
+            np.testing.assert_array_equal(rec.data, np.array(rows))
+        # reading the records leaves the stored rows as they were
+        again = sim.native_records()
+        for a, b in zip(records, again):
+            np.testing.assert_array_equal(a.data, b.data)
+            assert a.data is not b.data
+
+    def test_run_holds_its_output_once(self):
+        # the tracemalloc peak of a 100-period lossy run against the bytes
+        # it returns as native and period-grid records
+        values = dict(config.builtin_scenarios()["kirchhoff"].values)
+        values["run.duration_periods"] = 100.0
+        sc = config.scenario_from_config(config.ConfigDocument(values))
+        tracemalloc.start()
+        try:
+            result = run(sc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = sum(r.data.nbytes
+                     for r in result.records + result.resampled)
+        assert peak <= 1.3 * output
 
 
 class TestDegenerateCoupling:

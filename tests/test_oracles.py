@@ -40,6 +40,9 @@ class TestShockDistance:
             sample_period(omega0, 10) / 2.0, rel=1e-14)
         with pytest.raises(ValueError):
             sample_period(omega0, 3)
+        assert sample_period(omega0, 20) == 2.0 ** -20
+        with pytest.raises(ValueError, match="exceeds 20"):
+            sample_period(omega0, 21)
 
 
 class TestSimpleWave:
