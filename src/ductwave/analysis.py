@@ -21,6 +21,10 @@ P_REF_SPL = 2e-5   # standard pressure reference [Pa]
 # 2^20 samples a period: 1024 times the presets' grid
 MAX_SAMPLING_EXPONENT = 20
 
+# samples per (k_max, chunk) phase block of a spectrum, which bounds its
+# memory; a window of one chunk is summed by one product
+_SPECTRUM_CHUNK = 2 ** 14
+
 _COMPONENTS = {"rho": 0, "u": 1, "p": 2}
 
 
@@ -115,7 +119,8 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
     The M samples are treated as one rectangular window of length M tau
     (periodic continuation), which must equal an integer number >= 1 of
     periods with at least `min_samples_per_period(k_max)` samples per
-    period to keep aliasing out of the band of interest.
+    period to keep aliasing out of the band of interest. The phase
+    products are summed over blocks of _SPECTRUM_CHUNK samples.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -133,11 +138,14 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
             f"{m_samples / n_periods:.0f} samples/period under the"
             f" anti-aliasing floor {floor} for K_max={k_max}"
         )
-    t_rel = np.arange(m_samples) * record.tau
     k = np.arange(1, k_max + 1)
-    phases = np.exp(-1j * omega0 * np.outer(k, t_rel))
-    mags = np.abs(2.0 / m_samples * phases @ signal)
-    return SpectrumResult(omega0=omega0, magnitudes=mags, k_max=k_max)
+    total = 0.0
+    for lo in range(0, m_samples, _SPECTRUM_CHUNK):
+        hi = min(lo + _SPECTRUM_CHUNK, m_samples)
+        t_rel = np.arange(lo, hi) * record.tau
+        phases = np.exp(-1j * omega0 * np.outer(k, t_rel))
+        total = total + 2.0 / m_samples * phases @ signal[lo:hi]
+    return SpectrumResult(omega0=omega0, magnitudes=np.abs(total), k_max=k_max)
 
 
 def level_db(magnitude: float, reference: float) -> float:

@@ -4,9 +4,9 @@ Comma separators, LF line endings, mandatory header row, '.' decimal
 point, and full round-trip precision: rows hold Python numbers (an array
 is handed over row by row through `ndarray.tolist`), and str() of a
 Python float is its shortest round-trip repr, so reading the file back
-reproduces the values bit for bit. Rows are streamed: each is formatted
-and handed to the file's buffer as it arrives, so writing holds no copy
-of the table.
+reproduces the values bit for bit. Rows are streamed both ways: each is
+formatted and handed to the file's buffer as it arrives, so writing
+holds no copy of the table, and reading parses one line at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+_READ_BLOCK = 4096      # rows parsed before they are packed as float64
+
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write the header line, then one line per row of the iterable."""
@@ -26,23 +28,37 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
-    """Header names and the numeric body as a (rows, cols) float array."""
+    """Header names and the numeric body as a (rows, cols) float array.
+
+    Blank lines are skipped, and the line numbers in errors count the
+    other lines. The body is parsed line by line, and every _READ_BLOCK
+    rows are packed into a float64 block, so reading holds the array
+    about twice and not the text or its rows of Python floats.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines:
+    header = None
+    blocks, rows = [], []
+    with open(path, encoding="utf-8") as fh:
+        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
+        for i, ln in enumerate(lines, start=1):
+            if header is None:
+                header = [h.strip() for h in ln.split(",")]
+                continue
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}: row has {len(cells)} cells,"
+                                  f" header has {len(header)}", line_no=i)
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}", line_no=i) from None
+            if len(rows) == _READ_BLOCK:
+                blocks.append(np.array(rows))
+                rows.clear()
+    if header is None:
         raise ConfigError(f"{path}: empty CSV")
-    header = [h.strip() for h in lines[0].split(",")]
-    body = []
-    for i, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(f"{path}: row has {len(cells)} cells,"
-                              f" header has {len(header)}", line_no=i)
-        try:
-            body.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}", line_no=i) from None
-    if not body:
+    if rows:
+        blocks.append(np.array(rows))
+    if not blocks:
         raise ConfigError(f"{path}: no data rows")
-    return header, np.asarray(body)
+    return header, np.concatenate(blocks)

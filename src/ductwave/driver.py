@@ -168,8 +168,8 @@ def _checked_primitives(w: np.ndarray, gas: GasModel):
 
 class Simulation:
     """Stateful runner that fixes the wall-source prefactors for the run
-    and caches, between steps, the primitive arrays (rho, u, p) of its
-    current state and the previous source table."""
+    in its wall memory and caches, between steps, the primitive arrays
+    (rho, u, p) of its current state and the previous source table."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: FieldState | None = None):
@@ -183,10 +183,11 @@ class Simulation:
             raise ValueError("initial field does not match the grid")
         self.state = initial_field.copy()
         self.prim = _checked_primitives(self.state.w, gas)
-        self.history = wall.PressureHistory(n_nodes=scenario.grid.n_nodes)
+        self.history = wall.PressureHistory(
+            scenario.grid.n_nodes, *wall.source_coefficients(
+                gas, scenario.geom, scenario.grid, self.dt,
+                scenario.kernel_mode))
         self.history.append(self.prim[2])
-        self._c2, self._c3 = wall.source_coefficients(
-            gas, scenario.geom, scenario.grid, self.dt, scenario.kernel_mode)
         self._zero = np.zeros((scenario.grid.n_nodes, 3))
         self._zero.flags.writeable = False
         self._g_prev = self._zero
@@ -212,8 +213,7 @@ class Simulation:
         sc, state, dt = self.scenario, self.state, self.dt
         gas, grid = sc.gas, sc.grid
         if sc.losses:
-            g_now = wall.source_table(self.history, state.n, self._c2,
-                                      self._c3)
+            g_now = wall.source_table(self.history, state.n)
             dt_g = (g_now - self._g_prev) / dt
         else:
             g_now = dt_g = self._zero

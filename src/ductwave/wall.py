@@ -17,16 +17,19 @@ over one step and are exact for constant phi; they and the erf profiles
 are kept as test oracles in `tests/reference_forms.py`.
 
 The sums run over the full pressure history, summed by parts on the
-stored levels. `PressureHistory` keeps them in fixed storage: the last K0
-levels exactly, and the older ones folded into Q exponential modes per
-node, from a sum-of-exponentials form of w_m (the diffusive representation
-of the kernel), Q = 88 of them after the modes whose decay is 1 to within
-1e-13 are folded into one running sum. Each step then costs O((K0+Q) J)
-whatever its index, and the sum-of-exponentials weights match w_m to
-1.4e-9 relative on every lag from K0 - 1 to 10^6. Uniform dt is
-required by the weights. The memory holds pressures only: dt enters
-through the prefactors of the sums, which `source_coefficients` computes
-once per run and each step's `source_table` takes with the step index.
+stored levels. `PressureHistory` keeps them in fixed storage: the K0 to
+2 K0 - 1 newest levels exactly, in a ring of 2 K0 rows, and the older
+ones folded into Q exponential modes per node, from a sum-of-exponentials
+form of w_m (the diffusive representation of the kernel), Q = 88 of them
+after the modes whose decay is 1 to within 1e-13 are folded into one
+running sum. A step costs one row write and one (2, 2 K0 + Q) product;
+the modes are updated once every K0 steps, with one (Q, K0) product. The
+modes serve only lags of K0 and more, where the sum-of-exponentials
+weights match w_m to 1.4e-9 relative on every lag from K0 - 1 to 10^6.
+Uniform dt is required by the weights. The memory holds pressures only:
+dt enters through the prefactors of the sums, which `source_coefficients`
+computes once per run and the run's `PressureHistory` folds into its
+summation blocks.
 """
 
 from __future__ import annotations
@@ -71,53 +74,68 @@ def _soe_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return np.append(s[~slow], 0.0), np.append(c[~slow], c[slow].sum())
 
 
-def _slot_blocks(k0: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _phase_blocks(k0: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Coefficients of the pair and difference sums on the wall memory's
-    rows, one (2, k0 + Q) block per ring phase r = n mod k0.
+    rows, one (2, 2 k0 + Q) block per phase r = n mod 2 k0 of step n.
 
-    Ring slot i holds the level at lag k = (r - i) mod k0, which weighs
-    w_{k-1} + w_k in the pair sum and w_k - w_{k-1} in the difference sum
-    (w_{-1} = 0). Mode q carries the lags k0 + i, each weighing
-    c_q e^(-s_q (k0+i)) (e^(s_q) +- 1).
+    At step n the ring carries the L = k0 + (n + 1) mod k0 newest levels
+    (ring slots not yet written hold zeros). Ring slot i holds the level
+    at lag k = (r - i) mod 2 k0. For k < L that level weighs w_{k-1} + w_k
+    in the pair sum and w_k - w_{k-1} in the difference sum (w_{-1} = 0);
+    for k >= L it is already in the modes and weighs 0. Mode q carries
+    the lags L + i, i >= 0, as sum_i e^(-s_q i) q^{n-L-i}, so it weighs
+    c_q e^(-s_q L) (e^(s_q) +- 1).
     """
-    w = kernel_weights(k0)
+    ring = 2 * k0
+    w = kernel_weights(ring)
     w_prev = np.append(0.0, w[:-1])
-    by_lag = np.stack([w_prev + w, w - w_prev])                 # (2, k0)
-    lag = (np.arange(k0)[:, None] - np.arange(k0)) % k0         # [r, i]
-    scale = c * np.exp(-s * k0)
-    tail = np.stack([scale * (np.exp(s) + 1.0), -scale * np.expm1(s)])
-    blocks = np.empty((k0, 2, k0 + s.size))
-    blocks[:, :, :k0] = by_lag[:, lag].transpose(1, 0, 2)
-    blocks[:, :, k0:] = tail
+    by_lag = np.stack([w_prev + w, w - w_prev])                 # (2, 2k0)
+    phase = np.arange(ring)
+    lag = (phase[:, None] - phase) % ring                       # [r, i]
+    held = k0 + (phase + 1) % k0                                # L of phase r
+    near = np.where(lag < held[:, None], by_lag[:, lag], 0.0)   # [2, r, i]
+    scale = c * np.exp(-np.outer(held, s))                      # [r, q]
+    blocks = np.empty((ring, 2, ring + s.size))
+    blocks[:, :, :ring] = near.transpose(1, 0, 2)
+    blocks[:, 0, ring:] = scale * (np.exp(s) + 1.0)
+    blocks[:, 1, ring:] = -scale * np.expm1(s)
     return blocks
 
 
 K0 = 32                             # near lags summed exactly from the ring
 _SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 88 exponential modes
-_BLOCKS = _slot_blocks(K0, _SOE_S, _SOE_C)
+_BLOCKS = _phase_blocks(K0, _SOE_S, _SOE_C)
+# a fold moves K0 levels into the modes: Y <- e^(-s K0) Y + E @ levels,
+# E[q, i] = e^(-s_q (K0-1-i)) for the i-th oldest of them
+_FOLD_DECAY = np.exp(-K0 * _SOE_S)[:, None]
+_FOLD = np.exp(-np.outer(_SOE_S, np.arange(K0 - 1, -1, -1)))
 
 
 class PressureHistory:
     """Wall memory of the nodal pressure series p_j^m on a uniform time step.
 
-    The storage is fixed at construction: one (K0 + Q, nodes) array. The
-    deviations q = p - p^0 from the first level p^0 stored sit in its
-    first K0 rows, a ring of the last K0 levels, which carries the near
-    lags exactly. Levels that leave the ring fold into the Q exponential
-    modes below it, Y_q <- e^(-s_q) Y_q + q, which carry the older lags
-    through the sum-of-exponentials form of the weights. Only the latest
-    level can be summed.
+    The storage is fixed at construction: one (2 K0 + Q, nodes) array.
+    The deviations q = p - p^0 from the first level p^0 stored sit in
+    its first 2 K0 rows, a ring that carries the near lags exactly.
+    Every K0-th level appended, the K0 oldest levels of the ring fold
+    into the Q exponential modes below it, which carry the older lags
+    through the sum-of-exponentials form of the weights; the ring then
+    holds K0 to 2 K0 - 1 levels. A step costs one row write and one
+    (2, 2 K0 + Q) product. The sums come out scaled by the run's
+    prefactors (c2, c3) of `source_coefficients`, folded into a copy of
+    the summation blocks here (the defaults give the bare sums). Only the
+    latest level can be summed.
     """
 
-    def __init__(self, n_nodes: int):
+    def __init__(self, n_nodes: int, c2: float = 1.0, c3: float = 1.0):
         self.n_nodes = n_nodes
-        self._store = np.zeros((K0 + _SOE_S.size, n_nodes))
-        self._ring = self._store[:K0]
-        self._modes = self._store[K0:]
-        # the decays at full size: one contiguous multiply per step is
-        # faster than broadcasting a column over the mode rows
-        self._decay = np.repeat(np.exp(-_SOE_S)[:, None], n_nodes, axis=1)
+        self._store = np.zeros((2 * K0 + _SOE_S.size, n_nodes))
+        self._ring = self._store[:2 * K0]
+        self._modes = self._store[2 * K0:]
+        self._blocks = _BLOCKS * np.array([[c2], [c3]])
+        self._c2 = c2
         self.p0 = np.zeros(n_nodes)
+        self._pair_p0 = None
         self._levels = 0
 
     @property
@@ -127,20 +145,26 @@ class PressureHistory:
 
     @property
     def nbytes(self) -> int:
-        return self._store.nbytes + self._decay.nbytes + self.p0.nbytes
+        extra = 0 if self._pair_p0 is None else self._pair_p0.nbytes
+        return self._store.nbytes + self._blocks.nbytes + self.p0.nbytes + extra
 
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
         if row.shape != (self.n_nodes,):
             raise ValueError(f"expected {self.n_nodes} nodal pressures")
-        if self._levels == 0:
+        n = self._levels
+        if n == 0:
             self.p0[:] = row
-        # the slot holds the level leaving the ring (zeros while it fills)
-        slot = self._levels % K0
-        self._modes *= self._decay
-        self._modes += self._ring[slot]
-        np.subtract(row, self.p0, out=self._ring[slot])
+            if (row != row[0]).any():
+                self._pair_p0 = 2.0 * self._c2 * (row - row[0])
+        np.subtract(row, self.p0, out=self._ring[n % (2 * K0)])
         self._levels += 1
+        if self._levels % K0 == 0 and self._levels >= 2 * K0:
+            # the K0 oldest levels of the ring fill the half the next
+            # level starts
+            lo = self._levels % (2 * K0)
+            self._modes *= _FOLD_DECAY
+            self._modes += _FOLD @ self._ring[lo:lo + K0]
 
     def window(self, n: int) -> tuple[int, int]:
         """Summation level range [lo, n) at step n: the whole history."""
@@ -150,21 +174,25 @@ class PressureHistory:
         return 0, n
 
     def sums(self, n: int) -> np.ndarray:
-        """Pair and difference sums at step n, as a (2, nodes) array.
+        """Pair and difference sums at step n, scaled by (c2, c3), as a
+        (2, nodes) array; the pair sums up to a share common to all nodes.
 
         Summation by parts puts both sums on the levels p^{n-k},
         k = 0..n: the pair sum weighs lag k by w_{k-1} + w_k and the
         difference sum by w_k - w_{k-1}, with w zero outside m = 0..n-1.
         On p = p^0 + q the constant part of the pair sum telescopes to
-        2 p^0 sqrt(n) and that of the difference sum to 0. Ring slots not
-        yet written and modes not yet fed hold zeros, so one product with
-        the block of the step's ring phase covers every n.
+        2 p^0 sqrt(n) and that of the difference sum to 0. The pair sums
+        leave out the share 2 p^0_0 sqrt(n) of node 0, which the centered
+        difference of G2 cancels: a uniform p^0 then adds nothing.
+        Ring slots not yet written and modes not yet fed hold zeros, so
+        one product with the block of the step's phase covers every n.
         """
         if n != self._levels - 1:
             raise IndexError(f"wall memory holds step {self._levels - 1},"
                              f" step {n} requested")
-        acc = _BLOCKS[n % K0] @ self._store
-        acc[0] += 2.0 * math.sqrt(n) * self.p0
+        acc = self._blocks[n % (2 * K0)] @ self._store
+        if self._pair_p0 is not None:
+            acc[0] += math.sqrt(n) * self._pair_p0
         return acc
 
 
@@ -192,21 +220,21 @@ def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
     return c2, c3
 
 
-def source_table(hist: PressureHistory, n: int, c2: float,
-                 c3: float) -> np.ndarray:
+def source_table(hist: PressureHistory, n: int) -> np.ndarray:
     """G at every node for step n, as a (J+1, 3) array.
 
-    Interior nodes follow the convolution sums of `hist.sums(n)`, scaled
-    by the prefactors (c2, c3) of `source_coefficients`. The
-    centered pressure-gradient bracket of G2 is undefined at j = 0 and
-    j = J, so boundary rows copy their adjacent interior value (they only
-    feed the midpoint source averages of the interior expansion). At
-    n = 0 the sums, and so the table, are zero.
+    Interior nodes follow the convolution sums of `hist.sums(n)`, which
+    carry the prefactors (c2, c3) of `source_coefficients`: G2 is the
+    centered difference of the scaled pair sums and G3 the scaled
+    difference sums. The centered pressure-gradient bracket of G2 is
+    undefined at j = 0 and j = J, so boundary rows copy their adjacent
+    interior value (they only feed the midpoint source averages of the
+    interior expansion). At n = 0 the sums, and so the table, are zero.
     """
     out = np.zeros((hist.n_nodes, 3))
     pair_acc, diff_acc = hist.sums(n)
-    out[1:-1, 1] = c2 * (pair_acc[2:] - pair_acc[:-2])
+    np.subtract(pair_acc[2:], pair_acc[:-2], out=out[1:-1, 1])
     out[0, 1] = out[1, 1]
     out[-1, 1] = out[-2, 1]
-    out[:, 2] = c3 * diff_acc
+    out[:, 2] = diff_acc
     return out

@@ -4,8 +4,9 @@
 forms the pair and difference sums over the whole summation window with
 the exact weights w_m = 1/(sqrt(m)+sqrt(m+1)), at a cost of O(n) per node
 per step. It has the interface `wall.source_table` reads from the runtime
-wall memory (`n_nodes`, `n_levels`, `append`, `window`, `sums`),
-so a table or a whole `Simulation` can run on either.
+wall memory (`n_nodes`, `n_levels`, `append`, `window`, `sums`) and
+takes the same prefactors (c2, c3) at construction, so a table or a
+whole `Simulation` can run on either.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from ductwave.wall import kernel_weights
 class ExactHistory:
     """Append-only nodal pressure series p_j^m on a uniform time step."""
 
-    def __init__(self, n_nodes: int, capacity: int = 1024):
+    def __init__(self, n_nodes: int, c2: float = 1.0, c3: float = 1.0,
+                 capacity: int = 1024):
         self.n_nodes = n_nodes
+        self._scale = np.array([[c2], [c3]])
         self._p = np.empty((capacity, n_nodes))
         self._levels = 0
 
@@ -55,7 +58,8 @@ class ExactHistory:
         return 0, n
 
     def sums(self, n: int) -> np.ndarray:
-        """Pair and difference sums at step n, as a (2, nodes) array.
+        """Pair and difference sums at step n, scaled by (c2, c3), as a
+        (2, nodes) array.
 
         Summation by parts: the stored level p^{n-k}, k = 0..n, weighs
         w_{k-1} + w_k in the pair sum and w_k - w_{k-1} in the difference
@@ -69,4 +73,4 @@ class ExactHistory:
         coef[0, 1:] += w_rev
         coef[1, 1:] = w_rev
         coef[1, :-1] -= w_rev
-        return coef @ self._p[lo:hi + 1]
+        return self._scale * (coef @ self._p[lo:hi + 1])

@@ -222,11 +222,11 @@ class TestA5SourceTermOracle:
         steps_per_period = 256
         dt = 1.0 / freq / steps_per_period
         n = 10 * steps_per_period
-        hist = PressureHistory(n_nodes=5)
+        hist = PressureHistory(5, *source_coefficients(
+            AIR, geom, Grid(0.1, 4), dt, CONSISTENT))
         for m in range(n + 1):
             hist.append(np.full(5, AIR.p0 + amp * math.sin(omega * m * dt)))
-        g3 = source_table(hist, n, *source_coefficients(
-            AIR, geom, Grid(0.1, 4), dt, CONSISTENT))[2, 2]
+        g3 = source_table(hist, n)[2, 2]
 
         t_end = n * dt
         integral, quad_err = integrate.quad(

@@ -1,11 +1,13 @@
 """Probe records, resampling, harmonic spectra, levels, error norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ductwave.analysis import (
+    _SPECTRUM_CHUNK,
     ProbeRecord,
     harmonic_spectrum,
     level_db,
@@ -208,6 +210,35 @@ class TestHarmonicSpectrum:
         power_spectral = float(np.sum(spec.magnitudes ** 2)) / 2.0
         power_signal = float(np.mean(u ** 2))
         assert power_spectral == pytest.approx(power_signal, rel=1e-9)
+
+    def test_one_chunk_window_is_one_product(self):
+        # the presets' windows: bit for bit one (k_max, M) phase product
+        for periods, per_period in ((4, 256), (1, _SPECTRUM_CHUNK)):
+            rec = _sine_record(amplitude=0.7, periods=periods,
+                               per_period=per_period, phase=0.3, dc=0.1)
+            m = rec.n_samples
+            k = np.arange(1, 21)
+            phases = np.exp(-1j * OMEGA0 * np.outer(k, np.arange(m) * rec.tau))
+            one_product = np.abs(2.0 / m * phases @ rec.component("u"))
+            spec = harmonic_spectrum(rec, OMEGA0, 20)
+            np.testing.assert_array_equal(spec.magnitudes, one_product)
+
+    def test_long_window_holds_one_chunk(self):
+        # 8 chunks: the phase blocks of one chunk at a time (one product
+        # over the whole window peaked at 83 MiB)
+        rec = _sine_record(amplitude=0.7, periods=8,
+                           per_period=_SPECTRUM_CHUNK, harmonic=3, dc=0.1)
+        tracemalloc.start()
+        try:
+            spec = harmonic_spectrum(rec, OMEGA0, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 20 * _SPECTRUM_CHUNK * 16
+        expected = np.zeros(20)
+        expected[2] = 0.7
+        np.testing.assert_allclose(spec.magnitudes, expected, rtol=0.0,
+                                   atol=1e-12)
 
 
 class TestLevels:

@@ -13,7 +13,7 @@ import pytest
 
 import ductwave
 
-from ductwave import cli
+from ductwave import cli, csvio
 from ductwave.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -520,6 +520,33 @@ class TestCsvStreaming:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
+
+    def test_reading_holds_the_array_about_twice(self, tmp_path, rng):
+        # parsed line by line into float blocks: 2.1x the array; the whole
+        # text with its lines and float lists held 14.7x
+        series = rng.standard_normal((50_000, 4))
+        path = tmp_path / "series.csv"
+        write_csv(path, ["t_s", "rho_kgpm3", "u_mps", "p_Pa"],
+                  map(np.ndarray.tolist, series))
+        tracemalloc.start()
+        try:
+            header, body = read_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(body, series)
+        assert peak < 3 * body.nbytes
+
+    def test_reading_spans_blocks(self, tmp_path):
+        # two whole blocks and a partial one, a blank line, CRLF endings
+        n = 2 * csvio._READ_BLOCK + 5
+        rows = [(float(i), i / 3.0) for i in range(n)]
+        path = tmp_path / "blocks.csv"
+        text = "a,b\n\n" + "".join(f"{x!r},{y!r}\r\n" for x, y in rows)
+        path.write_bytes(text.encode())
+        header, body = read_csv(path)
+        assert header == ["a", "b"]
+        np.testing.assert_array_equal(body, np.array(rows))
 
     def test_series_rows_equal_the_stacked_record(self):
         # several row chunks and a partial one, from a record whose times

@@ -374,7 +374,9 @@ class TestWallMemoryInTheLoop:
                              probes=(0.05,))
         fast = Simulation(sc)
         exact = Simulation(sc)
-        exact.history = ExactHistory(n_nodes=sc.grid.n_nodes)
+        exact.history = ExactHistory(
+            sc.grid.n_nodes, *wall.source_coefficients(
+                air, sc.geom, sc.grid, exact.dt, sc.kernel_mode))
         exact.history.append(primitive_arrays(exact.state.w, air)[2])
         n_steps = 4 * K0
         for _ in range(n_steps):

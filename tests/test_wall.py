@@ -14,6 +14,7 @@ from ductwave.driver import Scenario, Simulation
 from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
+    _BLOCKS,
     _SOE_C,
     _SOE_S,
     AS_PRINTED,
@@ -37,24 +38,24 @@ GEOM = DuctGeometry(h=0.005, symmetry="axisymmetric")
 GRID = Grid(length=0.1, cells=4)
 
 
-def _history(levels, n_nodes=5, kind=PressureHistory):
-    hist = kind(n_nodes=n_nodes)
+def _coef(gas, dt, grid=GRID, geom=GEOM, mode=CONSISTENT):
+    """Prefactors (c2, c3) of a run on dt."""
+    return source_coefficients(gas, geom, grid, dt, mode)
+
+
+def _history(levels, n_nodes=5, kind=PressureHistory, coef=(1.0, 1.0)):
+    hist = kind(n_nodes, *coef)
     for row in levels:
         hist.append(np.asarray(row, dtype=float))
     return hist
 
 
-def _source_table(hist, n, gas, dt, grid=GRID, geom=GEOM, mode=CONSISTENT):
-    """source_table at step n with the prefactors of a run on dt."""
-    return source_table(hist, n,
-                        *source_coefficients(gas, geom, grid, dt, mode))
-
-
 def _table(levels, n, gas, grid=GRID, geom=GEOM, mode=CONSISTENT, dt=1e-5):
     """Runtime source table at step n of the series levels[0..n]; the wall
     memory only answers for its latest level, so it is refilled up to n."""
-    hist = _history(levels[:n + 1], n_nodes=grid.n_nodes)
-    return _source_table(hist, n, gas, dt, grid, geom, mode)
+    hist = _history(levels[:n + 1], n_nodes=grid.n_nodes,
+                    coef=_coef(gas, dt, grid, geom, mode))
+    return source_table(hist, n)
 
 
 def _g2(levels, j, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
@@ -79,16 +80,13 @@ def _scenario(gas, **overrides):
 def _step_sources(sim, n_steps, monkeypatch):
     """(G, dG/dt, table) of each of n_steps steps of sim: the source table
     and rate the step hands the interior update, and with losses on
-    source_table of the wall memory at that step under the run's
-    prefactors (None with losses off)."""
+    source_table of the wall memory at that step (None with losses
+    off)."""
     sc = sim.scenario
-    coef = source_coefficients(sc.gas, sc.geom, sc.grid, sim.dt,
-                               sc.kernel_mode)
     seen = []
 
     def record(state, g, dt_g, *args):
-        table = source_table(sim.history, state.n, *coef) if sc.losses \
-            else None
+        table = source_table(sim.history, state.n) if sc.losses else None
         seen.append((g, dt_g, table))
         return lax_wendroff_update(state, g, dt_g, *args)
 
@@ -219,10 +217,10 @@ class TestPressureHistory:
         rng = np.random.default_rng(7)
         dt = 5e-6
         levels = [101325.0 + 40.0 * rng.standard_normal(5) for _ in range(9)]
-        hist = _history(levels, kind=ExactHistory)
+        hist = _history(levels, kind=ExactHistory, coef=_coef(air, dt))
         kappa = heat_kernel_constant(air, CONSISTENT)
         for n in (1, 4, 8):
-            table = _source_table(hist, n, air, dt)
+            table = source_table(hist, n)
             for j in (1, 2, 3):
                 assert table[j, 1] == pytest.approx(
                     _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
@@ -261,15 +259,15 @@ class TestWallMemory:
         measure near 1e-8 on G2 and 1e-11 on G3)."""
         rng = np.random.default_rng(11)
         dt = 2e-6
-        fast = PressureHistory(n_nodes=5)
-        exact = ExactHistory(n_nodes=5)
+        fast = PressureHistory(5, *_coef(air, dt))
+        exact = ExactHistory(5, *_coef(air, dt))
         for _ in range(10_000):
             row = air.p0 + 30.0 * rng.standard_normal(5)
             fast.append(row)
             exact.append(row)
         n = 9999
-        got = _source_table(fast, n, air, dt)
-        want = _source_table(exact, n, air, dt)
+        got = source_table(fast, n)
+        want = source_table(exact, n)
         for col in (1, 2):
             rel = np.abs(got[:, col] - want[:, col]).max() \
                 / np.abs(want[:, col]).max()
@@ -289,19 +287,50 @@ class TestWallMemory:
         assert np.abs(approx / exact - 1.0).max() <= 1e-8
 
     def test_matches_oracle_through_the_ring_edge(self, air):
-        """Step by step across the first K0 + 5 levels, where levels start
-        to leave the ring for the modes."""
+        """Step by step across the first 3 K0 + 5 levels: the ring fills
+        both its halves and two folds move levels into the modes. Once
+        the modes hold levels, their weights (2e-11 relative on these
+        lags) leave about 1e-11 of each column's scale, which an entry
+        that cancels to a small fraction of its column cannot meet
+        relatively: atol is 1e-10 of the column's scale."""
         rng = np.random.default_rng(9)
         dt = 4e-6
-        fast = PressureHistory(n_nodes=5)
-        exact = ExactHistory(n_nodes=5)
-        for n in range(K0 + 5):
+        fast = PressureHistory(5, *_coef(air, dt))
+        exact = ExactHistory(5, *_coef(air, dt))
+        for n in range(3 * K0 + 5):
             row = air.p0 + 25.0 * rng.standard_normal(5)
             fast.append(row)
             exact.append(row)
-            np.testing.assert_allclose(
-                _source_table(fast, n, air, dt),
-                _source_table(exact, n, air, dt), rtol=1e-9, atol=0.0)
+            got, want = source_table(fast, n), source_table(exact, n)
+            for col in range(3):
+                np.testing.assert_allclose(
+                    got[:, col], want[:, col], rtol=1e-9,
+                    atol=1e-10 * np.abs(want[:, col]).max())
+
+    def test_phase_blocks_weigh_each_slot_by_its_lag(self):
+        """At every phase r = n mod 2 K0 the ring carries the
+        L = K0 + (r + 1) mod K0 newest levels: the block gives them the
+        exact lag weights, the slots already folded zero, and mode q
+        c_q e^(-s_q L) (e^(s_q) +- 1)."""
+        m = np.arange(2 * K0)
+        w = 1.0 / (np.sqrt(m) + np.sqrt(m + 1.0))
+        w_prev = np.append(0.0, w[:-1])
+        for r in range(2 * K0):
+            held = K0 + (r + 1) % K0
+            lag = (r - m) % (2 * K0)
+            near = lag < held
+            ring = _BLOCKS[r, :, :2 * K0]
+            np.testing.assert_allclose(ring[0, near], (w_prev + w)[lag[near]],
+                                       rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(ring[1, near], (w - w_prev)[lag[near]],
+                                       rtol=1e-15, atol=1e-17)
+            assert np.all(ring[:, ~near] == 0.0)
+            scale = _SOE_C * np.exp(-_SOE_S * held)
+            modes = _BLOCKS[r, :, 2 * K0:]
+            np.testing.assert_allclose(modes[0], scale * (np.exp(_SOE_S) + 1.0),
+                                       rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(modes[1], -scale * np.expm1(_SOE_S),
+                                       rtol=1e-13, atol=0.0)
 
 
 class TestWallShearSum:
@@ -392,15 +421,15 @@ class TestWallHeatSum:
 
 class TestSourceAssembly:
     def test_zero_history_gives_zero_vector(self, air):
-        hist = _history([np.full(5, 101325.0)] * 4)
-        table = _source_table(hist, 3, air, 1e-5)
+        hist = _history([np.full(5, 101325.0)] * 4, coef=_coef(air, 1e-5))
+        table = source_table(hist, 3)
         np.testing.assert_array_equal(table, np.zeros((5, 3)))
 
     def test_components_match_the_sums(self, air, rng):
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
         dt = 3e-6
-        hist = _history(levels)
-        row = _source_table(hist, 5, air, dt)[2]
+        hist = _history(levels, coef=_coef(air, dt))
+        row = source_table(hist, 5)[2]
         kappa = heat_kernel_constant(air, CONSISTENT)
         assert row[0] == 0.0
         assert row[1] == pytest.approx(
@@ -410,10 +439,10 @@ class TestSourceAssembly:
 
     def test_mass_component_must_vanish(self, air, rng):
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
-        hist = PressureHistory(n_nodes=5)
+        hist = PressureHistory(5, *_coef(air, 3e-6))
         for n, row in enumerate(levels):
             hist.append(row)
-            table = _source_table(hist, n, air, 3e-6)
+            table = source_table(hist, n)
             assert np.all(table[:, 0] == 0.0)
 
     def test_source_time_derivative(self, air, monkeypatch):
@@ -442,11 +471,9 @@ class TestSourceAssembly:
     def test_table_matches_per_node_ops(self, air, rng):
         levels = [101325.0 + 30.0 * rng.standard_normal(7) for _ in range(7)]
         dt = 2e-6
-        hist = PressureHistory(n_nodes=7)
-        for row in levels:
-            hist.append(row)
         grid = Grid(length=0.06, cells=6)
-        table = _source_table(hist, 6, air, dt, grid)
+        hist = _history(levels, n_nodes=7, coef=_coef(air, dt, grid))
+        table = source_table(hist, 6)
         kappa = heat_kernel_constant(air, CONSISTENT)
         # summation by parts reassociates the sums, so agreement with the
         # per-node oracles is to rounding against the absolute pressures
@@ -472,7 +499,7 @@ class TestSourceAssembly:
         levels = [air.p0 + 50.0 * np.sin(omega * m * dt + 3.0 * x)
                   * (1.0 + x / GRID.length) for m in range(n + 1)]
         kappa = heat_kernel_constant(air, CONSISTENT)
-        table = _source_table(_history(levels), n, air, dt)
+        table = source_table(_history(levels, coef=_coef(air, dt)), n)
         for j in range(1, 4):
             assert table[j, 1] == pytest.approx(
                 _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
@@ -487,8 +514,9 @@ class TestSourceAssembly:
         bump = [15.0 * rng.standard_normal(5) for _ in range(6)]
 
         def g_of(levels):
-            hist = _history([np.asarray(lv) for lv in levels])
-            return _source_table(hist, 5, air, 2e-6)
+            hist = _history([np.asarray(lv) for lv in levels],
+                            coef=_coef(air, 2e-6))
+            return source_table(hist, 5)
 
         g_base = g_of(base)
         g_sum = g_of([b + d for b, d in zip(base, bump)])
