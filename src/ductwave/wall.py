@@ -135,7 +135,7 @@ class PressureHistory:
         self._blocks = _BLOCKS * np.array([[c2], [c3]])
         self._c2 = c2
         self.p0 = np.zeros(n_nodes)
-        self._pair_p0 = None
+        self._pair_p0 = np.zeros(n_nodes)
         self._levels = 0
 
     @property
@@ -145,8 +145,8 @@ class PressureHistory:
 
     @property
     def nbytes(self) -> int:
-        extra = 0 if self._pair_p0 is None else self._pair_p0.nbytes
-        return self._store.nbytes + self._blocks.nbytes + self.p0.nbytes + extra
+        return (self._store.nbytes + self._blocks.nbytes + self.p0.nbytes
+                + self._pair_p0.nbytes)
 
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
@@ -155,8 +155,8 @@ class PressureHistory:
         n = self._levels
         if n == 0:
             self.p0[:] = row
-            if (row != row[0]).any():
-                self._pair_p0 = 2.0 * self._c2 * (row - row[0])
+            np.subtract(row, row[0], out=self._pair_p0)
+            self._pair_p0 *= 2.0 * self._c2
         np.subtract(row, self.p0, out=self._ring[n % (2 * K0)])
         self._levels += 1
         if self._levels % K0 == 0 and self._levels >= 2 * K0:
@@ -191,8 +191,7 @@ class PressureHistory:
             raise IndexError(f"wall memory holds step {self._levels - 1},"
                              f" step {n} requested")
         acc = self._blocks[n % (2 * K0)] @ self._store
-        if self._pair_p0 is not None:
-            acc[0] += math.sqrt(n) * self._pair_p0
+        acc[0] += math.sqrt(n) * self._pair_p0
         return acc
 
 
