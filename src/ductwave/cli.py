@@ -20,7 +20,6 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="config file path")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--losses", choices=["on", "off"])
-    p_run.add_argument("--kernel-mode", choices=["consistent", "as-printed"])
     p_run.add_argument("--cfl", type=float)
     p_run.set_defaults(func=cmd_run)
 
@@ -139,7 +137,6 @@ def cmd_run(args) -> int:
     doc = parse_config(text)
     doc = doc.with_overrides(**{
         "run.losses": None if args.losses is None else args.losses == "on",
-        "run.kernel_mode": args.kernel_mode,
         "run.cfl": args.cfl,
     })
     scenario = scenario_from_config(doc, samples_loader=_load_samples)
@@ -197,8 +194,8 @@ def _spectrum_rows(record, scenario, doc):
     whole = (record.n_samples - 1) // per_period
     periods = min(doc.get("output.spectrum_periods", 4), whole)
     lo, hi = (whole - periods) * per_period, whole * per_period
-    window = replace(record, data=record.data[lo:hi],
-                     t_start=record.t_start + lo * record.tau)
+    window = record.window(record.t_start + lo * record.tau,
+                           record.t_start + hi * record.tau)
     k_max = doc.get("output.kmax", DEFAULT_KMAX)
     spec_u = analysis.harmonic_spectrum(window, omega0, k_max, component="u")
     spec_p = analysis.harmonic_spectrum(window, omega0, k_max, component="p")
@@ -227,7 +224,6 @@ def _report_text(result) -> str:
         f"steps = {rep.n_steps}",
         f"cfl = {sc.cfl!r}",
         f"losses = {'on' if sc.losses else 'off'}",
-        f"kernel_mode = {sc.kernel_mode}",
         f"probes = {', '.join(repr(r.x) for r in result.records)}",
     ]
     return "\n".join(lines) + "\n"

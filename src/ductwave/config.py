@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from . import analysis, driver, scheme, wall
+from . import analysis, driver, scheme
 from .errors import ConfigError
 from .gas import GasModel
 from .signals import MultiHarmonicSignal, SampledSignal
 
-TWO_PI = 6.283185307179586476925287
 DEFAULT_KMAX = 15   # harmonics in the spectrum outputs
 
 
@@ -121,7 +120,6 @@ KEY_SPECS = {
     "run.cfl": (_parse_float, _fmt_float),
     "run.duration_periods": (_parse_float, _fmt_float),
     "run.duration_s": (_parse_float, _fmt_float),
-    "run.kernel_mode": (_parse_choice("consistent", "as-printed"), str),
     "run.sampling_exponent": (int, str),
     "probes.stations": (_parse_floats, _fmt_floats),
     "output.prefix": (str, str),
@@ -220,7 +218,7 @@ def _build_signal(doc: ConfigDocument, samples_loader=None):
     else:
         comps = doc.require("inflow.harmonics")
     freq = doc.require("inflow.frequency_hz")
-    return MultiHarmonicSignal(omega0=TWO_PI * freq, components=comps)
+    return MultiHarmonicSignal(omega0=math.tau * freq, components=comps)
 
 
 def _gas_key(name: str) -> str:
@@ -253,12 +251,13 @@ def scenario_from_config(doc: ConfigDocument,
             inflow_kind=doc.require("inflow.kind"),
             inflow=_build_signal(doc, samples_loader),
             losses=doc.require("run.losses"),
-            cfl=doc.get("run.cfl", 0.8),
             duration_s=doc.get("run.duration_s"),
             duration_periods=doc.get("run.duration_periods"),
             probes=doc.get("probes.stations", (grid.length,)),
-            sampling_exponent=doc.get("run.sampling_exponent", 10),
-            kernel_mode=doc.get("run.kernel_mode", wall.CONSISTENT),
+            # omitted, these take the Scenario's defaults
+            **{name: doc.get(f"run.{name}")
+               for name in ("cfl", "sampling_exponent")
+               if f"run.{name}" in doc},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -295,7 +294,6 @@ def builtin_scenarios() -> dict[str, ConfigDocument]:
         "inflow.shape": "sine",
         "run.losses": True,
         "run.duration_periods": 9.0,
-        "run.kernel_mode": "consistent",
         "run.sampling_exponent": 10,
         "output.spectrum_periods": 4,
     }

@@ -30,17 +30,20 @@ def write_csv(path, header: list[str], rows) -> None:
 def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Header names and the numeric body as a (rows, cols) float array.
 
-    Blank lines are skipped, and the line numbers in errors count the
-    other lines. The body is parsed line by line, and every _READ_BLOCK
-    rows are packed into a float64 block, so reading holds the array
-    about twice and not the text or its rows of Python floats.
+    Blank lines are skipped; the line numbers in errors are those of the
+    file, blank lines included. The body is parsed line by line, and
+    every _READ_BLOCK rows are packed into a float64 block, so reading
+    holds the array about twice and not the text or its rows of Python
+    floats.
     """
     path = Path(path)
     header = None
     blocks, rows = [], []
     with open(path, encoding="utf-8") as fh:
-        lines = (ln.rstrip("\n") for ln in fh if ln.strip())
-        for i, ln in enumerate(lines, start=1):
+        for i, ln in enumerate(fh, start=1):
+            if not ln.strip():
+                continue
+            ln = ln.rstrip("\n")
             if header is None:
                 header = [h.strip() for h in ln.split(",")]
                 continue

@@ -73,7 +73,6 @@ class Scenario:
     duration_periods: float | None = None
     probes: tuple[float, ...] = ()
     sampling_exponent: int = 10
-    kernel_mode: str = wall.CONSISTENT
 
     def __post_init__(self):
         if self.inflow_kind not in (PRESSURE, VELOCITY):
@@ -87,8 +86,6 @@ class Scenario:
         for x in self.probes:
             if not (0.0 <= x <= self.grid.length):
                 raise ValueError(f"probe station {x} outside the duct")
-        if self.kernel_mode not in (wall.CONSISTENT, wall.AS_PRINTED):
-            raise ValueError(f"unknown kernel mode {self.kernel_mode!r}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.duration_periods is not None and self.fundamental_period is None:
@@ -185,8 +182,7 @@ class Simulation:
         self.prim = _checked_primitives(self.state.w, gas)
         self.history = wall.PressureHistory(
             scenario.grid.n_nodes, *wall.source_coefficients(
-                gas, scenario.geom, scenario.grid, self.dt,
-                scenario.kernel_mode))
+                gas, scenario.geom, scenario.grid, self.dt))
         self.history.append(self.prim[2])
         self._zero = np.zeros((scenario.grid.n_nodes, 3))
         self._zero.flags.writeable = False

@@ -9,9 +9,9 @@ kernel. Per interior node j at step n, with w_m = 1/(sqrt(m)+sqrt(m+1)):
 
   G3 = -(2 beta/h) kappa / sqrt(dt) * sum_m (p_j^{n-m} - p_j^{n-m-1}) w_m
 
-where the heat-kernel constant kappa is sqrt(k/(rho0 cp pi)) in the
-default self-consistent mode (the eta-derivative of the closed-form erf
-temperature profile) and sqrt(mu/(rho0 cp pi)) in "as-printed" mode.
+where the heat-kernel constant kappa = sqrt(k/(rho0 cp pi)) is the
+eta-derivative of the closed-form erf temperature profile: the paper
+prints mu where that profile gives k, and the package uses k.
 The two quadrature rules underlying the sums integrate phi(z) dz/sqrt(z)
 over one step and are exact for constant phi; they and the erf profiles
 are kept as test oracles in `tests/reference_forms.py`.
@@ -40,9 +40,6 @@ import numpy as np
 
 from .gas import GasModel
 from .scheme import DuctGeometry, Grid
-
-CONSISTENT = "consistent"
-AS_PRINTED = "as-printed"
 
 
 def kernel_weights(n: int) -> np.ndarray:
@@ -195,26 +192,14 @@ class PressureHistory:
         return acc
 
 
-def heat_kernel_constant(gas: GasModel, mode: str = CONSISTENT) -> float:
-    """kappa in the G3 sum: k-based (consistent) or mu-based (as printed)."""
-    if mode == CONSISTENT:
-        num = gas.k_cond
-    elif mode == AS_PRINTED:
-        num = gas.mu
-    else:
-        raise ValueError(f"unknown kernel mode {mode!r}")
-    return math.sqrt(num / (gas.rho0 * gas.cp * math.pi))
-
-
 def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
-                        dt: float, mode: str = CONSISTENT
-                        ) -> tuple[float, float]:
+                        dt: float) -> tuple[float, float]:
     """Prefactors (c2, c3) of the G2 sum [Pa/m per Pa] and the G3 sum
-    [W/m^3 per Pa]: fixed for a run by its gas, duct, frozen dt and
-    kernel mode."""
+    [W/m^3 per Pa]: fixed for a run by its gas, duct and frozen dt."""
     c2 = (geom.beta / geom.h) * math.sqrt(gas.mu / (gas.rho0 * math.pi)) \
         * math.sqrt(dt) / (2.0 * grid.dx)
-    c3 = -(2.0 * geom.beta / geom.h) * heat_kernel_constant(gas, mode) \
+    c3 = -(2.0 * geom.beta / geom.h) \
+        * math.sqrt(gas.k_cond / (gas.rho0 * gas.cp * math.pi)) \
         / math.sqrt(dt)
     return c2, c3
 

@@ -4,8 +4,9 @@ The 1/sqrt(z) kernel of `ductwave.wall` comes from the erf boundary-layer
 profiles of the linear visco-thermal layer and from two singular-measure
 quadrature rules for integral phi(z) dz/sqrt(z) over one step. The solver
 only uses the weights that result, w_m = 1/(sqrt(m)+sqrt(m+1)); these are
-the forms themselves, kept as independent oracles for A2 (the pulse), A6
-(the quadratures), `test_wall` and `test_signals`.
+the forms themselves, kept as independent oracles for A2 (the pulse), A5
+and A6 (the heat-kernel constant and the quadratures), `test_wall` and
+`test_signals`.
 
 The Euler flux and its analytic Jacobian, as whole arrays over any leading
 axes, are the matrix form of the interior scheme: `ductwave.scheme` forms
@@ -62,6 +63,18 @@ def bl_temperature_profile(dpdt_history: np.ndarray, dt: float, eta: float,
     kern = _erf_kernel(vals.size, dt, eta, gas.k_cond / (gas.rho0 * gas.cp))
     integral = float(np.trapezoid(vals * kern, dx=dt))
     return gas.theta0 + integral / (gas.rho0 * gas.cp)
+
+
+def heat_kernel_constant(gas: GasModel) -> float:
+    """kappa of the G3 sum, from the erf temperature profile above.
+
+    Per unit dp/dt the profile has amplitude 1/(rho0 cp) and shape
+    erf(eta / sqrt(4 D t)), D = k/(rho0 cp), whose eta-slope at the wall
+    is 1/sqrt(pi D t); the wall flux k d(theta)/d(eta) is then
+    kappa / sqrt(t) with kappa = D / sqrt(pi D).
+    """
+    diffusivity = gas.k_cond / (gas.rho0 * gas.cp)
+    return diffusivity / math.sqrt(math.pi * diffusivity)
 
 
 def _erf_kernel(n: int, dt: float, eta: float, diffusivity: float) -> np.ndarray:

@@ -26,14 +26,13 @@ from ductwave.scheme import (
 )
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
-    CONSISTENT,
     PressureHistory,
-    heat_kernel_constant,
     source_coefficients,
     source_table,
 )
 from reference_forms import (
     flux_jacobian,
+    heat_kernel_constant,
     physical_flux,
     quad_one_point,
     quad_two_point,
@@ -223,7 +222,7 @@ class TestA5SourceTermOracle:
         dt = 1.0 / freq / steps_per_period
         n = 10 * steps_per_period
         hist = PressureHistory(5, *source_coefficients(
-            AIR, geom, Grid(0.1, 4), dt, CONSISTENT))
+            AIR, geom, Grid(0.1, 4), dt))
         for m in range(n + 1):
             hist.append(np.full(5, AIR.p0 + amp * math.sin(omega * m * dt)))
         g3 = source_table(hist, n)[2, 2]
@@ -233,7 +232,7 @@ class TestA5SourceTermOracle:
             lambda z: amp * omega * math.cos(omega * (t_end - z)),
             0.0, t_end, weight="alg", wvar=(-0.5, 0.0), limit=400)
         g3_cont = -(geom.beta / geom.h) \
-            * heat_kernel_constant(AIR, CONSISTENT) * integral
+            * heat_kernel_constant(AIR) * integral
         rel = abs(g3 - g3_cont) / abs(g3_cont)
         # the adaptive oracle must itself be far tighter than the 1% gate
         ok = rel < 0.01 and abs(quad_err) < 1e-7 * abs(integral)

@@ -21,6 +21,7 @@ from ductwave.cli import (
     main,
 )
 from ductwave.csvio import read_csv, write_csv
+from ductwave.errors import ConfigError
 from ductwave.gas import GasModel
 from ductwave.oracles import CORRECTED, KirchhoffModel, kirchhoff_alpha
 
@@ -139,10 +140,12 @@ class TestRunCommand:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
-    # configs emitted before run.truncate was removed still carry that key
+    # configs emitted before run.truncate or run.kernel_mode was removed
+    # still carry that key
     @pytest.mark.parametrize("key, value", [
         ("turbo.boost", "11"),
         ("run.truncate", "unbounded"),
+        ("run.kernel_mode", "consistent"),
     ])
     def test_unknown_key_exit_code_and_line(self, tmp_path, capsys, key,
                                             value):
@@ -153,6 +156,15 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "line 2" in err and repr(key) in err
+
+    def test_removed_kernel_mode_flag_is_a_usage_error(self, config_file,
+                                                       tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_file), "--out", str(out),
+                  "--kernel-mode", "as-printed"])
+        assert exc.value.code == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, shape", _INVALID_VALUES,
                              ids=[f"{k}-{v}" if shape == "sine"
@@ -473,6 +485,19 @@ class TestCompare:
 
 
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize("text, line, cause", [
+        ("\na,b\n\n1,2\n1\n", 5, "row has 1 cells"),
+        ("a,b\n1,2\n\n\nx,3\n", 5, "could not convert"),
+    ], ids=["short-row", "non-numeric"])
+    def test_errors_name_the_file_line_past_blank_lines(self, tmp_path,
+                                                        text, line, cause):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=cause) as exc:
+            read_csv(path)
+        assert exc.value.line_no == line
+        assert str(exc.value).startswith(f"line {line}: ")
+
     def test_floats_survive_read_back_exactly(self, tmp_path):
         path = tmp_path / "rt.csv"
         values = [0.1, 1.0 / 3.0, 1.425310887140203, 2.5e-300, -7.25e18,
@@ -564,13 +589,13 @@ class TestCsvStreaming:
 # deterministic output contract, so their text may not drift
 _PRESET_SHA256 = {
     "simple-wave":
-        "338f38d1ded8f4d2c4420976a8ce14cc7b748022e203e84ce21d1628221f9dba",
+        "2fe36db0ba9fd3c287e8cda422bf6b3c27c574486c0a9b464fc1926970104d9c",
     "kirchhoff":
-        "0220121db4183cc5ff84cc39938226c58cf1447713cb1b4c245bb07d6ed4cbb1",
+        "62094c3644f1983f2f774a3ee5a16ad39fac8c44231014f2e9d273aa0a96d6ca",
     "coupled":
-        "de790ac827d90fa852bb9c3d4b3ca909cbce918896f228c3b40e093bd2bde4d0",
+        "8323930e98182d1545d167a360d8580d7ce6949d567035e548e1c191361227a4",
     "trombone":
-        "f0dd881e49c9a4b0371de7afc34b54e4a6ae666524a765d97ff8823e1aceb4d2",
+        "7cfe0267374b6761de46ba81de92f895dc8737ad2f83ebaa47669588bd877bdf",
 }
 
 

@@ -1,6 +1,7 @@
 """Configuration documents, round trips, and the built-in presets."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -11,6 +12,7 @@ from ductwave.config import (
     scenario_from_config,
     serialize_config,
 )
+from ductwave.driver import Scenario
 from ductwave.errors import ConfigError
 from ductwave.signals import MultiHarmonicSignal
 
@@ -114,7 +116,10 @@ class TestScenarioConstruction:
         assert sc.inflow.omega0 == pytest.approx(2.0 * math.pi * 440.0,
                                                  rel=1e-12)
         assert sc.probes == (1.0,)    # defaults to the outlet
-        assert sc.kernel_mode == "consistent"
+        # omitted run keys take the Scenario's field defaults
+        defaults = {f.name: f.default for f in fields(Scenario)}
+        assert sc.cfl == defaults["cfl"]
+        assert sc.sampling_exponent == defaults["sampling_exponent"]
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="grid.cells"):

@@ -59,8 +59,6 @@ class TestScenario:
             _small_scenario(air, inflow_kind="piston")
         with pytest.raises(ValueError):
             _small_scenario(air, probes=(0.5,))   # outside the 0.1 m duct
-        with pytest.raises(ValueError):
-            _small_scenario(air, kernel_mode="best-effort")
 
     def test_sampling_exponent_ceiling(self, air):
         assert _small_scenario(air, sampling_exponent=20).sampling_exponent \
@@ -376,7 +374,7 @@ class TestWallMemoryInTheLoop:
         exact = Simulation(sc)
         exact.history = ExactHistory(
             sc.grid.n_nodes, *wall.source_coefficients(
-                air, sc.geom, sc.grid, exact.dt, sc.kernel_mode))
+                air, sc.geom, sc.grid, exact.dt))
         exact.history.append(primitive_arrays(exact.state.w, air)[2])
         n_steps = 4 * K0
         for _ in range(n_steps):
@@ -414,13 +412,13 @@ class TestWallMemoryInTheLoop:
 
     def test_prefactors_are_derived_once_per_run(self, air, monkeypatch):
         calls = []
-        kappa = wall.heat_kernel_constant
+        coefficients = wall.source_coefficients
 
         def counting(*args):
             calls.append(args)
-            return kappa(*args)
+            return coefficients(*args)
 
-        monkeypatch.setattr(wall, "heat_kernel_constant", counting)
+        monkeypatch.setattr(wall, "source_coefficients", counting)
         result = run(_small_scenario(air, duration_s=None,
                                      duration_periods=1.0))
         assert result.report.n_steps > K0
@@ -510,7 +508,6 @@ class TestRun:
         assert rep.n_steps == math.ceil(sc.duration / rep.dt - 1e-9)
         assert result.scenario is sc
         assert result.scenario.grid.cells == 4
-        assert result.scenario.kernel_mode == "consistent"
         assert rep.wall_clock_s >= 0.0
 
     def test_resampled_grid_shape(self, air):

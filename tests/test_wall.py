@@ -17,11 +17,8 @@ from ductwave.wall import (
     _BLOCKS,
     _SOE_C,
     _SOE_S,
-    AS_PRINTED,
-    CONSISTENT,
     K0,
     PressureHistory,
-    heat_kernel_constant,
     kernel_weights,
     source_coefficients,
     source_table,
@@ -30,6 +27,7 @@ from exact_history import ExactHistory
 from reference_forms import (
     bl_temperature_profile,
     bl_velocity_profile,
+    heat_kernel_constant,
     quad_one_point,
     quad_two_point,
 )
@@ -38,9 +36,9 @@ GEOM = DuctGeometry(h=0.005, symmetry="axisymmetric")
 GRID = Grid(length=0.1, cells=4)
 
 
-def _coef(gas, dt, grid=GRID, geom=GEOM, mode=CONSISTENT):
+def _coef(gas, dt, grid=GRID, geom=GEOM):
     """Prefactors (c2, c3) of a run on dt."""
-    return source_coefficients(gas, geom, grid, dt, mode)
+    return source_coefficients(gas, geom, grid, dt)
 
 
 def _history(levels, n_nodes=5, kind=PressureHistory, coef=(1.0, 1.0)):
@@ -50,11 +48,11 @@ def _history(levels, n_nodes=5, kind=PressureHistory, coef=(1.0, 1.0)):
     return hist
 
 
-def _table(levels, n, gas, grid=GRID, geom=GEOM, mode=CONSISTENT, dt=1e-5):
+def _table(levels, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
     """Runtime source table at step n of the series levels[0..n]; the wall
     memory only answers for its latest level, so it is refilled up to n."""
     hist = _history(levels[:n + 1], n_nodes=grid.n_nodes,
-                    coef=_coef(gas, dt, grid, geom, mode))
+                    coef=_coef(gas, dt, grid, geom))
     return source_table(hist, n)
 
 
@@ -63,9 +61,9 @@ def _g2(levels, j, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
     return _table(levels, n, gas, grid, geom, dt=dt)[j, 1]
 
 
-def _g3(levels, j, n, gas, geom=GEOM, mode=CONSISTENT, dt=1e-5):
+def _g3(levels, j, n, gas, geom=GEOM, dt=1e-5):
     """Heat source G3 at node j from the runtime source table."""
-    return _table(levels, n, gas, GRID, geom, mode, dt=dt)[j, 2]
+    return _table(levels, n, gas, GRID, geom, dt=dt)[j, 2]
 
 
 def _scenario(gas, **overrides):
@@ -218,7 +216,7 @@ class TestPressureHistory:
         dt = 5e-6
         levels = [101325.0 + 40.0 * rng.standard_normal(5) for _ in range(9)]
         hist = _history(levels, kind=ExactHistory, coef=_coef(air, dt))
-        kappa = heat_kernel_constant(air, CONSISTENT)
+        kappa = heat_kernel_constant(air)
         for n in (1, 4, 8):
             table = source_table(hist, n)
             for j in (1, 2, 3):
@@ -387,20 +385,12 @@ class TestWallHeatSum:
     def test_matches_brute_force(self, air, rng):
         dt = 5e-6
         levels = [101325.0 + 10.0 * rng.standard_normal(5) for _ in range(8)]
-        kappa = heat_kernel_constant(air, CONSISTENT)
+        kappa = heat_kernel_constant(air)
         for n in (1, 3, 7):
             got = _g3(levels, 0, n, air, dt=dt)
             brute = _brute_force_g3(levels, 0, n, dt, air, GEOM, kappa)
             # rounding against p0 in the table's reassociated sums
             assert got == pytest.approx(brute, rel=1e-9)
-
-    def test_as_printed_mode_rescales_by_sqrt_mu_over_k(self, air):
-        # the verbatim kernel swaps k for mu under the square root
-        dt = 4e-6
-        levels = [np.full(5, 101325.0), np.full(5, 101400.0)]
-        ratio = _g3(levels, 2, 1, air, mode=AS_PRINTED, dt=dt) \
-            / _g3(levels, 2, 1, air, mode=CONSISTENT, dt=dt)
-        assert ratio == pytest.approx(math.sqrt(air.mu / air.k_cond), rel=1e-12)
 
     def test_sine_matches_continuous_integral(self, air):
         """Discrete sum vs adaptive quadrature of the continuous
@@ -414,7 +404,7 @@ class TestWallHeatSum:
         rows = [np.full(5, air.p0 + amp * math.sin(omega * m * dt))
                 for m in range(n + 1)]
         got = _g3(rows, 2, n, air, dt=dt)
-        kappa = heat_kernel_constant(air, CONSISTENT)
+        kappa = heat_kernel_constant(air)
         integral, _ = integrate.quad(
             lambda z: amp * omega * math.cos(omega * (t_end - z)),
             0.0, t_end, weight="alg", wvar=(-0.5, 0.0), limit=400)
@@ -433,7 +423,7 @@ class TestSourceAssembly:
         dt = 3e-6
         hist = _history(levels, coef=_coef(air, dt))
         row = source_table(hist, 5)[2]
-        kappa = heat_kernel_constant(air, CONSISTENT)
+        kappa = heat_kernel_constant(air)
         assert row[0] == 0.0
         assert row[1] == pytest.approx(
             _brute_force_g2(levels, 2, 5, dt, GRID.dx, air, GEOM), rel=1e-9)
@@ -477,7 +467,7 @@ class TestSourceAssembly:
         grid = Grid(length=0.06, cells=6)
         hist = _history(levels, n_nodes=7, coef=_coef(air, dt, grid))
         table = source_table(hist, 6)
-        kappa = heat_kernel_constant(air, CONSISTENT)
+        kappa = heat_kernel_constant(air)
         # summation by parts reassociates the sums, so agreement with the
         # per-node oracles is to rounding against the absolute pressures
         for j in range(1, 6):
@@ -501,7 +491,7 @@ class TestSourceAssembly:
         x = GRID.x
         levels = [air.p0 + 50.0 * np.sin(omega * m * dt + 3.0 * x)
                   * (1.0 + x / GRID.length) for m in range(n + 1)]
-        kappa = heat_kernel_constant(air, CONSISTENT)
+        kappa = heat_kernel_constant(air)
         table = source_table(_history(levels, coef=_coef(air, dt)), n)
         for j in range(1, 4):
             assert table[j, 1] == pytest.approx(
