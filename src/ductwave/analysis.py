@@ -61,18 +61,18 @@ class ProbeRecord:
         return self.data[:, _COMPONENTS[name]]
 
     def window(self, t_lo: float, t_hi: float) -> "ProbeRecord":
-        """Sub-record of samples with t_lo <= t < t_hi."""
+        """Sub-record of samples with t_lo <= t < t_hi: one contiguous
+        run of samples, found by bisection on the sample times."""
         times = self.times
         eps = 1e-9 * self.tau
-        mask = (times >= t_lo - eps) & (times < t_hi - eps)
-        if not mask.any():
+        first, stop = np.searchsorted(times, [t_lo - eps, t_hi - eps])
+        if first >= stop:
             raise MisalignedWindowError(
                 f"window [{t_lo}, {t_hi}) contains no samples"
             )
-        first = int(np.argmax(mask))
         return ProbeRecord(
             station_index=self.station_index, x=self.x, tau=self.tau,
-            data=self.data[mask], t_start=float(times[first]),
+            data=self.data[first:stop], t_start=float(times[first]),
         )
 
 
@@ -104,8 +104,13 @@ def min_samples_per_period(k_max: int) -> int:
 
 
 def check_sampling_exponent(n_exp: int) -> None:
-    """Refuse a period grid finer than 2^MAX_SAMPLING_EXPONENT samples a
-    period (ValueError): its records would not fit in memory."""
+    """Refuse a negative sampling exponent, which names no period grid,
+    and a grid finer than 2^MAX_SAMPLING_EXPONENT samples a period, whose
+    records would not fit in memory (ValueError)."""
+    if n_exp < 0:
+        raise ValueError(
+            f"sampling exponent {n_exp} is negative: under one sample a"
+            " period, below every anti-aliasing floor")
     if n_exp > MAX_SAMPLING_EXPONENT:
         raise ValueError(
             f"sampling exponent {n_exp} exceeds {MAX_SAMPLING_EXPONENT}"

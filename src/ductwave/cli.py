@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/usage errors, 3 simulation or
 oracle domain errors (blow-up, shock regime), 4 I/O failures. Output
-files are deterministic; timing goes to stdout only. Errors and warnings
-go to stderr, one line each. A `run` that fails removes the output
-directory it created.
+files are deterministic; timing goes to stdout only. Errors go to
+stderr, one line each. A `run` that fails removes the output directory it
+created.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +49,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _print_warning
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -62,12 +59,6 @@ def main(argv=None) -> int:
     except DuctwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def _print_warning(message, category, filename, lineno, file=None,
-                   line=None):
-    """Show a warning as one stderr line, without its source location."""
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:

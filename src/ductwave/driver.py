@@ -25,14 +25,14 @@ at a time, so a run holds its output once.
 
 Runs are deterministic: identical scenarios produce bit-identical
 states, histories and probe records. An error raised inside the time loop
-of `run` names the step and t/T0 it failed at.
+of `run` names the step and t/T0 it failed at, and the Courant number
+max (|u| + c) dt/dx of the last good level with its node.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +59,9 @@ class Scenario:
     """Complete description of one simulation.
 
     duration is given either in seconds or in fundamental periods of the
-    inflow signal (exactly one of the two).
+    inflow signal (exactly one of the two). cfl fixes the frozen time step
+    cfl * dx / c0; the flow speed is not known before the run, so a run
+    that outruns it fails and names the Courant number it reached.
     """
 
     gas: GasModel
@@ -103,13 +105,6 @@ class Scenario:
             return self.duration_s
         return self.duration_periods * self.fundamental_period
 
-    def velocity_bound(self) -> float:
-        """Conservative bound on the boundary velocity amplitude [m/s]."""
-        peak = self.inflow.peak()
-        if self.inflow_kind == PRESSURE:
-            return peak / (self.gas.rho0 * self.gas.c0)
-        return peak
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -133,18 +128,9 @@ class RunResult:
 
 def frozen_dt(scenario: Scenario) -> float:
     """Time step used for the whole run, cfl * dx / c0: the CFL step of
-    the rest state. Warns when the signal peak may stretch the Courant
-    number past 1."""
-    gas = scenario.gas
-    dt = scenario.cfl * scenario.grid.dx / gas.c0
-    stretch = 1.0 + 0.5 * (gas.gamma + 1.0) * scenario.velocity_bound() / gas.c0
-    if scenario.cfl * stretch > 1.0:
-        warnings.warn(
-            f"effective Courant number may reach {scenario.cfl * stretch:.3f}"
-            " at the signal peak; reduce cfl",
-            stacklevel=2,
-        )
-    return dt
+    the rest state. A run that fails names the Courant number its last
+    good level measured against it."""
+    return scenario.cfl * scenario.grid.dx / scenario.gas.c0
 
 
 def _checked_primitives(w: np.ndarray, gas: GasModel):
@@ -285,12 +271,19 @@ def run(scenario: Scenario,
 
 
 def _step_context(sim: Simulation) -> str:
-    """'step n, t/T0 = x' of the step sim failed to take ('t = x s' when
-    the inflow has no period); sim.state is still the last good level."""
+    """'step n, t/T0 = x, Courant number C at node j' of the step sim
+    failed to take ('t = x s' when the inflow has no period): C is
+    max_j (|u_j| + c_j) dt/dx of sim.state, the last good level, whose
+    primitive arrays sim.prim were checked positive."""
     t = sim.state.t + sim.dt
     period = sim.scenario.fundamental_period
     when = f"t = {t:.6g} s" if period is None else f"t/T0 = {t / period:.3f}"
-    return f"step {sim.state.n + 1}, {when}"
+    rho, u, p = sim.prim
+    speed = np.abs(u) + np.sqrt(sim.scenario.gas.gamma * p / rho)
+    node = int(np.argmax(speed))
+    courant = speed[node] * sim.dt / sim.scenario.grid.dx
+    return (f"step {sim.state.n + 1}, {when},"
+            f" Courant number {courant:.3f} at node {node}")
 
 
 def _resample_on_period_grid(record: ProbeRecord,

@@ -1,7 +1,8 @@
 """Exception hierarchy for the ductwave package.
 
 Invalid gas states raise InvalidStateError or a subclass, naming the node;
-inside the time loop of `driver.run` any error also names step and t/T0.
+inside the time loop of `driver.run` any error also names step and t/T0,
+and the Courant number of the last good level.
 """
 
 

@@ -5,8 +5,8 @@ u0(t) [m/s] or the acoustic part of a pressure pi(t) - p0 [Pa], depending
 on the scenario's inflow kind. There are two families: a sum of harmonics
 of a fundamental (a sine is the one-component sum (1, amplitude, 0.0)),
 and a tabulated series. Both expose value(t) and derivative(t) plus
-amplitude/rate bounds, used for shock distance estimates and the
-Courant warning.
+amplitude/rate bounds, which the simple-wave oracle uses for its shock
+distance and to bracket its emission-time solve.
 """
 
 from __future__ import annotations

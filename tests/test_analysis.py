@@ -84,6 +84,24 @@ class TestProbeRecord:
         assert win.n_samples == 16
         assert win.t_start == pytest.approx(PERIOD, rel=1e-12)
 
+    def test_window_slice_equals_the_mask_form(self):
+        # bounds on a sample time, and 1e-9 tau (the window's tolerance)
+        # to either side of it, select what the per-sample mask selects
+        rec = _sine_record(periods=4, per_period=8)
+        rec = ProbeRecord(station_index=0, x=0.0, tau=rec.tau, data=rec.data,
+                          t_start=0.37 * PERIOD)
+        times = rec.times
+        eps = 1e-9 * rec.tau
+        for lo_index, hi_index in [(0, 32), (3, 17), (8, 24), (31, 32)]:
+            for lo_shift in (-eps, 0.0, eps):
+                for hi_shift in (-eps, 0.0, eps):
+                    t_lo = times[lo_index] + lo_shift
+                    t_hi = rec.t_start + hi_index * rec.tau + hi_shift
+                    mask = (times >= t_lo - eps) & (times < t_hi - eps)
+                    win = rec.window(t_lo, t_hi)
+                    np.testing.assert_array_equal(win.data, rec.data[mask])
+                    assert win.t_start == times[np.argmax(mask)]
+
     def test_empty_window_rejected(self):
         rec = _sine_record(periods=1, per_period=8)
         with pytest.raises(MisalignedWindowError):

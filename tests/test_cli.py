@@ -268,7 +268,6 @@ class TestRunCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:effective Courant")
     def test_negative_external_sound_speed_exits_with_runtime_code(
             self, tmp_path, capsys):
         # u_e = -2000 m/s puts c_e = c0 + (g-1)/2 u_e below zero
@@ -283,7 +282,6 @@ class TestRunCommand:
         assert "node 0:" in err and "(step 1, t = " in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:effective Courant")
     def test_non_positive_imposed_pressure_exits_with_runtime_code(
             self, tmp_path, capsys):
         cfg = _edited_config(tmp_path, {"inflow.kind": "pressure",
@@ -297,7 +295,6 @@ class TestRunCommand:
         # neither the output directory nor the parent made for it is left
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.filterwarnings("ignore:effective Courant")
     def test_failed_run_keeps_an_existing_output_directory(self, tmp_path,
                                                            capsys):
         cfg = _edited_config(tmp_path, {"inflow.kind": "pressure",
@@ -314,19 +311,27 @@ class TestRunCommand:
                      "--out", str(empty)]) == EXIT_RUNTIME
         assert empty.is_dir()
 
-    def test_courant_warning_is_one_line(self, tmp_path, capsys):
-        # a 30 m/s velocity peak stretches cfl 0.99 past 1
-        cfg = _edited_config(tmp_path, {"inflow.amplitude": "30.0",
-                                        "run.cfl": "0.99",
-                                        "run.duration_periods": "1.0",
-                                        "output.spectrum_periods": "1"})
-        code = main(["run", "--config", str(cfg), "--out",
-                     str(tmp_path / "o")])
-        assert code == EXIT_OK
-        stretch = 1.0 + 0.5 * 2.4 * 30.0 / GasModel().c0
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: effective Courant number may reach {0.99 * stretch:.3f}"
-            " at the signal peak; reduce cfl"]
+    def test_run_past_the_courant_limit_names_it(self, tmp_path, capsys):
+        # trombone's pressure peaks carry max(|u| + c) dt/dx past 1 at
+        # cfl 1.0, but not at 0.98
+        cfg = tmp_path / "t.cfg"
+        assert main(["scenario", "trombone", "--emit-config",
+                     "--out", str(cfg)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--cfl", "0.98",
+                     "--out", str(tmp_path / "ok")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--cfl", "1.0",
+                     "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: state lost positivity")
+        courant = lines[0].split(", Courant number ")[1]
+        value, node = courant.rstrip(")").split(" at node ")
+        assert float(value) > 1.0 and node == "141"
+        assert not out.exists()
 
     def test_periods_of_a_sampled_inflow_exit_before_any_step(
             self, tmp_path, capsys):

@@ -290,11 +290,20 @@ class TestLaxWendroffUpdate:
                                        ((1, 0.0, 0.0),)),
             losses=False, duration_periods=1.0)
         dt = driver.frozen_dt(sc)
+        # the last good level, and its max (|u| + c) dt/dx
+        sim = driver.Simulation(sc)
+        for _ in range(6):
+            sim.advance()
+        rho, u, p = primitive_arrays(sim.state.w, air)
+        speed = np.abs(u) + np.sqrt(air.gamma * p / rho)
+        node = int(np.argmax(speed))
+        courant = speed[node] * dt / sc.grid.dx
         with pytest.raises(BlowUpError) as err:
             driver.run(sc)
         assert err.value.node == 7
         assert str(err.value).endswith(
-            f"(node 7) (step 7, t/T0 = {7 * dt / period:.3f})")
+            f"(node 7) (step 7, t/T0 = {7 * dt / period:.3f},"
+            f" Courant number {courant:.3f} at node {node})")
 
     def test_sources_required_for_all_nodes(self, air):
         grid = Grid(1.0, 12)
