@@ -50,7 +50,6 @@ from .oracles import (
 )
 from .scheme import (
     DuctGeometry,
-    FieldState,
     Grid,
     lax_wendroff_update,
 )

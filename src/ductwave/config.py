@@ -105,7 +105,6 @@ KEY_SPECS = {
     "gas.cp": (_parse_float, _fmt_float),
     "gas.rho0": (_parse_float, _fmt_float),
     "gas.p0": (_parse_float, _fmt_float),
-    "gas.theta0": (_parse_float, _fmt_float),
     "grid.length": (_parse_float, _fmt_float),
     "grid.cells": (int, str),
     "geometry.h": (_parse_float, _fmt_float),

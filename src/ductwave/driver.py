@@ -1,5 +1,10 @@
 """Time-loop orchestration of the coupled duct problem.
 
+The state of a run is plain: the (J+1, 3) conserved field w, its time t
+and its step index n, held by `Simulation`. The interior update takes
+and returns bare arrays; the driver writes the boundary rows into the
+new array and advances the clock, t by adding dt, n by one.
+
 One step, all from level-n data: evaluate the wall sources G for every
 node from the wall memory and the prefactors fixed at construction, and
 their rate (G - G_prev)/dt (G_prev is zero before the first step; with
@@ -24,7 +29,7 @@ of a probe is written into one preallocated array, _RESAMPLE_CHUNK samples
 at a time, so a run holds its output once.
 
 Runs are deterministic: identical scenarios produce bit-identical
-states, histories and probe records. An error raised inside the time loop
+fields, histories and probe records. An error raised inside the time loop
 of `run` names the step and t/T0 it failed at, and the Courant number
 max (|u| + c) dt/dx of the last good level with its node.
 """
@@ -41,9 +46,8 @@ from . import wall
 from .analysis import ProbeRecord, check_sampling_exponent
 from .boundaries import inflow_update_pressure, inflow_update_velocity, outflow_update
 from .errors import BlowUpError, DuctwaveError
-from .gas import GasModel, primitive_arrays
-from .scheme import (DuctGeometry, FieldState, Grid, lax_wendroff_update,
-                     uniform_field)
+from .gas import GasModel, conserved_array, primitive_arrays
+from .scheme import DuctGeometry, Grid, lax_wendroff_update
 
 PRESSURE = "pressure"
 VELOCITY = "velocity"
@@ -119,7 +123,7 @@ class RunReport:
 @dataclass(frozen=True)
 class RunResult:
     scenario: Scenario
-    state: FieldState
+    w: np.ndarray
     history: wall.PressureHistory
     records: tuple[ProbeRecord, ...]
     resampled: tuple[ProbeRecord, ...]
@@ -150,27 +154,33 @@ def _checked_primitives(w: np.ndarray, gas: GasModel):
 
 
 class Simulation:
-    """Stateful runner that fixes the wall-source prefactors for the run
+    """Stateful runner. Its state is the (J+1, 3) conserved field w at
+    time t after n steps; it fixes the wall-source prefactors for the run
     in its wall memory and caches, between steps, the primitive arrays
-    (rho, u, p) of its current state and the previous source table."""
+    (rho, u, p) of w and the previous source table."""
 
     def __init__(self, scenario: Scenario,
-                 initial_field: FieldState | None = None):
+                 initial_field: np.ndarray | None = None):
         self.scenario = scenario
         self.dt = frozen_dt(scenario)
-        gas = scenario.gas
+        gas, n_nodes = scenario.gas, scenario.grid.n_nodes
         if initial_field is None:
-            initial_field = uniform_field(scenario.grid, gas, gas.rho0, 0.0,
-                                          gas.p0)
-        elif initial_field.w.shape != (scenario.grid.n_nodes, 3):
-            raise ValueError("initial field does not match the grid")
-        self.state = initial_field.copy()
-        self.prim = _checked_primitives(self.state.w, gas)
+            self.w = np.tile(conserved_array(gas.rho0, 0.0, gas.p0, gas),
+                             (n_nodes, 1))
+        else:
+            self.w = np.array(initial_field, dtype=float)
+            if self.w.shape != (n_nodes, 3):
+                raise ValueError(
+                    f"initial field has shape {self.w.shape},"
+                    f" the grid needs ({n_nodes}, 3)")
+        self.t = 0.0
+        self.n = 0
+        self.prim = _checked_primitives(self.w, gas)
         self.history = wall.PressureHistory(
-            scenario.grid.n_nodes, *wall.source_coefficients(
+            n_nodes, *wall.source_coefficients(
                 gas, scenario.geom, scenario.grid, self.dt))
         self.history.append(self.prim[2])
-        self._zero = np.zeros((scenario.grid.n_nodes, 3))
+        self._zero = np.zeros((n_nodes, 3))
         self._zero.flags.writeable = False
         self._g_prev = self._zero
         # stations that share a node record it once, in first-seen order
@@ -192,32 +202,30 @@ class Simulation:
 
     def advance(self):
         """One coupled step (sources, interior, boundaries, history, probes)."""
-        sc, state, dt = self.scenario, self.state, self.dt
+        sc, w, dt = self.scenario, self.w, self.dt
         gas, grid = sc.gas, sc.grid
         if sc.losses:
-            g_now = wall.source_table(self.history, state.n)
+            g_now = wall.source_table(self.history, self.n)
             dt_g = (g_now - self._g_prev) / dt
         else:
             g_now = dt_g = self._zero
         self._g_prev = g_now
-        new = lax_wendroff_update(state, g_now, dt_g, gas, grid, dt,
-                                  self.prim)
+        new = lax_wendroff_update(w, g_now, dt_g, gas, grid, dt, self.prim)
 
-        value = sc.inflow.value(state.t + dt)
+        t = self.t + dt
+        value = sc.inflow.value(t)
         if sc.inflow_kind == PRESSURE:
-            w0 = inflow_update_pressure(gas.p0 + value, state.w[0],
-                                        state.w[1], gas, dt, grid.dx)
+            new[0] = inflow_update_pressure(gas.p0 + value, w[0], w[1], gas,
+                                            dt, grid.dx)
         else:
-            w0 = inflow_update_velocity(value, state.w[0], state.w[1],
-                                        gas, dt, grid.dx)
-        w_out = outflow_update(state.w[-2], state.w[-1], gas, dt, grid.dx,
-                               node=grid.cells)
-        new.w[0] = w0
-        new.w[-1] = w_out
+            new[0] = inflow_update_velocity(value, w[0], w[1], gas, dt,
+                                            grid.dx)
+        new[-1] = outflow_update(w[-2], w[-1], gas, dt, grid.dx,
+                                 node=grid.cells)
 
         # checked before it is kept: a failed step leaves the last good level
-        self.prim = _checked_primitives(new.w, gas)
-        self.state = new
+        self.prim = _checked_primitives(new, gas)
+        self.w, self.t, self.n = new, t, self.n + 1
         if sc.losses:
             self.history.append(self.prim[2])
         self._record_probes()
@@ -242,7 +250,7 @@ def _fold(rows: list, blocks: list):
 
 
 def run(scenario: Scenario,
-        initial_field: FieldState | None = None) -> RunResult:
+        initial_field: np.ndarray | None = None) -> RunResult:
     """Run a scenario to its configured duration.
 
     Probe records hold every native step, as float64 rows; when the inflow
@@ -266,23 +274,23 @@ def run(scenario: Scenario,
         if r is not None
     )
     report = RunReport(dt=sim.dt, n_steps=n_steps, wall_clock_s=elapsed)
-    return RunResult(scenario=scenario, state=sim.state, history=sim.history,
+    return RunResult(scenario=scenario, w=sim.w, history=sim.history,
                      records=records, resampled=resampled, report=report)
 
 
 def _step_context(sim: Simulation) -> str:
     """'step n, t/T0 = x, Courant number C at node j' of the step sim
     failed to take ('t = x s' when the inflow has no period): C is
-    max_j (|u_j| + c_j) dt/dx of sim.state, the last good level, whose
+    max_j (|u_j| + c_j) dt/dx of sim.w, the last good level, whose
     primitive arrays sim.prim were checked positive."""
-    t = sim.state.t + sim.dt
+    t = sim.t + sim.dt
     period = sim.scenario.fundamental_period
     when = f"t = {t:.6g} s" if period is None else f"t/T0 = {t / period:.3f}"
     rho, u, p = sim.prim
     speed = np.abs(u) + np.sqrt(sim.scenario.gas.gamma * p / rho)
     node = int(np.argmax(speed))
     courant = speed[node] * sim.dt / sim.scenario.grid.dx
-    return (f"step {sim.state.n + 1}, {when},"
+    return (f"step {sim.n + 1}, {when},"
             f" Courant number {courant:.3f} at node {node}")
 
 

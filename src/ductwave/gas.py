@@ -40,12 +40,11 @@ class GasModel:
     cp: float = 1005.0            # specific heat at constant pressure [J/(kg K)]
     rho0: float = 1.2             # reference density [kg/m^3]
     p0: float = 101325.0          # reference pressure [Pa]
-    theta0: float = 300.0         # wall temperature [K]
 
     def __post_init__(self):
         if self.gamma <= 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        for name in ("mu", "k_cond", "cp", "rho0", "p0", "theta0"):
+        for name in ("mu", "k_cond", "cp", "rho0", "p0"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -12,21 +12,22 @@ two-point averaged flux Jacobians and one-sided midpoint flux
 differences. Boundary nodes are owned by `boundaries` and never written
 here.
 
-Array conventions: field values are (J+1, 3) float arrays over grid
-nodes. The update forms the flux and the Jacobian products from the
-primitive arrays (rho, u, p) of the field, which the driver computes and
-checks once per state and hands in. The update is pure numerics: it
-returns the new field unchecked, and the driver checks it once its
-boundary rows are written.
+Array conventions: a field is a plain (J+1, 3) float array over grid
+nodes, with no clock attached; the driver keeps the time and the step
+index. The update takes the field and the primitive arrays (rho, u, p)
+of it, which the driver computes and checks once per state and hands
+in, and forms the flux and the Jacobian products from them. It is pure
+numerics: it returns a new array unchecked, and the driver checks it
+once its boundary rows are written.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import GasModel, conserved_array
+from .gas import GasModel
 
 PLANE = "plane"
 AXISYMMETRIC = "axisymmetric"
@@ -83,44 +84,22 @@ class DuctGeometry:
         return 1 if self.symmetry == PLANE else 2
 
 
-@dataclass
-class FieldState:
-    """Nodal conserved field with its clock: values w (J+1, 3), time t,
-    step index n."""
-
-    w: np.ndarray
-    t: float = 0.0
-    n: int = 0
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if self.w.ndim != 2 or self.w.shape[1] != 3:
-            raise ValueError("field array must have shape (J+1, 3)")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.w.shape[0]
-
-    def copy(self) -> "FieldState":
-        return FieldState(w=self.w.copy(), t=self.t, n=self.n)
-
-
-def lax_wendroff_update(field: FieldState, sources: np.ndarray,
+def lax_wendroff_update(w: np.ndarray, sources: np.ndarray,
                         dt_sources: np.ndarray, gas: GasModel, grid: Grid,
-                        dt: float, prim) -> FieldState:
-    """Advance interior nodes 1..J-1 one step of size dt.
+                        dt: float, prim) -> np.ndarray:
+    """The (J+1, 3) field w with interior nodes 1..J-1 advanced one step
+    of size dt.
 
     sources and dt_sources are (J+1, 3) arrays of G and its time
     derivative at every node (boundary entries feed only the midpoint
-    averages). prim is the (rho, u, p) of field.w. Boundary nodes are
-    copied through untouched. The new field is returned unchecked.
+    averages). prim is the (rho, u, p) of w. Boundary rows are copied
+    through untouched. The new array is returned unchecked.
 
     The Euler flux is (rho u, rho u^2 + p, u (etot + p)). Its Jacobian A
     has first row (0, 1, 0) and A_12 = gamma - 1; the midpoint products
     A v are formed from the five other entries, evaluated at the nodes
     and averaged to the midpoints.
     """
-    w = field.w
     g = np.asarray(sources, dtype=float)
     dt_g = np.asarray(dt_sources, dtype=float)
     if g.shape != w.shape or dt_g.shape != w.shape:
@@ -155,12 +134,4 @@ def lax_wendroff_update(field: FieldState, sources: np.ndarray,
 
     w_new = w.copy()
     w_new[1:-1] = w[1:-1] + dt * dt_w + 0.5 * dt * dt * d2t_w
-
-    return FieldState(w=w_new, t=field.t + dt, n=field.n + 1)
-
-
-def uniform_field(grid: Grid, gas: GasModel, rho: float, u: float,
-                  p: float) -> FieldState:
-    """A spatially uniform field, handy for initialization and tests."""
-    w = np.tile(conserved_array(rho, u, p, gas), (grid.n_nodes, 1))
-    return FieldState(w=w)
+    return w_new

@@ -58,11 +58,12 @@ def bl_velocity_profile(dpdx_history: np.ndarray, dt: float, eta: float,
 
 def bl_temperature_profile(dpdt_history: np.ndarray, dt: float, eta: float,
                            gas: GasModel) -> float:
-    """Boundary-layer temperature theta(t, eta); theta(., 0) = theta0."""
+    """Boundary-layer temperature deviation theta'(t, eta) from the wall
+    temperature; theta'(., 0) = 0."""
     vals = np.asarray(dpdt_history, dtype=float)
     kern = _erf_kernel(vals.size, dt, eta, gas.k_cond / (gas.rho0 * gas.cp))
     integral = float(np.trapezoid(vals * kern, dx=dt))
-    return gas.theta0 + integral / (gas.rho0 * gas.cp)
+    return integral / (gas.rho0 * gas.cp)
 
 
 def heat_kernel_constant(gas: GasModel) -> float:

@@ -18,12 +18,7 @@ from ductwave.config import builtin_scenarios, scenario_from_config
 from ductwave.driver import Scenario, Simulation, run
 from ductwave.errors import ShockRegimeError
 from ductwave.gas import GasModel, conserved_array, primitive_arrays
-from ductwave.scheme import (
-    DuctGeometry,
-    FieldState,
-    Grid,
-    lax_wendroff_update,
-)
+from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
     PressureHistory,
@@ -140,7 +135,7 @@ class TestA2BoundaryTransparency:
             duration_s=1.3 * length / AIR.c0 + width, probes=(0.5,),
         )
         result = run(sc)
-        _, u_final, _ = primitive_arrays(result.state.w, AIR)
+        _, u_final, _ = primitive_arrays(result.w, AIR)
         residual = float(np.abs(u_final).max())
         incident = float(max(r[1] for r in result.records[0].data))
         ratio = residual / incident
@@ -283,7 +278,7 @@ class TestA7ConservationAndFixedPoints:
         sim = Simulation(sc)
         for _ in range(300):
             sim.advance()
-        _, u, p = primitive_arrays(sim.state.w, AIR)
+        _, u, p = primitive_arrays(sim.w, AIR)
         u_drift = float(np.abs(u).max())
         p_drift = float(np.abs(p - AIR.p0).max() / AIR.p0)
         rest_ok = u_drift < 1e-12 and p_drift < 1e-13
@@ -295,13 +290,13 @@ class TestA7ConservationAndFixedPoints:
         c_init = AIR.c0 + 0.2 * u_init
         rho_init = AIR.rho0 * (c_init / AIR.c0) ** 5.0
         p_init = AIR.s0 * rho_init ** 1.4
-        state = FieldState(w=conserved_array(rho_init, u_init, p_init, AIR))
+        state = conserved_array(rho_init, u_init, p_init, AIR)
         dt = 0.8 * grid.dx / float((np.abs(u_init) + c_init).max())
-        zeros = np.zeros_like(state.w)
-        predicted = state.w[1:-1].sum(axis=0)
+        zeros = np.zeros_like(state)
+        predicted = state[1:-1].sum(axis=0)
         for _ in range(1000):
-            f = physical_flux(state.w, AIR)
-            jac = flux_jacobian(state.w, AIR)
+            f = physical_flux(state, AIR)
+            jac = flux_jacobian(state, AIR)
             jac_mid = 0.5 * (jac[:-1] + jac[1:])
             rate_mid = -(f[1:] - f[:-1]) / grid.dx
             predicted += (
@@ -309,8 +304,8 @@ class TestA7ConservationAndFixedPoints:
                 - dt * dt / (2.0 * grid.dx)
                 * (jac_mid[-1] @ rate_mid[-1] - jac_mid[0] @ rate_mid[0]))
             state = lax_wendroff_update(state, zeros, zeros, AIR, grid, dt,
-                                        primitive_arrays(state.w, AIR))
-        totals = state.w[1:-1].sum(axis=0)
+                                        primitive_arrays(state, AIR))
+        totals = state[1:-1].sum(axis=0)
         n_int = grid.n_nodes - 2
         scales = np.array([AIR.rho0 * n_int, AIR.rho0 * AIR.c0 * n_int,
                            AIR.p0 / 0.4 * n_int])

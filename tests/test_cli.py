@@ -140,12 +140,13 @@ class TestRunCommand:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
-    # configs emitted before run.truncate or run.kernel_mode was removed
-    # still carry that key
+    # configs emitted before run.truncate, run.kernel_mode or gas.theta0
+    # was removed still carry that key
     @pytest.mark.parametrize("key, value", [
         ("turbo.boost", "11"),
         ("run.truncate", "unbounded"),
         ("run.kernel_mode", "consistent"),
+        ("gas.theta0", "300.0"),
     ])
     def test_unknown_key_exit_code_and_line(self, tmp_path, capsys, key,
                                             value):
@@ -594,13 +595,13 @@ class TestCsvStreaming:
 # deterministic output contract, so their text may not drift
 _PRESET_SHA256 = {
     "simple-wave":
-        "2fe36db0ba9fd3c287e8cda422bf6b3c27c574486c0a9b464fc1926970104d9c",
+        "1d179384d5f1b27278b5dcd6e933e11fcfee6eb0081860395803952d2b0558e1",
     "kirchhoff":
-        "62094c3644f1983f2f774a3ee5a16ad39fac8c44231014f2e9d273aa0a96d6ca",
+        "28c3c254c5abfba67bb13a016937bbb69a5b1aa09d1932a8ab8c7f687fc01b92",
     "coupled":
-        "8323930e98182d1545d167a360d8580d7ce6949d567035e548e1c191361227a4",
+        "f133828acd7e1701a14fb74c85d9cdfcc805a44ffefe1f59acda0e33b7d61cb0",
     "trombone":
-        "7cfe0267374b6761de46ba81de92f895dc8737ad2f83ebaa47669588bd877bdf",
+        "f7996b49fcff47a0e2e241c14c8331d8d175bc2ee893907592d27e1572ba95a9",
 }
 
 

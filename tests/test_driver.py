@@ -18,7 +18,7 @@ from ductwave.driver import (
 )
 from ductwave.errors import BlowUpError, UnsupportedRegimeError
 from ductwave.gas import GasModel, conserved_array, primitive_arrays
-from ductwave.scheme import DuctGeometry, FieldState, Grid, lax_wendroff_update
+from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
 from ductwave.boundaries import inflow_update_velocity, outflow_update
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import K0
@@ -72,8 +72,8 @@ class TestInitialize:
     def test_rest_everywhere(self, air):
         sc = _small_scenario(air)
         sim = Simulation(sc)
-        state, history = sim.state, sim.history
-        rho, u, p = primitive_arrays(state.w, air)
+        w, history = sim.w, sim.history
+        rho, u, p = primitive_arrays(w, air)
         assert np.all(u == 0.0)
         np.testing.assert_allclose(p / rho ** air.gamma, air.s0, rtol=1e-13)
         # trapezoid mass per unit area: rho0 * L
@@ -83,6 +83,44 @@ class TestInitialize:
         assert history.n_levels == 1
         np.testing.assert_allclose(p, air.p0, rtol=1e-13)
         np.testing.assert_array_equal(history.p0, p)
+
+    def test_initial_field_is_a_copied_array(self, air, monkeypatch):
+        # a plain (J+1, 3) array; Simulation and run copy it, so what the
+        # caller writes into it after construction never reaches the run
+        sc = _small_scenario(air, probes=(0.05,))
+        ref = run(sc)
+        w = np.tile(conserved_array(air.rho0, 0.0, air.p0, air),
+                    (sc.grid.n_nodes, 1))
+        sim = Simulation(sc, initial_field=w)
+        w[:] = 0.0
+        for _ in range(ref.report.n_steps):
+            sim.advance()
+        np.testing.assert_array_equal(sim.w, ref.w)
+        assert sim.n == ref.report.n_steps
+
+        w = np.tile(conserved_array(air.rho0, 0.0, air.p0, air),
+                    (sc.grid.n_nodes, 1))
+        advance = Simulation.advance
+
+        def meddling(self):
+            w[:] = 0.0
+            advance(self)
+
+        monkeypatch.setattr(Simulation, "advance", meddling)
+        result = run(sc, initial_field=w)
+        np.testing.assert_array_equal(result.w, ref.w)
+        np.testing.assert_array_equal(result.records[0].data,
+                                      ref.records[0].data)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5, 2), (15,)],
+                             ids=["short", "long", "two-columns", "flat"])
+    def test_initial_field_of_the_wrong_shape(self, air, shape):
+        sc = _small_scenario(air)   # 5 nodes
+        w = np.ones(shape)
+        with pytest.raises(ValueError, match=r"\(5, 3\)"):
+            Simulation(sc, initial_field=w)
+        with pytest.raises(ValueError, match=r"\(5, 3\)"):
+            run(sc, initial_field=w)
 
     def test_frozen_dt_is_rest_cfl(self, air):
         sc = _small_scenario(air)
@@ -95,14 +133,14 @@ class TestFixedPoints:
             air, losses=False,
             inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.0, 0.0),)))
         sim = Simulation(sc)
-        w0 = sim.state.w.copy()
+        w0 = sim.w.copy()
         sim.advance()
         # the interior stencil sees exact rest data: bitwise fixed point;
         # boundary reconstruction carries at most rounding-level jitter
-        np.testing.assert_array_equal(sim.state.w[1:-1], w0[1:-1])
+        np.testing.assert_array_equal(sim.w[1:-1], w0[1:-1])
         for _ in range(49):
             sim.advance()
-        rho, u, p = primitive_arrays(sim.state.w, air)
+        rho, u, p = primitive_arrays(sim.w, air)
         assert np.abs(u).max() < 1e-12
         assert np.abs(rho - air.rho0).max() / air.rho0 < 1e-13
         assert np.abs(p - air.p0).max() / air.p0 < 1e-13
@@ -115,7 +153,7 @@ class TestFixedPoints:
         sim = Simulation(sc)
         for _ in range(50):
             sim.advance()
-        rho, u, p = primitive_arrays(sim.state.w, air)
+        rho, u, p = primitive_arrays(sim.w, air)
         assert np.abs(u).max() < 1e-12
         assert np.abs(p - air.p0).max() / air.p0 < 1e-13
 
@@ -269,7 +307,7 @@ class TestStepAgainstOracle:
         scales = np.array([air.rho0, air.rho0 * air.c0, air.p0 / 0.4])
         for n in range(3):
             sim.advance()
-            got = sim.state.w
+            got = sim.w
             want = np.asarray(oracle[n])
             assert np.max(np.abs(got - want) / scales) < 1e-13, f"step {n}"
 
@@ -277,17 +315,17 @@ class TestStepAgainstOracle:
         # an explicit rest field takes the same construction path
         sc = _small_scenario(air)
         sim = Simulation(sc)
-        explicit = Simulation(sc, initial_field=Simulation(sc).state)
+        explicit = Simulation(sc, initial_field=Simulation(sc).w)
         for _ in range(4):
             sim.advance()
             explicit.advance()
-        np.testing.assert_array_equal(explicit.state.w, sim.state.w)
-        assert explicit.state.t == sim.state.t
+        np.testing.assert_array_equal(explicit.w, sim.w)
+        assert explicit.t == sim.t
         # the level the wall memory took last is the pressure of that state
         assert explicit.history.n_levels == sim.history.n_levels == 5
         np.testing.assert_array_equal(
-            primitive_arrays(explicit.state.w, air)[2],
-            primitive_arrays(sim.state.w, air)[2])
+            primitive_arrays(explicit.w, air)[2],
+            primitive_arrays(sim.w, air)[2])
         np.testing.assert_array_equal(
             explicit.history.sums(4), sim.history.sums(4))
 
@@ -308,7 +346,7 @@ class TestStepAgainstOracle:
         for _ in range(3):
             sim.advance()
         assert len(fields) == 4
-        assert fields[-1] is sim.state.w
+        assert fields[-1] is sim.w
 
     @pytest.mark.parametrize("row", [
         (1.2, 0.0, -25.0),     # p = -10 Pa
@@ -317,13 +355,13 @@ class TestStepAgainstOracle:
     def test_invalid_initial_field_fails_before_any_step(self, air, row):
         # the constructor checks the field, so no step and no step context
         sc = _small_scenario(air, grid=Grid(length=0.1, cells=8))
-        state = Simulation(sc).state
-        state.w[5] = row
+        w = Simulation(sc).w
+        w[5] = row
         with pytest.raises(BlowUpError, match=r"\(node 5\)$") as info:
-            Simulation(sc, initial_field=state)
+            Simulation(sc, initial_field=w)
         assert info.value.node == 5
         with pytest.raises(BlowUpError, match=r"\(node 5\)$"):
-            run(sc, initial_field=state)
+            run(sc, initial_field=w)
 
     @pytest.mark.parametrize("kind, amplitude", [(PRESSURE, 80.0),
                                                  (VELOCITY, 0.2)])
@@ -338,7 +376,7 @@ class TestStepAgainstOracle:
         sim = Simulation(sc)
         for _ in range(K0 + 8):
             sim.advance()
-            for held, fresh in zip(sim.prim, primitive_arrays(sim.state.w, air)):
+            for held, fresh in zip(sim.prim, primitive_arrays(sim.w, air)):
                 np.testing.assert_array_equal(held, fresh)
 
 
@@ -354,15 +392,15 @@ class TestWallMemoryInTheLoop:
         exact.history = ExactHistory(
             sc.grid.n_nodes, *wall.source_coefficients(
                 air, sc.geom, sc.grid, exact.dt))
-        exact.history.append(primitive_arrays(exact.state.w, air)[2])
+        exact.history.append(primitive_arrays(exact.w, air)[2])
         n_steps = 4 * K0
         for _ in range(n_steps):
             fast.advance()
             exact.advance()
         assert fast.history.n_levels == exact.history.n_levels == n_steps + 1
-        np.testing.assert_allclose(fast.state.w, exact.state.w, rtol=1e-9)
-        _, u_fast, p_fast = primitive_arrays(fast.state.w, air)
-        _, u_exact, p_exact = primitive_arrays(exact.state.w, air)
+        np.testing.assert_allclose(fast.w, exact.w, rtol=1e-9)
+        _, u_fast, p_fast = primitive_arrays(fast.w, air)
+        _, u_exact, p_exact = primitive_arrays(exact.w, air)
         # the acoustic part alone, against its own scale
         np.testing.assert_allclose(u_fast, u_exact, rtol=0.0,
                                    atol=1e-9 * np.abs(u_exact).max())
@@ -407,9 +445,9 @@ class TestWallMemoryInTheLoop:
 class TestBoundaryErrors:
     def test_supersonic_outlet_names_node_j(self, air):
         sc = _small_scenario(air, losses=False)
-        state = Simulation(sc).state
-        state.w[-1] = conserved_array(air.rho0, 400.0, air.p0, air)
-        sim = Simulation(sc, initial_field=state)
+        w = Simulation(sc).w
+        w[-1] = conserved_array(air.rho0, 400.0, air.p0, air)
+        sim = Simulation(sc, initial_field=w)
         with pytest.raises(UnsupportedRegimeError,
                            match=f"node {sc.grid.cells}:"):
             sim.advance()
@@ -423,11 +461,11 @@ def _first_failure(sc, error):
     with pytest.raises(error) as info:
         while True:
             sim.advance()
-    rho, u, p = primitive_arrays(sim.state.w, sc.gas)
+    rho, u, p = primitive_arrays(sim.w, sc.gas)
     speed = np.abs(u) + np.sqrt(sc.gas.gamma * p / rho)
     node = int(np.argmax(speed))
     courant = speed[node] * sim.dt / sc.grid.dx
-    return (info.value, sim.state.n + 1, sim.state.t + sim.dt,
+    return (info.value, sim.n + 1, sim.t + sim.dt,
             f", Courant number {courant:.3f} at node {node}")
 
 
@@ -478,7 +516,7 @@ class TestRun:
                              duration_periods=3.0)
         r1 = run(sc)
         r2 = run(sc)
-        np.testing.assert_array_equal(r1.state.w, r2.state.w)
+        np.testing.assert_array_equal(r1.w, r2.w)
         for a, b in zip(r1.records, r2.records):
             np.testing.assert_array_equal(a.data, b.data)
         for a, b in zip(r1.resampled, r2.resampled):
@@ -514,7 +552,7 @@ class TestProbeStorage:
         for step in range(2 * driver._FOLD_ROWS + 5):
             if step:
                 sim.advance()
-            prim = np.stack(primitive_arrays(sim.state.w, air), axis=1)
+            prim = np.stack(primitive_arrays(sim.w, air), axis=1)
             for rows, j in zip(expected, nodes):
                 rows.append(prim[j])
         records = sim.native_records()
@@ -551,20 +589,21 @@ class TestDegenerateCoupling:
                              duration_periods=2.0, inflow_kind=VELOCITY,
                              inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.05, 0.0),)))
         sim = Simulation(sc)
-        state = Simulation(sc).state
-        zeros = np.zeros_like(state.w)
+        w, t = Simulation(sc).w, 0.0
+        zeros = np.zeros_like(w)
         dt = frozen_dt(sc)
         for _ in range(30):
             sim.advance()
-            new = lax_wendroff_update(state, zeros, zeros, air, sc.grid, dt,
-                                      primitive_arrays(state.w, air))
-            u_val = sc.inflow.value(state.t + dt)
-            new.w[0] = np.asarray(inflow_update_velocity(
-                u_val, state.w[0], state.w[1], air, dt, sc.grid.dx))
-            new.w[-1] = np.asarray(outflow_update(
-                state.w[-2], state.w[-1], air, dt, sc.grid.dx, sc.grid.cells))
-            state = new
-        np.testing.assert_array_equal(sim.state.w, state.w)
+            new = lax_wendroff_update(w, zeros, zeros, air, sc.grid, dt,
+                                      primitive_arrays(w, air))
+            t += dt
+            new[0] = np.asarray(inflow_update_velocity(
+                sc.inflow.value(t), w[0], w[1], air, dt, sc.grid.dx))
+            new[-1] = np.asarray(outflow_update(
+                w[-2], w[-1], air, dt, sc.grid.dx, sc.grid.cells))
+            w = new
+        np.testing.assert_array_equal(sim.w, w)
+        assert sim.t == t
 
     def test_lossless_steps_share_one_read_only_zero_table(self, air,
                                                           monkeypatch):
@@ -593,7 +632,7 @@ class TestDegenerateCoupling:
         sc_off = replace(sc_on, losses=False)
         r_on = run(sc_on)
         r_off = run(sc_off)
-        np.testing.assert_allclose(r_on.state.w, r_off.state.w,
+        np.testing.assert_allclose(r_on.w, r_off.w,
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -655,7 +694,7 @@ class TestCoupledPhysics:
         c = air.c0 - 0.2 * u          # r_plus pinned at its rest value
         rho = air.rho0 * (c / air.c0) ** 5.0
         p = air.s0 * rho ** air.gamma
-        init = FieldState(w=conserved_array(rho, u, p, air))
+        init = conserved_array(rho, u, p, air)
         sc = Scenario(
             gas=air, grid=grid, geom=DuctGeometry(h=0.007),
             inflow_kind=PRESSURE,
@@ -663,5 +702,5 @@ class TestCoupledPhysics:
             losses=False, cfl=0.8, duration_s=0.8 / air.c0, probes=(),
         )
         result = run(sc, initial_field=init)
-        _, u_final, _ = primitive_arrays(result.state.w, air)
+        _, u_final, _ = primitive_arrays(result.w, air)
         assert np.abs(u_final).max() < 0.02 * amp

@@ -35,7 +35,7 @@ class TestGasModel:
 
     @pytest.mark.parametrize("field,value", [
         ("gamma", 1.0), ("gamma", 0.9), ("mu", 0.0), ("k_cond", -1.0),
-        ("cp", 0.0), ("rho0", 0.0), ("p0", -5.0), ("theta0", 0.0),
+        ("cp", 0.0), ("rho0", 0.0), ("p0", -5.0),
     ])
     def test_invalid_constants_rejected(self, field, value):
         kwargs = {field: value}
