@@ -8,6 +8,7 @@ post-processing, and a scenario-driven CLI.
 """
 
 from .analysis import (
+    PeriodGridRecord,
     ProbeRecord,
     SpectrumResult,
     harmonic_spectrum,

@@ -5,10 +5,16 @@ probe series on a power-of-two grid per fundamental period, window an
 exact integer number of periods with no taper, and read harmonic
 magnitudes from the direct discrete transform (K_max stays small, so an
 FFT buys nothing).
+
+A run keeps only its native probe rows. Its period-grid records
+(`PeriodGridRecord`) interpolate those rows when read: a window or a
+block of samples costs only what it returns, while `data` builds the
+whole grid on every access and keeps none of it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -25,11 +31,55 @@ MAX_SAMPLING_EXPONENT = 20
 # memory; a window of one chunk is summed by one product
 _SPECTRUM_CHUNK = 2 ** 14
 
+# period-grid samples interpolated per np.interp call
+_RESAMPLE_CHUNK = 4096
+
 _COMPONENTS = {"rho": 0, "u": 1, "p": 2}
 
 
+def _searchsorted(n: int, time_of, value: float, side: str = "left") -> int:
+    """np.searchsorted of value in the times time_of(0..n-1), which must
+    not decrease, found by bisection on the sample index: no array of
+    the n times is built."""
+    find = bisect.bisect_left if side == "left" else bisect.bisect_right
+    return find(range(n), value, key=time_of)
+
+
+class _Series:
+    """Samples m = 0..n_samples-1 of (rho, u, p) at t_start + m * tau,
+    read a block at a time by samples(lo, hi)."""
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.t_start + np.arange(self.n_samples) * self.tau
+
+    def component(self, name: str) -> np.ndarray:
+        return self.data[:, _COMPONENTS[name]]
+
+    def window(self, t_lo: float, t_hi: float) -> "ProbeRecord":
+        """Record of the samples with t_lo <= t < t_hi (to 1e-9 tau): one
+        contiguous run of samples, its bounds found by bisection on the
+        sample times."""
+        t_start, tau = self.t_start, self.tau
+        eps = 1e-9 * tau
+
+        def time_of(m):
+            return t_start + m * tau
+
+        first = _searchsorted(self.n_samples, time_of, t_lo - eps)
+        stop = _searchsorted(self.n_samples, time_of, t_hi - eps)
+        if first >= stop:
+            raise MisalignedWindowError(
+                f"window [{t_lo}, {t_hi}) contains no samples"
+            )
+        return ProbeRecord(
+            station_index=self.station_index, x=self.x, tau=tau,
+            data=self.samples(first, stop), t_start=time_of(first),
+        )
+
+
 @dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(_Series):
     """Time series of (rho, u, p) at one station.
 
     data has shape (M, 3); sample m sits at time t_start + m * tau.
@@ -53,27 +103,88 @@ class ProbeRecord:
     def n_samples(self) -> int:
         return self.data.shape[0]
 
+    def samples(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of data, as a view."""
+        return self.data[lo:hi]
+
+
+@dataclass(frozen=True)
+class PeriodGridRecord(_Series):
+    """A native record read on a finer or coarser grid of step tau:
+    sample m is the native series linearly interpolated at
+    t_start + m * tau, for m = 0..n_samples-1.
+
+    Nothing of the grid is kept. samples(lo, hi) interpolates those
+    samples _RESAMPLE_CHUNK at a time, each chunk from the native
+    samples that bracket it, so a sample's value does not depend on the
+    chunking; data builds the whole grid on every access.
+    """
+
+    native: ProbeRecord
+    tau: float
+    n_samples: int
+
+    def __post_init__(self):
+        if self.tau <= 0.0:
+            raise ValueError("sample period must be positive")
+        if self.n_samples < 1:
+            raise ValueError("a period grid needs at least one sample")
+
     @property
-    def times(self) -> np.ndarray:
-        return self.t_start + np.arange(self.n_samples) * self.tau
+    def station_index(self) -> int:
+        return self.native.station_index
 
-    def component(self, name: str) -> np.ndarray:
-        return self.data[:, _COMPONENTS[name]]
+    @property
+    def x(self) -> float:
+        return self.native.x
 
-    def window(self, t_lo: float, t_hi: float) -> "ProbeRecord":
-        """Sub-record of samples with t_lo <= t < t_hi: one contiguous
-        run of samples, found by bisection on the sample times."""
-        times = self.times
-        eps = 1e-9 * self.tau
-        first, stop = np.searchsorted(times, [t_lo - eps, t_hi - eps])
-        if first >= stop:
-            raise MisalignedWindowError(
-                f"window [{t_lo}, {t_hi}) contains no samples"
-            )
-        return ProbeRecord(
-            station_index=self.station_index, x=self.x, tau=self.tau,
-            data=self.data[first:stop], t_start=float(times[first]),
-        )
+    @property
+    def t_start(self) -> float:
+        return self.native.t_start
+
+    @property
+    def data(self) -> np.ndarray:
+        """The whole (n_samples, 3) grid, built anew on each access."""
+        return self.samples(0, self.n_samples)
+
+    def samples(self, lo: int, hi: int) -> np.ndarray:
+        """Grid rows lo..hi-1, 0 <= lo <= hi <= n_samples, interpolated."""
+        if not 0 <= lo <= hi <= self.n_samples:
+            raise IndexError(
+                f"rows [{lo}, {hi}) outside the grid's {self.n_samples}")
+        native = self.native
+        t0, step, n_native = native.t_start, native.tau, native.n_samples
+
+        def time_of(m):
+            # the native sample times relative to t0, as native.times - t0
+            return (t0 + m * step) - t0
+
+        out = np.empty((hi - lo, 3))
+        for a in range(lo, hi, _RESAMPLE_CHUNK):
+            b = min(a + _RESAMPLE_CHUNK, hi)
+            t_new = np.arange(a, b) * self.tau
+            first = _searchsorted(n_native, time_of, t_new[0], "right") - 1
+            stop = min(_searchsorted(n_native, time_of, t_new[-1]) + 1,
+                       n_native)
+            t_old = (t0 + np.arange(first, stop) * step) - t0
+            for i in range(3):
+                out[a - lo:b - lo, i] = np.interp(
+                    t_new, t_old, native.data[first:stop, i])
+        return out
+
+
+def period_grid(record: ProbeRecord, period: float,
+                sampling_exponent: int) -> PeriodGridRecord | None:
+    """The record read at t_start + m * period/2^N, m = 0..n 2^N, over
+    the largest whole number n >= 1 of periods it spans (None if it
+    spans none)."""
+    per_period = 2 ** sampling_exponent
+    span = (record.n_samples - 1) * record.tau
+    n_periods = int(math.floor(span / period + 1e-9))
+    if n_periods < 1:
+        return None
+    return PeriodGridRecord(native=record, tau=period / per_period,
+                            n_samples=n_periods * per_period + 1)
 
 
 @dataclass(frozen=True)

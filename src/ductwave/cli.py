@@ -169,12 +169,13 @@ def cmd_run(args) -> int:
 
 
 def _series_rows(record):
-    """Rows (t, rho, u, p) of a record, built _SERIES_CHUNK at a time, each
-    time t_start + m * tau as in `record.times`."""
+    """Rows (t, rho, u, p) of a native or period-grid record, read
+    _SERIES_CHUNK samples at a time, each time t_start + m * tau as in
+    `record.times`."""
     for lo in range(0, record.n_samples, _SERIES_CHUNK):
         hi = min(lo + _SERIES_CHUNK, record.n_samples)
         times = record.t_start + np.arange(lo, hi) * record.tau
-        yield from np.column_stack([times, record.data[lo:hi]]).tolist()
+        yield from np.column_stack([times, record.samples(lo, hi)]).tolist()
 
 
 def _spectrum_rows(record, scenario, doc):

@@ -4,13 +4,14 @@ Comma separators, LF line endings, mandatory header row, '.' decimal
 point, and full round-trip precision: rows hold Python numbers (an array
 is handed over row by row through `ndarray.tolist`), and str() of a
 Python float is its shortest round-trip repr, so reading the file back
-reproduces the values bit for bit. Rows are streamed both ways: each is
-formatted and handed to the file's buffer as it arrives, so writing
-holds no copy of the table, and reading parses one line at a time.
+reproduces the values bit for bit. Rows are streamed both ways: writing
+formats _WRITE_BLOCK rows at a time with one %-format of the block, so
+it holds no copy of the table, and reading parses one line at a time.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,35 @@ import numpy as np
 from .errors import ConfigError
 
 _READ_BLOCK = 4096      # rows parsed before they are packed as float64
+_WRITE_BLOCK = 1024     # rows formatted by one %-format
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write the header line, then one line per row of the iterable."""
+    """Write the header line, then one line per row of the iterable, each
+    cell as its str().
+
+    A row with another number of cells than the header is refused
+    (ValueError naming its index) before its block is written; the
+    blocks before it are in the file.
+    """
+    width = len(header)
+    line = ",".join(["%s"] * width) + "\n"
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        written = 0
+        while True:
+            cells, count = [], 0
+            for row in islice(rows, _WRITE_BLOCK):
+                if len(row) != width:
+                    raise ValueError(f"row {written + count} has {len(row)}"
+                                     f" cells, header has {width}")
+                cells.extend(row)
+                count += 1
+            if not count:
+                return
+            fh.write(line * count % tuple(cells))
+            written += count
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -24,9 +24,10 @@ state.
 
 Probe rows are kept as float64 blocks: each step appends one (rho, u, p)
 tuple per probe to a short list, which is folded into a block every
-_FOLD_ROWS steps, so a stored row costs 24 bytes. The period-grid record
-of a probe is written into one preallocated array, _RESAMPLE_CHUNK samples
-at a time, so a run holds its output once.
+_FOLD_ROWS steps, so a stored row costs 24 bytes. These native rows are
+all a run keeps of its probes: its period-grid records interpolate them
+when read (`analysis.PeriodGridRecord`), so the grid is never held whole
+unless a caller asks for its `data`.
 
 Runs are deterministic: identical scenarios produce bit-identical
 fields, histories and probe records. An error raised inside the time loop
@@ -43,7 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wall
-from .analysis import ProbeRecord, check_sampling_exponent
+from .analysis import (
+    PeriodGridRecord,
+    ProbeRecord,
+    check_sampling_exponent,
+    period_grid,
+)
 from .boundaries import inflow_update_pressure, inflow_update_velocity, outflow_update
 from .errors import BlowUpError, DuctwaveError
 from .gas import GasModel, conserved_array, primitive_arrays
@@ -54,8 +60,6 @@ VELOCITY = "velocity"
 
 # steps of probe rows kept as tuples before they are folded into a block
 _FOLD_ROWS = 2048
-# period-grid samples interpolated per np.interp call
-_RESAMPLE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ class RunResult:
     w: np.ndarray
     history: wall.PressureHistory
     records: tuple[ProbeRecord, ...]
-    resampled: tuple[ProbeRecord, ...]
+    resampled: tuple[PeriodGridRecord, ...]
     report: RunReport
 
 
@@ -253,9 +257,11 @@ def run(scenario: Scenario,
         initial_field: np.ndarray | None = None) -> RunResult:
     """Run a scenario to its configured duration.
 
-    Probe records hold every native step, as float64 rows; when the inflow
-    has a fundamental period they are additionally interpolated onto the
-    tau = T0/2^N grid over the largest whole number of periods covered.
+    Probe records hold every native step, as float64 rows. When the
+    inflow has a fundamental period, RunResult.resampled reads each of
+    them on the tau = T0/2^N grid over the largest whole number of
+    periods covered: a PeriodGridRecord, which interpolates on access
+    and whose data builds the whole grid each time it is read.
     """
     started = time.perf_counter()
     sim = Simulation(scenario, initial_field=initial_field)
@@ -269,10 +275,11 @@ def run(scenario: Scenario,
     elapsed = time.perf_counter() - started
 
     records = sim.native_records()
-    resampled = tuple(
-        r for r in (_resample_on_period_grid(rec, scenario) for rec in records)
-        if r is not None
-    )
+    period = scenario.fundamental_period
+    grids = () if period is None else (
+        period_grid(rec, period, scenario.sampling_exponent)
+        for rec in records)
+    resampled = tuple(g for g in grids if g is not None)
     report = RunReport(dt=sim.dt, n_steps=n_steps, wall_clock_s=elapsed)
     return RunResult(scenario=scenario, w=sim.w, history=sim.history,
                      records=records, resampled=resampled, report=report)
@@ -293,32 +300,3 @@ def _step_context(sim: Simulation) -> str:
     return (f"step {sim.n + 1}, {when},"
             f" Courant number {courant:.3f} at node {node}")
 
-
-def _resample_on_period_grid(record: ProbeRecord,
-                             scenario: Scenario) -> ProbeRecord | None:
-    """The record linearly interpolated at m * T0/2^N, m = 0..n 2^N, over
-    the largest whole number n >= 1 of periods it spans (None if it spans
-    none, or the inflow has no period). Each chunk of the grid reads only
-    the native samples that bracket it; a sample's value does not depend
-    on the chunking."""
-    period = scenario.fundamental_period
-    if period is None:
-        return None
-    per_period = 2 ** scenario.sampling_exponent
-    tau = period / per_period
-    span = (record.n_samples - 1) * record.tau
-    n_periods = int(math.floor(span / period + 1e-9))
-    if n_periods < 1:
-        return None
-    n_new = n_periods * per_period + 1
-    t_old = record.times - record.t_start
-    data = np.empty((n_new, 3))
-    for lo in range(0, n_new, _RESAMPLE_CHUNK):
-        t_new = np.arange(lo, min(lo + _RESAMPLE_CHUNK, n_new)) * tau
-        first = np.searchsorted(t_old, t_new[0], side="right") - 1
-        stop = np.searchsorted(t_old, t_new[-1]) + 1
-        for i in range(3):
-            data[lo:lo + t_new.size, i] = np.interp(
-                t_new, t_old[first:stop], record.data[first:stop, i])
-    return ProbeRecord(station_index=record.station_index, x=record.x,
-                       tau=tau, data=data, t_start=record.t_start)

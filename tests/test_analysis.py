@@ -5,21 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ductwave.analysis import (
+    _RESAMPLE_CHUNK,
     _SPECTRUM_CHUNK,
+    PeriodGridRecord,
     ProbeRecord,
+    _searchsorted,
     harmonic_spectrum,
     level_db,
+    period_grid,
     relative_error,
 )
-from ductwave.driver import (
-    _RESAMPLE_CHUNK,
-    VELOCITY,
-    Scenario,
-    _resample_on_period_grid,
-    run,
-)
+from ductwave.driver import VELOCITY, Scenario, run
 from ductwave.errors import MisalignedWindowError, UndefinedReferenceError
 from ductwave.gas import GasModel
 from ductwave.scheme import DuctGeometry, Grid
@@ -54,8 +53,8 @@ def _scenario(exponent, **overrides):
 
 
 def _period_grid(record, exponent):
-    """The run's resampling of a record onto tau = PERIOD / 2^exponent."""
-    return _resample_on_period_grid(record, _scenario(exponent))
+    """The record read on tau = PERIOD / 2^exponent, as a run reads it."""
+    return period_grid(record, PERIOD, exponent)
 
 
 def _one_interpolation(record, exponent):
@@ -107,6 +106,19 @@ class TestProbeRecord:
         with pytest.raises(MisalignedWindowError):
             rec.window(10.0, 11.0)
 
+    @given(n=st.integers(1, 5000), t_start=st.floats(-1e3, 1e3),
+           tau=st.floats(1e-9, 1e2), index=st.integers(-2, 5002),
+           shift=st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.5]),
+           side=st.sampled_from(["left", "right"]))
+    def test_bisection_equals_searchsorted(self, n, t_start, tau, index,
+                                           shift, side):
+        # values on, beside and between the sample times, and past both
+        # ends; a fine tau on a large t_start makes runs of equal times
+        times = t_start + np.arange(n) * tau
+        value = t_start + index * tau + shift * tau
+        found = _searchsorted(n, lambda m: t_start + m * tau, value, side)
+        assert found == np.searchsorted(times, value, side)
+
 
 class TestResample:
     def test_identity_at_native_period(self):
@@ -155,15 +167,72 @@ class TestResample:
                                probes=(0.5, 1.0)))
         assert len(result.resampled) == 2
         for native, resampled in zip(result.records, result.resampled):
+            assert resampled.native is native
             assert resampled.n_samples == periods * 2 ** 10 + 1
             assert resampled.n_samples % _RESAMPLE_CHUNK != 0
             np.testing.assert_array_equal(resampled.data,
                                           _one_interpolation(native, 10))
+            # built anew on each access, never kept
+            assert resampled.data is not resampled.data
 
     def test_span_mismatch_rejected(self):
         # a record shorter than one whole period has nothing to resample
         rec = _sine_record(periods=1, per_period=33)
         assert _period_grid(rec, 3) is None
+
+
+class TestPeriodGridRecord:
+    @pytest.fixture
+    def grid(self, rng):
+        """Three whole chunks and a partial one, read from native samples
+        that start off zero and run past the grid's end."""
+        periods = 3 * _RESAMPLE_CHUNK // 2 ** 8 + 1
+        n_native = periods * 100 + 51
+        data = rng.standard_normal((n_native, 3)) + [1.2, 0.0, 101325.0]
+        native = ProbeRecord(station_index=5, x=0.25, tau=PERIOD / 100,
+                             data=data, t_start=0.37 * PERIOD)
+        grid = _period_grid(native, 8)
+        assert 3 * _RESAMPLE_CHUNK < grid.n_samples < 4 * _RESAMPLE_CHUNK
+        return grid
+
+    def test_data_equals_one_interpolation(self, grid):
+        np.testing.assert_array_equal(grid.data,
+                                      _one_interpolation(grid.native, 8))
+        np.testing.assert_array_equal(grid.component("p"), grid.data[:, 2])
+        assert (grid.station_index, grid.x) == (5, 0.25)
+        assert grid.t_start == grid.native.t_start
+
+    def test_window_equals_the_mask_form_of_the_grid(self, grid):
+        # windows across chunk boundaries and at the first and last
+        # sample, bounds on a sample time and 1e-9 tau to either side
+        full, times = grid.data, grid.times
+        n, chunk = grid.n_samples, _RESAMPLE_CHUNK
+        eps = 1e-9 * grid.tau
+        for lo_index, hi_index in [(0, n), (0, 1), (n - 1, n),
+                                   (chunk - 1, chunk + 1),
+                                   (chunk, 2 * chunk), (5, 3 * chunk + 7)]:
+            for lo_shift in (-eps, 0.0, eps):
+                for hi_shift in (-eps, 0.0, eps):
+                    t_lo = times[lo_index] + lo_shift
+                    t_hi = grid.t_start + hi_index * grid.tau + hi_shift
+                    mask = (times >= t_lo - eps) & (times < t_hi - eps)
+                    win = grid.window(t_lo, t_hi)
+                    assert isinstance(win, ProbeRecord)
+                    np.testing.assert_array_equal(win.data, full[mask])
+                    assert win.t_start == times[np.argmax(mask)]
+                    assert win.tau == grid.tau
+
+    def test_samples_outside_the_grid_rejected(self, grid):
+        with pytest.raises(ValueError):
+            PeriodGridRecord(native=grid.native, tau=0.0, n_samples=3)
+        with pytest.raises(IndexError):
+            grid.samples(0, grid.n_samples + 1)
+        with pytest.raises(IndexError):
+            grid.samples(3, 2)
+
+    def test_empty_window_rejected(self, grid):
+        with pytest.raises(MisalignedWindowError):
+            grid.window(-2.0 * PERIOD, -PERIOD)
 
 
 class TestHarmonicSpectrum:

@@ -540,6 +540,31 @@ class TestCsvStreaming:
             write_csv(path, header, iter(rows))
             assert path.read_bytes() == _joined(header, rows)
 
+    def test_mixed_rows_equal_their_str_join(self, tmp_path):
+        # str, int, float and -inf cells, as oracle-kirchhoff and the
+        # spectrum write them, over two whole blocks and a partial one
+        n = 2 * csvio._WRITE_BLOCK + 3
+        rows = [("corrected" if i % 2 else "printed", i, i / 7.0,
+                 float("-inf") if i % 5 == 0 else -i * 1e-300)
+                for i in range(n)]
+        header = ["mode", "k", "x_m", "level_db"]
+        path = tmp_path / "mixed.csv"
+        write_csv(path, header, iter(rows))
+        assert path.read_bytes() == _joined(header, rows)
+
+    def test_ragged_row_refused_before_its_block(self, tmp_path):
+        n = 2 * csvio._WRITE_BLOCK + 3
+        bad = csvio._WRITE_BLOCK + 5
+        rows = [(float(i), i / 3.0) for i in range(n)]
+        rows[bad] = (1.0,)
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match=f"row {bad} has 1 cells,"
+                                             " header has 2"):
+            write_csv(path, ["a", "b"], iter(rows))
+        # the block before the bad row's is written, nothing of its own
+        assert path.read_bytes() == _joined(
+            ["a", "b"], rows[:csvio._WRITE_BLOCK])
+
     def test_writing_holds_no_copy_of_the_table(self, tmp_path, rng):
         series = rng.standard_normal((50_000, 4))
         path = tmp_path / "series.csv"
@@ -587,6 +612,18 @@ class TestCsvStreaming:
                                 101325.0 + np.cos(np.arange(n) * 0.1)])
         record = ductwave.ProbeRecord(station_index=3, x=0.1, tau=1.0 / 3.0,
                                       data=data, t_start=0.7)
+        stacked = np.column_stack([record.times, record.data]).tolist()
+        assert list(cli._series_rows(record)) == stacked
+
+    def test_series_rows_of_a_period_grid_equal_its_stacked_grid(self):
+        # the grid's chunks of interpolation and the rows' chunks differ
+        n = 3 * cli._SERIES_CHUNK + 11
+        data = np.column_stack([np.full(n, 1.2), np.sin(np.arange(n) * 0.1),
+                                101325.0 + np.cos(np.arange(n) * 0.1)])
+        native = ductwave.ProbeRecord(station_index=3, x=0.1, tau=0.25,
+                                      data=data, t_start=0.7)
+        record = ductwave.PeriodGridRecord(native=native, tau=0.1,
+                                           n_samples=2 * n - 5)
         stacked = np.column_stack([record.times, record.data]).tolist()
         assert list(cli._series_rows(record)) == stacked
 
