@@ -46,7 +46,6 @@ from .oracles import (
     kirchhoff_alpha,
     kirchhoff_phase_speed,
     kirchhoff_propagate,
-    sample_period,
     shock_distance,
 )
 from .scheme import (

@@ -214,18 +214,21 @@ def min_samples_per_period(k_max: int) -> int:
     return 8 * k_max
 
 
-def check_sampling_exponent(n_exp: int) -> None:
-    """Refuse a negative sampling exponent, which names no period grid,
-    and a grid finer than 2^MAX_SAMPLING_EXPONENT samples a period, whose
-    records would not fit in memory (ValueError)."""
-    if n_exp < 0:
-        raise ValueError(
-            f"sampling exponent {n_exp} is negative: under one sample a"
-            " period, below every anti-aliasing floor")
+def check_sampling_exponent(n_exp: int, k_max: int = 1) -> None:
+    """Refuse a period grid of 2^n_exp samples a period finer than
+    2^MAX_SAMPLING_EXPONENT, whose records would not fit in memory, or
+    coarser than the anti-aliasing floor of a K_max spectrum,
+    min_samples_per_period(k_max) (ValueError)."""
     if n_exp > MAX_SAMPLING_EXPONENT:
         raise ValueError(
             f"sampling exponent {n_exp} exceeds {MAX_SAMPLING_EXPONENT}"
             f" (at most 2^{MAX_SAMPLING_EXPONENT} samples a period)")
+    floor = min_samples_per_period(k_max)
+    if 2.0 ** n_exp < floor:
+        raise ValueError(
+            f"sampling exponent {n_exp} gives {2.0 ** n_exp:g} samples a"
+            f" period, under the anti-aliasing floor {floor} for"
+            f" K_max = {k_max}")
 
 
 def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,

@@ -120,6 +120,9 @@ def _load_samples(path):
     dta = np.diff(t)
     if dta.size == 0 or not np.allclose(dta, dta[0], rtol=1e-9, atol=0.0):
         raise ConfigError(f"{path}: sample times must be uniform")
+    if abs(t[0]) > 1e-9 * abs(dta[0]):
+        raise ConfigError(
+            f"{path}: sample times must start at t = 0, got {float(t[0])!r}")
     return float(dta[0]), [float(v) for v in body[:, 1]]
 
 
@@ -191,14 +194,13 @@ def _spectrum_rows(record, scenario, doc):
     k_max = doc.get("output.kmax", DEFAULT_KMAX)
     spec_u = analysis.harmonic_spectrum(window, omega0, k_max, component="u")
     spec_p = analysis.harmonic_spectrum(window, omega0, k_max, component="p")
-    db_ref = doc.get("output.db_reference", analysis.P_REF_SPL)
     fundamental = spec_p.magnitude(1)
     rows = []
     for k in range(1, k_max + 1):
         mag_p = spec_p.magnitude(k)
         rows.append((
             k, spec_u.magnitude(k), mag_p,
-            analysis.level_db(mag_p, db_ref),
+            analysis.level_db(mag_p, analysis.P_REF_SPL),
             analysis.level_db(mag_p, fundamental) if fundamental > 0.0
             else float("-inf"),
         ))
@@ -240,16 +242,10 @@ def cmd_oracle_characteristics(args) -> int:
                  periods=_POSITIVE, kmax=_POSITIVE)
     omega0 = 2.0 * math.pi * args.freq
     try:
-        tau = oracles.sample_period(omega0, args.sampling_exponent)
+        analysis.check_sampling_exponent(args.sampling_exponent, args.kmax)
     except ValueError as exc:
         raise ConfigError(f"--sampling-exponent: {exc}") from None
     per_period = 2 ** args.sampling_exponent
-    floor = analysis.min_samples_per_period(args.kmax)
-    if per_period < floor:
-        raise ConfigError(
-            f"--sampling-exponent {args.sampling_exponent} gives {per_period}"
-            f" samples/period, under the anti-aliasing floor {floor} for"
-            f" --kmax {args.kmax}")
     gas = GasModel()
     if args.s >= 1.0:
         raise ShockRegimeError(
@@ -267,6 +263,7 @@ def cmd_oracle_characteristics(args) -> int:
     prob = oracles.SimpleWaveProblem(signal=signal, gas=gas, station=station)
 
     period = signal.period
+    tau = period / per_period
     # Start after the slowest characteristic of the first period arrives.
     slow = gas.c0 - 0.5 * (gas.gamma + 1.0) * args.u0
     arrival = station / slow if slow > 0.0 else station / gas.c0

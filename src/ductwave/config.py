@@ -27,13 +27,6 @@ def _parse_float(s: str) -> float:
     return v
 
 
-def _parse_positive_float(s: str) -> float:
-    v = _parse_float(s)
-    if not v > 0.0:
-        raise ValueError(f"must be positive, got {v!r}")
-    return v
-
-
 def _parse_positive_int(s: str) -> int:
     v = int(s)
     if v < 1:
@@ -124,7 +117,6 @@ KEY_SPECS = {
     "output.prefix": (str, str),
     "output.spectrum_periods": (_parse_positive_int, str),
     "output.kmax": (_parse_positive_int, str),
-    "output.db_reference": (_parse_positive_float, _fmt_float),
 }
 
 
@@ -258,16 +250,13 @@ def scenario_from_config(doc: ConfigDocument,
                for name in ("cfl", "sampling_exponent")
                if f"run.{name}" in doc},
         )
+        if scenario.fundamental_period is not None:
+            # the spectrum outputs read output.kmax harmonics of the grid
+            analysis.check_sampling_exponent(
+                scenario.sampling_exponent,
+                doc.get("output.kmax", DEFAULT_KMAX))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if scenario.fundamental_period is not None:
-        k_max = doc.get("output.kmax", DEFAULT_KMAX)
-        floor = analysis.min_samples_per_period(k_max)
-        if 2.0 ** scenario.sampling_exponent < floor:
-            raise ConfigError(
-                f"run.sampling_exponent = {scenario.sampling_exponent} gives"
-                f" {2.0 ** scenario.sampling_exponent:g} samples/period, under"
-                f" the anti-aliasing floor {floor} for output.kmax = {k_max}")
     return scenario
 
 

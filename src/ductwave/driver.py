@@ -22,12 +22,14 @@ level. The time step is frozen at the start of the run (the convolution
 weights assume uniform dt) at cfl * dx / c0, the CFL step of the rest
 state.
 
-Probe rows are kept as float64 blocks: each step appends one (rho, u, p)
-tuple per probe to a short list, which is folded into a block every
-_FOLD_ROWS steps, so a stored row costs 24 bytes. These native rows are
-all a run keeps of its probes: its period-grid records interpolate them
-when read (`analysis.PeriodGridRecord`), so the grid is never held whole
-unless a caller asks for its `data`.
+`Simulation` is only the stepper; `run` records the probes. It sizes one
+(P, n_steps + 1, 3) float64 array for the P probe nodes before the first
+step and writes each level's (rho, u, p) at those nodes into it from the
+checked primitive arrays, so a stored row costs 24 bytes from the first
+step. These native rows are all a run keeps of its probes: its
+period-grid records interpolate them when read
+(`analysis.PeriodGridRecord`), so the grid is never held whole unless a
+caller asks for its `data`.
 
 Runs are deterministic: identical scenarios produce bit-identical
 fields, histories and probe records. An error raised inside the time loop
@@ -57,10 +59,6 @@ from .scheme import DuctGeometry, Grid, lax_wendroff_update
 
 PRESSURE = "pressure"
 VELOCITY = "velocity"
-
-# steps of probe rows kept as tuples before they are folded into a block
-_FOLD_ROWS = 2048
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -158,10 +156,10 @@ def _checked_primitives(w: np.ndarray, gas: GasModel):
 
 
 class Simulation:
-    """Stateful runner. Its state is the (J+1, 3) conserved field w at
-    time t after n steps; it fixes the wall-source prefactors for the run
-    in its wall memory and caches, between steps, the primitive arrays
-    (rho, u, p) of w and the previous source table."""
+    """The stepper of a run. Its state is the (J+1, 3) conserved field w
+    at time t after n steps; it fixes the wall-source prefactors for the
+    run in its wall memory and caches, between steps, the primitive
+    arrays (rho, u, p) of w and the previous source table."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: np.ndarray | None = None):
@@ -187,25 +185,9 @@ class Simulation:
         self._zero = np.zeros((n_nodes, 3))
         self._zero.flags.writeable = False
         self._g_prev = self._zero
-        # stations that share a node record it once, in first-seen order
-        self._probe_nodes = tuple(dict.fromkeys(
-            scenario.grid.nearest_node(x) for x in scenario.probes))
-        # per probe: the float64 blocks folded so far, and the pending rows
-        self._probe_blocks = [[] for _ in self._probe_nodes]
-        self._probe_rows = [[] for _ in self._probe_nodes]
-        self._record_probes()
-
-    def _record_probes(self):
-        """Probe rows of the current state, from its primitive arrays."""
-        rho, u, p = self.prim
-        for rows, blocks, j in zip(self._probe_rows, self._probe_blocks,
-                                   self._probe_nodes):
-            rows.append((rho[j], u[j], p[j]))
-            if len(rows) == _FOLD_ROWS:
-                _fold(rows, blocks)
 
     def advance(self):
-        """One coupled step (sources, interior, boundaries, history, probes)."""
+        """One coupled step (sources, interior, boundaries, history)."""
         sc, w, dt = self.scenario, self.w, self.dt
         gas, grid = sc.gas, sc.grid
         if sc.losses:
@@ -232,49 +214,41 @@ class Simulation:
         self.w, self.t, self.n = new, t, self.n + 1
         if sc.losses:
             self.history.append(self.prim[2])
-        self._record_probes()
-
-    def native_records(self) -> tuple[ProbeRecord, ...]:
-        """One record per probe node, at every level reached so far."""
-        for rows, blocks in zip(self._probe_rows, self._probe_blocks):
-            if rows:
-                _fold(rows, blocks)
-        dx = self.scenario.grid.dx
-        return tuple(
-            ProbeRecord(station_index=j, x=j * dx, tau=self.dt,
-                        data=np.concatenate(blocks), t_start=0.0)
-            for blocks, j in zip(self._probe_blocks, self._probe_nodes)
-        )
-
-
-def _fold(rows: list, blocks: list):
-    """Move a probe's pending (rho, u, p) rows into a new float64 block."""
-    blocks.append(np.array(rows))
-    rows.clear()
 
 
 def run(scenario: Scenario,
         initial_field: np.ndarray | None = None) -> RunResult:
     """Run a scenario to its configured duration.
 
-    Probe records hold every native step, as float64 rows. When the
-    inflow has a fundamental period, RunResult.resampled reads each of
-    them on the tau = T0/2^N grid over the largest whole number of
+    Probe records hold every native step, as float64 rows: record i's
+    data is row i of one (P, n_steps + 1, 3) array, a view. Stations
+    that share a node record it once, in first-seen order. When the
+    inflow has a fundamental period, RunResult.resampled reads each
+    record on the tau = T0/2^N grid over the largest whole number of
     periods covered: a PeriodGridRecord, which interpolates on access
     and whose data builds the whole grid each time it is read.
     """
     started = time.perf_counter()
     sim = Simulation(scenario, initial_field=initial_field)
     n_steps = int(math.ceil(scenario.duration / sim.dt - 1e-9))
+    grid = scenario.grid
+    nodes = np.array(list(dict.fromkeys(
+        grid.nearest_node(x) for x in scenario.probes)), dtype=np.intp)
+    rows = np.empty((nodes.size, n_steps + 1, 3))
+    _record(rows, 0, sim.prim, nodes)
     try:
-        for _ in range(n_steps):
+        for n in range(1, n_steps + 1):
             sim.advance()
+            _record(rows, n, sim.prim, nodes)
     except DuctwaveError as exc:
         exc.args = (f"{exc} ({_step_context(sim)})",)
         raise
     elapsed = time.perf_counter() - started
 
-    records = sim.native_records()
+    records = tuple(
+        ProbeRecord(station_index=j, x=j * grid.dx, tau=sim.dt, data=data,
+                    t_start=0.0)
+        for j, data in zip(nodes.tolist(), rows))
     period = scenario.fundamental_period
     grids = () if period is None else (
         period_grid(rec, period, scenario.sampling_exponent)
@@ -283,6 +257,12 @@ def run(scenario: Scenario,
     report = RunReport(dt=sim.dt, n_steps=n_steps, wall_clock_s=elapsed)
     return RunResult(scenario=scenario, w=sim.w, history=sim.history,
                      records=records, resampled=resampled, report=report)
+
+
+def _record(rows: np.ndarray, n: int, prim, nodes: np.ndarray):
+    """Write level n's (rho, u, p) at the probe nodes into rows[:, n]."""
+    for col, values in enumerate(prim):
+        rows[:, n, col] = values[nodes]
 
 
 def _step_context(sim: Simulation) -> str:

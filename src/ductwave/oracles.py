@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import check_sampling_exponent
 from .errors import OutOfValidityError, ShockRegimeError
 from .gas import GasModel
 
@@ -37,14 +36,6 @@ def shock_distance(u0_amp: float, omega0: float, gas: GasModel) -> float:
     if u0_amp <= 0.0 or omega0 <= 0.0:
         raise ValueError("amplitude and pulsation must be positive")
     return 2.0 * gas.c0 ** 2 / ((gas.gamma + 1.0) * omega0 * u0_amp)
-
-
-def sample_period(omega0: float, n_exp: int) -> float:
-    """Probe sampling period tau = T0 / 2^N for spectral post-processing."""
-    if n_exp < 4:
-        raise ValueError("sampling exponent must be at least 4")
-    check_sampling_exponent(n_exp)
-    return (2.0 * math.pi / omega0) / 2.0 ** n_exp
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from ductwave.analysis import (
     PeriodGridRecord,
     ProbeRecord,
     _searchsorted,
+    check_sampling_exponent,
     harmonic_spectrum,
     level_db,
     period_grid,
@@ -233,6 +234,21 @@ class TestPeriodGridRecord:
     def test_empty_window_rejected(self, grid):
         with pytest.raises(MisalignedWindowError):
             grid.window(-2.0 * PERIOD, -PERIOD)
+
+
+class TestSamplingExponent:
+    def test_ceiling_then_anti_aliasing_floor(self):
+        # 2^N samples a period lie in [8 K_max, 2^20]
+        for n_exp, k_max in ((3, 1), (4, 2), (8, 20), (20, 1), (20, 2 ** 17)):
+            check_sampling_exponent(n_exp, k_max)
+        check_sampling_exponent(3)
+        for n_exp, k_max in ((2, 1), (3, 2), (7, 20), (-1, 1)):
+            with pytest.raises(ValueError, match="anti-aliasing floor"):
+                check_sampling_exponent(n_exp, k_max)
+        # the ceiling is checked first, whatever the K_max
+        for k_max in (1, 2 ** 18):
+            with pytest.raises(ValueError, match="exceeds 20"):
+                check_sampling_exponent(21, k_max)
 
 
 class TestHarmonicSpectrum:

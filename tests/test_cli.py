@@ -70,7 +70,6 @@ _INVALID_VALUES = [
     ("geometry.h", "-1.0", "sine"),
     ("output.kmax", "0", "sine"),
     ("output.spectrum_periods", "-2", "sine"),
-    ("output.db_reference", "0.0", "sine"),
     # non-finite numbers are refused where they are parsed
     ("inflow.frequency_hz", "nan", "sine"),
     ("run.duration_periods", "inf", "sine"),
@@ -140,13 +139,14 @@ class TestRunCommand:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
-    # configs emitted before run.truncate, run.kernel_mode or gas.theta0
-    # was removed still carry that key
+    # configs emitted before run.truncate, run.kernel_mode, gas.theta0 or
+    # output.db_reference was removed still carry that key
     @pytest.mark.parametrize("key, value", [
         ("turbo.boost", "11"),
         ("run.truncate", "unbounded"),
         ("run.kernel_mode", "consistent"),
         ("gas.theta0", "300.0"),
+        ("output.db_reference", "2e-05"),
     ])
     def test_unknown_key_exit_code_and_line(self, tmp_path, capsys, key,
                                             value):
@@ -248,10 +248,10 @@ class TestRunCommand:
         _, body = read_csv(out / "smoke_probe24_spectrum.csv")
         assert body.shape[0] == 8
 
-    def _sampled_config(self, tmp_path, values, **edits):
+    def _sampled_config(self, tmp_path, values, t_first=0.0, **edits):
         samples = tmp_path / "u.csv"
         write_csv(samples, ["t_s", "u_mps"],
-                  [(i * 1e-3, v) for i, v in enumerate(values)])
+                  [(t_first + i * 1e-3, v) for i, v in enumerate(values)])
         return _edited_config(tmp_path, {
             "inflow.shape": "samples", "inflow.samples_file": samples,
             "inflow.amplitude": None, "inflow.frequency_hz": None,
@@ -268,6 +268,26 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("t_first", [0.5, 1e-3, -1e-3])
+    def test_samples_not_starting_at_zero_exit_with_config_code(
+            self, tmp_path, capsys, t_first):
+        cfg = self._sampled_config(tmp_path, [0.0, 0.5, 0.0], t_first,
+                                   **{"run.duration_periods": None,
+                                      "run.duration_s": "1e-3"})
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "u.csv" in err and "start at t = 0" in err
+        assert not out.exists()
+
+    def test_samples_starting_within_rounding_of_zero_run(self, tmp_path):
+        cfg = self._sampled_config(tmp_path, [0.0, 0.5, 0.0], 1e-13,
+                                   **{"run.duration_periods": None,
+                                      "run.duration_s": "1e-3"})
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
 
     def test_negative_external_sound_speed_exits_with_runtime_code(
             self, tmp_path, capsys):
@@ -384,6 +404,21 @@ class TestOracleCharacteristics:
                      "--out", str(out)]) == EXIT_OK
         _, body = read_csv(out / "oracle_series.csv")
         assert np.abs(body[:, 1]).max() == 0.0
+
+    def test_sampling_at_the_floor_of_its_kmax_runs(self, tmp_path):
+        # 2^3 samples a period is the 8 K_max floor of --kmax 1, the rule
+        # a run applies to run.sampling_exponent and output.kmax
+        out = tmp_path / "floor"
+        assert main(["oracle-characteristics", "--u0", "10.0",
+                     "--freq", "440", "--s", "0.5", "--periods", "2",
+                     "--sampling-exponent", "3", "--kmax", "1",
+                     "--out", str(out)]) == EXIT_OK
+        _, body = read_csv(out / "oracle_series.csv")
+        assert body.shape[0] == 2 * 8
+        np.testing.assert_allclose(np.diff(body[:, 0]), (1.0 / 440.0) / 8,
+                                   rtol=1e-9)
+        _, spec = read_csv(out / "oracle_spectrum.csv")
+        assert spec.shape[0] == 1
 
     def test_shock_regime_refused(self, tmp_path, capsys):
         code = main(["oracle-characteristics", "--u0", "10.0",

@@ -61,7 +61,6 @@ class TestParsing:
     @pytest.mark.parametrize("line", [
         "gas.gamma = nan",
         "grid.length = inf",
-        "output.db_reference = inf",
         "probes.stations = 0.1, -inf",
         "inflow.harmonics = 1:100.0:0.0, 2:nan:0.0",
         "inflow.harmonics = 1:100.0:inf",

@@ -64,7 +64,7 @@ class TestScenario:
             == 20
         with pytest.raises(ValueError, match="exceeds 20"):
             _small_scenario(air, sampling_exponent=21)
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="anti-aliasing floor"):
             _small_scenario(air, sampling_exponent=-1)
 
 
@@ -393,10 +393,16 @@ class TestWallMemoryInTheLoop:
             sc.grid.n_nodes, *wall.source_coefficients(
                 air, sc.geom, sc.grid, exact.dt))
         exact.history.append(primitive_arrays(exact.w, air)[2])
+        # the (rho, u, p) rows of the probe node at every level
+        node = sc.grid.nearest_node(sc.probes[0])
+        rows_fast, rows_exact = [], []
         n_steps = 4 * K0
-        for _ in range(n_steps):
-            fast.advance()
-            exact.advance()
+        for step in range(n_steps + 1):
+            if step:
+                fast.advance()
+                exact.advance()
+            rows_fast.append([a[node] for a in fast.prim])
+            rows_exact.append([a[node] for a in exact.prim])
         assert fast.history.n_levels == exact.history.n_levels == n_steps + 1
         np.testing.assert_allclose(fast.w, exact.w, rtol=1e-9)
         _, u_fast, p_fast = primitive_arrays(fast.w, air)
@@ -407,8 +413,7 @@ class TestWallMemoryInTheLoop:
         np.testing.assert_allclose(p_fast - air.p0, p_exact - air.p0,
                                    rtol=0.0,
                                    atol=1e-9 * np.abs(p_exact - air.p0).max())
-        rec_fast = fast.native_records()[0].data
-        rec_exact = exact.native_records()[0].data
+        rec_fast, rec_exact = np.array(rows_fast), np.array(rows_exact)
         for col, ref in ((0, air.rho0), (1, 0.0), (2, air.p0)):
             dev = rec_exact[:, col] - ref
             np.testing.assert_allclose(rec_fast[:, col] - ref, dev, rtol=0.0,
@@ -543,36 +548,40 @@ class TestRun:
 
 class TestProbeStorage:
     def test_native_records_are_the_probed_primitive_rows(self, air):
-        # two whole blocks and a pending part; the second station shares
-        # the first one's node and is recorded once
+        # the second station shares the first one's node and is recorded
+        # once; every record is a view of one float64 array
         sc = _small_scenario(air, probes=(0.05, 0.05, 0.1))
-        sim = Simulation(sc)
+        result = run(sc)
         nodes = (2, 4)
+        sim = Simulation(sc)
         expected = [[] for _ in nodes]
-        for step in range(2 * driver._FOLD_ROWS + 5):
+        for step in range(result.report.n_steps + 1):
             if step:
                 sim.advance()
             prim = np.stack(primitive_arrays(sim.w, air), axis=1)
             for rows, j in zip(expected, nodes):
                 rows.append(prim[j])
-        records = sim.native_records()
+        records = result.records
         assert [r.station_index for r in records] == list(nodes)
         for rec, rows in zip(records, expected):
             assert rec.data.dtype == np.float64
+            assert rec.data.flags.c_contiguous
             np.testing.assert_array_equal(rec.data, np.array(rows))
-        # reading the records leaves the stored rows as they were
-        again = sim.native_records()
-        for a, b in zip(records, again):
-            np.testing.assert_array_equal(a.data, b.data)
-            assert a.data is not b.data
+        buffer = records[0].data.base
+        assert buffer.shape == (len(nodes), result.report.n_steps + 1, 3)
+        for rec in records:
+            assert rec.data.base is buffer
+            assert np.shares_memory(rec.data, buffer)
 
     def test_run_memory_grows_only_with_its_native_rows(self):
-        # the tracemalloc peaks of a 250- and a 100-period lossy run: the
+        # the tracemalloc peaks of a 60- and a 25-period lossy run: the
         # longer run may add at most twice the native-record bytes it adds
-        # (an eagerly built period grid added 7.4 MiB against 0.43 MiB)
+        # (an eagerly built period grid added 1.7 MiB against 0.10 MiB;
+        # probe rows held as tuples, folded into blocks every 2048 steps,
+        # added 0.35 MiB)
         values = dict(config.builtin_scenarios()["kirchhoff"].values)
         peaks, native = [], []
-        for periods in (100.0, 250.0):
+        for periods in (25.0, 60.0):
             values["run.duration_periods"] = periods
             sc = config.scenario_from_config(config.ConfigDocument(values))
             tracemalloc.start()

@@ -14,7 +14,6 @@ from ductwave.oracles import (
     kirchhoff_alpha,
     kirchhoff_phase_speed,
     kirchhoff_propagate,
-    sample_period,
     shock_distance,
 )
 from ductwave.signals import MultiHarmonicSignal
@@ -32,17 +31,6 @@ class TestShockDistance:
             base / 2.0, rel=1e-14)
         assert shock_distance(1.0, 2000.0, air) == pytest.approx(
             base / 2.0, rel=1e-14)
-
-    def test_sample_period(self):
-        omega0 = 2.0 * math.pi
-        assert sample_period(omega0, 10) == pytest.approx(1.0 / 1024.0, rel=1e-14)
-        assert sample_period(omega0, 11) == pytest.approx(
-            sample_period(omega0, 10) / 2.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            sample_period(omega0, 3)
-        assert sample_period(omega0, 20) == 2.0 ** -20
-        with pytest.raises(ValueError, match="exceeds 20"):
-            sample_period(omega0, 21)
 
 
 class TestSimpleWave:
