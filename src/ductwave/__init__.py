@@ -21,19 +21,7 @@ from .boundaries import (
     outflow_update,
 )
 from .driver import RunReport, RunResult, Scenario, Simulation, run
-from .errors import (
-    BlowUpError,
-    ConfigError,
-    DuctwaveError,
-    InvalidCharacteristicsError,
-    InvalidStateError,
-    MisalignedWindowError,
-    OutOfValidityError,
-    ShockRegimeError,
-    SignalRangeError,
-    UndefinedReferenceError,
-    UnsupportedRegimeError,
-)
+from .errors import ConfigError, DuctwaveError
 from .gas import (
     GasModel,
     conserved_array,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MisalignedWindowError, UndefinedReferenceError
+from .errors import DuctwaveError
 
 P_REF_SPL = 2e-5   # standard pressure reference [Pa]
 
@@ -69,7 +69,7 @@ class _Series:
         first = _searchsorted(self.n_samples, time_of, t_lo - eps)
         stop = _searchsorted(self.n_samples, time_of, t_hi - eps)
         if first >= stop:
-            raise MisalignedWindowError(
+            raise DuctwaveError(
                 f"window [{t_lo}, {t_hi}) contains no samples"
             )
         return ProbeRecord(
@@ -248,12 +248,12 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
     period = 2.0 * math.pi / omega0
     n_periods = m_samples * record.tau / period
     if abs(n_periods - round(n_periods)) > 1e-6 or round(n_periods) < 1:
-        raise MisalignedWindowError(
+        raise DuctwaveError(
             f"window covers {n_periods:.6f} periods; integer count required"
         )
     floor = min_samples_per_period(k_max)
     if m_samples / n_periods < floor:
-        raise MisalignedWindowError(
+        raise DuctwaveError(
             f"{m_samples / n_periods:.0f} samples/period under the"
             f" anti-aliasing floor {floor} for K_max={k_max}"
         )
@@ -293,5 +293,5 @@ def relative_error(series_a, series_b, norm: str = "l2") -> float:
     else:
         raise ValueError(f"unknown norm {norm!r}")
     if ref == 0.0:
-        raise UndefinedReferenceError("reference series has zero norm")
+        raise DuctwaveError("reference series has zero norm")
     return diff / ref

@@ -20,7 +20,8 @@ States are conserved (3,) rows, read as plain floats: the update, foot
 point included, works on plain numbers and returns the new row.
 Each check (positive imposed pressure and external sound speed, positive
 density and internal energy at the node and at its foot point, |u| < c
-at the node, r_plus > r_minus) names the boundary node in its error.
+at the node, r_plus > r_minus) raises a DuctwaveError whose message
+names the cause and the boundary node.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidStateError, UnsupportedRegimeError
+from .errors import DuctwaveError
 from .gas import GasModel, primitive_from_characteristics
 
 
@@ -37,7 +38,7 @@ def _external(u_e: float, gas: GasModel, node: int) -> float:
     """Sound speed c_e of the linearized external state moving at u_e."""
     c_e = gas.c0 + 0.5 * (gas.gamma - 1.0) * u_e
     if c_e <= 0.0:
-        raise UnsupportedRegimeError(
+        raise DuctwaveError(
             f"external sound speed must be positive at boundary node {node}:"
             f" c_e={c_e:.3f} for u_e={u_e:.3f}")
     return c_e
@@ -61,12 +62,12 @@ def _node_state(w, gas: GasModel, node: int):
     """(rho, u, p, c) of a conserved row of floats at boundary node `node`."""
     rho, mom, etot = w
     if not (rho > 0.0):
-        raise InvalidStateError(f"non-positive density {rho}", node=node)
+        raise DuctwaveError(f"non-positive density {rho}", node=node)
     u = mom / rho
     e_int = etot - mom ** 2 / (2.0 * rho)
     if not (e_int > 0.0):
-        raise InvalidStateError(f"non-positive internal energy {e_int}",
-                                node=node)
+        raise DuctwaveError(f"non-positive internal energy {e_int}",
+                            node=node)
     p = (gas.gamma - 1.0) * e_int
     return rho, u, p, math.sqrt(gas.gamma * p / rho)
 
@@ -81,7 +82,7 @@ def _characteristic_update(w_b, w_n, u_e: float, side: int, gas: GasModel,
     c_e = _external(u_e, gas, node)
     _, u, _, c = _node_state(w_b, gas, node)
     if abs(u) >= c:
-        raise UnsupportedRegimeError(
+        raise DuctwaveError(
             f"supersonic state at boundary node {node}: |u|={abs(u):.3f}"
             f" >= c={c:.3f}")
     foot = foot_point((w_b, w_n), u + side * c, dt, dx)
@@ -101,7 +102,7 @@ def inflow_update_pressure(pi_val: float, w0, w1, gas: GasModel, dt: float,
     w0, w1 are the conserved rows at nodes 0 and 1 at the current level.
     """
     if pi_val <= 0.0:
-        raise UnsupportedRegimeError(
+        raise DuctwaveError(
             f"imposed pressure must be positive at boundary node 0:"
             f" pi={pi_val:.3f} Pa")
     u_e = (pi_val - gas.p0) / (gas.rho0 * gas.c0)

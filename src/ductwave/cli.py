@@ -7,11 +7,11 @@ Subcommands:
   compare               error metrics between two CSV tables
   scenario              emit a built-in preset as a config document
 
-Exit codes: 0 success, 2 configuration/usage errors, 3 simulation or
-oracle domain errors (blow-up, shock regime), 4 I/O failures. Output
-files are deterministic; timing goes to stdout only. Errors go to
-stderr, one line each. A `run` that fails removes the output directory it
-created.
+Exit codes: 0 success, 2 configuration/usage errors (ConfigError), 3
+any other DuctwaveError: simulation or oracle domain errors (blow-up,
+shock regime), 4 I/O failures. Output files are deterministic; timing
+goes to stdout only. Errors go to stderr, one line each. A `run` that
+fails removes the output directory it created.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .config import (
     serialize_config,
 )
 from .csvio import read_csv, write_csv
-from .errors import ConfigError, DuctwaveError, ShockRegimeError
+from .errors import ConfigError, DuctwaveError
 from .gas import GasModel
 from .signals import MultiHarmonicSignal
 
@@ -110,22 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_samples(path):
-    header, body = read_csv(path)
-    if body.shape[1] < 2:
-        raise ConfigError(f"{path}: need two columns (t_s, value)")
-    if not np.isfinite(body[:, :2]).all():
-        raise ConfigError(f"{path}: sample times and values must be finite")
-    t = body[:, 0]
-    dta = np.diff(t)
-    if dta.size == 0 or not np.allclose(dta, dta[0], rtol=1e-9, atol=0.0):
-        raise ConfigError(f"{path}: sample times must be uniform")
-    if abs(t[0]) > 1e-9 * abs(dta[0]):
-        raise ConfigError(
-            f"{path}: sample times must start at t = 0, got {float(t[0])!r}")
-    return float(dta[0]), [float(v) for v in body[:, 1]]
-
-
 def cmd_run(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     doc = parse_config(text)
@@ -133,7 +117,7 @@ def cmd_run(args) -> int:
         "run.losses": None if args.losses is None else args.losses == "on",
         "run.cfl": args.cfl,
     })
-    scenario = scenario_from_config(doc, samples_loader=_load_samples)
+    scenario = scenario_from_config(doc)
 
     out_dir = Path(args.out)
     # the directories this call makes, innermost first, go if the run fails
@@ -248,7 +232,7 @@ def cmd_oracle_characteristics(args) -> int:
     per_period = 2 ** args.sampling_exponent
     gas = GasModel()
     if args.s >= 1.0:
-        raise ShockRegimeError(
+        raise DuctwaveError(
             f"s = {args.s} >= 1: station at or beyond the shock-formation"
             " distance; the pre-shock oracle does not apply"
         )

@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import analysis, driver, scheme
+from .csvio import read_csv
 from .errors import ConfigError
 from .gas import GasModel
 from .signals import MultiHarmonicSignal, SampledSignal
@@ -191,19 +194,36 @@ _SHAPE_KEYS = {
 }
 
 
-def _build_signal(doc: ConfigDocument, samples_loader=None):
+def _load_samples(path) -> SampledSignal:
+    """The tabulated inflow of a CSV file whose first two columns are
+    (t_s, value): at least two finite samples, at uniform times from 0."""
+    _, body = read_csv(path)
+    if body.shape[1] < 2:
+        raise ConfigError(f"{path}: need two columns (t_s, value)")
+    if body.shape[0] < 2:
+        raise ConfigError(f"{path}: need at least two samples,"
+                          f" got {body.shape[0]}")
+    if not np.isfinite(body[:, :2]).all():
+        raise ConfigError(f"{path}: sample times and values must be finite")
+    t = body[:, 0]
+    dta = np.diff(t)
+    if not np.allclose(dta, dta[0], rtol=1e-9, atol=0.0):
+        raise ConfigError(f"{path}: sample times must be uniform")
+    if abs(t[0]) > 1e-9 * abs(dta[0]):
+        raise ConfigError(
+            f"{path}: sample times must start at t = 0, got {float(t[0])!r}")
+    return SampledSignal(dtau=float(dta[0]),
+                         values=tuple(float(v) for v in body[:, 1]))
+
+
+def _build_signal(doc: ConfigDocument):
     shape = doc.require("inflow.shape")
     for key in ("inflow.amplitude", "inflow.frequency_hz",
                 "inflow.harmonics", "inflow.samples_file"):
         if key in doc and key not in _SHAPE_KEYS[shape]:
             raise ConfigError(f"{key} is not read by inflow.shape = {shape}")
     if shape == "samples":
-        path = doc.require("inflow.samples_file")
-        if samples_loader is None:
-            raise ConfigError("a samples loader is required for"
-                              " inflow.shape = samples")
-        dtau, values = samples_loader(path)
-        return SampledSignal(dtau=dtau, values=tuple(values))
+        return _load_samples(doc.require("inflow.samples_file"))
     if shape == "sine":
         comps = ((1, doc.require("inflow.amplitude"), 0.0),)
     else:
@@ -217,12 +237,11 @@ def _gas_key(name: str) -> str:
     return "gas.k" if name == "k_cond" else f"gas.{name}"
 
 
-def scenario_from_config(doc: ConfigDocument,
-                         samples_loader=None) -> driver.Scenario:
+def scenario_from_config(doc: ConfigDocument) -> driver.Scenario:
     """Assemble a Scenario, applying defaults for omitted optional keys.
 
-    samples_loader(path) -> (dtau, values) supplies tabulated inflow
-    signals; the CLI wires it to a two-column CSV reader.
+    inflow.samples_file is read here, as a CSV of (t_s, value) rows; a
+    table that ends before the run's last step is refused.
     """
     try:
         gas = GasModel(**{f.name: doc.get(_gas_key(f.name))
@@ -240,7 +259,7 @@ def scenario_from_config(doc: ConfigDocument,
         scenario = driver.Scenario(
             gas=gas, grid=grid, geom=geom,
             inflow_kind=doc.require("inflow.kind"),
-            inflow=_build_signal(doc, samples_loader),
+            inflow=_build_signal(doc),
             losses=doc.require("run.losses"),
             duration_s=doc.get("run.duration_s"),
             duration_periods=doc.get("run.duration_periods"),

@@ -53,9 +53,10 @@ from .analysis import (
     period_grid,
 )
 from .boundaries import inflow_update_pressure, inflow_update_velocity, outflow_update
-from .errors import BlowUpError, DuctwaveError
+from .errors import DuctwaveError
 from .gas import GasModel, conserved_array, primitive_arrays
 from .scheme import DuctGeometry, Grid, lax_wendroff_update
+from .signals import SampledSignal
 
 PRESSURE = "pressure"
 VELOCITY = "velocity"
@@ -67,7 +68,8 @@ class Scenario:
     duration is given either in seconds or in fundamental periods of the
     inflow signal (exactly one of the two). cfl fixes the frozen time step
     cfl * dx / c0; the flow speed is not known before the run, so a run
-    that outruns it fails and names the Courant number it reached.
+    that outruns it fails and names the Courant number it reached. A
+    tabulated inflow must reach the time of the last step.
     """
 
     gas: GasModel
@@ -100,6 +102,13 @@ class Scenario:
             raise ValueError(
                 "duration_periods needs an inflow signal with a period")
         check_sampling_exponent(self.sampling_exponent)
+        if isinstance(self.inflow, SampledSignal):
+            n_steps = step_count(self)
+            last = n_steps * frozen_dt(self)
+            if last > self.inflow.duration * (1.0 + 1e-12):
+                raise ValueError(
+                    f"inflow samples end at t = {self.inflow.duration!r} s,"
+                    f" before step {n_steps}, the last, at t = {last!r} s")
 
     @property
     def fundamental_period(self) -> float | None:
@@ -139,11 +148,19 @@ def frozen_dt(scenario: Scenario) -> float:
     return scenario.cfl * scenario.grid.dx / scenario.gas.c0
 
 
+def step_count(scenario: Scenario) -> int:
+    """Steps of a run: the fewest steps of frozen_dt that cover its
+    duration, so the last step time n_steps * dt may pass the duration by
+    up to one dt."""
+    return int(math.ceil(scenario.duration / frozen_dt(scenario) - 1e-9))
+
+
 def _checked_primitives(w: np.ndarray, gas: GasModel):
     """primitive_arrays(w, gas) of a field with positive density and
-    pressure and finite rows, else BlowUpError naming the first bad node.
-    A healthy field passes on three reductions; only a failing one builds
-    the per-node mask, silencing the float warnings of broken rows."""
+    pressure and finite rows, else a DuctwaveError naming the first bad
+    node. A healthy field passes on three reductions; only a failing one
+    builds the per-node mask, silencing the float warnings of broken
+    rows."""
     rho = w[:, 0]
     if rho.min() > 0.0 and np.isfinite(w).all():
         prim = primitive_arrays(w, gas)
@@ -152,7 +169,7 @@ def _checked_primitives(w: np.ndarray, gas: GasModel):
     with np.errstate(all="ignore"):
         p = primitive_arrays(w, gas)[2]
         bad = ~(np.isfinite(w).all(axis=1) & (rho > 0.0) & (p > 0.0))
-    raise BlowUpError("state lost positivity", node=int(np.argmax(bad)))
+    raise DuctwaveError("state lost positivity", node=int(np.argmax(bad)))
 
 
 class Simulation:
@@ -230,7 +247,7 @@ def run(scenario: Scenario,
     """
     started = time.perf_counter()
     sim = Simulation(scenario, initial_field=initial_field)
-    n_steps = int(math.ceil(scenario.duration / sim.dt - 1e-9))
+    n_steps = step_count(scenario)
     grid = scenario.grid
     nodes = np.array(list(dict.fromkeys(
         grid.nearest_node(x) for x in scenario.probes)), dtype=np.intp)

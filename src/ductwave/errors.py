@@ -1,59 +1,25 @@
-"""Exception hierarchy for the ductwave package.
+"""The two errors of the ductwave package.
 
-Invalid gas states raise InvalidStateError or a subclass, naming the node;
-inside the time loop of `driver.run` any error also names step and t/T0,
-and the Courant number of the last good level.
+A ConfigError is a configuration, flag or input file the package refuses
+before any work (the CLI exits 2). Every other failure is a DuctwaveError
+(exit 3) whose message names its physical cause: a state that lost
+positivity, a boundary that left the subsonic regime, an oracle outside
+its validity, a misaligned window. No caller tells the causes apart, so a
+new cause gets a new message, not a new class. A failure at a node names
+it, as the suffix "(node N)" and as `.node`; inside the time loop of
+`driver.run` any error also names step and t/T0, and the Courant number
+of the last good level.
 """
 
 
 class DuctwaveError(Exception):
-    """Base class for all ductwave errors."""
-
-
-class InvalidStateError(DuctwaveError):
-    """A gas state violates positivity of density or internal energy.
-
-    Carries optional node context so the failure can be located.
-    """
+    """A failure of the package; node, when given, is the node it names."""
 
     def __init__(self, message, node=None):
         if node is not None:
             message = f"{message} (node {node})"
         super().__init__(message)
         self.node = node
-
-
-class InvalidCharacteristicsError(InvalidStateError):
-    """Riemann invariants with r_plus <= r_minus (non-positive sound speed)."""
-
-
-class BlowUpError(InvalidStateError):
-    """A field with a non-positive density or pressure or a non-finite row;
-    node is the first such node."""
-
-
-class UnsupportedRegimeError(DuctwaveError):
-    """Boundary state left the subsonic regime the characteristic update assumes."""
-
-
-class ShockRegimeError(DuctwaveError):
-    """Simple-wave oracle evaluated at or beyond the shock-formation distance."""
-
-
-class OutOfValidityError(DuctwaveError):
-    """Wide-tube dispersion correction outside its validity range."""
-
-
-class MisalignedWindowError(DuctwaveError):
-    """Signal window does not cover an integer number of periods."""
-
-
-class UndefinedReferenceError(DuctwaveError):
-    """Relative error requested against a zero-norm reference."""
-
-
-class SignalRangeError(DuctwaveError):
-    """Sampled inflow signal evaluated beyond its tabulated range."""
 
 
 class ConfigError(DuctwaveError):

@@ -13,7 +13,8 @@ per state, on the initial field and then on each field whose boundary
 rows are written, and checks the state on those arrays
 (`driver.Simulation`); they serve the wall memory, the probes and the
 next interior update. The boundaries check the nodes they read and the
-rows they rebuild.
+rows they rebuild. A failed check is a DuctwaveError whose message
+names the cause and the node.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCharacteristicsError, InvalidStateError
+from .errors import DuctwaveError
 
 
 @dataclass(frozen=True)
@@ -89,13 +90,12 @@ def primitive_from_characteristics(r_plus: float, r_minus: float,
     S = p / rho^gamma, as plain numbers.
 
     u is the mean of the invariants, c their scaled difference, and rho
-    follows from c^2 = gamma * S * rho^(gamma-1). Raises
-    InvalidCharacteristicsError unless r_plus > r_minus, and
-    InvalidStateError if the rebuilt density or pressure is not positive;
-    both name node when it is given.
+    follows from c^2 = gamma * S * rho^(gamma-1). Raises DuctwaveError
+    unless r_plus > r_minus and the rebuilt density and pressure are
+    positive, naming node when it is given.
     """
     if not (r_plus > r_minus):
-        raise InvalidCharacteristicsError(
+        raise DuctwaveError(
             f"r_plus={r_plus} must exceed r_minus={r_minus}", node=node)
     gm1 = gas.gamma - 1.0
     u = 0.5 * (r_plus + r_minus)
@@ -103,6 +103,6 @@ def primitive_from_characteristics(r_plus: float, r_minus: float,
     rho = (c * c / (gas.gamma * entropy)) ** (1.0 / gm1)
     p = entropy * rho ** gas.gamma
     if not (rho > 0.0 and p > 0.0):
-        raise InvalidStateError(
+        raise DuctwaveError(
             f"non-positive rebuilt state rho={rho}, p={p}", node=node)
     return rho, u, p

@@ -14,6 +14,10 @@ consistent completion (1/h) sqrt(omega/(2 c0)), which coincides with the
 classical wide-tube result sqrt(nu omega/2)/(h c0) (1 + (g-1)/sqrt(Pr)).
 The "printed" mode evaluates the anomalous factor verbatim and exists
 for documentation only.
+
+Outside its validity each oracle raises a DuctwaveError naming the
+cause: a station at or beyond the shock-formation distance, or a
+dispersion correction of 0.5 or more.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfValidityError, ShockRegimeError
+from .errors import DuctwaveError
 from .gas import GasModel
 
 PRINTED = "printed"
@@ -42,9 +46,10 @@ def shock_distance(u0_amp: float, omega0: float, gas: GasModel) -> float:
 class SimpleWaveProblem:
     """Exact pre-shock simple wave driven by a velocity signal at x = 0.
 
-    The signal object must provide value(t), derivative(t) and bounds
-    peak() / max_rate(). Construction refuses stations at or beyond the
-    shock-formation distance implied by the signal's steepest slope.
+    The signal is a MultiHarmonicSignal: the oracle reads its value(t),
+    derivative(t) and bounds peak() / max_rate(). Construction refuses
+    stations at or beyond the shock-formation distance implied by the
+    signal's steepest slope.
     """
 
     signal: object
@@ -58,7 +63,7 @@ class SimpleWaveProblem:
         if rate > 0.0 and self.station > 0.0:
             l_shock = 2.0 * self.gas.c0 ** 2 / ((self.gas.gamma + 1.0) * rate)
             if self.station >= l_shock:
-                raise ShockRegimeError(
+                raise DuctwaveError(
                     f"station {self.station:.4g} m is at s ="
                     f" {self.station / l_shock:.3f} >= 1 (L_shock ="
                     f" {l_shock:.4g} m)"
@@ -112,7 +117,7 @@ class SimpleWaveProblem:
             if not stepped:
                 t0 = 0.5 * (lo + hi)
             f = residual(t0)
-        raise ShockRegimeError(
+        raise DuctwaveError(
             f"emission-time iteration stalled at t={t:.6g} (residual {f:.3g});"
             " station likely beyond the simple-wave regime"
         )
@@ -168,7 +173,7 @@ def kirchhoff_phase_speed(model: KirchhoffModel, omega: float) -> float:
     else:
         delta = kirchhoff_alpha(model, omega) * model.gas.c0 / omega
     if delta >= 0.5:
-        raise OutOfValidityError(
+        raise DuctwaveError(
             f"dispersion correction {delta:.3f} >= 0.5; wide-tube expansion"
             " invalid at this frequency/radius"
         )

@@ -4,8 +4,9 @@ A signal is the time-dependent boundary datum at x = 0: either a velocity
 u0(t) [m/s] or the acoustic part of a pressure pi(t) - p0 [Pa], depending
 on the scenario's inflow kind. There are two families: a sum of harmonics
 of a fundamental (a sine is the one-component sum (1, amplitude, 0.0)),
-and a tabulated series. Both expose value(t) and derivative(t) plus
-amplitude/rate bounds, which the simple-wave oracle uses for its shock
+and a tabulated series. Both expose value(t) and the rate bound
+max_rate(). The sum also gives derivative(t) and the amplitude bound
+peak(), which with max_rate() the simple-wave oracle uses for its shock
 distance and to bracket its emission-time solve.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SignalRangeError
+from .errors import DuctwaveError
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class SampledSignal:
 
     Evaluation uses linear interpolation; asking for a time outside the
     table is an error so that an under-covered run fails loudly instead of
-    extrapolating.
+    extrapolating (a Scenario refuses a table that ends before its last
+    step).
     """
 
     dtau: float
@@ -86,24 +88,13 @@ class SampledSignal:
 
     def value(self, t: float) -> float:
         if t < 0.0 or t > self.duration * (1.0 + 1e-12):
-            raise SignalRangeError(
+            raise DuctwaveError(
                 f"t={t} outside sampled range [0, {self.duration}]"
             )
         pos = min(t / self.dtau, len(self.values) - 1.0)
         i = min(int(pos), len(self.values) - 2)
         frac = pos - i
         return self.values[i] + frac * (self.values[i + 1] - self.values[i])
-
-    def derivative(self, t: float) -> float:
-        if t < 0.0 or t > self.duration * (1.0 + 1e-12):
-            raise SignalRangeError(
-                f"t={t} outside sampled range [0, {self.duration}]"
-            )
-        i = min(int(t / self.dtau), len(self.values) - 2)
-        return (self.values[i + 1] - self.values[i]) / self.dtau
-
-    def peak(self) -> float:
-        return max(abs(v) for v in self.values)
 
     def max_rate(self) -> float:
         diffs = np.diff(np.asarray(self.values))

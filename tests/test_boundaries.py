@@ -12,11 +12,7 @@ from ductwave.boundaries import (
     inflow_update_velocity,
     outflow_update,
 )
-from ductwave.errors import (
-    InvalidCharacteristicsError,
-    InvalidStateError,
-    UnsupportedRegimeError,
-)
+from ductwave.errors import DuctwaveError
 from ductwave.gas import conserved_array, primitive_arrays
 
 DT = 2e-5
@@ -100,12 +96,14 @@ class TestExternalState:
 
     def test_invalid_pressure_rejected(self, air):
         w = _rest(air)
-        with pytest.raises(UnsupportedRegimeError,
-                           match="imposed pressure .*node 0:"):
+        with pytest.raises(DuctwaveError,
+                           match="^imposed pressure must be positive at"
+                                 " boundary node 0:"):
             inflow_update_pressure(0.0, w, w, air, DT, DX)
         # c_e = c0 + (g-1)/2 u_e must stay positive
-        with pytest.raises(UnsupportedRegimeError,
-                           match="external sound speed .*node 0:"):
+        with pytest.raises(DuctwaveError,
+                           match="^external sound speed must be positive at"
+                                 " boundary node 0:"):
             inflow_update_velocity(-2000.0, w, w, air, DT, DX)
 
 
@@ -213,7 +211,8 @@ class TestInflowUpdates:
 
     def test_supersonic_boundary_rejected(self, air):
         fast = conserved_array(1.2, 500.0, 101325.0, air)
-        with pytest.raises(UnsupportedRegimeError, match="node 0:"):
+        with pytest.raises(DuctwaveError,
+                           match="^supersonic state at boundary node 0:"):
             inflow_update_velocity(0.0, fast, fast, air, DT, DX)
 
 
@@ -252,7 +251,8 @@ class TestOutflowUpdate:
 
     def test_supersonic_rejected(self, air):
         fast = conserved_array(1.2, 400.0, 101325.0, air)
-        with pytest.raises(UnsupportedRegimeError, match=f"node {J_OUT}:"):
+        with pytest.raises(DuctwaveError, match="^supersonic state at"
+                                                f" boundary node {J_OUT}:"):
             outflow_update(fast, fast, air, DT, DX, J_OUT)
 
 
@@ -274,8 +274,8 @@ class TestFailuresNameTheNode:
     """
 
     def test_non_positive_foot_state(self, air, update, node):
-        with pytest.raises(InvalidStateError,
-                           match=rf"non-positive density .*\(node {node}\)"):
+        with pytest.raises(DuctwaveError,
+                           match=rf"^non-positive density .*\(node {node}\)$"):
             update(_rest(air), np.array([-1.0, 0.0, 1e5]), air, 2 * DX / air.c0)
 
     def test_crossed_invariants(self, air, update, node):
@@ -283,6 +283,6 @@ class TestFailuresNameTheNode:
         # outgoing invariant beyond the incoming one: r_plus <= r_minus
         u_foot = 4000.0 if node == 0 else -4000.0
         foot = conserved_array(air.rho0, u_foot, air.p0, air)
-        with pytest.raises(InvalidCharacteristicsError,
-                           match=rf"\(node {node}\)"):
+        with pytest.raises(DuctwaveError,
+                           match=rf"must exceed r_minus=.* \(node {node}\)$"):
             update(_rest(air), foot, air, 2 * DX / air.c0)

@@ -20,6 +20,7 @@ from ductwave.cli import (
     EXIT_RUNTIME,
     main,
 )
+from ductwave.config import builtin_scenarios, serialize_config
 from ductwave.csvio import read_csv, write_csv
 from ductwave.errors import ConfigError
 from ductwave.gas import GasModel
@@ -85,6 +86,25 @@ _INVALID_VALUES = [
     ("inflow.amplitude", "0.5", "samples"),
     ("inflow.frequency_hz", "2000.0", "samples"),
 ]
+
+
+def _kirchhoff_sampled(tmp_path, n_rows):
+    """The kirchhoff preset run for 0.01 s (314 steps, the last at
+    t = 0.0100084 s) on a table of n_rows inflow samples 1e-5 s apart."""
+    samples = tmp_path / "u.csv"
+    write_csv(samples, ["t_s", "u_mps"],
+              [(i * 1e-5, 0.02 * math.sin(2e3 * math.pi * i * 1e-5))
+               for i in range(n_rows)])
+    text = serialize_config(builtin_scenarios()["kirchhoff"])
+    lines = [ln for ln in text.splitlines()
+             if not ln.startswith(("inflow.shape", "inflow.amplitude",
+                                   "inflow.frequency_hz",
+                                   "run.duration_periods"))]
+    path = tmp_path / "ks.cfg"
+    path.write_text("\n".join(lines + [
+        "inflow.shape = samples", f"inflow.samples_file = {samples}",
+        "run.duration_s = 0.01"]) + "\n", encoding="utf-8")
+    return path
 
 
 @pytest.fixture
@@ -289,6 +309,30 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_OK
 
+    # a table of 2 ms, and one that ends at the duration but before the
+    # last step, which may pass the duration by up to one dt
+    @pytest.mark.parametrize("n_rows, end", [(201, "0.002"), (1001, "0.01")])
+    def test_samples_ending_before_the_last_step_exit_before_any_step(
+            self, tmp_path, capsys, n_rows, end):
+        cfg = _kirchhoff_sampled(tmp_path, n_rows)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"error: inflow samples end at t = {end} s, before step 314,"
+            " the last, at t = 0.0100084")
+        assert not out.exists()
+
+    def test_samples_reaching_the_last_step_run(self, tmp_path, capsys):
+        cfg = _kirchhoff_sampled(tmp_path, 1101)    # ends at 0.011 s
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_OK
+        assert "run complete: 314 steps" in capsys.readouterr().out
+        assert "steps = 314" in (out / "kirchhoff_report.txt").read_text()
+
     def test_negative_external_sound_speed_exits_with_runtime_code(
             self, tmp_path, capsys):
         # u_e = -2000 m/s puts c_e = c0 + (g-1)/2 u_e below zero
@@ -446,6 +490,15 @@ class TestOracleKirchhoff:
         assert alpha == pytest.approx(
             kirchhoff_alpha(model, 2.0 * math.pi * 1000.0), rel=1e-12)
 
+    def test_out_of_validity_exits_with_runtime_code(self, tmp_path, capsys):
+        out = tmp_path / "kir"
+        assert main(["oracle-kirchhoff", "--freq", "10", "--h", "0.0001",
+                     "--out", str(out)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "error: dispersion correction 8.455 >= 0.5; wide-tube expansion"
+            " invalid at this frequency/radius\n")
+        assert not out.exists()
+
 
 _ORACLE_ARGS = {
     "oracle-kirchhoff": {"--freq": "1000", "--h": "0.005"},
@@ -523,6 +576,15 @@ class TestCompare:
         write_csv(a, ["t_s", "u_mps"], [(0.0, 1.0)])
         write_csv(b, ["t_s", "u_mps"], [(0.0, 1.0), (0.1, 2.0)])
         assert main(["compare", str(a), str(b)]) == EXIT_CONFIG
+
+    def test_zero_reference_exits_with_runtime_code(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_csv(a, ["t_s", "u_mps"], [(i * 0.1, 1.0) for i in range(4)])
+        write_csv(b, ["t_s", "u_mps"], [(i * 0.1, 0.0) for i in range(4)])
+        assert main(["compare", str(a), str(b)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            "error: reference series has zero norm\n"
 
 
 class TestCsvRoundTrip:

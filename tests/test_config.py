@@ -12,9 +12,10 @@ from ductwave.config import (
     scenario_from_config,
     serialize_config,
 )
+from ductwave.csvio import write_csv
 from ductwave.driver import Scenario
 from ductwave.errors import ConfigError
-from ductwave.signals import MultiHarmonicSignal
+from ductwave.signals import MultiHarmonicSignal, SampledSignal
 
 MINIMAL = """
 # minimal runnable document
@@ -135,6 +136,32 @@ class TestScenarioConstruction:
         sc = scenario_from_config(over)
         assert sc.losses is False
         assert sc.cfl == 0.5
+
+    @staticmethod
+    def _sampled(tmp_path, rows):
+        """MINIMAL run for 1 ms on the table `rows` of (t_s, u_mps)."""
+        path = tmp_path / "u.csv"
+        write_csv(path, ["t_s", "u_mps"], rows)
+        lines = [ln for ln in MINIMAL.splitlines()
+                 if not ln.startswith(("inflow.", "run.duration_periods"))]
+        return "\n".join(lines + [
+            "inflow.kind = velocity", "inflow.shape = samples",
+            f"inflow.samples_file = {path}", "run.duration_s = 1e-3"]) + "\n"
+
+    def test_samples_file_read_without_the_cli(self, tmp_path):
+        values = [0.5 * math.sin(0.3 * i) for i in range(21)]
+        text = self._sampled(tmp_path,
+                             [(i * 1e-4, v) for i, v in enumerate(values)])
+        sc = scenario_from_config(parse_config(text))
+        assert isinstance(sc.inflow, SampledSignal)
+        assert sc.inflow.dtau == 1e-4
+        assert sc.inflow.values == tuple(values)
+
+    def test_one_sample_is_refused_as_too_few(self, tmp_path):
+        text = self._sampled(tmp_path, [(0.0, 0.5)])
+        with pytest.raises(ConfigError,
+                           match=r"u\.csv: need at least two samples, got 1$"):
+            scenario_from_config(parse_config(text))
 
 
 class TestPresets:

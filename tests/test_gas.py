@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ductwave.boundaries import inflow_update_velocity, outflow_update
-from ductwave.errors import InvalidCharacteristicsError, InvalidStateError
+from ductwave.errors import DuctwaveError
 from ductwave.gas import (
     GasModel,
     conserved_array,
@@ -85,21 +85,30 @@ class TestConversions:
             lambda w: outflow_update(w, w, air, 2e-5, 0.01, node=9),
         )
         for update in updates:
-            with pytest.raises(InvalidStateError, match="non-positive density"):
+            with pytest.raises(DuctwaveError, match=r"^non-positive density"
+                                                    r" .* \(node \d+\)$"):
                 update(np.array([-1.0, 0.0, 1e5]))
-            with pytest.raises(InvalidStateError, match="internal energy"):
+            with pytest.raises(DuctwaveError,
+                               match=r"^non-positive internal energy .*"
+                                     r" \(node \d+\)$"):
                 update(np.array([1.0, 100.0, 100.0 ** 2 / 2.0]))
         # the characteristic inverse: positive sound speed and density
-        with pytest.raises(InvalidCharacteristicsError):
+        with pytest.raises(DuctwaveError,
+                           match=r"^r_plus=1\.0 must exceed r_minus=2\.0$"):
             primitive_from_characteristics(1.0, 2.0, air.s0, air)
-        with pytest.raises(InvalidStateError, match="non-positive rebuilt"):
+        with pytest.raises(DuctwaveError, match="^non-positive rebuilt"):
             primitive_from_characteristics(1e-150, 0.0, air.s0, air)
 
     def test_error_carries_node_context(self, air):
-        with pytest.raises(InvalidStateError, match=r"\(node 7\)"):
+        with pytest.raises(DuctwaveError, match=r"^non-positive rebuilt"
+                                                r" .*\(node 7\)$") as err:
             primitive_from_characteristics(1e-150, 0.0, air.s0, air, node=7)
-        with pytest.raises(InvalidCharacteristicsError, match=r"\(node 7\)"):
+        assert err.value.node == 7
+        with pytest.raises(DuctwaveError,
+                           match=r"^r_plus=1\.0 must exceed r_minus=1\.0"
+                                 r" \(node 7\)$") as err:
             primitive_from_characteristics(1.0, 1.0, air.s0, air, node=7)
+        assert err.value.node == 7
 
     @given(rho=finite_rho, u=finite_u, p=finite_p)
     def test_round_trip_primitive_conserved(self, rho, u, p):
@@ -167,7 +176,7 @@ class TestCharacteristics:
                                                                rel=1e-13)
 
     def test_degenerate_triple_rejected(self, air):
-        with pytest.raises(InvalidCharacteristicsError):
+        with pytest.raises(DuctwaveError, match="must exceed r_minus"):
             primitive_from_characteristics(1.0, 1.0, 1e5, air)
 
 

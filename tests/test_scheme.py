@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ductwave import driver
-from ductwave.errors import BlowUpError
+from ductwave.errors import DuctwaveError
 from ductwave.gas import conserved_array, primitive_arrays
 from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
@@ -256,7 +256,8 @@ class TestLaxWendroffUpdate:
         g[:, 2] = -1e12    # drain energy violently
         new = lax_wendroff_update(field, g, zeros, air, grid, 1e-3,
                                   primitive_arrays(field, air))
-        with pytest.raises(BlowUpError) as err:
+        with pytest.raises(DuctwaveError, match=r"^state lost positivity"
+                                                r" \(node \d+\)$") as err:
             driver._checked_primitives(new, air)
         assert 1 <= err.value.node <= 11
 
@@ -300,7 +301,8 @@ class TestLaxWendroffUpdate:
         node = int(np.argmax(speed))
         courant = speed[node] * dt / sc.grid.dx
         monkeypatch.setattr(driver, "lax_wendroff_update", faulty)
-        with pytest.raises(BlowUpError) as err:
+        with pytest.raises(DuctwaveError,
+                           match="^state lost positivity") as err:
             driver.run(sc)
         assert err.value.node == 7
         assert str(err.value).endswith(
