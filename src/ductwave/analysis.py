@@ -112,7 +112,10 @@ class ProbeRecord(_Series):
 class PeriodGridRecord(_Series):
     """A native record read on a finer or coarser grid of step tau:
     sample m is the native series linearly interpolated at
-    t_start + m * tau, for m = 0..n_samples-1.
+    t_start + m * tau, for m = 0..n_samples-1. The grid may not read
+    past the native record: its last time (n_samples - 1) * tau passes
+    the native record's last time by at most 1e-9 of itself, the slack of
+    period_grid (1e-9 of a period, and a grid spans whole periods).
 
     Nothing of the grid is kept. samples(lo, hi) interpolates those
     samples _RESAMPLE_CHUNK at a time, each chunk from the native
@@ -129,6 +132,14 @@ class PeriodGridRecord(_Series):
             raise ValueError("sample period must be positive")
         if self.n_samples < 1:
             raise ValueError("a period grid needs at least one sample")
+        last = (self.n_samples - 1) * self.tau
+        span = (self.native.n_samples - 1) * self.native.tau
+        # the form of period_grid's floor(span / period + 1e-9), so a
+        # one-period grid is judged exactly as period_grid judged it
+        if last > 0.0 and span / last + 1e-9 < 1.0:
+            raise ValueError(
+                f"a period grid to t = {last!r} after its start reads past"
+                f" the native record, which ends at {span!r}")
 
     @property
     def station_index(self) -> int:

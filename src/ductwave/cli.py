@@ -104,7 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sc = sub.add_parser("scenario", help="emit a built-in preset")
     p_sc.add_argument("name", choices=sorted(builtin_scenarios()))
-    p_sc.add_argument("--emit-config", action="store_true")
     p_sc.add_argument("--out", help="write to file instead of stdout")
     p_sc.set_defaults(func=cmd_scenario)
     return parser

@@ -4,7 +4,8 @@ Format: one `section.key = value` assignment per line, `#` comments,
 blank lines ignored. Every key is declared in a registry with its type;
 unknown keys are rejected with the offending line number, as are
 duplicates and non-finite numbers. Serialization is canonical (registry
-order, repr floats), so parse and serialize are mutual inverses.
+order, repr floats) and refuses a value its text would not give back, so
+parse and serialize are mutual inverses.
 """
 
 from __future__ import annotations
@@ -178,11 +179,23 @@ def parse_config(text: str) -> ConfigDocument:
 
 
 def serialize_config(doc: ConfigDocument) -> str:
-    """Canonical text form: registry order, one assignment per line."""
+    """Canonical text form: registry order, one assignment per line. Each
+    line is parsed back, and a value it does not reproduce (a string with
+    a '#', a line break or edge whitespace, a non-finite number, a float
+    in an integer key) is a ConfigError naming its key."""
     lines = []
     for key, (_, fmt) in KEY_SPECS.items():
         if key in doc.values:
-            lines.append(f"{key} = {fmt(doc.values[key])}")
+            value = doc.values[key]
+            line = f"{key} = {fmt(value)}"
+            try:
+                same = parse_config(line).values == {key: value}
+            except ConfigError:
+                same = False
+            if not same:
+                raise ConfigError(
+                    f"{key} = {value!r} would not parse back from its text")
+            lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,12 @@
 """Time-loop orchestration of the coupled duct problem.
 
-The state of a run is plain: the (J+1, 3) conserved field w, its time t
-and its step index n, held by `Simulation`. The interior update takes
-and returns bare arrays; the driver writes the boundary rows into the
-new array and advances the clock, t by adding dt, n by one.
+The state of a run is plain: the (J+1, 3) conserved field w and its step
+index n, held by `Simulation`. The interior update takes and returns bare
+arrays; the driver writes the boundary rows into the new array and
+advances n by one. There is one clock: level n sits at t = n * dt
+wherever a time is needed (the inflow datum, a failure's message, the
+probe records, the CSVs, the samples check), and no running sum of dt is
+kept to drift from it.
 
 One step, all from level-n data: evaluate the wall sources G for every
 node from the wall memory and the prefactors fixed at construction, and
@@ -174,9 +177,9 @@ def _checked_primitives(w: np.ndarray, gas: GasModel):
 
 class Simulation:
     """The stepper of a run. Its state is the (J+1, 3) conserved field w
-    at time t after n steps; it fixes the wall-source prefactors for the
-    run in its wall memory and caches, between steps, the primitive
-    arrays (rho, u, p) of w and the previous source table."""
+    after n steps, at time n * dt; it fixes the wall-source prefactors
+    for the run in its wall memory and caches, between steps, the
+    primitive arrays (rho, u, p) of w and the previous source table."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: np.ndarray | None = None):
@@ -192,7 +195,6 @@ class Simulation:
                 raise ValueError(
                     f"initial field has shape {self.w.shape},"
                     f" the grid needs ({n_nodes}, 3)")
-        self.t = 0.0
         self.n = 0
         self.prim = _checked_primitives(self.w, gas)
         self.history = wall.PressureHistory(
@@ -215,8 +217,7 @@ class Simulation:
         self._g_prev = g_now
         new = lax_wendroff_update(w, g_now, dt_g, gas, grid, dt, self.prim)
 
-        t = self.t + dt
-        value = sc.inflow.value(t)
+        value = sc.inflow.value((self.n + 1) * dt)
         if sc.inflow_kind == PRESSURE:
             new[0] = inflow_update_pressure(gas.p0 + value, w[0], w[1], gas,
                                             dt, grid.dx)
@@ -228,7 +229,7 @@ class Simulation:
 
         # checked before it is kept: a failed step leaves the last good level
         self.prim = _checked_primitives(new, gas)
-        self.w, self.t, self.n = new, t, self.n + 1
+        self.w, self.n = new, self.n + 1
         if sc.losses:
             self.history.append(self.prim[2])
 
@@ -287,7 +288,7 @@ def _step_context(sim: Simulation) -> str:
     failed to take ('t = x s' when the inflow has no period): C is
     max_j (|u_j| + c_j) dt/dx of sim.w, the last good level, whose
     primitive arrays sim.prim were checked positive."""
-    t = sim.t + sim.dt
+    t = (sim.n + 1) * sim.dt
     period = sim.scenario.fundamental_period
     when = f"t = {t:.6g} s" if period is None else f"t/T0 = {t / period:.3f}"
     rho, u, p = sim.prim

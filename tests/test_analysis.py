@@ -235,6 +235,31 @@ class TestPeriodGridRecord:
         with pytest.raises(DuctwaveError, match="contains no samples"):
             grid.window(-2.0 * PERIOD, -PERIOD)
 
+    def test_grid_past_the_native_record_rejected(self):
+        # five native rows end at t = 4: a grid to t = 8 would repeat the
+        # last row at t = 5..8
+        native = ProbeRecord(station_index=0, x=0.0, tau=1.0,
+                             data=np.ones((5, 3)))
+        with pytest.raises(ValueError, match="reads past the native record"):
+            PeriodGridRecord(native=native, tau=1.0, n_samples=9)
+        with pytest.raises(ValueError, match="reads past the native record"):
+            PeriodGridRecord(native=native, tau=0.5, n_samples=10)
+        for tau, n_samples in ((1.0, 5), (0.5, 9), (3.0, 2), (1.0, 1)):
+            PeriodGridRecord(native=native, tau=tau, n_samples=n_samples)
+
+    def test_grid_within_period_grid_slack_accepted(self):
+        # a record that falls 1e-10 of a period short of whole periods
+        # still gets them, as period_grid rounds, for one period and many
+        for periods in (1, 7):
+            span = periods * PERIOD * (1.0 - 1e-10)
+            native = ProbeRecord(station_index=0, x=0.0, tau=span / 100,
+                                 data=np.ones((101, 3)))
+            grid = _period_grid(native, 4)
+            assert grid.n_samples == periods * 2 ** 4 + 1
+            with pytest.raises(ValueError, match="reads past"):
+                PeriodGridRecord(native=native, tau=grid.tau,
+                                 n_samples=grid.n_samples + 1)
+
 
 class TestSamplingExponent:
     def test_ceiling_then_anti_aliasing_floor(self):

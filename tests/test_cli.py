@@ -380,7 +380,7 @@ class TestRunCommand:
         # trombone's pressure peaks carry max(|u| + c) dt/dx past 1 at
         # cfl 1.0, but not at 0.98
         cfg = tmp_path / "t.cfg"
-        assert main(["scenario", "trombone", "--emit-config",
+        assert main(["scenario", "trombone",
                      "--out", str(cfg)]) == EXIT_OK
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--cfl", "0.98",
@@ -743,7 +743,7 @@ class TestScenarioCommand:
     @pytest.mark.parametrize("name", ["simple-wave", "kirchhoff", "coupled",
                                       "trombone"])
     def test_emit_config_parses_back(self, name, capsys):
-        assert main(["scenario", name, "--emit-config"]) == EXIT_OK
+        assert main(["scenario", name]) == EXIT_OK
         text = capsys.readouterr().out
         from ductwave.config import parse_config, scenario_from_config
         scenario_from_config(parse_config(text))
@@ -752,7 +752,7 @@ class TestScenarioCommand:
 
     def test_write_to_file(self, tmp_path):
         target = tmp_path / "preset.cfg"
-        assert main(["scenario", "trombone", "--emit-config",
+        assert main(["scenario", "trombone",
                      "--out", str(target)]) == EXIT_OK
         assert "inflow.harmonics" in target.read_text()
 
@@ -764,8 +764,7 @@ def test_package_never_loads_scipy(tmp_path):
 import sys
 import ductwave, ductwave.cli
 cfg = {str(tmp_path / "k.cfg")!r}
-assert ductwave.cli.main(["scenario", "kirchhoff", "--emit-config",
-                          "--out", cfg]) == 0
+assert ductwave.cli.main(["scenario", "kirchhoff", "--out", cfg]) == 0
 assert ductwave.cli.main(["run", "--config", cfg,
                           "--out", {str(tmp_path / "out")!r}]) == 0
 assert "scipy" not in sys.modules, "scipy was imported"

@@ -104,6 +104,24 @@ class TestRoundTrip:
         again = parse_config(serialize_config(doc))
         assert again.get("grid.length") == 1.425310887140203
 
+    @pytest.mark.parametrize("key, value", [
+        ("output.prefix", "take#2"),
+        ("output.prefix", " a"),
+        ("output.prefix", "a\nrun.cfl = 0.5"),
+        ("inflow.samples_file", "in.csv "),
+        ("grid.length", math.inf),
+        ("grid.cells", 40.5),
+    ])
+    def test_value_that_does_not_parse_back_is_refused(self, key, value):
+        doc = ConfigDocument({key: value})
+        with pytest.raises(ConfigError, match=key):
+            serialize_config(doc)
+
+    def test_strings_that_parse_back_are_kept(self):
+        doc = ConfigDocument({"output.prefix": "take 2",
+                              "inflow.samples_file": "runs/a=b.csv"})
+        assert parse_config(serialize_config(doc)).values == doc.values
+
 
 class TestScenarioConstruction:
     def test_minimal_scenario(self):

@@ -320,7 +320,7 @@ class TestStepAgainstOracle:
             sim.advance()
             explicit.advance()
         np.testing.assert_array_equal(explicit.w, sim.w)
-        assert explicit.t == sim.t
+        assert explicit.n * explicit.dt == sim.n * sim.dt
         # the level the wall memory took last is the pressure of that state
         assert explicit.history.n_levels == sim.history.n_levels == 5
         np.testing.assert_array_equal(
@@ -473,8 +473,52 @@ def _first_failure(sc, match):
     speed = np.abs(u) + np.sqrt(sc.gas.gamma * p / rho)
     node = int(np.argmax(speed))
     courant = speed[node] * sim.dt / sc.grid.dx
-    return (info.value, sim.n + 1, sim.t + sim.dt,
+    return (info.value, sim.n + 1, (sim.n + 1) * sim.dt,
             f", Courant number {courant:.3f} at node {node}")
+
+
+class _RecordingInflow:
+    """An inflow signal that records each time it is read at and, from
+    its fail_at-th read on, has no datum and names the time asked for."""
+
+    def __init__(self, signal=None, fail_at=None):
+        self.signal, self.fail_at, self.times = signal, fail_at, []
+
+    @property
+    def period(self):
+        return getattr(self.signal, "period", None)
+
+    def value(self, t):
+        self.times.append(t)
+        if len(self.times) == self.fail_at:
+            raise DuctwaveError(f"no datum at t = {t!r} s")
+        return 0.0 if self.signal is None else self.signal.value(t)
+
+
+class TestOneClock:
+    @pytest.mark.parametrize("kind, amplitude", [(PRESSURE, 80.0),
+                                                 (VELOCITY, 0.05)])
+    def test_inflow_of_step_k_is_read_at_k_dt(self, air, kind, amplitude):
+        # a running sum of dt parts from k * dt within these 50 steps
+        inflow = _RecordingInflow(
+            MultiHarmonicSignal(OMEGA0, ((1, amplitude, 0.0),)))
+        sim = Simulation(_small_scenario(air, inflow_kind=kind,
+                                         inflow=inflow))
+        for _ in range(50):
+            sim.advance()
+        assert inflow.times == [k * sim.dt for k in range(1, 51)]
+        assert not hasattr(sim, "t")
+
+    def test_failure_names_the_time_of_its_step(self, air):
+        inflow = _RecordingInflow(fail_at=40)
+        sc = _small_scenario(air, inflow=inflow, losses=False,
+                             duration_s=1e-2)
+        with pytest.raises(DuctwaveError, match="^no datum") as info:
+            run(sc)
+        t = 40 * frozen_dt(sc)
+        assert str(info.value).startswith(
+            f"no datum at t = {t!r} s (step 40, t = {t:.6g} s,"
+            " Courant number")
 
 
 class TestRunFailures:
@@ -607,21 +651,21 @@ class TestDegenerateCoupling:
                              duration_periods=2.0, inflow_kind=VELOCITY,
                              inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.05, 0.0),)))
         sim = Simulation(sc)
-        w, t = Simulation(sc).w, 0.0
+        w = Simulation(sc).w
         zeros = np.zeros_like(w)
         dt = frozen_dt(sc)
-        for _ in range(30):
+        for k in range(30):
             sim.advance()
             new = lax_wendroff_update(w, zeros, zeros, air, sc.grid, dt,
                                       primitive_arrays(w, air))
-            t += dt
+            t = (k + 1) * dt
             new[0] = np.asarray(inflow_update_velocity(
                 sc.inflow.value(t), w[0], w[1], air, dt, sc.grid.dx))
             new[-1] = np.asarray(outflow_update(
                 w[-2], w[-1], air, dt, sc.grid.dx, sc.grid.cells))
             w = new
         np.testing.assert_array_equal(sim.w, w)
-        assert sim.t == t
+        assert sim.n * sim.dt == t
 
     def test_lossless_steps_share_one_read_only_zero_table(self, air,
                                                           monkeypatch):
