@@ -7,11 +7,13 @@ Subcommands:
   compare               error metrics between two CSV tables
   scenario              emit a built-in preset as a config document
 
-Exit codes: 0 success, 2 configuration/usage errors (ConfigError), 3
+Exit codes: 0 success, 2 configuration/usage errors (ConfigError; an
+unknown flag or subcommand, or a missing required flag, is one), 3
 any other DuctwaveError: simulation or oracle domain errors (blow-up,
 shock regime), 4 I/O failures. Output files are deterministic; timing
 goes to stdout only. Errors go to stderr, one line each. A `run` that
-fails removes the output directory it created.
+fails removes the output directory it created. `--help` prints the
+usage to stdout and exits 0.
 """
 
 from __future__ import annotations
@@ -45,10 +47,19 @@ EXIT_IO = 4
 _SERIES_CHUNK = 4096
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that
+    main reports them as every other refused input: one stderr line and
+    EXIT_CONFIG, in place of argparse's usage block and SystemExit."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -62,7 +73,7 @@ def main(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ductwave",
         description="Nonlinear duct acoustics with visco-thermal wall losses",
     )

@@ -10,8 +10,11 @@ kept to drift from it.
 
 One step, all from level-n data: evaluate the wall sources G for every
 node from the wall memory and the prefactors fixed at construction, and
-their rate (G - G_prev)/dt (G_prev is zero before the first step; with
-losses off both are one shared read-only zero table); advance the
+form the two increments the interior update adds: dt G + dt^2/2 dG/dt =
+dt (G + (G - G_prev)/2) at the nodes, with G_prev the previous step's
+table (zero before the first step), and dt (G_j + G_j+1)/2 at the
+midpoints. With losses off they are one read-only zero table and a view
+of its rows 1..J, both held from construction. Then advance the
 interior nodes with the second-order expansion, from the primitive arrays
 (rho, u, p) kept from the previous step; rebuild both boundary nodes from
 their characteristic relations with the inflow datum taken at the new
@@ -203,6 +206,7 @@ class Simulation:
         self.history.append(self.prim[2])
         self._zero = np.zeros((n_nodes, 3))
         self._zero.flags.writeable = False
+        self._zero_mid = self._zero[1:]
         self._g_prev = self._zero
 
     def advance(self):
@@ -211,11 +215,12 @@ class Simulation:
         gas, grid = sc.gas, sc.grid
         if sc.losses:
             g_now = wall.source_table(self.history, self.n)
-            dt_g = (g_now - self._g_prev) / dt
+            s_node = dt * (g_now + 0.5 * (g_now - self._g_prev))
+            s_mid = (0.5 * dt) * (g_now[:-1] + g_now[1:])
+            self._g_prev = g_now
         else:
-            g_now = dt_g = self._zero
-        self._g_prev = g_now
-        new = lax_wendroff_update(w, g_now, dt_g, gas, grid, dt, self.prim)
+            s_node, s_mid = self._zero, self._zero_mid
+        new = lax_wendroff_update(w, s_node, s_mid, gas, grid, dt, self.prim)
 
         value = sc.inflow.value((self.n + 1) * dt)
         if sc.inflow_kind == PRESSURE:

@@ -14,11 +14,16 @@ here.
 
 Array conventions: a field is a plain (J+1, 3) float array over grid
 nodes, with no clock attached; the driver keeps the time and the step
-index. The update takes the field and the primitive arrays (rho, u, p)
-of it, which the driver computes and checks once per state and hands
-in, and forms the flux and the Jacobian products from them. It is pure
-numerics: it returns a new array unchecked, and the driver checks it
-once its boundary rows are written.
+index. The update takes the field, the primitive arrays (rho, u, p) of
+it, which the driver computes and checks once per state, and the wall
+sources as the two increments the step adds: dt G + dt^2/2 dG/dt at
+the nodes and dt times the mean G of each cell's two nodes at the
+midpoints, which the driver forms once per step (with losses off, one
+shared zero buffer). It forms the flux and
+the Jacobian products from them in one pass of whole-array operations,
+most of them in place into arrays it allocates, with no branch on the
+sources. It is pure numerics: it returns a new array unchecked, and the
+driver checks it once its boundary rows are written.
 """
 
 from __future__ import annotations
@@ -84,54 +89,81 @@ class DuctGeometry:
         return 1 if self.symmetry == PLANE else 2
 
 
-def lax_wendroff_update(w: np.ndarray, sources: np.ndarray,
-                        dt_sources: np.ndarray, gas: GasModel, grid: Grid,
+def lax_wendroff_update(w: np.ndarray, s_node: np.ndarray,
+                        s_mid: np.ndarray, gas: GasModel, grid: Grid,
                         dt: float, prim) -> np.ndarray:
     """The (J+1, 3) field w with interior nodes 1..J-1 advanced one step
     of size dt.
 
-    sources and dt_sources are (J+1, 3) arrays of G and its time
-    derivative at every node (boundary entries feed only the midpoint
-    averages). prim is the (rho, u, p) of w. Boundary rows are copied
-    through untouched. The new array is returned unchecked.
+    s_node and s_mid are the source increments the step adds: s_node =
+    dt G + dt^2/2 dG/dt at every node, a (J+1, 3) array whose boundary
+    rows are not read, and s_mid = dt (G_j + G_j+1)/2 at the J
+    midpoints, a (J, 3) array. prim is the (rho, u, p) of w. Boundary
+    rows are copied through untouched. The new array is returned
+    unchecked.
 
-    The Euler flux is (rho u, rho u^2 + p, u (etot + p)). Its Jacobian A
-    has first row (0, 1, 0) and A_12 = gamma - 1; the midpoint products
-    A v are formed from the five other entries, evaluated at the nodes
-    and averaged to the midpoints.
+    With lam = dt/dx, cell j running from node j to node j+1, F_j =
+    lam (f_j+1 - f_j) its scaled flux difference and dt v_j = s_mid_j -
+    F_j its rate dW/dt = G - df/dx times dt, the update is
+
+        w_j + s_node_j - [(F + R)_j + (F - R)_j-1] / 2,
+        R_j = lam A_mid,j (dt v_j),
+
+    the centered flux difference and the second-order term of the
+    Taylor expansion in one stencil. The Euler flux is (rho u,
+    rho u^2 + p, u (etot + p)); its Jacobian A is formed at the nodes,
+    scaled by lam/2, so that the sum of two neighbours is lam A_mid.
     """
-    g = np.asarray(sources, dtype=float)
-    dt_g = np.asarray(dt_sources, dtype=float)
-    if g.shape != w.shape or dt_g.shape != w.shape:
-        raise ValueError("sources must be supplied for all nodes")
+    n = w.shape[0]
+    if s_node.shape != w.shape or s_mid.shape != (n - 1, 3):
+        raise ValueError("source increments must be supplied for all"
+                         " nodes and midpoints")
     rho, u, p = prim
     gam = gas.gamma
+    lam = dt / grid.dx
+    half_lam = 0.5 * lam
     mom, etot = w[:, 1], w[:, 2]
 
     f = np.empty_like(w)
     f[:, 0] = mom
-    f[:, 1] = mom * u + p
-    f[:, 2] = u * (etot + p)
+    np.multiply(mom, u, out=f[:, 1])
+    f[:, 1] += p
+    np.add(etot, p, out=f[:, 2])
+    f[:, 2] *= u
+    flux = f[1:] - f[:-1]
+    flux *= lam
+    dt_v = s_mid - flux
 
-    dt_w = g[1:-1] - (f[2:] - f[:-2]) / (2.0 * grid.dx)
-
-    v = 0.5 * (g[:-1] + g[1:]) - (f[1:] - f[:-1]) / grid.dx   # (J, 3)
+    # lam/2 A_ik at the nodes for rows i = 1, 2 of A (row 0 is (0, 1, 0)),
+    # a flat (2, 3, J+1) block, then in one call the sum of each node with
+    # its right neighbour over the whole block: the last column of each
+    # row of that sum straddles two rows and is dropped.
+    block = np.empty((2, 6 * n))
+    a = block[0].reshape(6, n)
     u2 = u * u
-    a = np.empty((5, w.shape[0]))
-    a[0] = 0.5 * (gam - 3.0) * u2                               # A_10
-    a[1] = (3.0 - gam) * u                                      # A_11
-    a[2] = (gam - 1.0) * u * u2 - gam * u * etot / rho          # A_20
-    a[3] = gam * etot / rho - 1.5 * (gam - 1.0) * u2            # A_21
-    a[4] = gam * u                                              # A_22
-    a_mid = 0.5 * (a[:, :-1] + a[:, 1:])
-    flux_rate = np.empty_like(v)
-    flux_rate[:, 0] = v[:, 1]
-    flux_rate[:, 1] = (a_mid[0] * v[:, 0] + a_mid[1] * v[:, 1]
-                       + (gam - 1.0) * v[:, 2])
-    flux_rate[:, 2] = (a_mid[2] * v[:, 0] + a_mid[3] * v[:, 1]
-                       + a_mid[4] * v[:, 2])
-    d2t_w = dt_g[1:-1] - (flux_rate[1:] - flux_rate[:-1]) / grid.dx
+    np.multiply(u2, 0.5 * (gam - 3.0) * half_lam, out=a[0])
+    np.multiply(u, (3.0 - gam) * half_lam, out=a[1])
+    a[2] = (gam - 1.0) * half_lam
+    np.multiply(u2, (gam - 1.0) * half_lam, out=a[3])
+    np.divide(etot, rho, out=a[4])
+    a[4] *= gam * half_lam
+    a[3] -= a[4]
+    a[3] *= u
+    u2 *= 1.5 * (gam - 1.0) * half_lam
+    a[4] -= u2
+    np.multiply(u, gam * half_lam, out=a[5])
+    np.add(block[0, 1:], block[0, :-1], out=block[1, :-1])
+    a_mid = block[1].reshape(2, 3, n)[:, :, :-1]
 
+    r = np.empty_like(flux)
+    np.multiply(dt_v[:, 1], lam, out=r[:, 0])
+    np.add.reduce(a_mid * dt_v.T, axis=1, out=r[:, 1:].T)
+    plus = flux + r
+    flux -= r
+    plus[1:] += flux[:-1]
+    plus *= 0.5
     w_new = w.copy()
-    w_new[1:-1] = w[1:-1] + dt * dt_w + 0.5 * dt * dt * d2t_w
+    inner = w_new[1:-1]
+    inner += s_node[1:-1]
+    inner -= plus[1:]
     return w_new

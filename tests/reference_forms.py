@@ -11,7 +11,10 @@ and A6 (the heat-kernel constant and the quadratures), `test_wall` and
 The Euler flux and its analytic Jacobian, as whole arrays over any leading
 axes, are the matrix form of the interior scheme: `ductwave.scheme` forms
 the flux and the Jacobian products entry by entry, and `test_scheme`, A7
-and the classical Lax-Wendroff reference check it against these.
+and the classical Lax-Wendroff reference check it against these. The
+update takes its sources as the two increments a step adds;
+`source_increments` forms them from the sources G and their rate dG/dt,
+the form the tests and the classical reference state them in.
 """
 
 from __future__ import annotations
@@ -134,3 +137,12 @@ def flux_jacobian(w, gas: GasModel) -> np.ndarray:
     a[..., 2, 1] = g * etot / rho - 1.5 * (g - 1.0) * u2
     a[..., 2, 2] = g * u
     return a
+
+
+def source_increments(g, dt_g, dt: float):
+    """(s_node, s_mid) of `lax_wendroff_update` for sources G and their
+    rate dG/dt at the nodes, both (J+1, 3): dt G + dt^2/2 dG/dt at every
+    node, and dt (G_j + G_j+1)/2 at the J midpoints."""
+    g = np.asarray(g, dtype=float)
+    dt_g = np.asarray(dt_g, dtype=float)
+    return dt * g + 0.5 * dt * dt * dt_g, 0.5 * dt * (g[:-1] + g[1:])

@@ -32,6 +32,7 @@ from reference_forms import (
     quad_one_point,
     quad_two_point,
     raised_cosine_pulse,
+    source_increments,
 )
 
 AIR = GasModel()
@@ -303,8 +304,9 @@ class TestA7ConservationAndFixedPoints:
                 -dt / (2.0 * grid.dx) * (f[-1] + f[-2] - f[1] - f[0])
                 - dt * dt / (2.0 * grid.dx)
                 * (jac_mid[-1] @ rate_mid[-1] - jac_mid[0] @ rate_mid[0]))
-            state = lax_wendroff_update(state, zeros, zeros, AIR, grid, dt,
-                                        primitive_arrays(state, AIR))
+            state = lax_wendroff_update(
+                state, *source_increments(zeros, zeros, dt), AIR, grid, dt,
+                primitive_arrays(state, AIR))
         totals = state[1:-1].sum(axis=0)
         n_int = grid.n_nodes - 2
         scales = np.array([AIR.rho0 * n_int, AIR.rho0 * AIR.c0 * n_int,

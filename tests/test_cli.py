@@ -179,13 +179,48 @@ class TestRunCommand:
         assert "line 2" in err and repr(key) in err
 
     def test_removed_kernel_mode_flag_is_a_usage_error(self, config_file,
-                                                       tmp_path):
+                                                       tmp_path, capsys):
         out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config_file), "--out", str(out),
-                  "--kernel-mode", "as-printed"])
-        assert exc.value.code == EXIT_CONFIG
+        assert main(["run", "--config", str(config_file), "--out", str(out),
+                     "--kernel-mode", "as-printed"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: ductwave: unrecognized arguments: --kernel-mode"
+            " as-printed\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", "k.cfg", "--out", "o", "--bogus"],
+         "ductwave: unrecognized arguments: --bogus"),
+        (["run", "--config", "k.cfg"],
+         "ductwave run: the following arguments are required: --out"),
+        (["bogus", "--out", "o"],
+         "ductwave: argument command: invalid choice: 'bogus'"),
+        (["run", "--config", "k.cfg", "--out", "o", "--cfl", "fast"],
+         "ductwave run: argument --cfl: invalid float value: 'fast'"),
+    ], ids=["unknown-flag", "missing-out", "unknown-subcommand",
+            "bad-flag-value"])
+    def test_usage_error_is_one_line_with_config_code(self, tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      message):
+        # no usage block and no SystemExit: one error line, exit 2, and
+        # nothing read or written
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ductwave")
+        assert captured.err == ""
 
     @pytest.mark.parametrize("key, value, shape", _INVALID_VALUES,
                              ids=[f"{k}-{v}" if shape == "sine"

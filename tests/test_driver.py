@@ -23,6 +23,7 @@ from ductwave.boundaries import inflow_update_velocity, outflow_update
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import K0
 from exact_history import ExactHistory
+from reference_forms import source_increments
 
 
 OMEGA0 = 2.0 * math.pi * 500.0   # the 500 Hz fundamental of _small_scenario
@@ -428,6 +429,34 @@ class TestWallMemoryInTheLoop:
         assert result.history.n_levels == 1
         assert result.records[0].n_samples == result.report.n_steps + 1
 
+    def test_steps_hand_in_source_increments(self, air, monkeypatch):
+        # steps 1 and 2 (the tables of steps 0 and 1 and their zero
+        # predecessor) and steps past K0, where the exponential modes
+        # carry the older levels: each step's increments are those of
+        # source_table at its own level and the level before
+        sc = _small_scenario(air, grid=Grid(length=0.1, cells=12))
+        sim = Simulation(sc)
+        tables, handed = [np.zeros((sc.grid.n_nodes, 3))], []
+        update = driver.lax_wendroff_update
+
+        def recording(field, s_node, s_mid, *args):
+            tables.append(wall.source_table(sim.history, sim.n))
+            handed.append((s_node, s_mid))
+            return update(field, s_node, s_mid, *args)
+
+        monkeypatch.setattr(driver, "lax_wendroff_update", recording)
+        for _ in range(K0 + 3):
+            sim.advance()
+        for step in (1, 2, K0 + 2, K0 + 3):
+            g_prev, g_now = tables[step - 1], tables[step]
+            want_node, want_mid = source_increments(
+                g_now, (g_now - g_prev) / sim.dt, sim.dt)
+            s_node, s_mid = handed[step - 1]
+            assert s_mid.shape == (sc.grid.cells, 3)
+            np.testing.assert_allclose(s_node, want_node, rtol=1e-12)
+            np.testing.assert_allclose(s_mid, want_mid, rtol=1e-12)
+        assert np.abs(tables[2]).max() > 0.0
+
     def test_lossy_run_feeds_every_level(self, air):
         sc = _small_scenario(air, duration_s=None, duration_periods=1.0)
         result = run(sc)
@@ -656,7 +685,8 @@ class TestDegenerateCoupling:
         dt = frozen_dt(sc)
         for k in range(30):
             sim.advance()
-            new = lax_wendroff_update(w, zeros, zeros, air, sc.grid, dt,
+            new = lax_wendroff_update(w, *source_increments(zeros, zeros, dt),
+                                      air, sc.grid, dt,
                                       primitive_arrays(w, air))
             t = (k + 1) * dt
             new[0] = np.asarray(inflow_update_velocity(
@@ -669,23 +699,32 @@ class TestDegenerateCoupling:
 
     def test_lossless_steps_share_one_read_only_zero_table(self, air,
                                                           monkeypatch):
+        # every step hands in one read-only zero buffer as its node
+        # increments, and one view of its rows 1..J as its midpoint ones
         seen = []
         update = driver.lax_wendroff_update
 
-        def recording(field, sources, dt_sources, *args):
-            seen.append((sources, dt_sources))
-            return update(field, sources, dt_sources, *args)
+        def recording(field, s_node, s_mid, *args):
+            seen.append((s_node, s_mid))
+            return update(field, s_node, s_mid, *args)
 
         monkeypatch.setattr(driver, "lax_wendroff_update", recording)
         sim = Simulation(_small_scenario(air, losses=False))
         for _ in range(3):
             sim.advance()
-        assert len({id(table) for pair in seen for table in pair}) == 1
-        zero = seen[0][0]
-        assert zero.shape == (sim.scenario.grid.n_nodes, 3)
+        assert len({id(s_node) for s_node, _ in seen}) == 1
+        assert len({id(s_mid) for _, s_mid in seen}) == 1
+        zero, mid = seen[0]
+        n_nodes = sim.scenario.grid.n_nodes
+        assert zero.shape == (n_nodes, 3)
         assert not zero.any()
-        with pytest.raises(ValueError):
-            zero[1, 2] = 1.0
+        assert mid.base is zero
+        assert mid.shape == (n_nodes - 1, 3)
+        assert np.shares_memory(mid, zero[1:])
+        assert not np.shares_memory(mid, zero[0])
+        for table in (zero, mid):
+            with pytest.raises(ValueError):
+                table[1, 2] = 1.0
 
     def test_vanishing_transport_coefficients_kill_the_sources(self, air):
         gas_thin = GasModel(mu=1e-300, k_cond=1e-300)

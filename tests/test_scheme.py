@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ductwave import driver
 from ductwave.errors import DuctwaveError
 from ductwave.gas import conserved_array, primitive_arrays
 from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
-from reference_forms import flux_jacobian, physical_flux
+from reference_forms import flux_jacobian, physical_flux, source_increments
 
 REST = np.array([1.2, 0.0, 253312.5])
 MOVING = np.array([1.2, 12.0, 253372.5])    # u = 10 m/s, p = 101325
@@ -106,10 +107,16 @@ def _ramp_field(grid, air, slope):
     return conserved_array(rho, u, p, air)
 
 
+def _step(field, g, dt_g, gas, grid, dt):
+    """One lax_wendroff_update step of field under sources G and their
+    rate dG/dt at the nodes."""
+    return lax_wendroff_update(field, *source_increments(g, dt_g, dt), gas,
+                               grid, dt, primitive_arrays(field, gas))
+
+
 def _increment(field, g, dt_g, gas, grid, dt):
     """Change of the field over one lax_wendroff_update step."""
-    return lax_wendroff_update(field, g, dt_g, gas, grid, dt,
-                               primitive_arrays(field, gas)) - field
+    return _step(field, g, dt_g, gas, grid, dt) - field
 
 
 class TestTimeDerivatives:
@@ -154,8 +161,7 @@ class TestTimeDerivatives:
         grid = Grid(1.0, 8)
         field = _ramp_field(grid, air, 250.0)
         g = np.tile([0.0, 10.0, -50.0], (grid.n_nodes, 1))
-        new = lax_wendroff_update(field, g, g, air, grid, 1e-4,
-                                  primitive_arrays(field, air))
+        new = _step(field, g, g, air, grid, 1e-4)
         np.testing.assert_array_equal(new[[0, -1]], field[[0, -1]])
         assert np.all(np.any(new[1:-1] != field[1:-1], axis=1))
 
@@ -185,10 +191,43 @@ class TestTimeDerivatives:
         dt_g = np.zeros_like(field)
         dt_g[:, 1:] = rng.normal(scale=[5e6, 2e9], size=(grid.n_nodes, 2))
         dt = 0.8 * grid.dx / air.c0 / 1.1
-        ours = lax_wendroff_update(field, g, dt_g, air, grid, dt,
-                                   primitive_arrays(field, air))
+        ours = _step(field, g, dt_g, air, grid, dt)
         ref = _classical_lax_wendroff(field, air, grid.dx, dt, g, dt_g)
         np.testing.assert_allclose(ours, ref, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells=st.integers(4, 40), length=st.floats(0.04, 2.0),
+           u_amp=st.floats(0.0, 30.0), p_amp=st.floats(0.0, 2000.0),
+           rho_amp=st.floats(0.0, 0.02), phase=st.floats(0.0, 6.3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_classical_with_nonuniform_sources(
+            self, air, cells, length, u_amp, p_amp, rho_amp, phase, seed):
+        # a smooth wave of any size on any grid, under sources and source
+        # rates drawn independently at every node
+        grid = Grid(length, cells)
+        kx = 2.0 * np.pi * grid.x / length
+        u = u_amp * np.sin(kx + phase)
+        p = 101325.0 + p_amp * np.cos(2.0 * kx + phase)
+        rho = 1.2 + rho_amp * np.sin(3.0 * kx)
+        field = conserved_array(rho, u, p, air)
+        rng = np.random.default_rng(seed)
+        g = np.zeros_like(field)
+        g[:, 1:] = rng.normal(scale=[50.0, 2e4], size=(grid.n_nodes, 2))
+        dt_g = np.zeros_like(field)
+        dt_g[:, 1:] = rng.normal(scale=[5e6, 2e9], size=(grid.n_nodes, 2))
+        dt = 0.8 * grid.dx / (air.c0 + 40.0)
+        ours = _step(field, g, dt_g, air, grid, dt)
+        ref = _classical_lax_wendroff(field, air, grid.dx, dt, g, dt_g)
+        # a momentum entry can be far smaller than the terms it is summed
+        # from (where u crosses zero, or between two pressure differences
+        # of opposite sign), so rounding is also allowed at 1e-12 of the
+        # largest entry or scaled flux difference of its column
+        flux_step = dt / grid.dx * np.abs(np.diff(physical_flux(field, air),
+                                                  axis=0))
+        for col in range(3):
+            scale = max(np.abs(ref[:, col]).max(), flux_step[:, col].max())
+            np.testing.assert_allclose(ours[:, col], ref[:, col],
+                                       rtol=1e-12, atol=1e-12 * scale)
 
 
 def _classical_lax_wendroff(w, gas, dx, dt, g=None, dt_g=None):
@@ -218,8 +257,7 @@ class TestLaxWendroffUpdate:
         grid = Grid(1.0, 12)
         field = _uniform(grid, air, 1.2, 0.0, 101325.0)
         zeros = np.zeros_like(field)
-        new = lax_wendroff_update(field, zeros, zeros, air, grid, 1e-5,
-                                  primitive_arrays(field, air))
+        new = _step(field, zeros, zeros, air, grid, 1e-5)
         assert isinstance(new, np.ndarray)
         np.testing.assert_array_equal(new, field)
 
@@ -227,8 +265,7 @@ class TestLaxWendroffUpdate:
         grid = Grid(1.0, 12)
         field = _uniform(grid, air, 1.05, 37.0, 94000.0)
         zeros = np.zeros_like(field)
-        new = lax_wendroff_update(field, zeros, zeros, air, grid, 1e-5,
-                                  primitive_arrays(field, air))
+        new = _step(field, zeros, zeros, air, grid, 1e-5)
         np.testing.assert_array_equal(new, field)
 
     def test_matches_classical_flux_form(self, air):
@@ -241,8 +278,7 @@ class TestLaxWendroffUpdate:
         field = conserved_array(rho, u, p, air)
         dt = 0.8 * grid.dx / float((np.abs(u) + c).max())
         zeros = np.zeros_like(field)
-        ours = lax_wendroff_update(field, zeros, zeros, air, grid, dt,
-                                   primitive_arrays(field, air))
+        ours = _step(field, zeros, zeros, air, grid, dt)
         ref = _classical_lax_wendroff(field, air, grid.dx, dt)
         np.testing.assert_allclose(ours, ref, rtol=1e-12)
 
@@ -254,8 +290,7 @@ class TestLaxWendroffUpdate:
         zeros = np.zeros_like(field)
         g = zeros.copy()
         g[:, 2] = -1e12    # drain energy violently
-        new = lax_wendroff_update(field, g, zeros, air, grid, 1e-3,
-                                  primitive_arrays(field, air))
+        new = _step(field, g, zeros, air, grid, 1e-3)
         with pytest.raises(DuctwaveError, match=r"^state lost positivity"
                                                 r" \(node \d+\)$") as err:
             driver._checked_primitives(new, air)
@@ -271,18 +306,18 @@ class TestLaxWendroffUpdate:
     ])
     def test_blow_up_names_step_and_node(self, air, component, value,
                                          monkeypatch):
-        # a source rate reaches only its own node (the midpoint averages
-        # take the sources, not their rate), so a fault put into the rate
+        # a node increment reaches only its own node (the midpoint
+        # increments are separate), so a fault put into the node increment
         # that step 7 hands the interior update, at node 7, makes the run
         # fail there
         calls = []
 
-        def faulty(w, g, dt_g, *args):
+        def faulty(w, s_node, s_mid, *args):
             calls.append(None)
             if len(calls) == 7:
-                dt_g = dt_g.copy()
-                dt_g[7, component] = value
-            return lax_wendroff_update(w, g, dt_g, *args)
+                s_node = s_node.copy()
+                s_node[7, component] = value
+            return lax_wendroff_update(w, s_node, s_mid, *args)
 
         period = 2e-3
         sc = driver.Scenario(
@@ -312,10 +347,14 @@ class TestLaxWendroffUpdate:
     def test_sources_required_for_all_nodes(self, air):
         grid = Grid(1.0, 12)
         field = _uniform(grid, air, 1.2, 0.0, 101325.0)
+        prim = primitive_arrays(field, air)
         with pytest.raises(ValueError):
             lax_wendroff_update(field, np.zeros((3, 3)),
-                                np.zeros_like(field), air, grid, 1e-5,
-                                primitive_arrays(field, air))
+                                np.zeros((12, 3)), air, grid, 1e-5, prim)
+        # a node table in the midpoint slot is refused, not broadcast
+        with pytest.raises(ValueError):
+            lax_wendroff_update(field, np.zeros_like(field),
+                                np.zeros_like(field), air, grid, 1e-5, prim)
 
 
 class TestConservation:
@@ -344,8 +383,7 @@ class TestConservation:
                 - dt * dt / (2.0 * grid.dx)
                 * (jac_mid[-1] @ rate_mid[-1] - jac_mid[0] @ rate_mid[0])
             )
-            state = lax_wendroff_update(state, zeros, zeros, air, grid, dt,
-                                        primitive_arrays(state, air))
+            state = _step(state, zeros, zeros, air, grid, dt)
         totals = state[1:-1].sum(axis=0)
         n_int = grid.n_nodes - 2
         scales = np.array([

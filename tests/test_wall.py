@@ -30,6 +30,7 @@ from reference_forms import (
     heat_kernel_constant,
     quad_one_point,
     quad_two_point,
+    source_increments,
 )
 
 GEOM = DuctGeometry(h=0.005, symmetry="axisymmetric")
@@ -76,17 +77,17 @@ def _scenario(gas, **overrides):
 
 
 def _step_sources(sim, n_steps, monkeypatch):
-    """(G, dG/dt, table) of each of n_steps steps of sim: the source table
-    and rate the step hands the interior update, and with losses on
+    """(s_node, s_mid, table) of each of n_steps steps of sim: the source
+    increments the step hands the interior update, and with losses on
     source_table of the wall memory at that step (None with losses
     off)."""
     sc = sim.scenario
     seen = []
 
-    def record(w, g, dt_g, *args):
+    def record(w, s_node, s_mid, *args):
         table = source_table(sim.history, sim.n) if sc.losses else None
-        seen.append((g, dt_g, table))
-        return lax_wendroff_update(w, g, dt_g, *args)
+        seen.append((s_node, s_mid, table))
+        return lax_wendroff_update(w, s_node, s_mid, *args)
 
     monkeypatch.setattr(driver, "lax_wendroff_update", record)
     for _ in range(n_steps):
@@ -439,27 +440,32 @@ class TestSourceAssembly:
             assert np.all(table[:, 0] == 0.0)
 
     def test_source_time_derivative(self, air, monkeypatch):
-        # each step hands the interior update the wall memory's table and
-        # its first-order difference from the previous step's table
+        # each step hands the interior update the increments of the wall
+        # memory's table G and of its first-order rate (G - G_prev)/dt,
+        # G_prev the previous step's table
         sim = Simulation(_scenario(air))
         seen = _step_sources(sim, 6, monkeypatch)
-        for (g_prev, _, _), (g_now, rate, table) in zip(seen, seen[1:]):
-            np.testing.assert_array_equal(g_now, table)
-            np.testing.assert_allclose(rate, (g_now - g_prev) / sim.dt,
-                                       rtol=1e-15)
-        assert np.abs(seen[-1][1]).max() > 0.0
+        for (_, _, g_prev), (s_node, s_mid, g_now) in zip(seen, seen[1:]):
+            want_node, want_mid = source_increments(
+                g_now, (g_now - g_prev) / sim.dt, sim.dt)
+            np.testing.assert_allclose(s_node, want_node, rtol=1e-12)
+            np.testing.assert_allclose(s_mid, want_mid, rtol=1e-12)
+        # the last step's increment and its rate part are not zero
+        assert np.abs(seen[-1][0]).max() > 0.0
+        assert np.abs(seen[-1][0] - seen[-1][2] * sim.dt).max() > 0.0
         off = Simulation(_scenario(air, losses=False))
-        for g_off, rate_off, _ in _step_sources(off, 6, monkeypatch):
-            np.testing.assert_array_equal(g_off, np.zeros((5, 3)))
-            np.testing.assert_array_equal(rate_off, np.zeros((5, 3)))
+        for node_off, mid_off, _ in _step_sources(off, 6, monkeypatch):
+            np.testing.assert_array_equal(node_off, np.zeros((5, 3)))
+            np.testing.assert_array_equal(mid_off, np.zeros((4, 3)))
 
     def test_first_step_has_zero_rate(self, air, monkeypatch):
         # the first step's previous table is the zero table, and the table
-        # of step 0 is itself zero
-        [(g_now, rate, _)] = _step_sources(Simulation(_scenario(air)), 1,
-                                           monkeypatch)
-        np.testing.assert_array_equal(g_now, np.zeros((5, 3)))
-        np.testing.assert_array_equal(rate, np.zeros((5, 3)))
+        # of step 0 is itself zero, so both increments are
+        [(s_node, s_mid, table)] = _step_sources(Simulation(_scenario(air)),
+                                                 1, monkeypatch)
+        np.testing.assert_array_equal(table, np.zeros((5, 3)))
+        np.testing.assert_array_equal(s_node, np.zeros((5, 3)))
+        np.testing.assert_array_equal(s_mid, np.zeros((4, 3)))
 
     def test_table_matches_per_node_ops(self, air, rng):
         levels = [101325.0 + 30.0 * rng.standard_normal(7) for _ in range(7)]
