@@ -27,9 +27,11 @@ P_REF_SPL = 2e-5   # standard pressure reference [Pa]
 # 2^20 samples a period: 1024 times the presets' grid
 MAX_SAMPLING_EXPONENT = 20
 
-# samples per (k_max, chunk) phase block of a spectrum, which bounds its
-# memory; a window of one chunk is summed by one product
+# samples per (k_max, chunk) phase block of a spectrum, fewer where k_max
+# > 64 so that a block holds at most _SPECTRUM_BLOCK complex entries
+# (16 MiB); a window of one chunk is summed by one product
 _SPECTRUM_CHUNK = 2 ** 14
+_SPECTRUM_BLOCK = 2 ** 20
 
 # period-grid samples interpolated per np.interp call
 _RESAMPLE_CHUNK = 4096
@@ -250,7 +252,7 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
     (periodic continuation), which must equal an integer number >= 1 of
     periods with at least `min_samples_per_period(k_max)` samples per
     period to keep aliasing out of the band of interest. The phase
-    products are summed over blocks of _SPECTRUM_CHUNK samples.
+    products are summed over blocks of at most _SPECTRUM_BLOCK entries.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -269,9 +271,10 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
             f" anti-aliasing floor {floor} for K_max={k_max}"
         )
     k = np.arange(1, k_max + 1)
+    chunk = max(1, min(_SPECTRUM_CHUNK, _SPECTRUM_BLOCK // k_max))
     total = 0.0
-    for lo in range(0, m_samples, _SPECTRUM_CHUNK):
-        hi = min(lo + _SPECTRUM_CHUNK, m_samples)
+    for lo in range(0, m_samples, chunk):
+        hi = min(lo + chunk, m_samples)
         t_rel = np.arange(lo, hi) * record.tau
         phases = np.exp(-1j * omega0 * np.outer(k, t_rel))
         total = total + 2.0 / m_samples * phases @ signal[lo:hi]

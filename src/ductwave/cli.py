@@ -3,7 +3,7 @@
 Subcommands:
   run                   run a configured simulation, write CSVs + report
   oracle-characteristics  exact simple-wave series and spectrum
-  oracle-kirchhoff      wide-tube dispersion/damping table
+  oracle-kirchhoff      wide-tube damping table, one row per station
   compare               error metrics between two CSV tables
   scenario              emit a built-in preset as a config document
 
@@ -293,27 +293,20 @@ def cmd_oracle_characteristics(args) -> int:
 def cmd_oracle_kirchhoff(args) -> int:
     _check_flags(args, freq=_POSITIVE, h=_POSITIVE, xmax=_NON_NEGATIVE,
                  nx=_POSITIVE)
-    gas = GasModel()
     omega = 2.0 * math.pi * args.freq
     stations = np.linspace(0.0, args.xmax, args.nx)
-    rows = []
-    for mode in (oracles.PRINTED, oracles.CORRECTED):
-        model = oracles.KirchhoffModel(gas=gas, h=args.h, mode=mode)
-        alpha = oracles.kirchhoff_alpha(model, omega)
-        cprime = oracles.kirchhoff_phase_speed(model, omega)
-        for x in stations:
-            ratio, delay = oracles.kirchhoff_propagate(model, omega, 1.0,
-                                                       float(x))
-            rows.append((mode, float(x), alpha, cprime, ratio, delay))
+    model = oracles.KirchhoffModel(gas=GasModel(), h=args.h)
+    alpha = oracles.kirchhoff_alpha(model, omega)
+    cprime = oracles.kirchhoff_phase_speed(model, omega)
+    rows = [(float(x), alpha, cprime,
+             *oracles.kirchhoff_propagate(model, omega, 1.0, float(x)))
+            for x in stations]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "kirchhoff_table.csv"
-    write_csv(path, ["mode", "x_m", "alpha_1pm", "cprime_mps", "amp_ratio",
+    write_csv(path, ["x_m", "alpha_1pm", "cprime_mps", "amp_ratio",
                      "phase_delay_rad"], rows)
     print(f"wrote {path}")
-    print("note: 'printed' rows evaluate the damping factor c0/(2 h omega)"
-          " verbatim, which is dimensionally anomalous; 'corrected' rows"
-          " carry proper 1/m units")
     return EXIT_OK
 
 
@@ -329,16 +322,23 @@ def cmd_compare(args) -> int:
         if args.column not in header_a:
             raise ConfigError(f"column {args.column!r} not in {header_a}")
         col = header_a.index(args.column)
+    elif len(header_a) < 2:
+        raise ConfigError(f"{args.series_a}: no second column to compare")
     else:
         col = 1
+    harmonics = header_a[0] == "k"
+    ks = body_a[:, 0]
+    if harmonics and not np.all(np.isfinite(ks) & (ks == np.round(ks))):
+        raise ConfigError(f"{args.series_a}: a harmonic index k is not a"
+                          " finite whole number")
     a = body_a[:, col]
     b = body_b[:, col]
     print(f"l2_rel = {analysis.relative_error(a, b, 'l2')!r}")
     print(f"max_rel = {analysis.relative_error(a, b, 'max')!r}")
-    if header_a and header_a[0] == "k":
+    if harmonics:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(b != 0.0, a / b, np.inf)
-        for k, r in zip(body_a[:, 0], ratio):
+        for k, r in zip(ks, ratio):
             print(f"harmonic {int(k)}: ratio = {float(r)!r}")
     return EXIT_OK
 

@@ -8,12 +8,11 @@ safeguarded Newton iteration). The small-amplitude lossy benchmark is
 the wide-tube dispersion relation K = omega/c'(omega) - i alpha(omega):
 amplitude decays as exp(-alpha x) with a frequency-dependent phase speed.
 
-The published damping factor c0/(2 h omega) does not carry the units of
-a wavenumber; the "corrected" mode uses the unique dimensionally
-consistent completion (1/h) sqrt(omega/(2 c0)), which coincides with the
-classical wide-tube result sqrt(nu omega/2)/(h c0) (1 + (g-1)/sqrt(Pr)).
-The "printed" mode evaluates the anomalous factor verbatim and exists
-for documentation only.
+The paper prints the damping factor as c0/(2 h omega), which does not
+carry the units of a wavenumber, so the oracle does not evaluate it: it
+uses the unique dimensionally consistent completion
+(1/h) sqrt(omega/(2 c0)), which coincides with the classical wide-tube
+result sqrt(nu omega/2)/(h c0) (1 + (g-1)/sqrt(Pr)).
 
 Outside its validity each oracle raises a DuctwaveError naming the
 cause: a station at or beyond the shock-formation distance, or a
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from .errors import DuctwaveError
 from .gas import GasModel
 
-PRINTED = "printed"
 CORRECTED = "corrected"
 
 _MAX_NEWTON = 100
@@ -137,41 +135,29 @@ class KirchhoffModel:
 
     gas: GasModel
     h: float
-    mode: str = CORRECTED
+    mode: str = CORRECTED   # the one value accepted
 
     def __post_init__(self):
         if self.h <= 0.0:
             raise ValueError("duct radius must be positive")
-        if self.mode not in (PRINTED, CORRECTED):
+        if self.mode != CORRECTED:
             raise ValueError(f"unknown mode {self.mode!r}")
-
-    def _bracket(self) -> float:
-        gas = self.gas
-        return math.sqrt(gas.mu / (gas.rho0 * gas.c0)) \
-            + (gas.gamma - 1.0) * math.sqrt(
-                gas.k_cond / (gas.rho0 * gas.c0 * gas.cp))
-
-    def _factor(self, omega: float) -> float:
-        if self.mode == PRINTED:
-            return self.gas.c0 / (2.0 * self.h * omega)
-        return math.sqrt(omega / (2.0 * self.gas.c0)) / self.h
 
 
 def kirchhoff_alpha(model: KirchhoffModel, omega: float) -> float:
-    """Damping coefficient alpha(omega) [1/m in corrected mode]."""
+    """Damping coefficient alpha(omega) [1/m]."""
     if omega <= 0.0:
         raise ValueError("pulsation must be positive")
-    return model._bracket() * model._factor(omega)
+    gas = model.gas
+    bracket = math.sqrt(gas.mu / (gas.rho0 * gas.c0)) \
+        + (gas.gamma - 1.0) * math.sqrt(
+            gas.k_cond / (gas.rho0 * gas.c0 * gas.cp))
+    return bracket * (math.sqrt(omega / (2.0 * gas.c0)) / model.h)
 
 
 def kirchhoff_phase_speed(model: KirchhoffModel, omega: float) -> float:
     """Phase speed c'(omega) = c0 (1 - Delta) with Delta = alpha c0/omega."""
-    if omega <= 0.0:
-        raise ValueError("pulsation must be positive")
-    if model.mode == PRINTED:
-        delta = model._bracket() * model._factor(omega)
-    else:
-        delta = kirchhoff_alpha(model, omega) * model.gas.c0 / omega
+    delta = kirchhoff_alpha(model, omega) * model.gas.c0 / omega
     if delta >= 0.5:
         raise DuctwaveError(
             f"dispersion correction {delta:.3f} >= 0.5; wide-tube expansion"

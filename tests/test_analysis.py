@@ -371,6 +371,23 @@ class TestHarmonicSpectrum:
         np.testing.assert_allclose(spec.magnitudes, expected, rtol=0.0,
                                    atol=1e-12)
 
+    def test_wide_band_block_is_bounded_in_k_max(self):
+        # k_max 1024 over one period of 2^13 samples: one (k_max, M) block
+        # would be 128 MiB; blocks of 2^20 entries peak well under 64 MiB
+        rec = _sine_record(amplitude=0.7, periods=1, per_period=2 ** 13,
+                           harmonic=3, dc=0.1)
+        tracemalloc.start()
+        try:
+            spec = harmonic_spectrum(rec, OMEGA0, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20 * 16
+        expected = np.zeros(1024)
+        expected[2] = 0.7
+        np.testing.assert_allclose(spec.magnitudes, expected, rtol=0.0,
+                                   atol=1e-12)
+
 
 class TestLevels:
     def test_reference_is_zero_db(self):

@@ -513,24 +513,33 @@ class TestOracleKirchhoff:
         assert main(["oracle-kirchhoff", "--freq", "1000", "--h", "0.005",
                      "--xmax", "1.0", "--nx", "5", "--out", str(out)]) == EXIT_OK
         text = (out / "kirchhoff_table.csv").read_text().strip().split("\n")
-        assert text[0] == "mode,x_m,alpha_1pm,cprime_mps,amp_ratio,phase_delay_rad"
+        assert text[0] == "x_m,alpha_1pm,cprime_mps,amp_ratio,phase_delay_rad"
         rows = [ln.split(",") for ln in text[1:]]
-        assert len(rows) == 10    # both modes, 5 stations each
-        corrected = [r for r in rows if r[0] == "corrected"]
-        ratios = [float(r[4]) for r in corrected]
+        assert len(rows) == 5    # one row per station
+        ratios = [float(r[3]) for r in rows]
         assert ratios[0] == 1.0
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
-        alpha = float(corrected[0][2])
+        alpha = float(rows[0][1])
         model = KirchhoffModel(GasModel(), 0.005, CORRECTED)
         assert alpha == pytest.approx(
             kirchhoff_alpha(model, 2.0 * math.pi * 1000.0), rel=1e-12)
+
+    def test_low_frequency_inside_validity_runs(self, tmp_path, capsys):
+        # at 1 Hz and h = 5 mm the correction is 0.323, inside the model
+        out = tmp_path / "kir"
+        assert main(["oracle-kirchhoff", "--freq", "1", "--h", "0.005",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        _, body = read_csv(out / "kirchhoff_table.csv")
+        model = KirchhoffModel(GasModel(), 0.005, CORRECTED)
+        assert body[0, 1] == kirchhoff_alpha(model, 2.0 * math.pi)
 
     def test_out_of_validity_exits_with_runtime_code(self, tmp_path, capsys):
         out = tmp_path / "kir"
         assert main(["oracle-kirchhoff", "--freq", "10", "--h", "0.0001",
                      "--out", str(out)]) == EXIT_RUNTIME
         assert capsys.readouterr().err == (
-            "error: dispersion correction 8.455 >= 0.5; wide-tube expansion"
+            "error: dispersion correction 5.112 >= 0.5; wide-tube expansion"
             " invalid at this frequency/radius\n")
         assert not out.exists()
 
@@ -611,6 +620,15 @@ class TestCompare:
         write_csv(a, ["t_s", "u_mps"], [(0.0, 1.0)])
         write_csv(b, ["t_s", "u_mps"], [(0.0, 1.0), (0.1, 2.0)])
         assert main(["compare", str(a), str(b)]) == EXIT_CONFIG
+        # tables it cannot read: no default second column, or a harmonic
+        # index that is not a finite whole number
+        for text in ("x\n1\n2\n", "k,mag_u_mps\nnan,1.0\n",
+                     "k,mag_u_mps\ninf,1.0\n", "k,mag_u_mps\n1.5,1.0\n"):
+            a.write_text(text)
+            capsys.readouterr()
+            assert main(["compare", str(a), str(a)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {a}: ") and err.count("\n") == 1
 
     def test_zero_reference_exits_with_runtime_code(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -664,7 +682,7 @@ class TestCsvStreaming:
             # integer harmonic numbers and a -inf level
             "spectrum": (["k", "mag_u_mps", "level_p_rel_db"],
                          [(1, 0.5, 0.0), (2, 1e-300, float("-inf"))]),
-            "table": (["mode", "x_m"], [("printed", 0.0), ("corrected", 1.0)]),
+            "table": (["label", "x_m"], [("a", 0.0), ("b", 1.0)]),
             "empty": (["a", "b"], []),
         }
         for name, (header, rows) in tables.items():
@@ -673,13 +691,13 @@ class TestCsvStreaming:
             assert path.read_bytes() == _joined(header, rows)
 
     def test_mixed_rows_equal_their_str_join(self, tmp_path):
-        # str, int, float and -inf cells, as oracle-kirchhoff and the
-        # spectrum write them, over two whole blocks and a partial one
+        # str, int, float and -inf cells, over two whole blocks and a
+        # partial one
         n = 2 * csvio._WRITE_BLOCK + 3
-        rows = [("corrected" if i % 2 else "printed", i, i / 7.0,
+        rows = [("b" if i % 2 else "a", i, i / 7.0,
                  float("-inf") if i % 5 == 0 else -i * 1e-300)
                 for i in range(n)]
-        header = ["mode", "k", "x_m", "level_db"]
+        header = ["label", "k", "x_m", "level_db"]
         path = tmp_path / "mixed.csv"
         write_csv(path, header, iter(rows))
         assert path.read_bytes() == _joined(header, rows)
