@@ -7,9 +7,8 @@ magnitudes from the direct discrete transform (K_max stays small, so an
 FFT buys nothing).
 
 A run keeps only its native probe rows. Its period-grid records
-(`PeriodGridRecord`) interpolate those rows when read: a window or a
-block of samples costs only what it returns, while `data` builds the
-whole grid on every access and keeps none of it.
+(`PeriodGridRecord`) hold no samples: they interpolate those rows when
+read, so a window or a block of samples costs only what it returns.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ MAX_SAMPLING_EXPONENT = 20
 _SPECTRUM_CHUNK = 2 ** 14
 _SPECTRUM_BLOCK = 2 ** 20
 
-# period-grid samples interpolated per np.interp call
-_RESAMPLE_CHUNK = 4096
-
 _COMPONENTS = {"rho": 0, "u": 1, "p": 2}
 
 
@@ -54,9 +50,6 @@ class _Series:
     @property
     def times(self) -> np.ndarray:
         return self.t_start + np.arange(self.n_samples) * self.tau
-
-    def component(self, name: str) -> np.ndarray:
-        return self.data[:, _COMPONENTS[name]]
 
     def window(self, t_lo: float, t_hi: float) -> "ProbeRecord":
         """Record of the samples with t_lo <= t < t_hi (to 1e-9 tau): one
@@ -105,6 +98,9 @@ class ProbeRecord(_Series):
     def n_samples(self) -> int:
         return self.data.shape[0]
 
+    def component(self, name: str) -> np.ndarray:
+        return self.data[:, _COMPONENTS[name]]
+
     def samples(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 of data, as a view."""
         return self.data[lo:hi]
@@ -120,9 +116,9 @@ class PeriodGridRecord(_Series):
     period_grid (1e-9 of a period, and a grid spans whole periods).
 
     Nothing of the grid is kept. samples(lo, hi) interpolates those
-    samples _RESAMPLE_CHUNK at a time, each chunk from the native
-    samples that bracket it, so a sample's value does not depend on the
-    chunking; data builds the whole grid on every access.
+    samples from the native samples that bracket them; np.interp over a
+    wider bracket gives the same values, so a sample's value does not
+    depend on which block it is read in.
     """
 
     native: ProbeRecord
@@ -155,11 +151,6 @@ class PeriodGridRecord(_Series):
     def t_start(self) -> float:
         return self.native.t_start
 
-    @property
-    def data(self) -> np.ndarray:
-        """The whole (n_samples, 3) grid, built anew on each access."""
-        return self.samples(0, self.n_samples)
-
     def samples(self, lo: int, hi: int) -> np.ndarray:
         """Grid rows lo..hi-1, 0 <= lo <= hi <= n_samples, interpolated."""
         if not 0 <= lo <= hi <= self.n_samples:
@@ -172,18 +163,15 @@ class PeriodGridRecord(_Series):
             # the native sample times relative to t0, as native.times - t0
             return (t0 + m * step) - t0
 
-        out = np.empty((hi - lo, 3))
-        for a in range(lo, hi, _RESAMPLE_CHUNK):
-            b = min(a + _RESAMPLE_CHUNK, hi)
-            t_new = np.arange(a, b) * self.tau
-            first = _searchsorted(n_native, time_of, t_new[0], "right") - 1
-            stop = min(_searchsorted(n_native, time_of, t_new[-1]) + 1,
-                       n_native)
-            t_old = (t0 + np.arange(first, stop) * step) - t0
-            for i in range(3):
-                out[a - lo:b - lo, i] = np.interp(
-                    t_new, t_old, native.data[first:stop, i])
-        return out
+        # the native rows that bracket the grid times lo * tau..hi * tau
+        t_new = np.arange(lo, hi) * self.tau
+        first = _searchsorted(n_native, time_of, lo * self.tau, "right") - 1
+        stop = min(_searchsorted(n_native, time_of, hi * self.tau) + 1,
+                   n_native)
+        t_old = (t0 + np.arange(first, stop) * step) - t0
+        return np.column_stack([
+            np.interp(t_new, t_old, native.data[first:stop, i])
+            for i in range(3)])
 
 
 def period_grid(record: ProbeRecord, period: float,
@@ -276,8 +264,11 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
     for lo in range(0, m_samples, chunk):
         hi = min(lo + chunk, m_samples)
         t_rel = np.arange(lo, hi) * record.tau
-        phases = np.exp(-1j * omega0 * np.outer(k, t_rel))
-        total = total + 2.0 / m_samples * phases @ signal[lo:hi]
+        # one complex block: exponentiated and scaled in place
+        phases = -1j * omega0 * np.outer(k, t_rel)
+        np.exp(phases, out=phases)
+        phases *= 2.0 / m_samples
+        total = total + phases @ signal[lo:hi]
     return SpectrumResult(omega0=omega0, magnitudes=np.abs(total), k_max=k_max)
 
 

@@ -43,7 +43,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
 
-# series rows formatted per chunk when a run writes its CSVs
+# rows per read as a run streams its series CSVs, period grids included
 _SERIES_CHUNK = 4096
 
 
@@ -260,7 +260,7 @@ def cmd_oracle_characteristics(args) -> int:
     tau = period / per_period
     # Start after the slowest characteristic of the first period arrives.
     slow = gas.c0 - 0.5 * (gas.gamma + 1.0) * args.u0
-    arrival = station / slow if slow > 0.0 else station / gas.c0
+    arrival = station / slow
     start = (int(math.ceil(arrival / period)) + 1) * period
     n_samples = args.periods * per_period
     times = start + np.arange(n_samples) * tau

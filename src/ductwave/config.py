@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import analysis, driver, scheme
+from . import analysis, driver, oracles, scheme
 from .csvio import read_csv
 from .errors import ConfigError
 from .gas import GasModel
@@ -300,7 +300,8 @@ def scenario_from_config(doc: ConfigDocument) -> driver.Scenario:
 
 _GAS_DEFAULTS = {_gas_key(f.name): f.default for f in fields(GasModel)}
 
-_SIMPLE_WAVE_LENGTH = 1.425310887140203   # 0.8 * L_shock(20 m/s, 440 Hz)
+_SIMPLE_WAVE_LENGTH = 0.8 * oracles.shock_distance(20.0, math.tau * 440.0,
+                                                    GasModel())
 
 
 def builtin_scenarios() -> dict[str, ConfigDocument]:

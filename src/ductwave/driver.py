@@ -33,9 +33,9 @@ state.
 step and writes each level's (rho, u, p) at those nodes into it from the
 checked primitive arrays, so a stored row costs 24 bytes from the first
 step. These native rows are all a run keeps of its probes: its
-period-grid records interpolate them when read
-(`analysis.PeriodGridRecord`), so the grid is never held whole unless a
-caller asks for its `data`.
+period-grid records hold no samples and interpolate them when read
+(`analysis.PeriodGridRecord`), so a read holds only the rows it asks
+for.
 
 Runs are deterministic: identical scenarios produce bit-identical
 fields, histories and probe records. An error raised inside the time loop
@@ -248,8 +248,8 @@ def run(scenario: Scenario,
     that share a node record it once, in first-seen order. When the
     inflow has a fundamental period, RunResult.resampled reads each
     record on the tau = T0/2^N grid over the largest whole number of
-    periods covered: a PeriodGridRecord, which interpolates on access
-    and whose data builds the whole grid each time it is read.
+    periods covered: a PeriodGridRecord, which holds no samples and
+    interpolates the rows each read asks for.
     """
     started = time.perf_counter()
     sim = Simulation(scenario, initial_field=initial_field)

@@ -15,7 +15,8 @@ uses the unique dimensionally consistent completion
 result sqrt(nu omega/2)/(h c0) (1 + (g-1)/sqrt(Pr)).
 
 Outside its validity each oracle raises a DuctwaveError naming the
-cause: a station at or beyond the shock-formation distance, or a
+cause: a station at or beyond the shock-formation distance, a simple
+wave whose slowest characteristic speed is not positive, or a
 dispersion correction of 0.5 or more.
 """
 
@@ -47,7 +48,8 @@ class SimpleWaveProblem:
     The signal is a MultiHarmonicSignal: the oracle reads its value(t),
     derivative(t) and bounds peak() / max_rate(). Construction refuses
     stations at or beyond the shock-formation distance implied by the
-    signal's steepest slope.
+    signal's steepest slope, and signals whose slowest characteristic
+    speed c0 - (gamma+1)/2 peak() is not positive.
     """
 
     signal: object
@@ -57,6 +59,11 @@ class SimpleWaveProblem:
     def __post_init__(self):
         if self.station < 0.0:
             raise ValueError("station must be non-negative")
+        slow = self.gas.c0 - 0.5 * (self.gas.gamma + 1.0) * self.signal.peak()
+        if slow <= 0.0:
+            raise DuctwaveError(
+                f"slowest characteristic speed c0 - (gamma+1)/2 u_peak ="
+                f" {slow:.4g} m/s is not positive")
         rate = self.signal.max_rate()
         if rate > 0.0 and self.station > 0.0:
             l_shock = 2.0 * self.gas.c0 ** 2 / ((self.gas.gamma + 1.0) * rate)
@@ -91,7 +98,7 @@ class SimpleWaveProblem:
         # Bracket from the fastest/slowest characteristic speeds; the
         # residual decreases across it pre-shock.
         slow = gas.c0 - half_gp1 * peak
-        lo = max(0.0, t - length / slow) if slow > 0.0 else 0.0
+        lo = max(0.0, t - length / slow)
         hi = t - length / (gas.c0 + half_gp1 * peak)
         hi = max(hi, lo)
         tol = 1e-12 * max(length / gas.c0, 1e-30)

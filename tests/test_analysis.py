@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ductwave.analysis import (
-    _RESAMPLE_CHUNK,
     _SPECTRUM_CHUNK,
     PeriodGridRecord,
     ProbeRecord,
@@ -19,6 +18,7 @@ from ductwave.analysis import (
     period_grid,
     relative_error,
 )
+from ductwave.cli import _SERIES_CHUNK
 from ductwave.driver import VELOCITY, Scenario, run
 from ductwave.errors import DuctwaveError
 from ductwave.gas import GasModel
@@ -56,6 +56,19 @@ def _scenario(exponent, **overrides):
 def _period_grid(record, exponent):
     """The record read on tau = PERIOD / 2^exponent, as a run reads it."""
     return period_grid(record, PERIOD, exponent)
+
+
+def _whole(grid):
+    """All rows of a period grid, read at once."""
+    return grid.samples(0, grid.n_samples)
+
+
+def _by_chunks(grid):
+    """All rows of a period grid, read _SERIES_CHUNK at a time as a run
+    streams its series CSVs."""
+    n = grid.n_samples
+    return np.vstack([grid.samples(lo, min(lo + _SERIES_CHUNK, n))
+                      for lo in range(0, n, _SERIES_CHUNK)])
 
 
 def _one_interpolation(record, exponent):
@@ -126,13 +139,13 @@ class TestResample:
         rec = _sine_record(periods=2, per_period=64, endpoint=True)
         out = _period_grid(rec, 6)
         # spans two whole periods, so the resampled record keeps all samples
-        np.testing.assert_array_equal(out.data, rec.data)
+        np.testing.assert_array_equal(_whole(out), rec.data)
 
     def test_constant_stays_constant(self):
         rec = _sine_record(amplitude=0.0, dc=3.3, periods=2, per_period=64,
                            endpoint=True)
         out = _period_grid(rec, 4)
-        np.testing.assert_allclose(out.component("u"), 3.3, rtol=1e-14)
+        np.testing.assert_allclose(_whole(out)[:, 1], 3.3, rtol=1e-14)
 
     def test_sine_amplitude_retained(self):
         # downsample 4096 -> 1024 per period; linear interpolation keeps
@@ -151,30 +164,29 @@ class TestResample:
                                                    exponent):
         # three whole chunks and a partial one, and the native samples run
         # half a period past the grid's end
-        periods = 3 * _RESAMPLE_CHUNK // 2 ** exponent + 1
+        periods = 3 * _SERIES_CHUNK // 2 ** exponent + 1
         n_native = (periods * native_per_period + 1
                     + native_per_period // 2)
         data = rng.standard_normal((n_native, 3)) + [1.2, 0.0, 101325.0]
         rec = ProbeRecord(station_index=0, x=0.0,
                           tau=PERIOD / native_per_period, data=data)
         out = _period_grid(rec, exponent)
-        assert 3 * _RESAMPLE_CHUNK < out.n_samples < 4 * _RESAMPLE_CHUNK
-        np.testing.assert_array_equal(out.data,
-                                      _one_interpolation(rec, exponent))
+        assert 3 * _SERIES_CHUNK < out.n_samples < 4 * _SERIES_CHUNK
+        expected = _one_interpolation(rec, exponent)
+        np.testing.assert_array_equal(_by_chunks(out), expected)
+        np.testing.assert_array_equal(_whole(out), expected)
 
     def test_resampled_run_equals_one_interpolation(self):
-        periods = 3 * _RESAMPLE_CHUNK // 2 ** 10 + 1
+        periods = 3 * _SERIES_CHUNK // 2 ** 10 + 1
         result = run(_scenario(10, duration_s=None, duration_periods=periods,
                                probes=(0.5, 1.0)))
         assert len(result.resampled) == 2
         for native, resampled in zip(result.records, result.resampled):
             assert resampled.native is native
             assert resampled.n_samples == periods * 2 ** 10 + 1
-            assert resampled.n_samples % _RESAMPLE_CHUNK != 0
-            np.testing.assert_array_equal(resampled.data,
+            assert resampled.n_samples % _SERIES_CHUNK != 0
+            np.testing.assert_array_equal(_by_chunks(resampled),
                                           _one_interpolation(native, 10))
-            # built anew on each access, never kept
-            assert resampled.data is not resampled.data
 
     def test_span_mismatch_rejected(self):
         # a record shorter than one whole period has nothing to resample
@@ -187,27 +199,27 @@ class TestPeriodGridRecord:
     def grid(self, rng):
         """Three whole chunks and a partial one, read from native samples
         that start off zero and run past the grid's end."""
-        periods = 3 * _RESAMPLE_CHUNK // 2 ** 8 + 1
+        periods = 3 * _SERIES_CHUNK // 2 ** 8 + 1
         n_native = periods * 100 + 51
         data = rng.standard_normal((n_native, 3)) + [1.2, 0.0, 101325.0]
         native = ProbeRecord(station_index=5, x=0.25, tau=PERIOD / 100,
                              data=data, t_start=0.37 * PERIOD)
         grid = _period_grid(native, 8)
-        assert 3 * _RESAMPLE_CHUNK < grid.n_samples < 4 * _RESAMPLE_CHUNK
+        assert 3 * _SERIES_CHUNK < grid.n_samples < 4 * _SERIES_CHUNK
         return grid
 
     def test_data_equals_one_interpolation(self, grid):
-        np.testing.assert_array_equal(grid.data,
-                                      _one_interpolation(grid.native, 8))
-        np.testing.assert_array_equal(grid.component("p"), grid.data[:, 2])
+        expected = _one_interpolation(grid.native, 8)
+        np.testing.assert_array_equal(_whole(grid), expected)
+        np.testing.assert_array_equal(_by_chunks(grid), expected)
         assert (grid.station_index, grid.x) == (5, 0.25)
         assert grid.t_start == grid.native.t_start
 
     def test_window_equals_the_mask_form_of_the_grid(self, grid):
         # windows across chunk boundaries and at the first and last
         # sample, bounds on a sample time and 1e-9 tau to either side
-        full, times = grid.data, grid.times
-        n, chunk = grid.n_samples, _RESAMPLE_CHUNK
+        full, times = _whole(grid), grid.times
+        n, chunk = grid.n_samples, _SERIES_CHUNK
         eps = 1e-9 * grid.tau
         for lo_index, hi_index in [(0, n), (0, 1), (n - 1, n),
                                    (chunk - 1, chunk + 1),
@@ -373,7 +385,8 @@ class TestHarmonicSpectrum:
 
     def test_wide_band_block_is_bounded_in_k_max(self):
         # k_max 1024 over one period of 2^13 samples: one (k_max, M) block
-        # would be 128 MiB; blocks of 2^20 entries peak well under 64 MiB
+        # would be 128 MiB; blocks of 2^20 entries, each one complex array
+        # exponentiated and scaled in place, peak at about 40 MiB
         rec = _sine_record(amplitude=0.7, periods=1, per_period=2 ** 13,
                            harmonic=3, dc=0.1)
         tracemalloc.start()
@@ -382,7 +395,7 @@ class TestHarmonicSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20 * 16
+        assert peak < 2.75 * 2 ** 20 * 16
         expected = np.zeros(1024)
         expected[2] = 0.7
         np.testing.assert_allclose(spec.magnitudes, expected, rtol=0.0,

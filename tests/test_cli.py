@@ -505,6 +505,21 @@ class TestOracleCharacteristics:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_RUNTIME
         assert "shock" in capsys.readouterr().err.lower()
+        # at 300 m/s the slowest characteristic, c0 - 1.2 u0, runs
+        # upstream: refused at any s, before any output
+        for s in ("0.5", "0"):
+            code = main(["oracle-characteristics", "--u0", "300",
+                         "--freq", "440", "--s", s,
+                         "--out", str(tmp_path / "fast")])
+            assert code == EXIT_RUNTIME
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert "slowest characteristic speed" in err[0]
+            assert "-16.18 m/s" in err[0]
+            assert not (tmp_path / "fast").exists()
+        assert main(["oracle-characteristics", "--u0", "280",
+                     "--freq", "440", "--s", "0.5", "--periods", "1",
+                     "--out", str(tmp_path / "slow")]) == EXIT_OK
 
 
 class TestOracleKirchhoff:
@@ -766,7 +781,7 @@ class TestCsvStreaming:
         assert list(cli._series_rows(record)) == stacked
 
     def test_series_rows_of_a_period_grid_equal_its_stacked_grid(self):
-        # the grid's chunks of interpolation and the rows' chunks differ
+        # rows read _SERIES_CHUNK at a time equal one read of the grid
         n = 3 * cli._SERIES_CHUNK + 11
         data = np.column_stack([np.full(n, 1.2), np.sin(np.arange(n) * 0.1),
                                 101325.0 + np.cos(np.arange(n) * 0.1)])
@@ -774,7 +789,8 @@ class TestCsvStreaming:
                                       data=data, t_start=0.7)
         record = ductwave.PeriodGridRecord(native=native, tau=0.1,
                                            n_samples=2 * n - 5)
-        stacked = np.column_stack([record.times, record.data]).tolist()
+        stacked = np.column_stack(
+            [record.times, record.samples(0, record.n_samples)]).tolist()
         assert list(cli._series_rows(record)) == stacked
 
 

@@ -65,6 +65,19 @@ class TestSimpleWave:
         SimpleWaveProblem(
             signal=MultiHarmonicSignal(omega0, ((1, u0, 0.0),)), gas=air,
             station=0.95 * l_shock)
+        # at 300 m/s the slowest characteristic, c0 - (gamma+1)/2 u0,
+        # does not move downstream: refused at any station
+        fast = MultiHarmonicSignal(omega0, ((1, 300.0, 0.0),))
+        for s in (0.5, 0.0):
+            with pytest.raises(DuctwaveError,
+                               match=r"slowest characteristic speed .*"
+                                     r" = -16\.18 m/s is not positive"):
+                SimpleWaveProblem(
+                    signal=fast, gas=air,
+                    station=s * shock_distance(300.0, omega0, air))
+        SimpleWaveProblem(
+            signal=MultiHarmonicSignal(omega0, ((1, 280.0, 0.0),)), gas=air,
+            station=0.5 * shock_distance(280.0, omega0, air))
 
     def test_residual_identity(self, air):
         u0, omega0 = 12.0, 2.0 * math.pi * 300.0
