@@ -15,11 +15,7 @@ from .analysis import (
     level_db,
     relative_error,
 )
-from .boundaries import (
-    inflow_update_pressure,
-    inflow_update_velocity,
-    outflow_update,
-)
+from .boundaries import boundary_row
 from .driver import RunReport, RunResult, Scenario, Simulation, run
 from .errors import ConfigError, DuctwaveError
 from .gas import (

@@ -10,18 +10,20 @@ fix the new boundary state:
   external state moving at u_e, with c_e = c0 + (gamma-1)/2 u_e;
 - the rest entropy S0.
 
-An inflow takes u_e from the imposed acoustic velocity, or from the
-imposed total pressure pi as (pi - p0)/(rho0 c0). The nonreflecting
-outflow is the same update with u_e = 0, the rest external state. The
-foot point lies at lambda = |u + s c| dt/dx of the way to the neighbour,
-clamped to 1; the CFL bound keeps the exact foot in the first cell.
+`boundary_row` is that update; the caller forms u_e. An inflow takes
+it from the imposed acoustic velocity, or from the imposed total pressure
+pi as (pi - p0)/(rho0 c0), which `driver` refuses unless pi > 0. The
+nonreflecting outflow is the same update with u_e = 0, the rest external
+state. The foot point lies at lambda = |u + s c| dt/dx of the way to the
+neighbour, clamped to 1; the CFL bound keeps the exact foot in the first
+cell.
 
 States are conserved (3,) rows, read as plain floats: the update, foot
 point included, works on plain numbers and returns the new row.
-Each check (positive imposed pressure and external sound speed, positive
-density and internal energy at the node and at its foot point, |u| < c
-at the node, r_plus > r_minus) raises a DuctwaveError whose message
-names the cause and the boundary node.
+Each check (positive external sound speed, positive density and internal
+energy at the node and at its foot point, |u| < c at the node, r_plus >
+r_minus) raises a DuctwaveError whose message names the cause and the
+boundary node.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def _node_state(w, gas: GasModel, node: int):
     return rho, u, p, math.sqrt(gas.gamma * p / rho)
 
 
-def _characteristic_update(w_b, w_n, u_e: float, side: int, gas: GasModel,
-                           dt: float, dx: float, node: int) -> np.ndarray:
+def boundary_row(w_b, w_n, u_e: float, side: int, gas: GasModel,
+                 dt: float, dx: float, node: int) -> np.ndarray:
     """New row at boundary node `node` from the level-n rows w_b of the node
     and w_n of its interior neighbour, for external velocity u_e on side
     -1 (inlet) or +1 (outlet)."""
@@ -93,30 +95,3 @@ def _characteristic_update(w_b, w_n, u_e: float, side: int, gas: GasModel,
     rho, u, p = primitive_from_characteristics(r_plus, r_minus, gas.s0, gas,
                                                node=node)
     return np.array([rho, rho * u, p / gm1 + 0.5 * rho * u ** 2])
-
-
-def inflow_update_pressure(pi_val: float, w0, w1, gas: GasModel, dt: float,
-                           dx: float) -> np.ndarray:
-    """New row at node 0 for an imposed total pressure pi at the new level.
-
-    w0, w1 are the conserved rows at nodes 0 and 1 at the current level.
-    """
-    if pi_val <= 0.0:
-        raise DuctwaveError(
-            f"imposed pressure must be positive at boundary node 0:"
-            f" pi={pi_val:.3f} Pa")
-    u_e = (pi_val - gas.p0) / (gas.rho0 * gas.c0)
-    return _characteristic_update(w0, w1, u_e, -1, gas, dt, dx, node=0)
-
-
-def inflow_update_velocity(u_val: float, w0, w1, gas: GasModel, dt: float,
-                           dx: float) -> np.ndarray:
-    """New row at node 0 for an imposed acoustic velocity at the new level."""
-    return _characteristic_update(w0, w1, u_val, -1, gas, dt, dx, node=0)
-
-
-def outflow_update(w_jm1, w_j, gas: GasModel, dt: float, dx: float,
-                   node: int) -> np.ndarray:
-    """Nonreflecting row at the outlet node J (passed as node) from the
-    level-n rows at J-1 and J: the inflow update with u_e = 0, mirrored."""
-    return _characteristic_update(w_j, w_jm1, 0.0, 1, gas, dt, dx, node)

@@ -259,8 +259,7 @@ def cmd_oracle_characteristics(args) -> int:
     period = signal.period
     tau = period / per_period
     # Start after the slowest characteristic of the first period arrives.
-    slow = gas.c0 - 0.5 * (gas.gamma + 1.0) * args.u0
-    arrival = station / slow
+    arrival = station / prob.slowest_speed
     start = (int(math.ceil(arrival / period)) + 1) * period
     n_samples = args.periods * per_period
     times = start + np.arange(n_samples) * tau

@@ -12,9 +12,10 @@ forms do not check positivity: a run evaluates `primitive_arrays` once
 per state, on the initial field and then on each field whose boundary
 rows are written, and checks the state on those arrays
 (`driver.Simulation`); they serve the wall memory, the probes and the
-next interior update. The boundaries check the nodes they read and the
-rows they rebuild. A failed check is a DuctwaveError whose message
-names the cause and the node.
+next interior update. The boundary update checks the nodes it reads and
+the rows it rebuilds, and the driver checks an imposed pressure before
+forming the inflow's external velocity from it. A failed check is a
+DuctwaveError whose message names the cause and the node.
 """
 
 from __future__ import annotations

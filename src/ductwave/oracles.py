@@ -59,7 +59,7 @@ class SimpleWaveProblem:
     def __post_init__(self):
         if self.station < 0.0:
             raise ValueError("station must be non-negative")
-        slow = self.gas.c0 - 0.5 * (self.gas.gamma + 1.0) * self.signal.peak()
+        slow = self.slowest_speed
         if slow <= 0.0:
             raise DuctwaveError(
                 f"slowest characteristic speed c0 - (gamma+1)/2 u_peak ="
@@ -74,12 +74,21 @@ class SimpleWaveProblem:
                     f" {l_shock:.4g} m)"
                 )
 
+    @property
+    def slowest_speed(self) -> float:
+        """Slowest characteristic speed c0 - (gamma+1)/2 peak() [m/s]."""
+        return self.gas.c0 - 0.5 * (self.gas.gamma + 1.0) * self.signal.peak()
+
     def emission_time(self, t: float) -> float:
         """Solve t - t0 = L / (c0 + (gamma+1)/2 u0(t0)) for t0.
 
         Newton iteration from the linear-acoustics guess t0 = t - L/c0,
-        safeguarded by bisection on the bracketing interval; the residual
-        is driven below 1e-12 L/c0.
+        safeguarded by bisection on the bracketing interval. It stops
+        once the residual is below 1e-12 L/c0, or once no float lies
+        nearer the root: the Newton point rounds to t0, or the bisection
+        point to a bracket end. Near the slowest speed the residual's
+        slope is so steep that one float step in t0 moves it past that
+        tolerance.
         """
         gas = self.gas
         length = self.station
@@ -97,8 +106,7 @@ class SimpleWaveProblem:
 
         # Bracket from the fastest/slowest characteristic speeds; the
         # residual decreases across it pre-shock.
-        slow = gas.c0 - half_gp1 * peak
-        lo = max(0.0, t - length / slow)
+        lo = max(0.0, t - length / self.slowest_speed)
         hi = t - length / (gas.c0 + half_gp1 * peak)
         hi = max(hi, lo)
         tol = 1e-12 * max(length / gas.c0, 1e-30)
@@ -113,14 +121,16 @@ class SimpleWaveProblem:
             else:
                 hi = t0
             df = slope(t0)
-            stepped = False
-            if df != 0.0:
-                cand = t0 - f / df
-                if lo < cand < hi:
-                    t0 = cand
-                    stepped = True
-            if not stepped:
-                t0 = 0.5 * (lo + hi)
+            newton = t0 - f / df if df != 0.0 else None
+            if newton == t0:
+                return t0
+            if newton is not None and lo < newton < hi:
+                t0 = newton
+            else:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    return t0
+                t0 = mid
             f = residual(t0)
         raise DuctwaveError(
             f"emission-time iteration stalled at t={t:.6g} (residual {f:.3g});"

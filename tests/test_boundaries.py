@@ -1,4 +1,4 @@
-"""Characteristic inflow/outflow boundary updates."""
+"""The characteristic boundary update, at the inlet and at the outlet."""
 
 import math
 
@@ -6,18 +6,30 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from ductwave.boundaries import (
-    foot_point,
-    inflow_update_pressure,
-    inflow_update_velocity,
-    outflow_update,
-)
+from ductwave.boundaries import boundary_row, foot_point
 from ductwave.errors import DuctwaveError
 from ductwave.gas import conserved_array, primitive_arrays
 
 DT = 2e-5
 DX = 0.01
-J_OUT = 40      # outlet node index passed to outflow_update
+J_OUT = 40      # outlet node index passed to the outlet update
+
+
+def _inlet(u_e, w0, w1, air, dt=DT):
+    """Row at the inlet, node 0, from the rows at nodes 0 and 1."""
+    return boundary_row(w0, w1, u_e, -1, air, dt, DX, 0)
+
+
+def _outlet(w_jm1, w_j, air, dt=DT):
+    """Nonreflecting row at the outlet, node J_OUT, from the rows at J-1
+    and J: the rest external state, u_e = 0, on side +1."""
+    return boundary_row(w_j, w_jm1, 0.0, +1, air, dt, DX, J_OUT)
+
+
+def _pressure_u_e(pi_val, air):
+    """External velocity of an imposed total pressure, (pi - p0)/(rho0 c0),
+    as the driver forms it."""
+    return (pi_val - air.p0) / (air.rho0 * air.c0)
 
 
 def _rest(air):
@@ -60,51 +72,47 @@ def _speeds(w, air):
 
 class TestExternalState:
     """The linearized external state (u_e, c_e = c0 + (g-1)/2 u_e) enters
-    only through the inflow updates. Against a rest interior the rebuilt
-    node takes it: u = u_e and c = c_e, up to rounding."""
+    only through u_e. Against a rest interior the rebuilt inlet node takes
+    it: u = u_e and c = c_e, up to rounding."""
 
     def test_matched_pressure_is_rest(self, air):
         # pi = p0 gives u_e = 0 exactly: the u_e = 0 velocity update
         w_b = conserved_array(1.21, 3.0, 1.03e5, air)
         w_n = conserved_array(1.2, 2.0, 1.01e5, air)
+        assert _pressure_u_e(air.p0, air) == 0.0
         np.testing.assert_array_equal(
-            inflow_update_pressure(air.p0, w_b, w_n, air, DT, DX),
-            inflow_update_velocity(0.0, w_b, w_n, air, DT, DX))
+            _inlet(_pressure_u_e(air.p0, air), w_b, w_n, air),
+            _inlet(0.0, w_b, w_n, air))
 
     def test_unit_velocity_construction(self, air):
         w_b = conserved_array(1.21, 3.0, 1.03e5, air)
         w_n = conserved_array(1.2, 2.0, 1.01e5, air)
-        np.testing.assert_allclose(
-            inflow_update_pressure(air.p0 + air.rho0 * air.c0, w_b, w_n, air,
-                                   DT, DX),
-            inflow_update_velocity(1.0, w_b, w_n, air, DT, DX), rtol=1e-12)
+        u_e = _pressure_u_e(air.p0 + air.rho0 * air.c0, air)
+        np.testing.assert_allclose(_inlet(u_e, w_b, w_n, air),
+                                   _inlet(1.0, w_b, w_n, air), rtol=1e-12)
 
     def test_small_overpressure(self, air):
         w = _rest(air)
-        u, c = _speeds(inflow_update_pressure(air.p0 + 100.0, w, w, air,
-                                              DT, DX), air)
+        u, c = _speeds(_inlet(_pressure_u_e(air.p0 + 100.0, air), w, w, air),
+                       air)
         assert u == pytest.approx(0.2424, abs=1e-3)
         assert c - air.c0 == pytest.approx(0.0485, abs=1e-4)
 
     def test_velocity_variants(self, air):
         w = _rest(air)
-        _, c_e = _speeds(inflow_update_velocity(1.0, w, w, air, DT, DX), air)
+        _, c_e = _speeds(_inlet(1.0, w, w, air), air)
         assert c_e - air.c0 == pytest.approx(0.2, rel=1e-9)
-        _, c_neg = _speeds(inflow_update_velocity(-1.0, w, w, air, DT, DX),
-                           air)
+        _, c_neg = _speeds(_inlet(-1.0, w, w, air), air)
         assert c_neg - air.c0 == pytest.approx(-(c_e - air.c0), rel=1e-9)
 
-    def test_invalid_pressure_rejected(self, air):
+    def test_invalid_external_speed_rejected(self, air):
+        # c_e = c0 + (g-1)/2 u_e must stay positive; a non-positive
+        # imposed pressure is refused by the driver before u_e is formed
         w = _rest(air)
-        with pytest.raises(DuctwaveError,
-                           match="^imposed pressure must be positive at"
-                                 " boundary node 0:"):
-            inflow_update_pressure(0.0, w, w, air, DT, DX)
-        # c_e = c0 + (g-1)/2 u_e must stay positive
         with pytest.raises(DuctwaveError,
                            match="^external sound speed must be positive at"
                                  " boundary node 0:"):
-            inflow_update_velocity(-2000.0, w, w, air, DT, DX)
+            _inlet(-2000.0, w, w, air)
 
 
 def test_outlet_is_the_mirrored_rest_inlet(air):
@@ -118,10 +126,9 @@ def test_outlet_is_the_mirrored_rest_inlet(air):
         w_jm1, w_j = (conserved_array(rho[i], u[i], p[i], air)
                       for i in range(2))
         dt = rng.uniform(0.1, 1.0) * DX / air.c0
-        inlet = inflow_update_velocity(0.0, _mirror(w_j), _mirror(w_jm1),
-                                       air, dt, DX)
-        np.testing.assert_array_equal(
-            outflow_update(w_jm1, w_j, air, dt, DX, J_OUT), _mirror(inlet))
+        inlet = _inlet(0.0, _mirror(w_j), _mirror(w_jm1), air, dt)
+        np.testing.assert_array_equal(_outlet(w_jm1, w_j, air, dt),
+                                      _mirror(inlet))
 
 
 class TestFootPoint:
@@ -158,7 +165,7 @@ class TestFootPoint:
 class TestInflowUpdates:
     def test_pressure_rest_fixed_point(self, air):
         w = _rest(air)
-        out = inflow_update_pressure(air.p0, w, w, air, DT, DX)
+        out = _inlet(_pressure_u_e(air.p0, air), w, w, air)
         rho, u, p = primitive_arrays(out, air)
         assert abs(u) < 1e-12
         assert p == pytest.approx(air.p0, rel=1e-13)
@@ -166,24 +173,23 @@ class TestInflowUpdates:
 
     def test_velocity_rest_fixed_point(self, air):
         w = _rest(air)
-        out = inflow_update_velocity(0.0, w, w, air, DT, DX)
+        out = _inlet(0.0, w, w, air)
         _, u, _ = primitive_arrays(out, air)
         assert abs(u) < 1e-12
 
     @pytest.mark.parametrize("pi_extra", [100.0, -150.0, 2000.0])
     def test_entropy_pinned(self, air, pi_extra):
         w = _rest(air)
-        out = inflow_update_pressure(air.p0 + pi_extra, w, w, air, DT, DX)
+        out = _inlet(_pressure_u_e(air.p0 + pi_extra, air), w, w, air)
         rho, _, p = primitive_arrays(out, air)
         assert p / rho ** air.gamma == pytest.approx(air.s0, rel=1e-12)
 
     def test_pressure_update_matches_root_finder(self, air):
         w = _rest(air)
         pi_val = air.p0 + 100.0
-        out_rho, out_u, out_p = primitive_arrays(
-            inflow_update_pressure(pi_val, w, w, air, DT, DX), air)
-        # independent oracle: foot point of a uniform rest field is rest
         u_e = (pi_val - air.p0) / (air.rho0 * air.c0)
+        out_rho, out_u, out_p = primitive_arrays(_inlet(u_e, w, w, air), air)
+        # independent oracle: foot point of a uniform rest field is rest
         c_e = air.c0 + 0.2 * u_e
         r_minus = 0.0 - 2.0 * air.c0 / 0.4
         r_plus = u_e + 2.0 * c_e / 0.4
@@ -200,7 +206,7 @@ class TestInflowUpdates:
         w = _rest(air)
         u_val = 0.1
         out_rho, out_u, out_p = primitive_arrays(
-            inflow_update_velocity(u_val, w, w, air, DT, DX), air)
+            _inlet(u_val, w, w, air), air)
         c_e = air.c0 + 0.2 * u_val
         r_minus = -2.0 * air.c0 / 0.4
         r_plus = u_val + 2.0 * c_e / 0.4
@@ -213,13 +219,13 @@ class TestInflowUpdates:
         fast = conserved_array(1.2, 500.0, 101325.0, air)
         with pytest.raises(DuctwaveError,
                            match="^supersonic state at boundary node 0:"):
-            inflow_update_velocity(0.0, fast, fast, air, DT, DX)
+            _inlet(0.0, fast, fast, air)
 
 
 class TestOutflowUpdate:
     def test_rest_fixed_point(self, air):
         w = _rest(air)
-        out = outflow_update(w, w, air, DT, DX, J_OUT)
+        out = _outlet(w, w, air)
         _, u, p = primitive_arrays(out, air)
         assert abs(u) < 1e-12
         assert p == pytest.approx(air.p0, rel=1e-13)
@@ -228,7 +234,7 @@ class TestOutflowUpdate:
         w_in = conserved_array(1.25, 6.0, 1.08e5, air)
         w_b = conserved_array(1.22, 4.0, 1.05e5, air)
         out_rho, out_u, out_p = primitive_arrays(
-            outflow_update(w_in, w_b, air, DT, DX, J_OUT), air)
+            _outlet(w_in, w_b, air), air)
         c = _sound_speed(out_rho, out_p, air)
         r_minus = out_u - 2.0 * c / 0.4
         assert r_minus == pytest.approx(-2.0 * air.c0 / 0.4, rel=1e-12)
@@ -238,7 +244,7 @@ class TestOutflowUpdate:
         w_in = conserved_array(1.21, 3.0, 1.03e5, air)
         w_b = conserved_array(1.2, 2.0, 1.01e5, air)
         out_rho, out_u, out_p = primitive_arrays(
-            outflow_update(w_in, w_b, air, DT, DX, J_OUT), air)
+            _outlet(w_in, w_b, air), air)
         # oracle recomputes the foot state and the invariant transport
         rho_b, u_b, p_b = primitive_arrays(w_b, air)
         lam = abs(u_b + _sound_speed(rho_b, p_b, air)) * DT / DX
@@ -253,15 +259,15 @@ class TestOutflowUpdate:
         fast = conserved_array(1.2, 400.0, 101325.0, air)
         with pytest.raises(DuctwaveError, match="^supersonic state at"
                                                 f" boundary node {J_OUT}:"):
-            outflow_update(fast, fast, air, DT, DX, J_OUT)
+            _outlet(fast, fast, air)
 
 
 def _inflow(w_b, w_n, air, dt):
-    return inflow_update_velocity(0.0, w_b, w_n, air, dt, DX)
+    return _inlet(0.0, w_b, w_n, air, dt)
 
 
 def _outflow(w_b, w_n, air, dt):
-    return outflow_update(w_n, w_b, air, dt, DX, J_OUT)
+    return _outlet(w_n, w_b, air, dt)
 
 
 @pytest.mark.parametrize("update, node", [(_inflow, 0), (_outflow, J_OUT)])

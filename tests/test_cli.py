@@ -521,6 +521,18 @@ class TestOracleCharacteristics:
                      "--freq", "440", "--s", "0.5", "--periods", "1",
                      "--out", str(tmp_path / "slow")]) == EXIT_OK
 
+    @pytest.mark.parametrize("u0", ["285", "286"])
+    def test_solve_within_float_resolution_answers(self, tmp_path, capsys,
+                                                   u0):
+        # the slowest characteristic moves at under 2 m/s: the
+        # emission-time solve stops where no float lies nearer its root
+        # rather than stall on an absolute residual no float reaches
+        assert main(["oracle-characteristics", "--u0", u0,
+                     "--freq", "440", "--s", "0.5", "--periods", "1",
+                     "--out", str(tmp_path / "oc")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "oc" / "oracle_series.csv").exists()
+
 
 class TestOracleKirchhoff:
     def test_table_contents(self, tmp_path):

@@ -1,6 +1,7 @@
 """Coupled time loop: initialization, stepping, runs, degenerate modes."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from ductwave.driver import (
 from ductwave.errors import DuctwaveError
 from ductwave.gas import GasModel, conserved_array, primitive_arrays
 from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
-from ductwave.boundaries import inflow_update_velocity, outflow_update
+from ductwave.boundaries import boundary_row
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import K0
 from exact_history import ExactHistory
@@ -477,7 +478,35 @@ class TestWallMemoryInTheLoop:
         assert len(calls) == 1
 
 
+class _ConstantInflow:
+    """An inflow datum that holds one value and has no period."""
+
+    period = None
+
+    def __init__(self, datum):
+        self.datum = datum
+
+    def value(self, t):
+        return self.datum
+
+
 class TestBoundaryErrors:
+    @pytest.mark.parametrize("datum", [-101325.0, -3e5])
+    def test_non_positive_imposed_pressure_refused(self, air, datum):
+        # pi = p0 + datum at or below zero is refused before the inlet's
+        # external velocity is formed from it; the level is kept
+        sim = Simulation(_small_scenario(air, inflow=_ConstantInflow(datum)))
+        w = sim.w.copy()
+        pi_val = air.p0 + datum
+        assert pi_val <= 0.0
+        with pytest.raises(DuctwaveError,
+                           match="^imposed pressure must be positive at"
+                                 " boundary node 0:"
+                                 f" pi={re.escape(f'{pi_val:.3f}')} Pa$"):
+            sim.advance()
+        assert sim.n == 0
+        np.testing.assert_array_equal(sim.w, w)
+
     def test_supersonic_outlet_names_node_j(self, air):
         sc = _small_scenario(air, losses=False)
         w = Simulation(sc).w
@@ -690,10 +719,10 @@ class TestDegenerateCoupling:
                                       air, sc.grid, dt,
                                       primitive_arrays(w, air))
             t = (k + 1) * dt
-            new[0] = np.asarray(inflow_update_velocity(
-                sc.inflow.value(t), w[0], w[1], air, dt, sc.grid.dx))
-            new[-1] = np.asarray(outflow_update(
-                w[-2], w[-1], air, dt, sc.grid.dx, sc.grid.cells))
+            new[0] = boundary_row(w[0], w[1], sc.inflow.value(t), -1, air,
+                                  dt, sc.grid.dx, 0)
+            new[-1] = boundary_row(w[-1], w[-2], 0.0, +1, air, dt,
+                                   sc.grid.dx, sc.grid.cells)
             w = new
         np.testing.assert_array_equal(sim.w, w)
         assert sim.n * sim.dt == t

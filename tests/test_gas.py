@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ductwave.boundaries import inflow_update_velocity, outflow_update
+from ductwave.boundaries import boundary_row
 from ductwave.errors import DuctwaveError
 from ductwave.gas import (
     GasModel,
@@ -81,8 +81,8 @@ class TestConversions:
         # every conserved row a boundary reads: positive density and
         # internal energy
         updates = (
-            lambda w: inflow_update_velocity(0.0, w, w, air, 2e-5, 0.01),
-            lambda w: outflow_update(w, w, air, 2e-5, 0.01, node=9),
+            lambda w: boundary_row(w, w, 0.0, -1, air, 2e-5, 0.01, 0),
+            lambda w: boundary_row(w, w, 0.0, +1, air, 2e-5, 0.01, 9),
         )
         for update in updates:
             with pytest.raises(DuctwaveError, match=r"^non-positive density"

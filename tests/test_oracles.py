@@ -91,6 +91,28 @@ class TestSimpleWave:
             residual = t - t0 - station / (air.c0 + 1.2 * sig.value(t0))
             assert abs(residual) < 1e-12 * station / air.c0
 
+    @pytest.mark.parametrize("u0", [285.0, 286.0])
+    def test_emission_time_stops_at_float_resolution(self, air, u0):
+        """Within 2 m/s of the slowest speed one float step in t0 moves
+        the residual past 1e-12 L/c0: the solve returns a t0 with no float
+        nearer the root, its residual within twice that step."""
+        omega0 = 2.0 * math.pi * 440.0
+        station = 0.5 * shock_distance(u0, omega0, air)
+        sig = MultiHarmonicSignal(omega0, ((1, u0, 0.0),))
+        prob = SimpleWaveProblem(signal=sig, gas=air, station=station)
+        assert prob.slowest_speed == pytest.approx(air.c0 - 1.2 * u0,
+                                                   rel=1e-12)
+        period = 2.0 * math.pi / omega0
+        start = (math.ceil(station / prob.slowest_speed / period) + 1) * period
+        tol = 1e-12 * station / air.c0
+        for t in start + np.arange(1024) * (period / 1024):
+            t0 = prob.emission_time(float(t))
+            speed = air.c0 + 1.2 * sig.value(t0)
+            residual = t - t0 - station / speed
+            slope = -1.0 + station * 1.2 * sig.derivative(t0) / speed ** 2
+            assert abs(residual) < tol \
+                or abs(residual) <= 2.0 * abs(slope) * math.ulp(t0)
+
     def test_matches_characteristic_fan(self, air):
         """Dense fan construction: emit many characteristics, build the
         (arrival time, velocity) curve, and interpolate it in time."""
