@@ -7,8 +7,10 @@ magnitudes from the direct discrete transform (K_max stays small, so an
 FFT buys nothing).
 
 A run keeps only its native probe rows. Its period-grid records
-(`PeriodGridRecord`) hold no samples: they interpolate those rows when
-read, so a window or a block of samples costs only what it returns.
+(`PeriodGridRecord`) hold no samples: each derives its layout (tau, the
+whole periods its native record spans, the sample count) from that
+record, the period and the sampling exponent, and interpolates the rows
+when read, so a window or a block of samples costs only what it returns.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ _SPECTRUM_BLOCK = 2 ** 20
 _COMPONENTS = {"rho": 0, "u": 1, "p": 2}
 
 
-def _searchsorted(n: int, time_of, value: float, side: str = "left") -> int:
+def _searchsorted(n: int, time_of, value: float) -> int:
     """np.searchsorted of value in the times time_of(0..n-1), which must
     not decrease, found by bisection on the sample index: no array of
     the n times is built."""
-    find = bisect.bisect_left if side == "left" else bisect.bisect_right
-    return find(range(n), value, key=time_of)
+    return bisect.bisect_left(range(n), value, key=time_of)
 
 
 class _Series:
@@ -106,14 +107,14 @@ class ProbeRecord(_Series):
         return self.data[lo:hi]
 
 
-@dataclass(frozen=True)
 class PeriodGridRecord(_Series):
-    """A native record read on a finer or coarser grid of step tau:
-    sample m is the native series linearly interpolated at
-    t_start + m * tau, for m = 0..n_samples-1. The grid may not read
-    past the native record: its last time (n_samples - 1) * tau passes
-    the native record's last time by at most 1e-9 of itself, the slack of
-    period_grid (1e-9 of a period, and a grid spans whole periods).
+    """A native record read on the grid of 2^sampling_exponent samples a
+    period: sample m is the native series linearly interpolated at
+    t_start + m * tau, tau = period / 2^sampling_exponent, for
+    m = 0..n_samples-1 over the n_periods whole periods the record spans
+    (to 1e-9 of a period; 0 and one sample if it spans none). The layout
+    is derived from these three inputs, once, so the grid cannot read
+    past the native record.
 
     Nothing of the grid is kept. samples(lo, hi) interpolates those
     samples from the native samples that bracket them; np.interp over a
@@ -121,23 +122,17 @@ class PeriodGridRecord(_Series):
     depend on which block it is read in.
     """
 
-    native: ProbeRecord
-    tau: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("sample period must be positive")
-        if self.n_samples < 1:
-            raise ValueError("a period grid needs at least one sample")
-        last = (self.n_samples - 1) * self.tau
-        span = (self.native.n_samples - 1) * self.native.tau
-        # the form of period_grid's floor(span / period + 1e-9), so a
-        # one-period grid is judged exactly as period_grid judged it
-        if last > 0.0 and span / last + 1e-9 < 1.0:
-            raise ValueError(
-                f"a period grid to t = {last!r} after its start reads past"
-                f" the native record, which ends at {span!r}")
+    def __init__(self, native: ProbeRecord, period: float,
+                 sampling_exponent: int):
+        if not period > 0.0:
+            raise ValueError(f"period must be positive, got {period!r}")
+        check_sampling_exponent(sampling_exponent)
+        self.native, self.period = native, period
+        self.per_period = 2 ** sampling_exponent
+        self.tau = period / self.per_period
+        span = (native.n_samples - 1) * native.tau
+        self.n_periods = int(math.floor(span / period + 1e-9))
+        self.n_samples = self.n_periods * self.per_period + 1
 
     @property
     def station_index(self) -> int:
@@ -158,34 +153,16 @@ class PeriodGridRecord(_Series):
                 f"rows [{lo}, {hi}) outside the grid's {self.n_samples}")
         native = self.native
         t0, step, n_native = native.t_start, native.tau, native.n_samples
-
-        def time_of(m):
-            # the native sample times relative to t0, as native.times - t0
-            return (t0 + m * step) - t0
-
-        # the native rows that bracket the grid times lo * tau..hi * tau
+        # the native rows that bracket the grid times lo * tau..hi * tau,
+        # with rows to spare for rounding in the index estimates
+        first = max(int(lo * self.tau / step) - 1, 0)
+        stop = min(int(hi * self.tau / step) + 3, n_native)
         t_new = np.arange(lo, hi) * self.tau
-        first = _searchsorted(n_native, time_of, lo * self.tau, "right") - 1
-        stop = min(_searchsorted(n_native, time_of, hi * self.tau) + 1,
-                   n_native)
+        # the native sample times relative to t0, as native.times - t0
         t_old = (t0 + np.arange(first, stop) * step) - t0
         return np.column_stack([
             np.interp(t_new, t_old, native.data[first:stop, i])
             for i in range(3)])
-
-
-def period_grid(record: ProbeRecord, period: float,
-                sampling_exponent: int) -> PeriodGridRecord | None:
-    """The record read at t_start + m * period/2^N, m = 0..n 2^N, over
-    the largest whole number n >= 1 of periods it spans (None if it
-    spans none)."""
-    per_period = 2 ** sampling_exponent
-    span = (record.n_samples - 1) * record.tau
-    n_periods = int(math.floor(span / period + 1e-9))
-    if n_periods < 1:
-        return None
-    return PeriodGridRecord(native=record, tau=period / per_period,
-                            n_samples=n_periods * per_period + 1)
 
 
 @dataclass(frozen=True)

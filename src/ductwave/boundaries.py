@@ -22,8 +22,8 @@ States are conserved (3,) rows, read as plain floats: the update, foot
 point included, works on plain numbers and returns the new row.
 Each check (positive external sound speed, positive density and internal
 energy at the node and at its foot point, |u| < c at the node, r_plus >
-r_minus) raises a DuctwaveError whose message names the cause and the
-boundary node.
+r_minus) raises a DuctwaveError whose message names the cause and whose
+`.node` is the boundary node.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def _external(u_e: float, gas: GasModel, node: int) -> float:
     c_e = gas.c0 + 0.5 * (gas.gamma - 1.0) * u_e
     if c_e <= 0.0:
         raise DuctwaveError(
-            f"external sound speed must be positive at boundary node {node}:"
-            f" c_e={c_e:.3f} for u_e={u_e:.3f}")
+            f"external sound speed must be positive: c_e={c_e:.3f}"
+            f" for u_e={u_e:.3f}", node=node)
     return c_e
 
 
@@ -85,8 +85,7 @@ def boundary_row(w_b, w_n, u_e: float, side: int, gas: GasModel,
     _, u, _, c = _node_state(w_b, gas, node)
     if abs(u) >= c:
         raise DuctwaveError(
-            f"supersonic state at boundary node {node}: |u|={abs(u):.3f}"
-            f" >= c={c:.3f}")
+            f"supersonic state: |u|={abs(u):.3f} >= c={c:.3f}", node=node)
     foot = foot_point((w_b, w_n), u + side * c, dt, dx)
     _, u_foot, _, c_foot = _node_state(foot, gas, node)
     outgoing = u_foot + side * 2.0 * c_foot / gm1

@@ -153,7 +153,7 @@ def cmd_run(args) -> int:
                 out_dir / f"{tag}_spectrum.csv",
                 ["k", "mag_u_mps", "mag_p_Pa", "level_p_dbspl",
                  "level_p_rel_db"],
-                _spectrum_rows(record, scenario, doc),
+                _spectrum_rows(record, doc),
             )
 
     report_path = out_dir / f"{prefix}_report.txt"
@@ -175,12 +175,11 @@ def _series_rows(record):
         yield from np.column_stack([times, record.samples(lo, hi)]).tolist()
 
 
-def _spectrum_rows(record, scenario, doc):
+def _spectrum_rows(record, doc):
     """Spectrum rows of the last output.spectrum_periods whole periods of a
-    record resampled on the period grid (2^N samples a period)."""
-    omega0 = 2.0 * math.pi / scenario.fundamental_period
-    per_period = 2 ** scenario.sampling_exponent
-    whole = (record.n_samples - 1) // per_period
+    period-grid record."""
+    omega0 = 2.0 * math.pi / record.period
+    per_period, whole = record.per_period, record.n_periods
     periods = min(doc.get("output.spectrum_periods", 4), whole)
     lo, hi = (whole - periods) * per_period, whole * per_period
     window = record.window(record.t_start + lo * record.tau,

@@ -36,9 +36,10 @@ state.
 step and writes each level's (rho, u, p) at those nodes into it from the
 checked primitive arrays, so a stored row costs 24 bytes from the first
 step. These native rows are all a run keeps of its probes: its
-period-grid records hold no samples and interpolate them when read
-(`analysis.PeriodGridRecord`), so a read holds only the rows it asks
-for.
+period-grid records (`analysis.PeriodGridRecord`), one for each record
+that spans a whole period, derive their layout from the record, the
+period and the sampling exponent, hold no samples and interpolate the
+rows when read, so a read holds only the rows it asks for.
 
 Runs are deterministic: identical scenarios produce bit-identical
 fields, histories and probe records. An error raised inside the time loop
@@ -55,12 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wall
-from .analysis import (
-    PeriodGridRecord,
-    ProbeRecord,
-    check_sampling_exponent,
-    period_grid,
-)
+from .analysis import PeriodGridRecord, ProbeRecord, check_sampling_exponent
 from .boundaries import boundary_row
 from .errors import DuctwaveError
 from .gas import GasModel, conserved_array, primitive_arrays
@@ -234,8 +230,8 @@ class Simulation:
             pi_val = gas.p0 + value
             if pi_val <= 0.0:
                 raise DuctwaveError(
-                    f"imposed pressure must be positive at boundary node 0:"
-                    f" pi={pi_val:.3f} Pa")
+                    f"imposed pressure must be positive: pi={pi_val:.3f} Pa",
+                    node=0)
             u_e = (pi_val - gas.p0) / (gas.rho0 * gas.c0)
             inflow = inflow_update_pressure
         else:
@@ -260,8 +256,9 @@ def run(scenario: Scenario,
     that share a node record it once, in first-seen order. When the
     inflow has a fundamental period, RunResult.resampled reads each
     record on the tau = T0/2^N grid over the largest whole number of
-    periods covered: a PeriodGridRecord, which holds no samples and
-    interpolates the rows each read asks for.
+    periods covered: a PeriodGridRecord, which derives that layout
+    itself, holds no samples and interpolates the rows each read asks
+    for. A run shorter than one period has none.
     """
     started = time.perf_counter()
     sim = Simulation(scenario, initial_field=initial_field)
@@ -286,9 +283,9 @@ def run(scenario: Scenario,
         for j, data in zip(nodes.tolist(), rows))
     period = scenario.fundamental_period
     grids = () if period is None else (
-        period_grid(rec, period, scenario.sampling_exponent)
+        PeriodGridRecord(rec, period, scenario.sampling_exponent)
         for rec in records)
-    resampled = tuple(g for g in grids if g is not None)
+    resampled = tuple(g for g in grids if g.n_periods >= 1)
     report = RunReport(dt=sim.dt, n_steps=n_steps, wall_clock_s=elapsed)
     return RunResult(scenario=scenario, w=sim.w, history=sim.history,
                      records=records, resampled=resampled, report=report)

@@ -15,7 +15,6 @@ from ductwave.analysis import (
     check_sampling_exponent,
     harmonic_spectrum,
     level_db,
-    period_grid,
     relative_error,
 )
 from ductwave.cli import _SERIES_CHUNK
@@ -55,7 +54,7 @@ def _scenario(exponent, **overrides):
 
 def _period_grid(record, exponent):
     """The record read on tau = PERIOD / 2^exponent, as a run reads it."""
-    return period_grid(record, PERIOD, exponent)
+    return PeriodGridRecord(record, PERIOD, exponent)
 
 
 def _whole(grid):
@@ -122,16 +121,15 @@ class TestProbeRecord:
 
     @given(n=st.integers(1, 5000), t_start=st.floats(-1e3, 1e3),
            tau=st.floats(1e-9, 1e2), index=st.integers(-2, 5002),
-           shift=st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.5]),
-           side=st.sampled_from(["left", "right"]))
+           shift=st.sampled_from([-0.5, -1e-9, 0.0, 1e-9, 0.5]))
     def test_bisection_equals_searchsorted(self, n, t_start, tau, index,
-                                           shift, side):
+                                           shift):
         # values on, beside and between the sample times, and past both
         # ends; a fine tau on a large t_start makes runs of equal times
         times = t_start + np.arange(n) * tau
         value = t_start + index * tau + shift * tau
-        found = _searchsorted(n, lambda m: t_start + m * tau, value, side)
-        assert found == np.searchsorted(times, value, side)
+        found = _searchsorted(n, lambda m: t_start + m * tau, value)
+        assert found == np.searchsorted(times, value)
 
 
 class TestResample:
@@ -189,9 +187,12 @@ class TestResample:
                                           _one_interpolation(native, 10))
 
     def test_span_mismatch_rejected(self):
-        # a record shorter than one whole period has nothing to resample
+        # a record shorter than one whole period spans none: its grid is
+        # the one sample at its start, and a run keeps no such grid
         rec = _sine_record(periods=1, per_period=33)
-        assert _period_grid(rec, 3) is None
+        grid = _period_grid(rec, 3)
+        assert (grid.n_periods, grid.n_samples) == (0, 1)
+        np.testing.assert_array_equal(_whole(grid), rec.data[:1])
 
 
 class TestPeriodGridRecord:
@@ -236,8 +237,12 @@ class TestPeriodGridRecord:
                     assert win.tau == grid.tau
 
     def test_samples_outside_the_grid_rejected(self, grid):
-        with pytest.raises(ValueError):
-            PeriodGridRecord(native=grid.native, tau=0.0, n_samples=3)
+        for period in (0.0, -PERIOD):
+            with pytest.raises(ValueError, match="period must be positive"):
+                PeriodGridRecord(grid.native, period, 8)
+        for exponent in (2, 21):
+            with pytest.raises(ValueError, match="sampling exponent"):
+                PeriodGridRecord(grid.native, PERIOD, exponent)
         with pytest.raises(IndexError):
             grid.samples(0, grid.n_samples + 1)
         with pytest.raises(IndexError):
@@ -247,30 +252,38 @@ class TestPeriodGridRecord:
         with pytest.raises(DuctwaveError, match="contains no samples"):
             grid.window(-2.0 * PERIOD, -PERIOD)
 
-    def test_grid_past_the_native_record_rejected(self):
-        # five native rows end at t = 4: a grid to t = 8 would repeat the
-        # last row at t = 5..8
-        native = ProbeRecord(station_index=0, x=0.0, tau=1.0,
-                             data=np.ones((5, 3)))
-        with pytest.raises(ValueError, match="reads past the native record"):
-            PeriodGridRecord(native=native, tau=1.0, n_samples=9)
-        with pytest.raises(ValueError, match="reads past the native record"):
-            PeriodGridRecord(native=native, tau=0.5, n_samples=10)
-        for tau, n_samples in ((1.0, 5), (0.5, 9), (3.0, 2), (1.0, 1)):
-            PeriodGridRecord(native=native, tau=tau, n_samples=n_samples)
-
     def test_grid_within_period_grid_slack_accepted(self):
         # a record that falls 1e-10 of a period short of whole periods
-        # still gets them, as period_grid rounds, for one period and many
+        # still gets them, within the grid's 1e-9-period slack, for one
+        # period and many
         for periods in (1, 7):
             span = periods * PERIOD * (1.0 - 1e-10)
             native = ProbeRecord(station_index=0, x=0.0, tau=span / 100,
                                  data=np.ones((101, 3)))
             grid = _period_grid(native, 4)
+            assert grid.n_periods == periods
             assert grid.n_samples == periods * 2 ** 4 + 1
-            with pytest.raises(ValueError, match="reads past"):
-                PeriodGridRecord(native=native, tau=grid.tau,
-                                 n_samples=grid.n_samples + 1)
+
+    @given(n_native=st.integers(2, 5000), periods=st.integers(1, 60),
+           short=st.one_of(st.sampled_from([0.0, 1e-10, 0.5]),
+                           st.floats(0.0, 1.0, exclude_max=True)),
+           exponent=st.integers(3, 12))
+    def test_grid_ends_within_the_native_record(self, n_native, periods,
+                                                short, exponent):
+        # a native record of n_native rows spanning `short` of a period
+        # less than a whole count, 1e-10 of a period short among them: the
+        # grid ends within 1e-9 of a period (and an ulp) of the record's
+        # last time, over the most whole periods that do
+        step = (periods - short) * PERIOD / (n_native - 1)
+        native = ProbeRecord(station_index=0, x=0.0, tau=step,
+                             data=np.ones((n_native, 3)))
+        grid = _period_grid(native, exponent)
+        span = (native.n_samples - 1) * native.tau
+        last = (grid.n_samples - 1) * grid.tau
+        slack = 1e-9 * PERIOD
+        assert grid.n_samples == grid.n_periods * 2 ** exponent + 1
+        assert last - span <= slack + math.ulp(span)
+        assert (grid.n_periods + 1) * PERIOD - span > slack - math.ulp(span)
 
 
 class TestSamplingExponent:

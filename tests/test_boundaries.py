@@ -110,9 +110,10 @@ class TestExternalState:
         # imposed pressure is refused by the driver before u_e is formed
         w = _rest(air)
         with pytest.raises(DuctwaveError,
-                           match="^external sound speed must be positive at"
-                                 " boundary node 0:"):
+                           match=r"^external sound speed must be positive:"
+                                 r" c_e=.* \(node 0\)$") as info:
             _inlet(-2000.0, w, w, air)
+        assert info.value.node == 0
 
 
 def test_outlet_is_the_mirrored_rest_inlet(air):
@@ -218,8 +219,9 @@ class TestInflowUpdates:
     def test_supersonic_boundary_rejected(self, air):
         fast = conserved_array(1.2, 500.0, 101325.0, air)
         with pytest.raises(DuctwaveError,
-                           match="^supersonic state at boundary node 0:"):
+                           match=r"^supersonic state: .* \(node 0\)$") as info:
             _inlet(0.0, fast, fast, air)
+        assert info.value.node == 0
 
 
 class TestOutflowUpdate:
@@ -257,9 +259,11 @@ class TestOutflowUpdate:
 
     def test_supersonic_rejected(self, air):
         fast = conserved_array(1.2, 400.0, 101325.0, air)
-        with pytest.raises(DuctwaveError, match="^supersonic state at"
-                                                f" boundary node {J_OUT}:"):
+        with pytest.raises(DuctwaveError,
+                           match=rf"^supersonic state: .* \(node {J_OUT}\)$"
+                           ) as info:
             _outlet(fast, fast, air)
+        assert info.value.node == J_OUT
 
 
 def _inflow(w_b, w_n, air, dt):

@@ -20,7 +20,12 @@ from ductwave.cli import (
     EXIT_RUNTIME,
     main,
 )
-from ductwave.config import builtin_scenarios, serialize_config
+from ductwave.config import (
+    builtin_scenarios,
+    parse_config,
+    scenario_from_config,
+    serialize_config,
+)
 from ductwave.csvio import read_csv, write_csv
 from ductwave.errors import ConfigError
 from ductwave.gas import GasModel
@@ -368,6 +373,34 @@ class TestRunCommand:
         assert "run complete: 314 steps" in capsys.readouterr().out
         assert "steps = 314" in (out / "kirchhoff_report.txt").read_text()
 
+    def test_run_shorter_than_a_period_writes_only_native_series(
+            self, tmp_path):
+        # kirchhoff for half a period (16 steps) spans no whole period: the
+        # run keeps no period grid, and each probe's series is its 17
+        # native rows at t = n dt, with no spectrum
+        text = serialize_config(builtin_scenarios()["kirchhoff"])
+        lines = [ln for ln in text.splitlines()
+                 if not ln.startswith("run.duration_periods")]
+        cfg = tmp_path / "khalf.cfg"
+        cfg.write_text("\n".join(lines + ["run.duration_periods = 0.5"])
+                       + "\n", encoding="utf-8")
+        result = ductwave.run(scenario_from_config(
+            parse_config(cfg.read_text(encoding="utf-8"))))
+        assert result.report.n_steps == 16
+        assert result.resampled == ()
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_OK
+        assert not list(out.glob("*_spectrum.csv"))
+        assert len(list(out.glob("*_series.csv"))) == len(result.records) == 2
+        for record in result.records:
+            _, body = read_csv(
+                out / f"kirchhoff_probe{record.station_index}_series.csv")
+            assert body.shape == (17, 4)
+            np.testing.assert_array_equal(
+                body[:, 0], np.arange(17) * result.report.dt)
+            np.testing.assert_array_equal(body[:, 1:], record.data)
+
     def test_negative_external_sound_speed_exits_with_runtime_code(
             self, tmp_path, capsys):
         # u_e = -2000 m/s puts c_e = c0 + (g-1)/2 u_e below zero
@@ -379,7 +412,7 @@ class TestRunCommand:
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: external sound speed")
-        assert "node 0:" in err and "(step 1, t = " in err
+        assert "(node 0) (step 1, t = " in err
         assert not out.exists()
 
     def test_non_positive_imposed_pressure_exits_with_runtime_code(
@@ -391,7 +424,7 @@ class TestRunCommand:
         assert code == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: imposed pressure must be positive")
-        assert "node 0:" in err and "t/T0 = 0." in err
+        assert "(node 0) (step " in err and "t/T0 = 0." in err
         # neither the output directory nor the parent made for it is left
         assert not (tmp_path / "o").exists()
 
@@ -799,8 +832,10 @@ class TestCsvStreaming:
                                 101325.0 + np.cos(np.arange(n) * 0.1)])
         native = ductwave.ProbeRecord(station_index=3, x=0.1, tau=0.25,
                                       data=data, t_start=0.7)
-        record = ductwave.PeriodGridRecord(native=native, tau=0.1,
-                                           n_samples=2 * n - 5)
+        # tau = 0.8 / 2^3 = 0.1, over the 3843 whole periods of 0.8 the
+        # native rows span
+        record = ductwave.PeriodGridRecord(native, 0.8, 3)
+        assert record.n_samples % cli._SERIES_CHUNK != 0
         stacked = np.column_stack(
             [record.times, record.samples(0, record.n_samples)]).tolist()
         assert list(cli._series_rows(record)) == stacked
