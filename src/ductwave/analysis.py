@@ -167,19 +167,14 @@ class PeriodGridRecord(_Series):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Harmonic magnitudes |s_k| for k = 1..K_max on a fundamental omega0."""
+    """Harmonic magnitudes |s_k| for k = 1..K_max, as `harmonic_spectrum`
+    computes them: magnitudes[k - 1] is |s_k|, so K_max is their count."""
 
-    omega0: float
     magnitudes: np.ndarray
-    k_max: int
 
-    def __post_init__(self):
-        mags = np.asarray(self.magnitudes, dtype=float)
-        if mags.shape != (self.k_max,):
-            raise ValueError("need one magnitude per harmonic 1..K_max")
-        if (mags < 0.0).any():
-            raise ValueError("magnitudes must be non-negative")
-        object.__setattr__(self, "magnitudes", mags)
+    @property
+    def k_max(self) -> int:
+        return self.magnitudes.size
 
     def magnitude(self, k: int) -> float:
         if not (1 <= k <= self.k_max):
@@ -246,7 +241,7 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
         np.exp(phases, out=phases)
         phases *= 2.0 / m_samples
         total = total + phases @ signal[lo:hi]
-    return SpectrumResult(omega0=omega0, magnitudes=np.abs(total), k_max=k_max)
+    return SpectrumResult(np.abs(total))
 
 
 def level_db(magnitude: float, reference: float) -> float:

@@ -12,7 +12,8 @@ unknown flag or subcommand, or a missing required flag, is one), 3
 any other DuctwaveError: simulation or oracle domain errors (blow-up,
 shock regime), 4 I/O failures. Output files are deterministic; timing
 goes to stdout only. Errors go to stderr, one line each. A `run` that
-fails removes the output directory it created. `--help` prints the
+fails, in its steps or in its writes, removes the files it wrote and
+the output directories it created. `--help` prints the
 usage to stdout and exits 0.
 """
 
@@ -129,35 +130,34 @@ def cmd_run(args) -> int:
     })
     scenario = scenario_from_config(doc)
 
+    prefix = doc.get("output.prefix", "run")
     out_dir = Path(args.out)
-    # the directories this call makes, innermost first, go if the run fails
+    # the directories this call makes, innermost first, and the files it
+    # opens for writing go if the run or a write fails
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
     try:
         result = driver.run(scenario)
+        for record in (result.resampled or result.records):
+            tag = f"{prefix}_probe{record.station_index}"
+            written.append(out_dir / f"{tag}_series.csv")
+            write_csv(written[-1], ["t_s", "rho_kgpm3", "u_mps", "p_Pa"],
+                      _series_rows(record))
+            if result.resampled:
+                written.append(out_dir / f"{tag}_spectrum.csv")
+                write_csv(written[-1],
+                          ["k", "mag_u_mps", "mag_p_Pa", "level_p_dbspl",
+                           "level_p_rel_db"],
+                          _spectrum_rows(record, doc))
+        written.append(out_dir / f"{prefix}_report.txt")
+        written[-1].write_text(_report_text(result), encoding="utf-8")
     except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
         for d in made:
             d.rmdir()
         raise
-    prefix = doc.get("output.prefix", "run")
-
-    for record in (result.resampled or result.records):
-        tag = f"{prefix}_probe{record.station_index}"
-        write_csv(
-            out_dir / f"{tag}_series.csv",
-            ["t_s", "rho_kgpm3", "u_mps", "p_Pa"],
-            _series_rows(record),
-        )
-        if result.resampled:
-            write_csv(
-                out_dir / f"{tag}_spectrum.csv",
-                ["k", "mag_u_mps", "mag_p_Pa", "level_p_dbspl",
-                 "level_p_rel_db"],
-                _spectrum_rows(record, doc),
-            )
-
-    report_path = out_dir / f"{prefix}_report.txt"
-    report_path.write_text(_report_text(result), encoding="utf-8")
     print(f"run complete: {result.report.n_steps} steps,"
           f" dt={result.report.dt:.6e} s,"
           f" wall clock {result.report.wall_clock_s:.2f} s")

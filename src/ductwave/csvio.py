@@ -6,11 +6,14 @@ is handed over row by row through `ndarray.tolist`), and str() of a
 Python float is its shortest round-trip repr, so reading the file back
 reproduces the values bit for bit. Rows are streamed both ways: writing
 formats _WRITE_BLOCK rows at a time with one %-format of the block, so
-it holds no copy of the table, and reading parses one line at a time.
+it holds no copy of the table, and reading packs one line at a time
+onto one bytearray that the returned array views, so it holds the table
+once.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import islice
 from pathlib import Path
 
@@ -18,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-_READ_BLOCK = 4096      # rows parsed before they are packed as float64
 _WRITE_BLOCK = 1024     # rows formatted by one %-format
 
 
@@ -54,14 +56,15 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     """Header names and the numeric body as a (rows, cols) float array.
 
     Blank lines are skipped; the line numbers in errors are those of the
-    file, blank lines included. The body is parsed line by line, and
-    every _READ_BLOCK rows are packed into a float64 block, so reading
-    holds the array about twice and not the text or its rows of Python
-    floats.
+    file, blank lines included. The body is parsed line by line, each
+    row packed as native doubles onto one bytearray that the returned
+    array views, so reading holds the table once and not the text or its
+    rows of Python floats. (numpy already imports `struct`; the `array`
+    module would load one more shared library into every run.)
     """
     path = Path(path)
     header = None
-    blocks, rows = [], []
+    values = bytearray()
     with open(path, encoding="utf-8") as fh:
         for i, ln in enumerate(fh, start=1):
             if not ln.strip():
@@ -69,22 +72,18 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
             ln = ln.rstrip("\n")
             if header is None:
                 header = [h.strip() for h in ln.split(",")]
+                pack_row = struct.Struct(f"{len(header)}d").pack
                 continue
             cells = ln.split(",")
             if len(cells) != len(header):
                 raise ConfigError(f"{path}: row has {len(cells)} cells,"
                                   f" header has {len(header)}", line_no=i)
             try:
-                rows.append([float(c) for c in cells])
+                values += pack_row(*map(float, cells))
             except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}", line_no=i) from None
-            if len(rows) == _READ_BLOCK:
-                blocks.append(np.array(rows))
-                rows.clear()
     if header is None:
         raise ConfigError(f"{path}: empty CSV")
-    if rows:
-        blocks.append(np.array(rows))
-    if not blocks:
+    if not values:
         raise ConfigError(f"{path}: no data rows")
-    return header, np.concatenate(blocks)
+    return header, np.frombuffer(values).reshape(-1, len(header))

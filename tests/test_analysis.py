@@ -340,6 +340,16 @@ class TestHarmonicSpectrum:
         b = harmonic_spectrum(shifted, OMEGA0, 6).magnitudes
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
 
+    def test_harmonic_outside_the_band_refused(self):
+        spec = harmonic_spectrum(_sine_record(), OMEGA0, 4)
+        assert spec.k_max == 4 and spec.magnitudes.shape == (4,)
+        for k in (0, spec.k_max + 1):
+            with pytest.raises(IndexError, match=f"^harmonic {k} outside"
+                                                 " 1..4$"):
+                spec.magnitude(k)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            harmonic_spectrum(_sine_record(), OMEGA0, 0)
+
     def test_non_integer_window_rejected(self):
         rec = _sine_record(periods=4)
         partial = ProbeRecord(station_index=0, x=0.0, tau=rec.tau,
