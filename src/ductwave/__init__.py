@@ -35,6 +35,7 @@ from .oracles import (
 from .scheme import (
     DuctGeometry,
     Grid,
+    Level,
     lax_wendroff_update,
 )
 from .signals import MultiHarmonicSignal, SampledSignal

@@ -19,7 +19,9 @@ neighbour, clamped to 1; the CFL bound keeps the exact foot in the first
 cell.
 
 States are conserved (3,) rows, read as plain floats: the update, foot
-point included, works on plain numbers and returns the new row.
+point included, works on plain numbers and returns the new row as a
+tuple of three floats, which the driver writes as a column of the new
+field.
 Each check (positive external sound speed, positive density and internal
 energy at the node and at its foot point, |u| < c at the node, r_plus >
 r_minus) raises a DuctwaveError whose message names the cause and whose
@@ -29,8 +31,6 @@ r_minus) raises a DuctwaveError whose message names the cause and whose
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DuctwaveError
 from .gas import GasModel, primitive_from_characteristics
@@ -55,9 +55,9 @@ def foot_point(states_near_boundary: tuple, celerity_signed: float,
     W_b + lambda*(W_n - W_b), lambda clamped to 1, so interpolating
     identical states is bitwise exact.
     """
-    w_b, w_n = states_near_boundary
+    (b0, b1, b2), (n0, n1, n2) = states_near_boundary
     lam = min(abs(celerity_signed) * dt / dx, 1.0)
-    return tuple(b + lam * (n - b) for b, n in zip(w_b, w_n))
+    return b0 + lam * (n0 - b0), b1 + lam * (n1 - b1), b2 + lam * (n2 - b2)
 
 
 def _node_state(w, gas: GasModel, node: int):
@@ -75,10 +75,12 @@ def _node_state(w, gas: GasModel, node: int):
 
 
 def boundary_row(w_b, w_n, u_e: float, side: int, gas: GasModel,
-                 dt: float, dx: float, node: int) -> np.ndarray:
-    """New row at boundary node `node` from the level-n rows w_b of the node
-    and w_n of its interior neighbour, for external velocity u_e on side
-    -1 (inlet) or +1 (outlet)."""
+                 dt: float, dx: float,
+                 node: int) -> tuple[float, float, float]:
+    """New conserved row (rho, rho u, rho E) at boundary node `node`, as
+    plain floats, from the level-n rows w_b of the node and w_n of its
+    interior neighbour (arrays of three entries), for external velocity
+    u_e on side -1 (inlet) or +1 (outlet)."""
     w_b, w_n = w_b.tolist(), w_n.tolist()
     gm1 = gas.gamma - 1.0
     c_e = _external(u_e, gas, node)
@@ -93,4 +95,4 @@ def boundary_row(w_b, w_n, u_e: float, side: int, gas: GasModel,
     r_plus, r_minus = (outgoing, incoming) if side > 0 else (incoming, outgoing)
     rho, u, p = primitive_from_characteristics(r_plus, r_minus, gas.s0, gas,
                                                node=node)
-    return np.array([rho, rho * u, p / gm1 + 0.5 * rho * u ** 2])
+    return rho, rho * u, p / gm1 + 0.5 * rho * u ** 2

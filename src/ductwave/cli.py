@@ -13,13 +13,15 @@ any other DuctwaveError: simulation or oracle domain errors (blow-up,
 shock regime), 4 I/O failures. Output files are deterministic; timing
 goes to stdout only. Errors go to stderr, one line each. A `run` that
 fails, in its steps or in its writes, removes the files it wrote and
-the output directories it created. `--help` prints the
-usage to stdout and exits 0.
+the output directories it created; one whose output.prefix names a
+directory that is not there fails so before its first step. `--help`
+prints the usage to stdout and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import sys
 from pathlib import Path
@@ -138,6 +140,12 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
+        # a prefix naming a directory that is not there fails every write:
+        # refuse it before the run rather than after it
+        where = (out_dir / prefix).parent
+        if not where.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "output.prefix names no"
+                                    " directory", str(where))
         result = driver.run(scenario)
         for record in (result.resampled or result.records):
             tag = f"{prefix}_probe{record.station_index}"

@@ -1,45 +1,52 @@
 """Time-loop orchestration of the coupled duct problem.
 
-The state of a run is plain: the (J+1, 3) conserved field w and its step
-index n, held by `Simulation`. The interior update takes and returns bare
-arrays; the driver writes the boundary rows into the new array and
+The state of a run is plain: the conserved field and its step index n,
+held by `Simulation`. The field is one C-contiguous (3, J+1) array of
+the rows rho, rho u and rho E, held in a `scheme.Level` with the rest of
+that time level's storage; a step writes the next level into a second
+`Level` and the two alternate. `Simulation.w` and `RunResult.w` are the
+field's (J+1, 3) transposed view. The interior update writes the
+interior of the new field; the driver writes its boundary columns and
 advances n by one. There is one clock: level n sits at t = n * dt
 wherever a time is needed (the inflow datum, a failure's message, the
 probe records, the CSVs, the samples check), and no running sum of dt is
 kept to drift from it.
 
-One step, all from level-n data: evaluate the wall sources G for every
-node from the wall memory and the prefactors fixed at construction, and
-form the two increments the interior update adds: dt G + dt^2/2 dG/dt =
-dt (G + (G - G_prev)/2) at the nodes, with G_prev the previous step's
-table (zero before the first step), and dt (G_j + G_j+1)/2 at the
-midpoints. With losses off they are one read-only zero table and a view
-of its rows 1..J, both held from construction. Then advance the
-interior nodes with the second-order expansion, from the primitive arrays
-(rho, u, p) kept from the previous step; rebuild both boundary nodes by
-the one characteristic update `boundaries.boundary_row`, each checking
-the node it rebuilds. The driver forms each end's external velocity u_e:
-at the inlet the inflow datum at the new time level, a velocity as it
-is or a total pressure pi = p0 + datum, refused unless positive, as
-(pi - p0)/(rho0 c0); at the outlet 0, the rest state. Then compute the
-primitive arrays of the completed field, once, check the state on them
-(as for the initial field), and keep them for the probes and the next
-step. With losses on their pressures are appended
-to the wall memory, whose storage and per-step cost do not depend on the
-step index; with losses off the wall memory keeps only the initial
-level. The time step is frozen at the start of the run (the convolution
-weights assume uniform dt) at cfl * dx / c0, the CFL step of the rest
-state.
+One step, all from level-n data: read the wall sources as the rows
+(dt G2, dt G3) of every node from the wall memory, whose prefactors
+carry dt, and form the two increments the interior update adds as flat
+operations on those rows: dt G + dt^2/2 dG/dt = dt (G + (G - G_prev)/2)
+at the nodes, with G_prev the previous step's table (zero before the
+first step), and dt (G_j + G_j+1)/4, half the midpoint increment. With
+losses off both are one read-only zero buffer, held from construction.
+Then advance the interior nodes with the second-order expansion, from
+the primitive rows (rho, u, p) kept from the previous step; rebuild both
+boundary nodes by the one characteristic update
+`boundaries.boundary_row`, each checking the node it rebuilds. The
+driver forms each end's external velocity u_e: at the inlet the inflow
+datum at the new time level, a velocity as it is or a total pressure
+pi = p0 + datum, refused unless positive, as (pi - p0)/(rho0 c0); at
+the outlet 0, the rest state. Then compute the primitive rows of the
+completed field, once, check the state on them (as for the initial
+field), and keep them for the probes and the next step: they are the
+first rows of the new level's row buffer, whose other rows the next
+interior update uses. With
+losses on their pressures are appended to the wall memory, whose
+storage and per-step cost do not depend on the step index; with losses
+off the wall memory keeps only the initial level. The time step is
+frozen at the start of the run (the convolution weights assume uniform
+dt) at cfl * dx / c0, the CFL step of the rest state.
 
 `Simulation` is only the stepper; `run` records the probes. It sizes one
 (P, n_steps + 1, 3) float64 array for the P probe nodes before the first
 step and writes each level's (rho, u, p) at those nodes into it from the
-checked primitive arrays, so a stored row costs 24 bytes from the first
-step. These native rows are all a run keeps of its probes: its
-period-grid records (`analysis.PeriodGridRecord`), one for each record
-that spans a whole period, derive their layout from the record, the
-period and the sampling exponent, hold no samples and interpolate the
-rows when read, so a read holds only the rows it asks for.
+checked primitive rows, one indexed copy a level, so a stored row costs
+24 bytes from the first step. These native rows are all a run keeps of
+its probes: its period-grid records (`analysis.PeriodGridRecord`), one
+for each record that spans a whole period, derive their layout from the
+record, the period and the sampling exponent, hold no samples and
+interpolate the rows when read, so a read holds only the rows it asks
+for.
 
 Runs are deterministic: identical scenarios produce bit-identical
 fields, histories and probe records. An error raised inside the time loop
@@ -60,7 +67,7 @@ from .analysis import PeriodGridRecord, ProbeRecord, check_sampling_exponent
 from .boundaries import boundary_row
 from .errors import DuctwaveError
 from .gas import GasModel, conserved_array, primitive_arrays
-from .scheme import DuctGeometry, Grid, lax_wendroff_update
+from .scheme import DuctGeometry, Grid, Level, lax_wendroff_update
 from .signals import SampledSignal
 
 PRESSURE = "pressure"
@@ -164,15 +171,15 @@ def step_count(scenario: Scenario) -> int:
     return int(math.ceil(scenario.duration / frozen_dt(scenario) - 1e-9))
 
 
-def _checked_primitives(w: np.ndarray, gas: GasModel):
-    """primitive_arrays(w, gas) of a field with positive density and
-    pressure and finite rows, else a DuctwaveError naming the first bad
-    node. A healthy field passes on three reductions; only a failing one
-    builds the per-node mask, silencing the float warnings of broken
-    rows."""
+def _checked_primitives(w: np.ndarray, gas: GasModel, out=None):
+    """primitive_arrays(w, gas, out) of a (J+1, 3) field with positive
+    density and pressure and finite entries, else a DuctwaveError naming
+    the first bad node. A healthy field passes on three reductions, the
+    first two before any division; only a failing one builds the
+    per-node mask, silencing the float warnings of broken rows."""
     rho = w[:, 0]
     if rho.min() > 0.0 and np.isfinite(w).all():
-        prim = primitive_arrays(w, gas)
+        prim = primitive_arrays(w, gas, out)
         if prim[2].min() > 0.0:
             return prim
     with np.errstate(all="ignore"):
@@ -182,10 +189,12 @@ def _checked_primitives(w: np.ndarray, gas: GasModel):
 
 
 class Simulation:
-    """The stepper of a run. Its state is the (J+1, 3) conserved field w
-    after n steps, at time n * dt; it fixes the wall-source prefactors
-    for the run in its wall memory and caches, between steps, the
-    primitive arrays (rho, u, p) of w and the previous source table."""
+    """The stepper of a run. Its state is the conserved field after n
+    steps, at time n * dt, held in one of two `scheme.Level`s that the
+    steps alternate: w is its (J+1, 3) view and prim its checked
+    primitive rows (rho, u, p). It fixes the wall-source prefactors,
+    times dt, for the run in its wall memory and keeps the previous
+    source table between steps."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: np.ndarray | None = None):
@@ -193,37 +202,48 @@ class Simulation:
         self.dt = frozen_dt(scenario)
         gas, n_nodes = scenario.gas, scenario.grid.n_nodes
         if initial_field is None:
-            self.w = np.tile(conserved_array(gas.rho0, 0.0, gas.p0, gas),
-                             (n_nodes, 1))
+            field = conserved_array(gas.rho0, 0.0, gas.p0, gas)
         else:
-            self.w = np.array(initial_field, dtype=float)
-            if self.w.shape != (n_nodes, 3):
+            field = np.asarray(initial_field, dtype=float)
+            if field.shape != (n_nodes, 3):
                 raise ValueError(
-                    f"initial field has shape {self.w.shape},"
+                    f"initial field has shape {field.shape},"
                     f" the grid needs ({n_nodes}, 3)")
+        self._level = Level(n_nodes)
+        self._next = Level(n_nodes, self._level)
+        self._level.w[:] = field
+        self.w = self._level.w
         self.n = 0
-        self.prim = _checked_primitives(self.w, gas)
-        self.history = wall.PressureHistory(
-            n_nodes, *wall.source_coefficients(
-                gas, scenario.geom, scenario.grid, self.dt))
+        self.prim = _checked_primitives(self.w, gas, self._level.prim)
+        c2, c3 = wall.source_coefficients(gas, scenario.geom, scenario.grid,
+                                          self.dt)
+        self.history = wall.PressureHistory(n_nodes, self.dt * c2,
+                                            self.dt * c3)
         self.history.append(self.prim[2])
-        self._zero = np.zeros((n_nodes, 3))
+        self._zero = np.zeros((2, n_nodes))
         self._zero.flags.writeable = False
-        self._zero_mid = self._zero[1:]
         self._g_prev = self._zero
+        self._s_node = np.zeros((2, n_nodes))
+        self._s_mid = np.zeros((2, n_nodes))
+        self._mid = self._s_mid.reshape(-1)[:-1]
 
     def advance(self):
         """One coupled step (sources, interior, boundaries, history)."""
-        sc, w, dt = self.scenario, self.w, self.dt
+        sc, dt = self.scenario, self.dt
         gas, grid = sc.gas, sc.grid
+        cur, nxt = self._level, self._next
         if sc.losses:
             g_now = wall.source_table(self.history, self.n)
-            s_node = dt * (g_now + 0.5 * (g_now - self._g_prev))
-            s_mid = (0.5 * dt) * (g_now[:-1] + g_now[1:])
-            self._g_prev = g_now
+            s_node, s_mid, mid = self._s_node, self._s_mid, self._mid
+            np.subtract(g_now, self._g_prev, out=s_node)
+            np.multiply(s_node, 0.5, out=s_node)
+            np.add(s_node, g_now, out=s_node)
+            g = g_now.reshape(-1)
+            np.add(g[:-1], g[1:], out=mid)
+            np.multiply(mid, 0.25, out=mid)
         else:
-            s_node, s_mid = self._zero, self._zero_mid
-        new = lax_wendroff_update(w, s_node, s_mid, gas, grid, dt, self.prim)
+            s_node = s_mid = self._zero
+        lax_wendroff_update(cur, nxt, s_node, s_mid, gas, grid, dt)
 
         value = sc.inflow.value((self.n + 1) * dt)
         if sc.inflow_kind == PRESSURE:
@@ -236,15 +256,19 @@ class Simulation:
             inflow = inflow_update_pressure
         else:
             u_e, inflow = value, inflow_update_velocity
-        new[0] = inflow(w[0], w[1], u_e, -1, gas, dt, grid.dx, 0)
-        new[-1] = outflow_update(w[-1], w[-2], 0.0, +1, gas, dt, grid.dx,
-                                 grid.cells)
+        nxt.inlet[:] = inflow(cur.inlet, cur.inlet_next, u_e, -1, gas, dt,
+                              grid.dx, 0)
+        nxt.outlet[:] = outflow_update(cur.outlet, cur.outlet_prev, 0.0, +1,
+                                       gas, dt, grid.dx, grid.cells)
 
-        # checked before it is kept: a failed step leaves the last good level
-        self.prim = _checked_primitives(new, gas)
-        self.w, self.n = new, self.n + 1
+        # checked before it is kept: a failed step leaves the last good
+        # level, and the source table the next step differences against
+        prim = _checked_primitives(nxt.w, gas, nxt.prim)
+        self.w, self.prim, self.n = nxt.w, prim, self.n + 1
+        self._level, self._next = nxt, cur
         if sc.losses:
-            self.history.append(self.prim[2])
+            self._g_prev = g_now
+            self.history.append(prim[2])
 
 
 def run(scenario: Scenario,
@@ -291,10 +315,9 @@ def run(scenario: Scenario,
                      records=records, resampled=resampled, report=report)
 
 
-def _record(rows: np.ndarray, n: int, prim, nodes: np.ndarray):
-    """Write level n's (rho, u, p) at the probe nodes into rows[:, n]."""
-    for col, values in enumerate(prim):
-        rows[:, n, col] = values[nodes]
+def _record(rows: np.ndarray, n: int, prim: np.ndarray, nodes: np.ndarray):
+    """Write level n's (rho, u, p) rows at the probe nodes into rows[:, n]."""
+    rows[:, n] = prim.take(nodes, axis=1).T
 
 
 def _step_context(sim: Simulation) -> str:

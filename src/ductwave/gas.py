@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +51,13 @@ class GasModel:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 
-    @property
+    # computed once per gas: the boundary update reads both every step
+    @cached_property
     def c0(self) -> float:
         """Reference sound speed sqrt(gamma * p0 / rho0) [m/s]."""
         return math.sqrt(self.gamma * self.p0 / self.rho0)
 
-    @property
+    @cached_property
     def s0(self) -> float:
         """Reference entropy p0 / rho0^gamma."""
         return self.p0 / self.rho0 ** self.gamma
@@ -67,12 +69,23 @@ class GasModel:
 # inverse rebuilds one boundary node from plain numbers.
 # ---------------------------------------------------------------------------
 
-def primitive_arrays(w: np.ndarray, gas: GasModel):
-    """Split a conserved array (..., 3) into (rho, u, p) arrays."""
-    rho = w[..., 0]
-    u = w[..., 1] / rho
-    p = (gas.gamma - 1.0) * (w[..., 2] - 0.5 * w[..., 1] * u)
-    return rho, u, p
+def primitive_arrays(w: np.ndarray, gas: GasModel, out=None):
+    """Split a conserved array (..., 3) into (rho, u, p) arrays: views and
+    new arrays, or, when out is given, the rows of out, a (3, ...) array
+    written in place and returned."""
+    rho, mom, etot = w[..., 0], w[..., 1], w[..., 2]
+    if out is None:
+        u = mom / rho
+        return rho, u, (gas.gamma - 1.0) * (etot - 0.5 * mom * u)
+    u, p = out[1], out[2]
+    out[0] = rho
+    np.divide(mom, rho, out=u)
+    # (mom u) (-1/2) rounds as 0.5 mom u does: halving is exact
+    np.multiply(mom, u, out=p)
+    np.multiply(p, -0.5, out=p)
+    np.add(p, etot, out=p)
+    np.multiply(p, gas.gamma - 1.0, out=p)
+    return out
 
 
 def conserved_array(rho, u, p, gas: GasModel) -> np.ndarray:

@@ -9,25 +9,31 @@ with f the perfect-gas Euler flux and G the visco-thermal wall forcing
 Taylor expansion in time: dW/dt comes from the equation itself with a
 centered flux difference, and d2W/dt2 from its space derivative using
 two-point averaged flux Jacobians and one-sided midpoint flux
-differences. Boundary nodes are owned by `boundaries` and never written
-here.
+differences. Boundary nodes are owned by `boundaries`, whose update
+overwrites whatever this one leaves in them.
 
-Array conventions: a field is a plain (J+1, 3) float array over grid
-nodes, with no clock attached; the driver keeps the time and the step
-index. The update takes the field, the primitive arrays (rho, u, p) of
-it, which the driver computes and checks once per state, and the wall
-sources as the two increments the step adds: dt G + dt^2/2 dG/dt at
-the nodes and dt times the mean G of each cell's two nodes at the
-midpoints, which the driver forms once per step (with losses off, one
-shared zero buffer). It forms the flux and
-the Jacobian products from them in one pass of whole-array operations,
-most of them in place into arrays it allocates, with no branch on the
-sources. It is pure numerics: it returns a new array unchecked, and the
-driver checks it once its boundary rows are written.
+Array conventions: a field is one C-contiguous (3, J+1) float array
+whose rows are rho, rho u and rho E over the grid nodes, with no clock
+attached; the driver keeps the time and the step index. A `Level` holds
+the storage of one time level, made once per run: the field, its
+primitive rows (rho, u, p), which the driver computes and checks once
+per state, the update's work rows, which the two levels of a run
+share, and the views of them that a step reads and writes, so that the
+update makes no array. The update advances one level into another. It
+takes the wall sources of the momentum and energy rows as the two
+increments the step adds: dt G + dt^2/2 dG/dt at the nodes and half of
+dt times the mean G of each cell's two nodes at the midpoints, which the
+driver forms once per step (with losses off, one shared zero buffer). It
+works on the raveled rows: every operation spans a whole buffer, and the
+few entries that straddle two rows land on boundary nodes, which the
+boundary update rewrites. It is pure numerics: it leaves the new field
+unchecked, and the driver checks it once its boundary columns are
+written.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,81 +95,171 @@ class DuctGeometry:
         return 1 if self.symmetry == PLANE else 2
 
 
-def lax_wendroff_update(w: np.ndarray, s_node: np.ndarray,
-                        s_mid: np.ndarray, gas: GasModel, grid: Grid,
-                        dt: float, prim) -> np.ndarray:
-    """The (J+1, 3) field w with interior nodes 1..J-1 advanced one step
-    of size dt.
+# rows of a Level's row buffer: (rho, u, p), then the basis the flux
+# Jacobian is linear in, whose rows 1-7 (u, p, u^2, u^3, e, u e, 1) are
+# summed over each cell at once
+RHO, U, P, U2, U3, E, UE, ONE = range(8)
 
-    s_node and s_mid are the source increments the step adds: s_node =
-    dt G + dt^2/2 dG/dt at every node, a (J+1, 3) array whose boundary
-    rows are not read, and s_mid = dt (G_j + G_j+1)/2 at the J
-    midpoints, a (J, 3) array. prim is the (rho, u, p) of w. Boundary
-    rows are copied through untouched. The new array is returned
-    unchecked.
+
+class Level:
+    """The storage of one time level on n nodes, with its views.
+
+    q is the conserved field, a C-contiguous (3, n) array of the rows
+    rho, rho u and rho E, and w its (n, 3) view. rows is an (8, n)
+    buffer: rows 0-2, prim, hold (rho, u, p) of the field, written by the
+    driver's check of the level; rows 3-6 the basis u^2, u^3, e = E/rho
+    and u e, written by the update that starts from the level; row 7
+    ones. The work rows are that update's, and the remaining
+    attributes are the views of all of these that a step reads and
+    writes. A level made with another level shares that level's work rows:
+    one update runs at a time, and none leaves anything in it.
+    """
+
+    # the names from "pair" on are views of the work rows
+    __slots__ = (
+        "n", "q", "w", "rows", "prim", "mom", "etot", "inner", "sourced",
+        "inlet", "inlet_next", "outlet", "outlet_prev",
+        "rho", "u", "p", "u2", "u3", "e", "ue", "basis_hi", "basis_lo",
+        "pair", "pair_flat", "f0", "f1", "f2", "f_hi", "f_lo", "flux",
+        "flux_mass", "flux_rest", "flux_lo", "dt_v", "dv_mass", "dv_rest",
+        "a_mid", "a_mid3", "r", "r_flat", "plus", "plus_hi")
+
+    def __init__(self, n: int, other: Level | None = None):
+        self.n = n
+        self.q = np.empty((3, n))
+        self.w = self.q.T
+        q_flat = self.q.reshape(-1)
+        self.mom, self.etot = self.q[1], self.q[2]
+        # every entry but the first and the last, and those of the rho u
+        # and rho E rows but the last: the ones the update reads and writes
+        self.inner, self.sourced = q_flat[1:-1], q_flat[n:-1]
+        self.inlet, self.inlet_next = self.q[:, 0], self.q[:, 1]
+        self.outlet, self.outlet_prev = self.q[:, -1], self.q[:, -2]
+
+        self.rows = np.zeros((8, n))
+        self.rows[ONE] = 1.0
+        self.prim = self.rows[:3]
+        (self.rho, self.u, self.p, self.u2, self.u3, self.e,
+         self.ue, _) = self.rows
+        basis = self.rows[U:].reshape(-1)
+        self.basis_hi, self.basis_lo = basis[1:], basis[:-1]
+
+        if other is not None:
+            for name in _WORK_VIEWS:
+                setattr(self, name, getattr(other, name))
+            return
+        # work rows, zero where no operation writes: the last entry of each
+        # raveled buffer below is never written, and stays finite
+        work = np.zeros((31, n))
+        self.pair, self.a_mid = work[:7], work[7:16]
+        self.a_mid3 = self.a_mid.reshape(3, 3, n)
+        self.pair_flat = self.pair.reshape(-1)[:-1]
+        f = work[16:19]
+        self.f0, self.f1, self.f2 = f
+        f_flat = f.reshape(-1)
+        self.f_hi, self.f_lo = f_flat[1:], f_flat[:-1]
+        self.flux = work[19:22].reshape(-1)[:-1]
+        self.flux_mass, self.flux_rest = self.flux[:n], self.flux[n:]
+        self.flux_lo = self.flux[:-1]
+        self.dt_v = work[22:25]
+        dv = self.dt_v.reshape(-1)
+        self.dv_mass, self.dv_rest = dv[:n], dv[n:-1]
+        self.r = work[25:28]
+        self.r_flat = self.r.reshape(-1)[:-1]
+        self.plus = work[28:31].reshape(-1)[:-1]
+        self.plus_hi = self.plus[1:]
+
+
+_WORK_VIEWS = Level.__slots__[Level.__slots__.index("pair"):]
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_basis(gamma: float, half_lam: float) -> np.ndarray:
+    """The (9, 7) matrix C with lam/2 A_ik(w) = sum_b C[3 i + k, b]
+    basis_b(w), over the basis rows 1-7 of a Level's row buffer (u, p,
+    u^2, u^3, e, u e, 1); p has no entry. Read-only."""
+    c = np.zeros((3, 3, 8))
+    c[0, 1, ONE] = half_lam
+    c[1, 0, U2] = 0.5 * (gamma - 3.0) * half_lam
+    c[1, 1, U] = (3.0 - gamma) * half_lam
+    c[1, 2, ONE] = (gamma - 1.0) * half_lam
+    c[2, 0, U3] = (gamma - 1.0) * half_lam
+    c[2, 0, UE] = -gamma * half_lam
+    c[2, 1, E] = gamma * half_lam
+    c[2, 1, U2] = -1.5 * (gamma - 1.0) * half_lam
+    c[2, 2, U] = gamma * half_lam
+    c = c.reshape(9, 8)[:, U:].copy()
+    c.flags.writeable = False
+    return c
+
+
+def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray,
+                        s_mid: np.ndarray, gas: GasModel, grid: Grid,
+                        dt: float) -> np.ndarray:
+    """Advance the interior nodes 1..J-1 of the field of level cur one
+    step of size dt into the field of level nxt, and return that field,
+    nxt.q.
+
+    cur.prim must hold (rho, u, p) of cur's field. s_node and s_mid are
+    the source increments of the rho u and rho E rows, each a (2, J+1)
+    array: s_node = dt G + dt^2/2 dG/dt at every node, and s_mid =
+    dt (G_j + G_j+1)/4, half the midpoint increment, in column j for
+    cell j. Column J of s_mid reaches only boundary entries and must be
+    finite. The boundary columns 0 and J of nxt.q are left to the
+    boundary update, and the field is left unchecked.
 
     With lam = dt/dx, cell j running from node j to node j+1, F_j =
-    lam (f_j+1 - f_j) its scaled flux difference and dt v_j = s_mid_j -
+    lam (f_j+1 - f_j) its scaled flux difference and dt v_j = dt G_mid,j -
     F_j its rate dW/dt = G - df/dx times dt, the update is
 
         w_j + s_node_j - [(F + R)_j + (F - R)_j-1] / 2,
         R_j = lam A_mid,j (dt v_j),
 
     the centered flux difference and the second-order term of the
-    Taylor expansion in one stencil. The Euler flux is (rho u,
-    rho u^2 + p, u (etot + p)); its Jacobian A is formed at the nodes,
-    scaled by lam/2, so that the sum of two neighbours is lam A_mid.
+    Taylor expansion in one stencil, formed at half scale so that no
+    step halves it. The Euler flux is (rho u, rho u^2 + p, u (etot +
+    p)); the entries of its Jacobian A are linear in the basis (u, u^2,
+    u^3, e, u e, 1), so lam/2 times the sum of A over a cell's two
+    nodes is a constant matrix times the cell's pair-summed basis.
     """
-    n = w.shape[0]
-    if s_node.shape != w.shape or s_mid.shape != (n - 1, 3):
-        raise ValueError("source increments must be supplied for all"
-                         " nodes and midpoints")
-    rho, u, p = prim
-    gam = gas.gamma
-    lam = dt / grid.dx
-    half_lam = 0.5 * lam
-    mom, etot = w[:, 1], w[:, 2]
+    n = cur.n
+    if s_node.shape != (2, n) or s_mid.shape != (2, n) or nxt.n != n:
+        raise ValueError("both levels and the source increments of every"
+                         " node and midpoint must share the grid's nodes")
+    half_lam = 0.5 * dt / grid.dx
+    u, p, mom, etot = cur.u, cur.p, cur.mom, cur.etot
 
-    f = np.empty_like(w)
-    f[:, 0] = mom
-    np.multiply(mom, u, out=f[:, 1])
-    f[:, 1] += p
-    np.add(etot, p, out=f[:, 2])
-    f[:, 2] *= u
-    flux = f[1:] - f[:-1]
-    flux *= lam
-    dt_v = s_mid - flux
+    np.multiply(u, u, out=cur.u2)
+    np.multiply(cur.u2, u, out=cur.u3)
+    np.divide(etot, cur.rho, out=cur.e)
+    np.multiply(u, cur.e, out=cur.ue)
+    # each node plus its right neighbour over rows 1-7 in one call
+    np.add(cur.basis_hi, cur.basis_lo, out=cur.pair_flat)
+    np.matmul(_jacobian_basis(gas.gamma, half_lam), cur.pair,
+              out=cur.a_mid)
 
-    # lam/2 A_ik at the nodes for rows i = 1, 2 of A (row 0 is (0, 1, 0)),
-    # a flat (2, 3, J+1) block, then in one call the sum of each node with
-    # its right neighbour over the whole block: the last column of each
-    # row of that sum straddles two rows and is dropped.
-    block = np.empty((2, 6 * n))
-    a = block[0].reshape(6, n)
-    u2 = u * u
-    np.multiply(u2, 0.5 * (gam - 3.0) * half_lam, out=a[0])
-    np.multiply(u, (3.0 - gam) * half_lam, out=a[1])
-    a[2] = (gam - 1.0) * half_lam
-    np.multiply(u2, (gam - 1.0) * half_lam, out=a[3])
-    np.divide(etot, rho, out=a[4])
-    a[4] *= gam * half_lam
-    a[3] -= a[4]
-    a[3] *= u
-    u2 *= 1.5 * (gam - 1.0) * half_lam
-    a[4] -= u2
-    np.multiply(u, gam * half_lam, out=a[5])
-    np.add(block[0, 1:], block[0, :-1], out=block[1, :-1])
-    a_mid = block[1].reshape(2, 3, n)[:, :, :-1]
+    f1, f2 = cur.f1, cur.f2
+    cur.f0[:] = mom
+    np.multiply(mom, u, out=f1)
+    np.add(f1, p, out=f1)
+    np.add(etot, p, out=f2)
+    np.multiply(f2, u, out=f2)
+    # differenced before it is scaled: scaling p0-sized fluxes first
+    # rounds a rest state away from itself
+    flux = cur.flux
+    np.subtract(cur.f_hi, cur.f_lo, out=flux)
+    np.multiply(flux, half_lam, out=flux)
 
-    r = np.empty_like(flux)
-    np.multiply(dt_v[:, 1], lam, out=r[:, 0])
-    np.add.reduce(a_mid * dt_v.T, axis=1, out=r[:, 1:].T)
-    plus = flux + r
-    flux -= r
-    plus[1:] += flux[:-1]
-    plus *= 0.5
-    w_new = w.copy()
-    inner = w_new[1:-1]
-    inner += s_node[1:-1]
-    inner -= plus[1:]
-    return w_new
+    np.negative(cur.flux_mass, out=cur.dv_mass)
+    np.subtract(s_mid.reshape(-1)[:-1], cur.flux_rest, out=cur.dv_rest)
+    a_mid3 = cur.a_mid3
+    np.multiply(a_mid3, cur.dt_v, out=a_mid3)
+    np.add.reduce(a_mid3, axis=1, out=cur.r)
+
+    r, plus = cur.r_flat, cur.plus
+    np.add(flux, r, out=plus)
+    np.subtract(flux, r, out=flux)
+    np.add(cur.plus_hi, cur.flux_lo, out=cur.plus_hi)
+    np.subtract(cur.inner, cur.plus_hi, out=nxt.inner)
+    np.add(nxt.sourced, s_node.reshape(-1)[:-1], out=nxt.sourced)
+    return nxt.q

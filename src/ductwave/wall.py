@@ -22,14 +22,16 @@ stored levels. `PressureHistory` keeps them in fixed storage: the K0 to
 ones folded into Q exponential modes per node, from a sum-of-exponentials
 form of w_m (the diffusive representation of the kernel), Q = 88 of them
 after the modes whose decay is 1 to within 1e-13 are folded into one
-running sum. A step costs one row write and one (2, 2 K0 + Q) product;
-the modes are updated once every K0 steps, with one (Q, K0) product. The
-modes serve only lags of K0 and more, where the sum-of-exponentials
-weights match w_m to 1.4e-9 relative on every lag from K0 - 1 to 10^6.
-Uniform dt is required by the weights. The memory holds pressures only:
-dt enters through the prefactors of the sums, which `source_coefficients`
-computes once per run and the run's `PressureHistory` folds into its
-summation blocks.
+running sum. A step costs one row write and one (2, 2 K0 + Q + 1)
+product; the modes are updated once every K0 steps, with one (Q, K0)
+product. The modes serve only lags of K0 and more, where the
+sum-of-exponentials weights match w_m to 1.4e-9 relative on every lag
+from K0 - 1 to 10^6. Uniform dt is required by the weights. The memory
+holds pressures only: dt enters through the prefactors of the sums,
+which `source_coefficients` computes once per run and the run's
+`PressureHistory` folds into its summation blocks. A run hands it the
+prefactors times dt, so that its table is dt G, the source increment of
+one step.
 """
 
 from __future__ import annotations
@@ -111,28 +113,30 @@ _FOLD = np.exp(-np.outer(_SOE_S, np.arange(K0 - 1, -1, -1)))
 class PressureHistory:
     """Wall memory of the nodal pressure series p_j^m on a uniform time step.
 
-    The storage is fixed at construction: one (2 K0 + Q, nodes) array.
-    The deviations q = p - p^0 from the first level p^0 stored sit in
-    its first 2 K0 rows, a ring that carries the near lags exactly.
+    The storage is fixed at construction: one (2 K0 + Q + 1, nodes)
+    array. The deviations q = p - p^0 from the first level p^0 stored sit
+    in its first 2 K0 rows, a ring that carries the near lags exactly.
     Every K0-th level appended, the K0 oldest levels of the ring fold
     into the Q exponential modes below it, which carry the older lags
     through the sum-of-exponentials form of the weights; the ring then
-    holds K0 to 2 K0 - 1 levels. A step costs one row write and one
-    (2, 2 K0 + Q) product. The sums come out scaled by the run's
-    prefactors (c2, c3) of `source_coefficients`, folded into a copy of
-    the summation blocks here (the defaults give the bare sums). Only the
-    latest level can be summed.
+    holds K0 to 2 K0 - 1 levels. The last row carries the share of p^0 in
+    the pair sums. A step costs one row write and one (2, 2 K0 + Q + 1)
+    product. The sums come out scaled by the prefactors (c2, c3) given
+    here, folded into a copy of the summation blocks (the defaults give
+    the bare sums). Only the latest level can be summed.
     """
 
     def __init__(self, n_nodes: int, c2: float = 1.0, c3: float = 1.0):
         self.n_nodes = n_nodes
-        self._store = np.zeros((2 * K0 + _SOE_S.size, n_nodes))
+        self._store = np.zeros((2 * K0 + _SOE_S.size + 1, n_nodes))
         self._ring = self._store[:2 * K0]
-        self._modes = self._store[2 * K0:]
-        self._blocks = _BLOCKS * np.array([[c2], [c3]])
+        self._modes = self._store[2 * K0:-1]
+        self._pair_p0 = self._store[-1]
+        self._blocks = np.zeros((2 * K0, 2, self._store.shape[0]))
+        np.multiply(_BLOCKS, np.array([[c2], [c3]]),
+                    out=self._blocks[:, :, :-1])
         self._c2 = c2
         self.p0 = np.zeros(n_nodes)
-        self._pair_p0 = np.zeros(n_nodes)
         self._levels = 0
 
     @property
@@ -142,8 +146,7 @@ class PressureHistory:
 
     @property
     def nbytes(self) -> int:
-        return (self._store.nbytes + self._blocks.nbytes + self.p0.nbytes
-                + self._pair_p0.nbytes)
+        return self._store.nbytes + self._blocks.nbytes + self.p0.nbytes
 
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
@@ -180,16 +183,18 @@ class PressureHistory:
         On p = p^0 + q the constant part of the pair sum telescopes to
         2 p^0 sqrt(n) and that of the difference sum to 0. The pair sums
         leave out the share 2 p^0_0 sqrt(n) of node 0, which the centered
-        difference of G2 cancels: a uniform p^0 then adds nothing.
-        Ring slots not yet written and modes not yet fed hold zeros, so
-        one product with the block of the step's phase covers every n.
+        difference of G2 cancels: a uniform p^0 then adds nothing. The
+        rest, 2 c2 (p^0 - p^0_0), is the store's last row, weighed by
+        sqrt(n) in the pair row of the step's block. Ring slots not yet
+        written and modes not yet fed hold zeros, so one product with the
+        block of the step's phase covers every n.
         """
         if n != self._levels - 1:
             raise IndexError(f"wall memory holds step {self._levels - 1},"
                              f" step {n} requested")
-        acc = self._blocks[n % (2 * K0)] @ self._store
-        acc[0] += math.sqrt(n) * self._pair_p0
-        return acc
+        block = self._blocks[n % (2 * K0)]
+        block[0, -1] = math.sqrt(n)
+        return block @ self._store
 
 
 def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
@@ -205,20 +210,23 @@ def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
 
 
 def source_table(hist: PressureHistory, n: int) -> np.ndarray:
-    """G at every node for step n, as a (J+1, 3) array.
+    """The sources (G2, G3) at every node for step n, as the rows of a
+    (2, J+1) array; the mass equation has none.
 
     Interior nodes follow the convolution sums of `hist.sums(n)`, which
-    carry the prefactors (c2, c3) of `source_coefficients`: G2 is the
-    centered difference of the scaled pair sums and G3 the scaled
-    difference sums. The centered pressure-gradient bracket of G2 is
-    undefined at j = 0 and j = J, so boundary rows copy their adjacent
-    interior value (they only feed the midpoint source averages of the
-    interior expansion). At n = 0 the sums, and so the table, are zero.
+    carry the prefactors (c2, c3) the memory was built with (those of
+    `source_coefficients`, times dt in a run): G2 is the centered
+    difference of the scaled pair sums and G3 the scaled difference sums.
+    The centered pressure-gradient bracket of G2 is undefined at j = 0
+    and j = J, so the boundary entries copy their adjacent interior value
+    (they only feed the midpoint source averages of the interior
+    expansion). At n = 0 the sums, and so the table, are zero.
     """
-    out = np.zeros((hist.n_nodes, 3))
-    pair_acc, diff_acc = hist.sums(n)
-    np.subtract(pair_acc[2:], pair_acc[:-2], out=out[1:-1, 1])
-    out[0, 1] = out[1, 1]
-    out[-1, 1] = out[-2, 1]
-    out[:, 2] = diff_acc
-    return out
+    acc = hist.sums(n)
+    pair = acc[0]
+    g2 = np.empty(hist.n_nodes)
+    np.subtract(pair[2:], pair[:-2], out=g2[1:-1])
+    g2[0] = g2[1]
+    g2[-1] = g2[-2]
+    acc[0] = g2
+    return acc

@@ -14,7 +14,9 @@ the flux and the Jacobian products entry by entry, and `test_scheme`, A7
 and the classical Lax-Wendroff reference check it against these. The
 update takes its sources as the two increments a step adds;
 `source_increments` forms them from the sources G and their rate dG/dt,
-the form the tests and the classical reference state them in.
+the form the tests and the classical reference state them in, and
+`interior_step` takes a (J+1, 3) field through one update the way the
+classical reference does, its boundary rows held.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from scipy import special
 
 from ductwave.gas import GasModel, primitive_arrays
+from ductwave.scheme import Level, lax_wendroff_update
 from ductwave.signals import SampledSignal
 
 
@@ -141,8 +144,33 @@ def flux_jacobian(w, gas: GasModel) -> np.ndarray:
 
 def source_increments(g, dt_g, dt: float):
     """(s_node, s_mid) of `lax_wendroff_update` for sources G and their
-    rate dG/dt at the nodes, both (J+1, 3): dt G + dt^2/2 dG/dt at every
-    node, and dt (G_j + G_j+1)/2 at the J midpoints."""
+    rate dG/dt at the nodes, both (2, J+1) rows of the momentum and
+    energy sources (the layout of `wall.source_table`): dt G + dt^2/2
+    dG/dt at every node, and half of dt (G_j + G_j+1)/2 at the J
+    midpoints, in columns 0..J-1 (column J is zero)."""
     g = np.asarray(g, dtype=float)
     dt_g = np.asarray(dt_g, dtype=float)
-    return dt * g + 0.5 * dt * dt * dt_g, 0.5 * dt * (g[:-1] + g[1:])
+    s_mid = np.zeros_like(g)
+    s_mid[:, :-1] = 0.5 * (0.5 * dt * (g[:, :-1] + g[:, 1:]))
+    return dt * g + 0.5 * dt * dt * dt_g, s_mid
+
+
+def interior_step(field, g, dt_g, gas: GasModel, grid, dt: float):
+    """The (J+1, 3) field after one `lax_wendroff_update` of size dt under
+    sources G and their rate dG/dt, (J+1, 3) arrays with a zero mass
+    column, and with its boundary rows held, as the classical reference
+    holds them: the update leaves those rows to the boundary update."""
+    field = np.asarray(field, dtype=float)
+    g = np.asarray(g, dtype=float)
+    dt_g = np.asarray(dt_g, dtype=float)
+    if g[:, 0].any() or dt_g[:, 0].any():
+        raise ValueError("the mass equation has no source")
+    cur, nxt = Level(grid.n_nodes), Level(grid.n_nodes)
+    cur.w[:] = field
+    primitive_arrays(cur.w, gas, cur.prim)
+    lax_wendroff_update(cur, nxt, *source_increments(g[:, 1:].T,
+                                                     dt_g[:, 1:].T, dt),
+                        gas, grid, dt)
+    new = nxt.w.copy()
+    new[[0, -1]] = field[[0, -1]]
+    return new

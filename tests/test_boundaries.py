@@ -17,13 +17,29 @@ J_OUT = 40      # outlet node index passed to the outlet update
 
 def _inlet(u_e, w0, w1, air, dt=DT):
     """Row at the inlet, node 0, from the rows at nodes 0 and 1."""
-    return boundary_row(w0, w1, u_e, -1, air, dt, DX, 0)
+    return np.array(boundary_row(w0, w1, u_e, -1, air, dt, DX, 0))
 
 
 def _outlet(w_jm1, w_j, air, dt=DT):
     """Nonreflecting row at the outlet, node J_OUT, from the rows at J-1
     and J: the rest external state, u_e = 0, on side +1."""
-    return boundary_row(w_j, w_jm1, 0.0, +1, air, dt, DX, J_OUT)
+    return np.array(boundary_row(w_j, w_jm1, 0.0, +1, air, dt, DX, J_OUT))
+
+
+def test_row_is_three_plain_floats_written_as_a_column(air):
+    # the update hands back plain numbers, which the driver writes as a
+    # column of its (3, J+1) field; column views and contiguous rows read
+    # the same
+    field = np.empty((3, 4))
+    field.T[:] = conserved_array(1.21, 3.0, 1.03e5, air)
+    field[1, 1] = 4.0
+    row = boundary_row(field[:, 0], field[:, 1], 0.5, -1, air, DT, DX, 0)
+    assert type(row) is tuple and len(row) == 3
+    assert all(type(x) is float for x in row)
+    assert row == boundary_row(field.T[0].copy(), field.T[1].copy(), 0.5,
+                               -1, air, DT, DX, 0)
+    field[:, 0] = row
+    assert tuple(field[:, 0].tolist()) == row
 
 
 def _pressure_u_e(pi_val, air):

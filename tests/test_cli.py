@@ -482,6 +482,33 @@ class TestRunCommand:
         assert code == EXIT_IO
         assert out.is_dir() and list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("prefix", ["sub/k", "sub/deeper/k"])
+    def test_prefix_in_a_missing_directory_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, prefix):
+        # no write could succeed, so no step is taken: the refusal takes
+        # the I/O path, with one line, and removes the directories made
+        def no_run(scenario):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli.driver, "run", no_run)
+        cfg = _edited_config(tmp_path, {"output.prefix": prefix})
+        out = tmp_path / "o" / "nested"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_IO
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(out / prefix.rsplit("/", 1)[0]) in lines[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_prefix_in_an_existing_directory_runs(self, tmp_path):
+        cfg = _edited_config(tmp_path, {"output.prefix": "sub/k"})
+        out = tmp_path / "o"
+        (out / "sub").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_OK
+        assert (out / "sub" / "k_report.txt").is_file()
+
     def test_missing_config_exits_with_io_code(self, tmp_path, capsys):
         cfg = tmp_path / "missing.cfg"
         out = tmp_path / "o"

@@ -19,7 +19,7 @@ from ductwave.driver import (
 )
 from ductwave.errors import DuctwaveError
 from ductwave.gas import GasModel, conserved_array, primitive_arrays
-from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
+from ductwave.scheme import DuctGeometry, Grid, Level, lax_wendroff_update
 from ductwave.boundaries import boundary_row
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import K0
@@ -113,6 +113,39 @@ class TestInitialize:
         np.testing.assert_array_equal(result.w, ref.w)
         np.testing.assert_array_equal(result.records[0].data,
                                       ref.records[0].data)
+
+    def test_initial_field_round_trips_bit_for_bit(self, air, rng):
+        sc = _small_scenario(air, grid=Grid(length=0.1, cells=8))
+        w = conserved_array(1.2 + 0.01 * rng.random(9),
+                            rng.standard_normal(9),
+                            air.p0 + 100.0 * rng.standard_normal(9), air)
+        sim = Simulation(sc, initial_field=w)
+        np.testing.assert_array_equal(sim.w, w)
+        for got, want in zip(sim.prim, primitive_arrays(w, air)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_w_is_the_transposed_view_of_the_state(self, air):
+        # the state is one C-contiguous (3, J+1) array of rows; the field
+        # a caller sees, of the stepper and of the result, is its (J+1, 3)
+        # view, and the steps alternate two such arrays
+        sc = _small_scenario(air, probes=(0.05,))
+        sim = Simulation(sc)
+        shape = (sc.grid.n_nodes, 3)
+        bases = []
+        for _ in range(4):
+            assert sim.w.shape == shape
+            assert sim.w.base.shape == (3, sc.grid.n_nodes)
+            assert sim.w.base.flags.c_contiguous
+            np.testing.assert_array_equal(sim.w.base, sim.w.T)
+            assert sim.prim.shape == (3, sc.grid.n_nodes)
+            bases.append(sim.w.base)
+            sim.advance()
+        assert bases[0] is bases[2] and bases[1] is bases[3]
+        assert bases[0] is not bases[1]
+        result = run(sc)
+        assert result.w.shape == shape
+        assert result.w.base.flags.c_contiguous
+        np.testing.assert_array_equal(result.w.base.T, result.w)
 
     @pytest.mark.parametrize("shape", [(4, 3), (6, 3), (5, 2), (15,)],
                              ids=["short", "long", "two-columns", "flat"])
@@ -339,9 +372,9 @@ class TestStepAgainstOracle:
         fields = []
         check = driver._checked_primitives
 
-        def counting(w, gas):
+        def counting(w, gas, *out):
             fields.append(w)
-            return check(w, gas)
+            return check(w, gas, *out)
 
         monkeypatch.setattr(driver, "_checked_primitives", counting)
         sim = Simulation(_small_scenario(air))
@@ -392,9 +425,10 @@ class TestWallMemoryInTheLoop:
                              probes=(0.05,))
         fast = Simulation(sc)
         exact = Simulation(sc)
+        # the run's wall memory carries the prefactors times dt
         exact.history = ExactHistory(
-            sc.grid.n_nodes, *wall.source_coefficients(
-                air, sc.geom, sc.grid, exact.dt))
+            sc.grid.n_nodes, *(exact.dt * c for c in wall.source_coefficients(
+                air, sc.geom, sc.grid, exact.dt)))
         exact.history.append(primitive_arrays(exact.w, air)[2])
         # the (rho, u, p) rows of the probe node at every level
         node = sc.grid.nearest_node(sc.probes[0])
@@ -434,28 +468,31 @@ class TestWallMemoryInTheLoop:
         # steps 1 and 2 (the tables of steps 0 and 1 and their zero
         # predecessor) and steps past K0, where the exponential modes
         # carry the older levels: each step's increments are those of
-        # source_table at its own level and the level before
+        # source_table at its own level and the level before. The run's
+        # wall memory carries dt, so its tables are dt G
         sc = _small_scenario(air, grid=Grid(length=0.1, cells=12))
         sim = Simulation(sc)
-        tables, handed = [np.zeros((sc.grid.n_nodes, 3))], []
+        tables, handed = [np.zeros((2, sc.grid.n_nodes))], []
         update = driver.lax_wendroff_update
 
-        def recording(field, s_node, s_mid, *args):
+        def recording(cur, nxt, s_node, s_mid, *args):
             tables.append(wall.source_table(sim.history, sim.n))
-            handed.append((s_node, s_mid))
-            return update(field, s_node, s_mid, *args)
+            handed.append((s_node.copy(), s_mid.copy()))
+            return update(cur, nxt, s_node, s_mid, *args)
 
         monkeypatch.setattr(driver, "lax_wendroff_update", recording)
         for _ in range(K0 + 3):
             sim.advance()
+        dt = sim.dt
         for step in (1, 2, K0 + 2, K0 + 3):
             g_prev, g_now = tables[step - 1], tables[step]
             want_node, want_mid = source_increments(
-                g_now, (g_now - g_prev) / sim.dt, sim.dt)
+                g_now / dt, (g_now - g_prev) / (dt * dt), dt)
             s_node, s_mid = handed[step - 1]
-            assert s_mid.shape == (sc.grid.cells, 3)
+            assert s_node.shape == s_mid.shape == (2, sc.grid.n_nodes)
             np.testing.assert_allclose(s_node, want_node, rtol=1e-12)
-            np.testing.assert_allclose(s_mid, want_mid, rtol=1e-12)
+            np.testing.assert_allclose(s_mid[:, :-1], want_mid[:, :-1],
+                                       rtol=1e-12)
         assert np.abs(tables[2]).max() > 0.0
 
     def test_lossy_run_feeds_every_level(self, air):
@@ -507,6 +544,34 @@ class TestBoundaryErrors:
         assert info.value.node == 0
         assert sim.n == 0
         np.testing.assert_array_equal(sim.w, w)
+
+    def test_a_refused_step_leaves_the_stepper_as_it_was(self, air):
+        # a step refused at its inflow datum keeps the last good level and
+        # everything the next step reads: stepping on after it matches a
+        # stepper that never tried it
+        class Refusing:
+            period = None
+            refuse = False
+
+            def value(self, t):
+                return -3e5 if self.refuse else 80.0 * math.sin(OMEGA0 * t)
+
+        inflow = Refusing()
+        sc = _small_scenario(air, grid=Grid(length=0.1, cells=8),
+                             inflow=inflow)
+        tried, clean = Simulation(sc), Simulation(sc)
+        for _ in range(5):
+            tried.advance()
+            clean.advance()
+        inflow.refuse = True
+        with pytest.raises(DuctwaveError, match="^imposed pressure"):
+            tried.advance()
+        inflow.refuse = False
+        for _ in range(3):
+            tried.advance()
+            clean.advance()
+        assert tried.n == clean.n == 8
+        np.testing.assert_array_equal(tried.w, clean.w)
 
     def test_supersonic_outlet_names_node_j(self, air):
         sc = _small_scenario(air, losses=False)
@@ -714,51 +779,47 @@ class TestDegenerateCoupling:
                              duration_periods=2.0, inflow_kind=VELOCITY,
                              inflow=MultiHarmonicSignal(OMEGA0, ((1, 0.05, 0.0),)))
         sim = Simulation(sc)
-        w = Simulation(sc).w
-        zeros = np.zeros_like(w)
+        cur, nxt = Level(sc.grid.n_nodes), Level(sc.grid.n_nodes)
+        cur.w[:] = Simulation(sc).w
+        zeros = np.zeros((2, sc.grid.n_nodes))
         dt = frozen_dt(sc)
         for k in range(30):
             sim.advance()
-            new = lax_wendroff_update(w, *source_increments(zeros, zeros, dt),
-                                      air, sc.grid, dt,
-                                      primitive_arrays(w, air))
+            primitive_arrays(cur.w, air, cur.prim)
+            new = lax_wendroff_update(cur, nxt, zeros, zeros, air, sc.grid,
+                                      dt)
             t = (k + 1) * dt
-            new[0] = boundary_row(w[0], w[1], sc.inflow.value(t), -1, air,
-                                  dt, sc.grid.dx, 0)
-            new[-1] = boundary_row(w[-1], w[-2], 0.0, +1, air, dt,
-                                   sc.grid.dx, sc.grid.cells)
-            w = new
-        np.testing.assert_array_equal(sim.w, w)
+            new[:, 0] = boundary_row(cur.q[:, 0], cur.q[:, 1],
+                                     sc.inflow.value(t), -1, air, dt,
+                                     sc.grid.dx, 0)
+            new[:, -1] = boundary_row(cur.q[:, -1], cur.q[:, -2], 0.0, +1,
+                                      air, dt, sc.grid.dx, sc.grid.cells)
+            cur, nxt = nxt, cur
+        np.testing.assert_array_equal(sim.w, cur.w)
         assert sim.n * sim.dt == t
 
     def test_lossless_steps_share_one_read_only_zero_table(self, air,
                                                           monkeypatch):
-        # every step hands in one read-only zero buffer as its node
-        # increments, and one view of its rows 1..J as its midpoint ones
+        # every step hands in one read-only zero buffer of the momentum
+        # and energy rows, as its node and its midpoint increments
         seen = []
         update = driver.lax_wendroff_update
 
-        def recording(field, s_node, s_mid, *args):
+        def recording(cur, nxt, s_node, s_mid, *args):
             seen.append((s_node, s_mid))
-            return update(field, s_node, s_mid, *args)
+            return update(cur, nxt, s_node, s_mid, *args)
 
         monkeypatch.setattr(driver, "lax_wendroff_update", recording)
         sim = Simulation(_small_scenario(air, losses=False))
         for _ in range(3):
             sim.advance()
-        assert len({id(s_node) for s_node, _ in seen}) == 1
-        assert len({id(s_mid) for _, s_mid in seen}) == 1
+        assert len({id(table) for pair in seen for table in pair}) == 1
         zero, mid = seen[0]
-        n_nodes = sim.scenario.grid.n_nodes
-        assert zero.shape == (n_nodes, 3)
+        assert mid is zero
+        assert zero.shape == (2, sim.scenario.grid.n_nodes)
         assert not zero.any()
-        assert mid.base is zero
-        assert mid.shape == (n_nodes - 1, 3)
-        assert np.shares_memory(mid, zero[1:])
-        assert not np.shares_memory(mid, zero[0])
-        for table in (zero, mid):
-            with pytest.raises(ValueError):
-                table[1, 2] = 1.0
+        with pytest.raises(ValueError):
+            zero[1, 2] = 1.0
 
     def test_vanishing_transport_coefficients_kill_the_sources(self, air):
         gas_thin = GasModel(mu=1e-300, k_cond=1e-300)

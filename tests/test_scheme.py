@@ -9,9 +9,14 @@ from hypothesis import given, settings, strategies as st
 from ductwave import driver
 from ductwave.errors import DuctwaveError
 from ductwave.gas import conserved_array, primitive_arrays
-from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
+from ductwave.scheme import DuctGeometry, Grid, Level, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
-from reference_forms import flux_jacobian, physical_flux, source_increments
+from reference_forms import (
+    flux_jacobian,
+    interior_step,
+    physical_flux,
+    source_increments,
+)
 
 REST = np.array([1.2, 0.0, 253312.5])
 MOVING = np.array([1.2, 12.0, 253372.5])    # u = 10 m/s, p = 101325
@@ -109,9 +114,17 @@ def _ramp_field(grid, air, slope):
 
 def _step(field, g, dt_g, gas, grid, dt):
     """One lax_wendroff_update step of field under sources G and their
-    rate dG/dt at the nodes."""
-    return lax_wendroff_update(field, *source_increments(g, dt_g, dt), gas,
-                               grid, dt, primitive_arrays(field, gas))
+    rate dG/dt at the nodes, its boundary rows held."""
+    return interior_step(field, g, dt_g, gas, grid, dt)
+
+
+def _levels(field, gas):
+    """Two Levels on the field's nodes, the first holding field and its
+    primitive rows."""
+    cur, nxt = Level(field.shape[0]), Level(field.shape[0])
+    cur.w[:] = field
+    primitive_arrays(cur.w, gas, cur.prim)
+    return cur, nxt
 
 
 def _increment(field, g, dt_g, gas, grid, dt):
@@ -157,13 +170,23 @@ class TestTimeDerivatives:
             np.testing.assert_allclose(inc[j], expected, rtol=1e-8, atol=1e-12)
 
     def test_interior_bounds_enforced(self, air):
-        # only nodes 1..J-1 are written; the boundary rows pass through
+        # the update writes nodes 1..J-1 from the stencil; the boundary
+        # columns of the new field are the boundary update's, and what
+        # they held before never reaches the interior
         grid = Grid(1.0, 8)
         field = _ramp_field(grid, air, 250.0)
         g = np.tile([0.0, 10.0, -50.0], (grid.n_nodes, 1))
-        new = _step(field, g, g, air, grid, 1e-4)
-        np.testing.assert_array_equal(new[[0, -1]], field[[0, -1]])
-        assert np.all(np.any(new[1:-1] != field[1:-1], axis=1))
+        increments = source_increments(g[:, 1:].T, g[:, 1:].T, 1e-4)
+        news = []
+        for junk in (0.0, np.nan):
+            cur, nxt = _levels(field, air)
+            nxt.q[:] = junk
+            new = lax_wendroff_update(cur, nxt, *increments, air, grid, 1e-4)
+            assert new is nxt.q
+            news.append(new.T.copy())
+        np.testing.assert_array_equal(news[0][1:-1], news[1][1:-1])
+        assert np.all(np.isnan(news[1][[0, -1]]).any(axis=1))
+        assert np.all(np.any(news[0][1:-1] != field[1:-1], axis=1))
 
     def test_second_derivative_zero_cases(self, air):
         # uniform field and uniform source with zero source rate: the
@@ -306,18 +329,16 @@ class TestLaxWendroffUpdate:
     ])
     def test_blow_up_names_step_and_node(self, air, component, value,
                                          monkeypatch):
-        # a node increment reaches only its own node (the midpoint
-        # increments are separate), so a fault put into the node increment
-        # that step 7 hands the interior update, at node 7, makes the run
-        # fail there
+        # a fault added to one entry of the field that step 7's interior
+        # update writes, at node 7, makes the run fail there
         calls = []
 
-        def faulty(w, s_node, s_mid, *args):
+        def faulty(cur, nxt, *args):
             calls.append(None)
+            new = lax_wendroff_update(cur, nxt, *args)
             if len(calls) == 7:
-                s_node = s_node.copy()
-                s_node[7, component] = value
-            return lax_wendroff_update(w, s_node, s_mid, *args)
+                new[component, 7] += value
+            return new
 
         period = 2e-3
         sc = driver.Scenario(
@@ -347,14 +368,68 @@ class TestLaxWendroffUpdate:
     def test_sources_required_for_all_nodes(self, air):
         grid = Grid(1.0, 12)
         field = _uniform(grid, air, 1.2, 0.0, 101325.0)
-        prim = primitive_arrays(field, air)
+        cur, nxt = _levels(field, air)
+        rows = np.zeros((2, grid.n_nodes))
         with pytest.raises(ValueError):
-            lax_wendroff_update(field, np.zeros((3, 3)),
-                                np.zeros((12, 3)), air, grid, 1e-5, prim)
-        # a node table in the midpoint slot is refused, not broadcast
+            lax_wendroff_update(cur, nxt, np.zeros((3, 3)), rows, air, grid,
+                                1e-5)
+        # a table of the J midpoints, or with a mass row, is refused, not
+        # broadcast
         with pytest.raises(ValueError):
-            lax_wendroff_update(field, np.zeros_like(field),
-                                np.zeros_like(field), air, grid, 1e-5, prim)
+            lax_wendroff_update(cur, nxt, rows, np.zeros((2, grid.cells)),
+                                air, grid, 1e-5)
+        with pytest.raises(ValueError):
+            lax_wendroff_update(cur, nxt, np.zeros((3, grid.n_nodes)), rows,
+                                air, grid, 1e-5)
+        # and so is a level on another grid
+        with pytest.raises(ValueError):
+            lax_wendroff_update(cur, Level(grid.cells), rows, rows, air,
+                                grid, 1e-5)
+
+    def test_rest_maps_to_itself_bit_for_bit(self, air):
+        # with zero sources the raveled-row update maps a uniform rest
+        # field to itself at every interior node, whatever the width of
+        # the grid, so no entry that straddles two rows reaches one
+        for cells in (4, 5, 73, 180):
+            grid = Grid(1.0, cells)
+            field = _uniform(grid, air, air.rho0, 0.0, air.p0)
+            cur, nxt = _levels(field, air)
+            zeros = np.zeros((2, grid.n_nodes))
+            new = lax_wendroff_update(cur, nxt, zeros, zeros, air, grid,
+                                      0.8 * grid.dx / air.c0)
+            np.testing.assert_array_equal(new.T[1:-1], field[1:-1])
+
+
+class TestLevel:
+    def test_field_is_one_row_major_array_and_w_its_view(self):
+        level = Level(6)
+        assert level.q.shape == (3, 6) and level.q.flags.c_contiguous
+        assert level.w.shape == (6, 3) and level.w.base is level.q
+        level.w[2] = (1.0, 2.0, 3.0)
+        np.testing.assert_array_equal(level.q[:, 2], [1.0, 2.0, 3.0])
+        assert level.prim.base is level.rows
+        assert np.all(level.rows[-1] == 1.0)
+
+    def test_a_paired_level_shares_only_the_work_rows(self, air):
+        # the two levels of a run hold their own fields and rows, and one
+        # set of work rows: an update leaves nothing in them that the next
+        # one reads
+        first = Level(9)
+        second = Level(9, first)
+        assert not np.shares_memory(first.q, second.q)
+        assert not np.shares_memory(first.rows, second.rows)
+        assert first.flux is second.flux and first.a_mid is second.a_mid
+        grid = Grid(0.08, 8)
+        field = _ramp_field(grid, air, 250.0)
+        zeros = np.zeros((2, 9))
+        dt = 0.8 * grid.dx / air.c0
+        for w in (_uniform(grid, air, 1.1, 30.0, 9e4), field):
+            first.w[:] = w
+            primitive_arrays(first.w, air, first.prim)
+            lax_wendroff_update(first, second, zeros, zeros, air, grid, dt)
+        np.testing.assert_array_equal(
+            second.w[1:-1], _step(field, np.zeros((9, 3)), np.zeros((9, 3)),
+                                  air, grid, dt)[1:-1])
 
 
 class TestConservation:

@@ -74,3 +74,36 @@ def test_each_step_times_each_end_once(spans, air, kind, amplitude):
         parents = [tracer.spans[span[3]][0] for span in tracer.spans
                    if span[0] == end]
         assert parents == ["driver.advance"] * 3
+
+
+def test_each_lossy_step_times_each_layer_once(spans, air):
+    # the benchmark splits a step across these seams: each is called
+    # once under every step, the wall table names its step, and the wall
+    # memory still answers the window the benchmark's counters read
+    grid = Grid(length=0.1, cells=4)
+    dt = 0.8 * grid.dx / air.c0
+    sc = Scenario(gas=air, grid=grid,
+                  geom=DuctGeometry(h=0.005, symmetry="axisymmetric"),
+                  inflow_kind=PRESSURE,
+                  inflow=MultiHarmonicSignal(1000.0, ((1, 80.0, 0.0),)),
+                  losses=True, cfl=0.8, duration_s=2.5 * dt)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        result = driver.run(sc)
+    finally:
+        tracer.uninstall()
+    assert result.report.n_steps == 3
+    advances = [i for i, span in enumerate(tracer.spans)
+                if span[0] == "driver.advance"]
+    assert len(advances) == 3
+    for name in ("scheme.lax_wendroff_update", "wall.source_table",
+                 "gas.primitive_arrays", "wall.history_append"):
+        parents = [span[3] for span in tracer.spans if span[0] == name
+                   and span[3] in advances]
+        assert parents == advances, name
+    details = [span[4] for span in tracer.spans
+               if span[0] == "wall.source_table"]
+    assert details == [0, 1, 2]
+    for n in details:
+        assert result.history.window(n) == (0, n)

@@ -11,7 +11,7 @@ from scipy.special import erf
 
 from ductwave import driver
 from ductwave.driver import Scenario, Simulation
-from ductwave.scheme import DuctGeometry, Grid, lax_wendroff_update
+from ductwave.scheme import DuctGeometry, Grid, Level, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
     _BLOCKS,
@@ -59,12 +59,12 @@ def _table(levels, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
 
 def _g2(levels, j, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
     """Shear source G2 at node j from the runtime source table."""
-    return _table(levels, n, gas, grid, geom, dt=dt)[j, 1]
+    return _table(levels, n, gas, grid, geom, dt=dt)[0, j]
 
 
 def _g3(levels, j, n, gas, geom=GEOM, dt=1e-5):
     """Heat source G3 at node j from the runtime source table."""
-    return _table(levels, n, gas, GRID, geom, dt=dt)[j, 2]
+    return _table(levels, n, gas, GRID, geom, dt=dt)[1, j]
 
 
 def _scenario(gas, **overrides):
@@ -77,17 +77,17 @@ def _scenario(gas, **overrides):
 
 
 def _step_sources(sim, n_steps, monkeypatch):
-    """(s_node, s_mid, table) of each of n_steps steps of sim: the source
-    increments the step hands the interior update, and with losses on
-    source_table of the wall memory at that step (None with losses
-    off)."""
+    """(s_node, s_mid, table) of each of n_steps steps of sim: copies of
+    the source increments the step hands the interior update, and with
+    losses on source_table of the wall memory at that step, dt G, since
+    a run's memory carries dt (None with losses off)."""
     sc = sim.scenario
     seen = []
 
-    def record(w, s_node, s_mid, *args):
+    def record(cur, nxt, s_node, s_mid, *args):
         table = source_table(sim.history, sim.n) if sc.losses else None
-        seen.append((s_node, s_mid, table))
-        return lax_wendroff_update(w, s_node, s_mid, *args)
+        seen.append((s_node.copy(), s_mid.copy(), table))
+        return lax_wendroff_update(cur, nxt, s_node, s_mid, *args)
 
     monkeypatch.setattr(driver, "lax_wendroff_update", record)
     for _ in range(n_steps):
@@ -221,11 +221,11 @@ class TestPressureHistory:
         for n in (1, 4, 8):
             table = source_table(hist, n)
             for j in (1, 2, 3):
-                assert table[j, 1] == pytest.approx(
+                assert table[0, j] == pytest.approx(
                     _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
                     rel=1e-9)
             for j in range(5):
-                assert table[j, 2] == pytest.approx(
+                assert table[1, j] == pytest.approx(
                     _brute_force_g3(levels, j, n, dt, air, GEOM, kappa),
                     rel=1e-9)
 
@@ -267,10 +267,9 @@ class TestWallMemory:
         n = 9999
         got = source_table(fast, n)
         want = source_table(exact, n)
-        for col in (1, 2):
-            rel = np.abs(got[:, col] - want[:, col]).max() \
-                / np.abs(want[:, col]).max()
-            assert rel <= 1e-6, (col, rel)
+        for row in (0, 1):
+            rel = np.abs(got[row] - want[row]).max() / np.abs(want[row]).max()
+            assert rel <= 1e-6, (row, rel)
 
     def test_no_two_modes_share_a_decay(self):
         # a decay repeated by another mode would keep a second copy of
@@ -304,9 +303,9 @@ class TestWallMemory:
             exact.append(row)
             got, want = source_table(fast, n), source_table(exact, n)
             folded = n >= 2 * K0 - 1
-            for col in range(3):
-                atol = 1e-10 * np.abs(want[:, col]).max() if folded else 0.0
-                np.testing.assert_allclose(got[:, col], want[:, col],
+            for row in range(2):
+                atol = 1e-10 * np.abs(want[row]).max() if folded else 0.0
+                np.testing.assert_allclose(got[row], want[row],
                                            rtol=1e-9, atol=atol)
 
     def test_phase_blocks_weigh_each_slot_by_its_lag(self):
@@ -417,27 +416,50 @@ class TestSourceAssembly:
     def test_zero_history_gives_zero_vector(self, air):
         hist = _history([np.full(5, 101325.0)] * 4, coef=_coef(air, 1e-5))
         table = source_table(hist, 3)
-        np.testing.assert_array_equal(table, np.zeros((5, 3)))
+        np.testing.assert_array_equal(table, np.zeros((2, 5)))
 
     def test_components_match_the_sums(self, air, rng):
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
         dt = 3e-6
         hist = _history(levels, coef=_coef(air, dt))
-        row = source_table(hist, 5)[2]
+        g2, g3 = source_table(hist, 5)[:, 2]
         kappa = heat_kernel_constant(air)
-        assert row[0] == 0.0
-        assert row[1] == pytest.approx(
+        assert g2 == pytest.approx(
             _brute_force_g2(levels, 2, 5, dt, GRID.dx, air, GEOM), rel=1e-9)
-        assert row[2] == pytest.approx(
+        assert g3 == pytest.approx(
             _brute_force_g3(levels, 2, 5, dt, air, GEOM, kappa), rel=1e-9)
 
-    def test_mass_component_must_vanish(self, air, rng):
+    def test_mass_component_must_vanish(self, air, rng, monkeypatch):
+        # the table holds the momentum and energy sources only, and a
+        # lossy step's node increments reach the momentum and energy rows
+        # only: without them the mass row comes out the same
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
         hist = PressureHistory(5, *_coef(air, 3e-6))
         for n, row in enumerate(levels):
             hist.append(row)
-            table = source_table(hist, n)
-            assert np.all(table[:, 0] == 0.0)
+            assert source_table(hist, n).shape == (2, 5)
+        seen = []
+
+        def unsourced(cur, nxt, s_node, s_mid, *args):
+            bare = lax_wendroff_update(cur, Level(cur.n),
+                                       np.zeros_like(s_node), s_mid,
+                                       *args)[:, 1:-1].copy()
+            new = lax_wendroff_update(cur, nxt, s_node, s_mid, *args)
+            seen.append((new[:, 1:-1].copy(), bare, s_node[:, 1:-1].copy()))
+            return new
+
+        monkeypatch.setattr(driver, "lax_wendroff_update", unsourced)
+        sim = Simulation(_scenario(air))
+        for _ in range(6):
+            sim.advance()
+        for got, bare, s_node in seen:
+            np.testing.assert_array_equal(got[0], bare[0])
+            for new, old, inc in zip(got[1:], bare[1:], s_node):
+                # to the rounding of one sum at the scale of the row
+                ulp = np.spacing(np.abs(new).max())
+                np.testing.assert_allclose(new - old, inc, rtol=0.0,
+                                           atol=2 * ulp)
+        assert np.abs(seen[-1][2]).max() > 0.0
 
     def test_source_time_derivative(self, air, monkeypatch):
         # each step hands the interior update the increments of the wall
@@ -445,27 +467,29 @@ class TestSourceAssembly:
         # G_prev the previous step's table
         sim = Simulation(_scenario(air))
         seen = _step_sources(sim, 6, monkeypatch)
+        dt = sim.dt
         for (_, _, g_prev), (s_node, s_mid, g_now) in zip(seen, seen[1:]):
             want_node, want_mid = source_increments(
-                g_now, (g_now - g_prev) / sim.dt, sim.dt)
+                g_now / dt, (g_now - g_prev) / (dt * dt), dt)
             np.testing.assert_allclose(s_node, want_node, rtol=1e-12)
-            np.testing.assert_allclose(s_mid, want_mid, rtol=1e-12)
+            np.testing.assert_allclose(s_mid[:, :-1], want_mid[:, :-1],
+                                       rtol=1e-12)
         # the last step's increment and its rate part are not zero
         assert np.abs(seen[-1][0]).max() > 0.0
-        assert np.abs(seen[-1][0] - seen[-1][2] * sim.dt).max() > 0.0
+        assert np.abs(seen[-1][0] - seen[-1][2]).max() > 0.0
         off = Simulation(_scenario(air, losses=False))
         for node_off, mid_off, _ in _step_sources(off, 6, monkeypatch):
-            np.testing.assert_array_equal(node_off, np.zeros((5, 3)))
-            np.testing.assert_array_equal(mid_off, np.zeros((4, 3)))
+            np.testing.assert_array_equal(node_off, np.zeros((2, 5)))
+            np.testing.assert_array_equal(mid_off, np.zeros((2, 5)))
 
     def test_first_step_has_zero_rate(self, air, monkeypatch):
         # the first step's previous table is the zero table, and the table
         # of step 0 is itself zero, so both increments are
         [(s_node, s_mid, table)] = _step_sources(Simulation(_scenario(air)),
                                                  1, monkeypatch)
-        np.testing.assert_array_equal(table, np.zeros((5, 3)))
-        np.testing.assert_array_equal(s_node, np.zeros((5, 3)))
-        np.testing.assert_array_equal(s_mid, np.zeros((4, 3)))
+        np.testing.assert_array_equal(table, np.zeros((2, 5)))
+        np.testing.assert_array_equal(s_node, np.zeros((2, 5)))
+        np.testing.assert_array_equal(s_mid, np.zeros((2, 5)))
 
     def test_table_matches_per_node_ops(self, air, rng):
         levels = [101325.0 + 30.0 * rng.standard_normal(7) for _ in range(7)]
@@ -477,16 +501,16 @@ class TestSourceAssembly:
         # summation by parts reassociates the sums, so agreement with the
         # per-node oracles is to rounding against the absolute pressures
         for j in range(1, 6):
-            assert table[j, 1] == pytest.approx(
+            assert table[0, j] == pytest.approx(
                 _brute_force_g2(levels, j, 6, dt, grid.dx, air, GEOM),
                 rel=1e-9)
         for j in range(7):
-            assert table[j, 2] == pytest.approx(
+            assert table[1, j] == pytest.approx(
                 _brute_force_g3(levels, j, 6, dt, air, GEOM, kappa), rel=1e-9)
-        # boundary shear rows copy the adjacent interior values
-        assert table[0, 1] == table[1, 1]
-        assert table[6, 1] == table[5, 1]
-        assert np.all(table[:, 0] == 0.0)
+        # boundary shear entries copy the adjacent interior values
+        assert table[0, 0] == table[0, 1]
+        assert table[0, 6] == table[0, 5]
+        assert table.shape == (2, 7)
 
     def test_long_history_matches_brute_force(self, air):
         """2,000 levels near p0: the summation-by-parts coefficients cancel
@@ -500,11 +524,11 @@ class TestSourceAssembly:
         kappa = heat_kernel_constant(air)
         table = source_table(_history(levels, coef=_coef(air, dt)), n)
         for j in range(1, 4):
-            assert table[j, 1] == pytest.approx(
+            assert table[0, j] == pytest.approx(
                 _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
                 rel=1e-9)
         for j in range(5):
-            assert table[j, 2] == pytest.approx(
+            assert table[1, j] == pytest.approx(
                 _brute_force_g3(levels, j, n, dt, air, GEOM, kappa),
                 rel=1e-9)
 
