@@ -14,8 +14,9 @@ shock regime), 4 I/O failures. Output files are deterministic; timing
 goes to stdout only. Errors go to stderr, one line each. A `run` that
 fails, in its steps or in its writes, removes the files it wrote and
 the output directories it created; one whose output.prefix names a
-directory that is not there fails so before its first step. `--help`
-prints the usage to stdout and exits 0.
+directory that is not there fails so before its first step, and an
+output.prefix outside the output directory is a configuration error.
+`--help` prints the usage to stdout and exits 0.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import PurePath
 
 import numpy as np
 
@@ -78,6 +79,16 @@ def _parse_harmonics(s: str) -> tuple[tuple[int, float, float], ...]:
     return tuple(out)
 
 
+def _parse_prefix(s: str) -> str:
+    """A prefix that names its files inside the output directory: a
+    relative path with no '..' part."""
+    path = PurePath(s)
+    if path.is_absolute() or ".." in path.parts:
+        raise ValueError(
+            f"must be a relative path with no '..' part, got {s!r}")
+    return s
+
+
 def _fmt_float(v) -> str:
     return repr(float(v))
 
@@ -118,7 +129,7 @@ KEY_SPECS = {
     "run.duration_s": (_parse_float, _fmt_float),
     "run.sampling_exponent": (int, str),
     "probes.stations": (_parse_floats, _fmt_floats),
-    "output.prefix": (str, str),
+    "output.prefix": (_parse_prefix, str),
     "output.spectrum_periods": (_parse_positive_int, str),
     "output.kmax": (_parse_positive_int, str),
 }

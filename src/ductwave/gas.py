@@ -70,14 +70,14 @@ class GasModel:
 # ---------------------------------------------------------------------------
 
 def primitive_arrays(w: np.ndarray, gas: GasModel, out=None):
-    """Split a conserved array (..., 3) into (rho, u, p) arrays: views and
-    new arrays, or, when out is given, the rows of out, a (3, ...) array
-    written in place and returned."""
+    """Split a conserved array (..., 3) into the rows (rho, u, p) of out, a
+    (3, ...) array written in place and returned; one is allocated when
+    out is not given."""
     rho, mom, etot = w[..., 0], w[..., 1], w[..., 2]
     if out is None:
-        u = mom / rho
-        return rho, u, (gas.gamma - 1.0) * (etot - 0.5 * mom * u)
-    u, p = out[1], out[2]
+        out = np.empty((3,) + rho.shape)
+    # rows as views, 0-d ones too when w is a single state
+    u, p = out[1, ...], out[2, ...]
     out[0] = rho
     np.divide(mom, rho, out=u)
     # (mom u) (-1/2) rounds as 0.5 mom u does: halving is exact

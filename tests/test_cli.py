@@ -509,6 +509,25 @@ class TestRunCommand:
             == EXIT_OK
         assert (out / "sub" / "k_report.txt").is_file()
 
+    @pytest.mark.parametrize("prefix", ["/abs/k", "../k", "sub/../../k"])
+    def test_prefix_outside_the_output_directory_is_refused(
+            self, tmp_path, capsys, monkeypatch, prefix):
+        # such a prefix would put every file outside --out: its config
+        # line is refused before any directory is made or any step taken
+        def no_run(scenario):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli.driver, "run", no_run)
+        cfg = _edited_config(tmp_path, {"output.prefix": prefix})
+        out = tmp_path / "o" / "nested"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: line ")
+        assert "output.prefix" in lines[0] and repr(prefix) in lines[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["edited.cfg"]
+
     def test_missing_config_exits_with_io_code(self, tmp_path, capsys):
         cfg = tmp_path / "missing.cfg"
         out = tmp_path / "o"

@@ -108,6 +108,8 @@ class TestRoundTrip:
         ("output.prefix", "take#2"),
         ("output.prefix", " a"),
         ("output.prefix", "a\nrun.cfl = 0.5"),
+        ("output.prefix", "/abs/k"),
+        ("output.prefix", "sub/../../k"),
         ("inflow.samples_file", "in.csv "),
         ("grid.length", math.inf),
         ("grid.cells", 40.5),
