@@ -167,9 +167,10 @@ def cmd_run(args) -> int:
         for d in made:
             d.rmdir()
         raise
-    print(f"run complete: {result.report.n_steps} steps,"
-          f" dt={result.report.dt:.6e} s,"
-          f" wall clock {result.report.wall_clock_s:.2f} s")
+    report = result.report
+    print(f"run complete: {report.n_steps} steps, dt={report.dt:.6e} s,"
+          f" wall clock {report.wall_clock_s:.2f} s,"
+          f" {report.wall_clock_s / report.n_steps * 1e6:.0f} µs a step")
     print(f"outputs in {out_dir}")
     return EXIT_OK
 

@@ -14,28 +14,28 @@ kept to drift from it.
 
 One step, all from level-n data: read the wall sources as the rows
 (dt G2, dt G3) of every node from the wall memory, whose prefactors
-carry dt, and form the two increments the interior update adds as flat
-operations on those rows: dt G + dt^2/2 dG/dt = dt (G + (G - G_prev)/2)
-at the nodes, with G_prev the previous step's table (zero before the
-first step), and dt (G_j + G_j+1)/4, half the midpoint increment. With
-losses off both are one read-only zero buffer, held from construction.
+carry dt, into one of two table buffers that the steps alternate, and
+form the two increments the interior update adds as flat operations on
+those rows: dt G + dt^2/2 dG/dt = dt (G + (G - G_prev)/2) at the nodes,
+with G_prev the previous step's table (zero before the first step), and
+dt (G_j + G_j+1)/4, half the midpoint increment; with losses off, none.
 Then advance the interior nodes with the second-order expansion, from
 the primitive rows (rho, u, p) kept from the previous step; rebuild both
 boundary nodes by the one characteristic update
-`boundaries.boundary_row`, each checking the node it rebuilds. The
-driver forms each end's external velocity u_e: at the inlet the inflow
-datum at the new time level, a velocity as it is or a total pressure
-pi = p0 + datum, refused unless positive, as (pi - p0)/(rho0 c0); at
-the outlet 0, the rest state. Then compute the primitive rows of the
-completed field, once, check the state on them (as for the initial
-field), and keep them for the probes and the next step: they are the
-first rows of the new level's row buffer, whose other rows the next
-interior update uses. With
-losses on their pressures are appended to the wall memory, whose
-storage and per-step cost do not depend on the step index; with losses
-off the wall memory keeps only the initial level. The time step is
-frozen at the start of the run (the convolution weights assume uniform
-dt) at cfl * dx / c0, the CFL step of the rest state.
+`boundaries.boundary_row`, each checking the node it rebuilds, and write
+its three floats into the node's column. The driver forms each end's
+external velocity u_e: at the inlet the inflow datum at the new time
+level, a velocity as it is or a total pressure pi = p0 + datum, refused
+unless positive, as (pi - p0)/(rho0 c0); at the outlet 0, the rest
+state. Then compute the primitive rows of the completed field, once,
+check the state on them (as for the initial field), and keep them for
+the probes and the next step: they are the first rows of the new level's
+row buffer, whose other rows the next interior update uses. With losses
+on their pressures are appended to the wall memory, whose storage and
+per-step cost do not depend on the step index; with losses off the wall
+memory keeps only the initial level. A step allocates no array. The time
+step is frozen at the start of the run (the convolution weights assume
+uniform dt) at cfl * dx / c0, the CFL step of the rest state.
 
 `Simulation` is only the stepper; `run` records the probes. It sizes one
 (P, n_steps + 1, 3) float64 array for the P probe nodes before the first
@@ -171,16 +171,20 @@ def step_count(scenario: Scenario) -> int:
     return int(math.ceil(scenario.duration / frozen_dt(scenario) - 1e-9))
 
 
+_least, _greatest = np.minimum.reduce, np.maximum.reduce
+
+
 def _checked_primitives(w: np.ndarray, gas: GasModel, out=None):
     """primitive_arrays(w, gas, out) of a (J+1, 3) field with positive
     density and pressure and finite entries, else a DuctwaveError naming
-    the first bad node. A healthy field passes on three reductions, the
-    first two before any division; only a failing one builds the
-    per-node mask, silencing the float warnings of broken rows."""
+    the first bad node. A healthy field passes on three ufunc reductions:
+    least density and greatest entry (inf or nan if one is; -inf fails a
+    sign test) before any division, then least pressure. Only a failing
+    one builds the per-node mask, silencing float warnings."""
     rho = w[:, 0]
-    if rho.min() > 0.0 and np.isfinite(w).all():
+    if _least(rho) > 0.0 and _greatest(w, None) < math.inf:
         prim = primitive_arrays(w, gas, out)
-        if prim[2].min() > 0.0:
+        if _least(prim[2]) > 0.0:
             return prim
     with np.errstate(all="ignore"):
         p = primitive_arrays(w, gas)[2]
@@ -220,32 +224,30 @@ class Simulation:
         self.history = wall.PressureHistory(n_nodes, self.dt * c2,
                                             self.dt * c3)
         self.history.append(self.prim[2])
-        self._zero = np.zeros((2, n_nodes))
-        self._zero.flags.writeable = False
-        self._g_prev = self._zero
-        self._s_node = np.zeros((2, n_nodes))
-        self._s_mid = np.zeros((2, n_nodes))
+        # step n's source table in slot n % 2, slot 1 zero before step 0
+        self._tables = np.zeros((2, 2, n_nodes))
+        self._s_node, self._s_mid = np.zeros((2, 2, n_nodes))
         self._mid = self._s_mid.reshape(-1)[:-1]
 
     def advance(self):
         """One coupled step (sources, interior, boundaries, history)."""
-        sc, dt = self.scenario, self.dt
+        sc, dt, n = self.scenario, self.dt, self.n
         gas, grid = sc.gas, sc.grid
         cur, nxt = self._level, self._next
         if sc.losses:
-            g_now = wall.source_table(self.history, self.n)
+            g_now = wall.source_table(self.history, n, self._tables[n % 2])
             s_node, s_mid, mid = self._s_node, self._s_mid, self._mid
-            np.subtract(g_now, self._g_prev, out=s_node)
-            np.multiply(s_node, 0.5, out=s_node)
-            np.add(s_node, g_now, out=s_node)
+            np.subtract(g_now, self._tables[(n + 1) % 2], s_node)
+            np.multiply(s_node, 0.5, s_node)
+            np.add(s_node, g_now, s_node)
             g = g_now.reshape(-1)
-            np.add(g[:-1], g[1:], out=mid)
-            np.multiply(mid, 0.25, out=mid)
+            np.add(g[:-1], g[1:], mid)
+            np.multiply(mid, 0.25, mid)
         else:
-            s_node = s_mid = self._zero
+            s_node = s_mid = None
         lax_wendroff_update(cur, nxt, s_node, s_mid, gas, grid, dt)
 
-        value = sc.inflow.value((self.n + 1) * dt)
+        value = sc.inflow.value((n + 1) * dt)
         if sc.inflow_kind == PRESSURE:
             pi_val = gas.p0 + value
             if pi_val <= 0.0:
@@ -256,18 +258,20 @@ class Simulation:
             inflow = inflow_update_pressure
         else:
             u_e, inflow = value, inflow_update_velocity
-        nxt.inlet[:] = inflow(cur.inlet, cur.inlet_next, u_e, -1, gas, dt,
-                              grid.dx, 0)
-        nxt.outlet[:] = outflow_update(cur.outlet, cur.outlet_prev, 0.0, +1,
-                                       gas, dt, grid.dx, grid.cells)
+        # three cells cost less to write than one column from a tuple
+        q = nxt.q
+        q[0, 0], q[1, 0], q[2, 0] = inflow(
+            cur.inlet, cur.inlet_next, u_e, -1, gas, dt, grid.dx, 0)
+        q[0, -1], q[1, -1], q[2, -1] = outflow_update(
+            cur.outlet, cur.outlet_prev, 0.0, +1, gas, dt, grid.dx,
+            grid.cells)
 
         # checked before it is kept: a failed step leaves the last good
         # level, and the source table the next step differences against
         prim = _checked_primitives(nxt.w, gas, nxt.prim)
-        self.w, self.prim, self.n = nxt.w, prim, self.n + 1
+        self.w, self.prim, self.n = nxt.w, prim, n + 1
         self._level, self._next = nxt, cur
         if sc.losses:
-            self._g_prev = g_now
             self.history.append(prim[2])
 
 
@@ -291,11 +295,11 @@ def run(scenario: Scenario,
     nodes = np.array(list(dict.fromkeys(
         grid.nearest_node(x) for x in scenario.probes)), dtype=np.intp)
     rows = np.empty((nodes.size, n_steps + 1, 3))
-    _record(rows, 0, sim.prim, nodes)
+    rows[:, 0] = sim.prim.take(nodes, axis=1).T
     try:
         for n in range(1, n_steps + 1):
             sim.advance()
-            _record(rows, n, sim.prim, nodes)
+            rows[:, n] = sim.prim.take(nodes, axis=1).T
     except DuctwaveError as exc:
         exc.args = (f"{exc} ({_step_context(sim)})",)
         raise
@@ -313,11 +317,6 @@ def run(scenario: Scenario,
     report = RunReport(dt=sim.dt, n_steps=n_steps, wall_clock_s=elapsed)
     return RunResult(scenario=scenario, w=sim.w, history=sim.history,
                      records=records, resampled=resampled, report=report)
-
-
-def _record(rows: np.ndarray, n: int, prim: np.ndarray, nodes: np.ndarray):
-    """Write level n's (rho, u, p) rows at the probe nodes into rows[:, n]."""
-    rows[:, n] = prim.take(nodes, axis=1).T
 
 
 def _step_context(sim: Simulation) -> str:

@@ -10,12 +10,12 @@ variables u +/- 2c/(gamma - 1) and S = p / rho^gamma.
 All quantities are strict SI. Conversions are pure functions. The array
 forms do not check positivity: a run evaluates `primitive_arrays` once
 per state, on the initial field and then on each field whose boundary
-rows are written, and checks the state on those arrays
+rows are written, into that level's rows, and checks the state on them
 (`driver.Simulation`); they serve the wall memory, the probes and the
-next interior update. The boundary update checks the nodes it reads and
-the rows it rebuilds, and the driver checks an imposed pressure before
-forming the inflow's external velocity from it. A failed check is a
-DuctwaveError whose message names the cause and the node.
+next interior update. The boundary update checks, on plain numbers, the
+nodes it reads and the rows it rebuilds; the driver checks an imposed
+pressure before forming the inflow's external velocity from it. A
+failed check is a DuctwaveError whose message names the cause and node.
 """
 
 from __future__ import annotations
@@ -79,12 +79,12 @@ def primitive_arrays(w: np.ndarray, gas: GasModel, out=None):
     # rows as views, 0-d ones too when w is a single state
     u, p = out[1, ...], out[2, ...]
     out[0] = rho
-    np.divide(mom, rho, out=u)
+    np.divide(mom, rho, u)
     # (mom u) (-1/2) rounds as 0.5 mom u does: halving is exact
-    np.multiply(mom, u, out=p)
-    np.multiply(p, -0.5, out=p)
-    np.add(p, etot, out=p)
-    np.multiply(p, gas.gamma - 1.0, out=p)
+    np.multiply(mom, u, p)
+    np.multiply(p, -0.5, p)
+    np.add(p, etot, p)
+    np.multiply(p, gas.gamma - 1.0, p)
     return out
 
 

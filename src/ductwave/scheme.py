@@ -23,12 +23,12 @@ update makes no array. The update advances one level into another. It
 takes the wall sources of the momentum and energy rows as the two
 increments the step adds: dt G + dt^2/2 dG/dt at the nodes and half of
 dt times the mean G of each cell's two nodes at the midpoints, which the
-driver forms once per step (with losses off, one shared zero buffer). It
-works on the raveled rows: every operation spans a whole buffer, and the
-few entries that straddle two rows land on boundary nodes, which the
-boundary update rewrites. It is pure numerics: it leaves the new field
-unchecked, and the driver checks it once its boundary columns are
-written.
+driver forms once per step; with losses off it is handed none. It works
+on the raveled rows: every operation spans a whole buffer, its operands
+of one shape and its output passed by position, and the few entries
+that straddle two rows land on boundary nodes, which the boundary update
+rewrites. It is pure numerics: it leaves the new field unchecked, and
+the driver checks it once its boundary columns are written.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ class Level:
         "inlet", "inlet_next", "outlet", "outlet_prev",
         "rho", "u", "p", "u2", "u3", "e", "ue", "basis_hi", "basis_lo",
         "pair", "pair_flat", "f0", "f1", "f2", "f_hi", "f_lo", "flux",
-        "flux_mass", "flux_rest", "flux_lo", "dt_v", "dv_mass", "dv_rest",
-        "a_mid", "a_mid3", "r", "r_flat", "plus", "plus_hi")
+        "flux_lo", "dt_v", "dv_row", "dv", "dv_rest", "dv_copies", "a_mid",
+        "a_mid3", "a_rows", "r", "r_flat", "plus", "plus_hi")
 
     def __init__(self, n: int, other: Level | None = None):
         self.n = n
@@ -150,23 +150,25 @@ class Level:
             return
         # work rows, zero where no operation writes: the last entry of each
         # raveled buffer below is never written, and stays finite
-        work = np.zeros((31, n))
+        work = np.zeros((37, n))
         self.pair, self.a_mid = work[:7], work[7:16]
         self.a_mid3 = self.a_mid.reshape(3, 3, n)
+        self.a_rows = self.a_mid.reshape(3, 3 * n)
         self.pair_flat = self.pair.reshape(-1)[:-1]
         f = work[16:19]
         self.f0, self.f1, self.f2 = f
         f_flat = f.reshape(-1)
         self.f_hi, self.f_lo = f_flat[1:], f_flat[:-1]
         self.flux = work[19:22].reshape(-1)[:-1]
-        self.flux_mass, self.flux_rest = self.flux[:n], self.flux[n:]
         self.flux_lo = self.flux[:-1]
-        self.dt_v = work[22:25]
-        dv = self.dt_v.reshape(-1)
-        self.dv_mass, self.dv_rest = dv[:n], dv[n:-1]
-        self.r = work[25:28]
+        # dt v once per row of A_mid: broadcast, numpy would copy it
+        self.dt_v = work[22:31].reshape(3, 3 * n)
+        self.dv_row, self.dv_copies = self.dt_v[0], self.dt_v[1:]
+        self.dv = self.dv_row[:-1]
+        self.dv_rest = self.dv[n:]
+        self.r = work[31:34]
         self.r_flat = self.r.reshape(-1)[:-1]
-        self.plus = work[28:31].reshape(-1)[:-1]
+        self.plus = work[34:37].reshape(-1)[:-1]
         self.plus_hi = self.plus[1:]
 
 
@@ -193,8 +195,8 @@ def _jacobian_basis(gamma: float, half_lam: float) -> np.ndarray:
     return c
 
 
-def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray,
-                        s_mid: np.ndarray, gas: GasModel, grid: Grid,
+def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray | None,
+                        s_mid: np.ndarray | None, gas: GasModel, grid: Grid,
                         dt: float) -> np.ndarray:
     """Advance the interior nodes 1..J-1 of the field of level cur one
     step of size dt into the field of level nxt, and return that field,
@@ -205,8 +207,9 @@ def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray,
     array: s_node = dt G + dt^2/2 dG/dt at every node, and s_mid =
     dt (G_j + G_j+1)/4, half the midpoint increment, in column j for
     cell j. Column J of s_mid reaches only boundary entries and must be
-    finite. The boundary columns 0 and J of nxt.q are left to the
-    boundary update, and the field is left unchecked.
+    finite. Without sources both are None, and no source arithmetic is
+    done. The boundary columns 0 and J of nxt.q are left to the boundary
+    update, and the field is left unchecked.
 
     With lam = dt/dx, cell j running from node j to node j+1, F_j =
     lam (f_j+1 - f_j) its scaled flux difference and dt v_j = dt G_mid,j -
@@ -223,43 +226,47 @@ def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray,
     nodes is a constant matrix times the cell's pair-summed basis.
     """
     n = cur.n
-    if s_node.shape != (2, n) or s_mid.shape != (2, n) or nxt.n != n:
+    sourced = s_node is not None or s_mid is not None
+    if nxt.n != n or sourced and not (np.shape(s_node) == np.shape(s_mid)
+                                      == (2, n)):
         raise ValueError("both levels and the source increments of every"
                          " node and midpoint must share the grid's nodes")
     half_lam = 0.5 * dt / grid.dx
     u, p, mom, etot = cur.u, cur.p, cur.mom, cur.etot
 
-    np.multiply(u, u, out=cur.u2)
-    np.multiply(cur.u2, u, out=cur.u3)
-    np.divide(etot, cur.rho, out=cur.e)
-    np.multiply(u, cur.e, out=cur.ue)
+    np.multiply(u, u, cur.u2)
+    np.multiply(cur.u2, u, cur.u3)
+    np.divide(etot, cur.rho, cur.e)
+    np.multiply(u, cur.e, cur.ue)
     # each node plus its right neighbour over rows 1-7 in one call
-    np.add(cur.basis_hi, cur.basis_lo, out=cur.pair_flat)
-    np.matmul(_jacobian_basis(gas.gamma, half_lam), cur.pair,
-              out=cur.a_mid)
+    np.add(cur.basis_hi, cur.basis_lo, cur.pair_flat)
+    np.matmul(_jacobian_basis(gas.gamma, half_lam), cur.pair, cur.a_mid)
 
     f1, f2 = cur.f1, cur.f2
     cur.f0[:] = mom
-    np.multiply(mom, u, out=f1)
-    np.add(f1, p, out=f1)
-    np.add(etot, p, out=f2)
-    np.multiply(f2, u, out=f2)
+    np.multiply(mom, u, f1)
+    np.add(f1, p, f1)
+    np.add(etot, p, f2)
+    np.multiply(f2, u, f2)
     # differenced before it is scaled: scaling p0-sized fluxes first
     # rounds a rest state away from itself
     flux = cur.flux
-    np.subtract(cur.f_hi, cur.f_lo, out=flux)
-    np.multiply(flux, half_lam, out=flux)
+    np.subtract(cur.f_hi, cur.f_lo, flux)
+    np.multiply(flux, half_lam, flux)
 
-    np.negative(cur.flux_mass, out=cur.dv_mass)
-    np.subtract(s_mid.reshape(-1)[:-1], cur.flux_rest, out=cur.dv_rest)
-    a_mid3 = cur.a_mid3
-    np.multiply(a_mid3, cur.dt_v, out=a_mid3)
-    np.add.reduce(a_mid3, axis=1, out=cur.r)
+    # dt v = -F + dt G_mid: -F + s is s - F, bit for bit
+    np.negative(flux, cur.dv)
+    if sourced:
+        np.add(cur.dv_rest, s_mid.reshape(-1)[:-1], cur.dv_rest)
+    cur.dv_copies[:] = cur.dv_row
+    np.multiply(cur.a_rows, cur.dt_v, cur.a_rows)
+    np.add.reduce(cur.a_mid3, 1, None, cur.r)
 
     r, plus = cur.r_flat, cur.plus
-    np.add(flux, r, out=plus)
-    np.subtract(flux, r, out=flux)
-    np.add(cur.plus_hi, cur.flux_lo, out=cur.plus_hi)
-    np.subtract(cur.inner, cur.plus_hi, out=nxt.inner)
-    np.add(nxt.sourced, s_node.reshape(-1)[:-1], out=nxt.sourced)
+    np.add(flux, r, plus)
+    np.subtract(flux, r, flux)
+    np.add(cur.plus_hi, cur.flux_lo, cur.plus_hi)
+    np.subtract(cur.inner, cur.plus_hi, nxt.inner)
+    if sourced:
+        np.add(nxt.sourced, s_node.reshape(-1)[:-1], nxt.sourced)
     return nxt.q

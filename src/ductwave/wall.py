@@ -24,14 +24,14 @@ form of w_m (the diffusive representation of the kernel), Q = 88 of them
 after the modes whose decay is 1 to within 1e-13 are folded into one
 running sum. A step costs one row write and one (2, 2 K0 + Q + 1)
 product; the modes are updated once every K0 steps, with one (Q, K0)
-product. The modes serve only lags of K0 and more, where the
-sum-of-exponentials weights match w_m to 1.4e-9 relative on every lag
-from K0 - 1 to 10^6. Uniform dt is required by the weights. The memory
-holds pressures only: dt enters through the prefactors of the sums,
-which `source_coefficients` computes once per run and the run's
-`PressureHistory` folds into its summation blocks. A run hands it the
-prefactors times dt, so that its table is dt G, the source increment of
-one step.
+product, both into work rows made with it. The modes serve only lags of
+K0 and more, where the sum-of-exponentials weights match w_m to 1.4e-9
+relative on every lag from K0 - 1 to 10^6. Uniform dt is required by the
+weights. The memory holds pressures only: dt enters through the
+prefactors of the sums, which `source_coefficients` computes once per
+run and the run's `PressureHistory` folds into its summation blocks. A
+run hands it the prefactors times dt, so that its table is dt G, the
+source increment of one step.
 """
 
 from __future__ import annotations
@@ -114,16 +114,17 @@ class PressureHistory:
     """Wall memory of the nodal pressure series p_j^m on a uniform time step.
 
     The storage is fixed at construction: one (2 K0 + Q + 1, nodes)
-    array. The deviations q = p - p^0 from the first level p^0 stored sit
-    in its first 2 K0 rows, a ring that carries the near lags exactly.
-    Every K0-th level appended, the K0 oldest levels of the ring fold
-    into the Q exponential modes below it, which carry the older lags
-    through the sum-of-exponentials form of the weights; the ring then
-    holds K0 to 2 K0 - 1 levels. The last row carries the share of p^0 in
-    the pair sums. A step costs one row write and one (2, 2 K0 + Q + 1)
-    product. The sums come out scaled by the prefactors (c2, c3) given
-    here, folded into a copy of the summation blocks (the defaults give
-    the bare sums). Only the latest level can be summed.
+    array, and (Q, nodes) work rows. The deviations q = p - p^0 from the
+    first level p^0 stored sit in its first 2 K0 rows, a ring that
+    carries the near lags exactly. Every K0-th level appended, the K0
+    oldest levels of the ring fold into the Q exponential modes below it,
+    which carry the older lags through the sum-of-exponentials form of
+    the weights; the ring then holds K0 to 2 K0 - 1 levels. The last row
+    carries the share of p^0 in the pair sums. A step costs one row write
+    and one (2, 2 K0 + Q + 1) product. The sums come out scaled by the
+    prefactors (c2, c3) given here, folded into a copy of the summation
+    blocks (the defaults give the bare sums). Only the latest level can
+    be summed.
     """
 
     def __init__(self, n_nodes: int, c2: float = 1.0, c3: float = 1.0):
@@ -138,6 +139,7 @@ class PressureHistory:
         self._c2 = c2
         self.p0 = np.zeros(n_nodes)
         self._levels = 0
+        self._work = np.empty((_SOE_S.size, n_nodes))
 
     @property
     def n_levels(self) -> int:
@@ -146,7 +148,8 @@ class PressureHistory:
 
     @property
     def nbytes(self) -> int:
-        return self._store.nbytes + self._blocks.nbytes + self.p0.nbytes
+        return sum(a.nbytes for a in (self._store, self._blocks, self.p0,
+                                      self._work))
 
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
@@ -161,10 +164,13 @@ class PressureHistory:
         self._levels += 1
         if self._levels % K0 == 0 and self._levels >= 2 * K0:
             # the K0 oldest levels of the ring fill the half the next
-            # level starts
+            # level starts; decays as a block: a column would be copied
             lo = self._levels % (2 * K0)
-            self._modes *= _FOLD_DECAY
-            self._modes += _FOLD @ self._ring[lo:lo + K0]
+            work = self._work
+            work[:] = _FOLD_DECAY
+            np.multiply(self._modes, work, self._modes)
+            np.matmul(_FOLD, self._ring[lo:lo + K0], work)
+            np.add(self._modes, work, self._modes)
 
     def window(self, n: int) -> tuple[int, int]:
         """Summation level range [lo, n) at step n: the whole history."""
@@ -176,6 +182,7 @@ class PressureHistory:
     def sums(self, n: int) -> np.ndarray:
         """Pair and difference sums at step n, scaled by (c2, c3), as a
         (2, nodes) array; the pair sums up to a share common to all nodes.
+        Its work rows hold them until the next call or append.
 
         Summation by parts puts both sums on the levels p^{n-k},
         k = 0..n: the pair sum weighs lag k by w_{k-1} + w_k and the
@@ -194,7 +201,7 @@ class PressureHistory:
                              f" step {n} requested")
         block = self._blocks[n % (2 * K0)]
         block[0, -1] = math.sqrt(n)
-        return block @ self._store
+        return np.dot(block, self._store, self._work[:2])
 
 
 def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
@@ -209,9 +216,11 @@ def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
     return c2, c3
 
 
-def source_table(hist: PressureHistory, n: int) -> np.ndarray:
+def source_table(hist: PressureHistory, n: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The sources (G2, G3) at every node for step n, as the rows of a
-    (2, J+1) array; the mass equation has none.
+    (2, J+1) array: out, or a new one; the mass equation has none. A
+    table kept by the caller stays as it is until passed again as out.
 
     Interior nodes follow the convolution sums of `hist.sums(n)`, which
     carry the prefactors (c2, c3) the memory was built with (those of
@@ -222,11 +231,11 @@ def source_table(hist: PressureHistory, n: int) -> np.ndarray:
     (they only feed the midpoint source averages of the interior
     expansion). At n = 0 the sums, and so the table, are zero.
     """
-    acc = hist.sums(n)
-    pair = acc[0]
-    g2 = np.empty(hist.n_nodes)
-    np.subtract(pair[2:], pair[:-2], out=g2[1:-1])
+    pair, diff = hist.sums(n)
+    table = np.empty((2, hist.n_nodes)) if out is None else out
+    g2 = table[0]
+    np.subtract(pair[2:], pair[:-2], g2[1:-1])
     g2[0] = g2[1]
     g2[-1] = g2[-2]
-    acc[0] = g2
-    return acc
+    table[1] = diff
+    return table

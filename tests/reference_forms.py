@@ -17,6 +17,12 @@ update takes its sources as the two increments a step adds;
 the form the tests and the classical reference state them in, and
 `interior_step` takes a (J+1, 3) field through one update the way the
 classical reference does, its boundary rows held.
+
+The characteristic boundary update is kept in its composed form: the
+external sound speed, the node state and the foot point as functions of
+their own, and `composed_boundary_row` built from them, which
+`ductwave.boundaries.boundary_row` writes out as one function in the same
+floating-point order.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ import math
 import numpy as np
 from scipy import special
 
-from ductwave.gas import GasModel, primitive_arrays
+from ductwave.errors import DuctwaveError
+from ductwave.gas import (GasModel, primitive_arrays,
+                          primitive_from_characteristics)
 from ductwave.scheme import Level, lax_wendroff_update
 from ductwave.signals import SampledSignal
 
@@ -174,3 +182,65 @@ def interior_step(field, g, dt_g, gas: GasModel, grid, dt: float):
     new = nxt.w.copy()
     new[[0, -1]] = field[[0, -1]]
     return new
+
+
+def external_sound_speed(u_e: float, gas: GasModel, node: int) -> float:
+    """Sound speed c_e of the linearized external state moving at u_e."""
+    c_e = gas.c0 + 0.5 * (gas.gamma - 1.0) * u_e
+    if c_e <= 0.0:
+        raise DuctwaveError(
+            f"external sound speed must be positive: c_e={c_e:.3f}"
+            f" for u_e={u_e:.3f}", node=node)
+    return c_e
+
+
+def foot_point(states_near_boundary: tuple, celerity_signed: float,
+               dt: float, dx: float) -> tuple[float, float, float]:
+    """Backward-characteristic foot state between boundary and neighbor.
+
+    states_near_boundary is (boundary state, interior neighbor state),
+    each a conserved 3-sequence of floats. Written as
+    W_b + lambda*(W_n - W_b), lambda clamped to 1, so interpolating
+    identical states is bitwise exact.
+    """
+    (b0, b1, b2), (n0, n1, n2) = states_near_boundary
+    lam = min(abs(celerity_signed) * dt / dx, 1.0)
+    return b0 + lam * (n0 - b0), b1 + lam * (n1 - b1), b2 + lam * (n2 - b2)
+
+
+def node_state(w, gas: GasModel, node: int):
+    """(rho, u, p, c) of a conserved row of floats at boundary node `node`."""
+    rho, mom, etot = w
+    if not (rho > 0.0):
+        raise DuctwaveError(f"non-positive density {rho}", node=node)
+    u = mom / rho
+    e_int = etot - mom ** 2 / (2.0 * rho)
+    if not (e_int > 0.0):
+        raise DuctwaveError(f"non-positive internal energy {e_int}",
+                            node=node)
+    p = (gas.gamma - 1.0) * e_int
+    return rho, u, p, math.sqrt(gas.gamma * p / rho)
+
+
+def composed_boundary_row(w_b, w_n, u_e: float, side: int, gas: GasModel,
+                          dt: float, dx: float,
+                          node: int) -> tuple[float, float, float]:
+    """`boundary_row` composed of the parts above: the new conserved row
+    at boundary node `node` from the level-n rows w_b of the node and w_n
+    of its interior neighbour, for external velocity u_e on side -1
+    (inlet) or +1 (outlet), with the same checks and messages."""
+    w_b, w_n = w_b.tolist(), w_n.tolist()
+    gm1 = gas.gamma - 1.0
+    c_e = external_sound_speed(u_e, gas, node)
+    _, u, _, c = node_state(w_b, gas, node)
+    if abs(u) >= c:
+        raise DuctwaveError(
+            f"supersonic state: |u|={abs(u):.3f} >= c={c:.3f}", node=node)
+    foot = foot_point((w_b, w_n), u + side * c, dt, dx)
+    _, u_foot, _, c_foot = node_state(foot, gas, node)
+    outgoing = u_foot + side * 2.0 * c_foot / gm1
+    incoming = u_e - side * 2.0 * c_e / gm1
+    r_plus, r_minus = (outgoing, incoming) if side > 0 else (incoming, outgoing)
+    rho, u, p = primitive_from_characteristics(r_plus, r_minus, gas.s0, gas,
+                                               node=node)
+    return rho, rho * u, p / gm1 + 0.5 * rho * u ** 2

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-from ductwave.boundaries import boundary_row, foot_point
+from ductwave.boundaries import boundary_row
 from ductwave.errors import DuctwaveError
 from ductwave.gas import conserved_array, primitive_arrays
+from reference_forms import composed_boundary_row, foot_point
 
 DT = 2e-5
 DX = 0.01
@@ -146,6 +148,93 @@ def test_outlet_is_the_mirrored_rest_inlet(air):
         inlet = _inlet(0.0, _mirror(w_j), _mirror(w_jm1), air, dt)
         np.testing.assert_array_equal(_outlet(w_jm1, w_j, air, dt),
                                       _mirror(inlet))
+
+
+def _outcome(update, *args):
+    """A row as the hex forms of its floats (so -0.0 and 0.0 differ), or a
+    refusal as its message and node."""
+    try:
+        return [x.hex() for x in update(*args)]
+    except DuctwaveError as exc:
+        return str(exc), exc.node
+
+
+def _rows(air, rho, u, p):
+    return tuple(conserved_array(rho[i], u[i], p[i], air) for i in range(2))
+
+
+# densities of either sign, kept clear of a near vacuum, where a foot
+# state's sound speed can overflow the rebuilt density
+_DENSITIES = st.one_of(st.floats(-0.5, 0.0), st.floats(0.01, 2.4))
+
+
+class TestComposedForm:
+    """`boundary_row` is the composed form of `reference_forms` written out
+    as one function: the same floats in the same order, at both ends and
+    for external velocities of both signs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.tuples(*[st.floats(0.6, 2.4)] * 2),
+           u=st.tuples(*[st.floats(-150.0, 150.0)] * 2),
+           p=st.tuples(*[st.floats(5e4, 2e5)] * 2),
+           u_e=st.floats(-100.0, 100.0), side=st.sampled_from([-1, 1]),
+           courant=st.floats(0.05, 2.0))
+    def test_subsonic_rows_match_bit_for_bit(self, air, rho, u, p, u_e, side,
+                                             courant):
+        # |u| <= 150 m/s stays below c >= 170 m/s at the node and its foot
+        w_b, w_n = _rows(air, rho, u, p)
+        node = 0 if side < 0 else J_OUT
+        args = (w_b, w_n, u_e, side, air, courant * DX / air.c0, DX, node)
+        got = _outcome(boundary_row, *args)
+        assert isinstance(got, list)
+        assert got == _outcome(composed_boundary_row, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.tuples(*[_DENSITIES] * 2),
+           u=st.tuples(*[st.floats(-800.0, 800.0)] * 2),
+           p=st.tuples(*[st.floats(-5e4, 2e5)] * 2),
+           u_e=st.floats(-3000.0, 3000.0), side=st.sampled_from([-1, 1]),
+           courant=st.floats(0.05, 3.0))
+    def test_refusals_keep_their_message_and_node(self, air, rho, u, p, u_e,
+                                                  side, courant):
+        # rows of any sign and speed: each is rebuilt as the composed form
+        # rebuilds it, or refused with its message and node
+        w_b, w_n = _rows(air, rho, u, p)
+        node = 0 if side < 0 else J_OUT
+        args = (w_b, w_n, u_e, side, air, courant * DX / air.c0, DX, node)
+        assert (_outcome(boundary_row, *args)
+                == _outcome(composed_boundary_row, *args))
+
+    @pytest.mark.parametrize("w_b, w_n, u_e, cause", [
+        ((1.2, 0.0, 253312.5), (1.2, 0.0, 253312.5), -2000.0,
+         "external sound speed must be positive"),
+        ((0.0, 0.0, 253312.5), (1.2, 0.0, 253312.5), 0.0,
+         "non-positive density"),
+        ((1.2, 0.0, -1.0), (1.2, 0.0, 253312.5), 0.0,
+         "non-positive internal energy"),
+        ((1.2, 600.0, 253312.5), (1.2, 0.0, 253312.5), 0.0,
+         "supersonic state"),
+        ((1.2, 0.0, 253312.5), (-1.0, 0.0, 253312.5), 0.0,
+         "non-positive density"),
+        ((1.2, 0.0, 253312.5), (1.2, 0.0, -1.0), 0.0,
+         "non-positive internal energy"),
+        ((1.2, 0.0, 253312.5), (1.2, 4800.0, 1e7), 0.0,
+         "r_plus="),
+    ])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_each_refusal(self, air, w_b, w_n, u_e, cause, side):
+        # a step of dt = 2 dx/c0 clamps the foot onto the neighbour, so a
+        # bad neighbour is a bad foot; the crossed invariants come from a
+        # neighbour moving away from the boundary on either side
+        w_b, w_n = np.array(w_b), np.array(w_n)
+        w_n[1] *= -side
+        node = 0 if side < 0 else J_OUT
+        args = (w_b, w_n, u_e, side, air, 2 * DX / air.c0, DX, node)
+        got = _outcome(boundary_row, *args)
+        assert got == _outcome(composed_boundary_row, *args)
+        message, at = got
+        assert cause in message
+        assert message.endswith(f"(node {node})") and at == node
 
 
 class TestFootPoint:

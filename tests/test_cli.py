@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -373,6 +374,23 @@ class TestRunCommand:
             == EXIT_OK
         assert "run complete: 314 steps" in capsys.readouterr().out
         assert "steps = 314" in (out / "kirchhoff_report.txt").read_text()
+
+    def test_run_summary_gives_the_mean_step_cost(self, tmp_path, capsys):
+        # the summary line on stdout carries the wall clock of the time
+        # loop and its mean per step; the report file carries neither
+        cfg = _kirchhoff_sampled(tmp_path, 1101)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        found = re.fullmatch(r"run complete: 314 steps, dt=\S+ s,"
+                             r" wall clock (\d+\.\d\d) s, (\d+) µs a step",
+                             line)
+        assert found, line
+        wall, per_step = float(found[1]), int(found[2])
+        assert abs(per_step * 314e-6 - wall) <= 0.005 + 314 * 0.5e-6
+        report = (out / "kirchhoff_report.txt").read_text(encoding="utf-8")
+        assert "µs" not in report and "wall clock" not in report
 
     def test_run_shorter_than_a_period_writes_only_native_series(
             self, tmp_path):

@@ -326,6 +326,9 @@ class TestLaxWendroffUpdate:
         (1, np.nan),
         (2, np.nan),
         (2, np.inf),           # e_int = +inf passes a min-only check
+        (0, np.inf),           # so does rho = +inf, with u = 0 and finite p
+        (1, np.inf),
+        (1, -np.inf),
     ])
     def test_blow_up_names_step_and_node(self, air, component, value,
                                          monkeypatch):
@@ -364,6 +367,16 @@ class TestLaxWendroffUpdate:
         assert str(err.value).endswith(
             f"(node 7) (step 7, t/T0 = {7 * dt / period:.3f},"
             f" Courant number {courant:.3f} at node {node})")
+
+    def test_a_healthy_field_of_huge_entries_passes(self, air):
+        # entries near the float ceiling, each finite, whose sum would
+        # overflow: the state check passes the field and hands back its
+        # primitive rows
+        field = np.tile([1.0, 0.0, 1e308], (13, 1))
+        field[4, 1] = 1e150
+        prim = driver._checked_primitives(field, air)
+        np.testing.assert_array_equal(prim, primitive_arrays(field, air))
+        assert np.isfinite(prim).all() and (prim[2] > 0.0).all()
 
     def test_sources_required_for_all_nodes(self, air):
         grid = Grid(1.0, 12)
