@@ -38,15 +38,15 @@ step is frozen at the start of the run (the convolution weights assume
 uniform dt) at cfl * dx / c0, the CFL step of the rest state.
 
 `Simulation` is only the stepper; `run` records the probes. It sizes one
-(P, n_steps + 1, 3) float64 array for the P probe nodes before the first
-step and writes each level's (rho, u, p) at those nodes into it from the
-checked primitive rows, one indexed copy a level, so a stored row costs
-24 bytes from the first step. These native rows are all a run keeps of
-its probes: its period-grid records (`analysis.PeriodGridRecord`), one
-for each record that spans a whole period, derive their layout from the
-record, the period and the sampling exponent, hold no samples and
-interpolate the rows when read, so a read holds only the rows it asks
-for.
+step-major (n_steps + 1, 3, P) float64 array for the P probe nodes before
+the first step, and the method `take` (np.take dispatches once more)
+writes each level's (rho, u, p) at those nodes into its (3, P) block, so
+a stored row costs 24 bytes from the first step. These native rows are
+all a run keeps of its probes: its period-grid records
+(`analysis.PeriodGridRecord`), one for each record that spans a whole
+period, derive their layout from the record, the period and the sampling
+exponent, hold no samples and interpolate the rows when read, so a read
+holds only the rows it asks for.
 
 Runs are deterministic: identical scenarios produce bit-identical
 fields, histories and probe records. An error raised inside the time loop
@@ -197,8 +197,8 @@ class Simulation:
     steps, at time n * dt, held in one of two `scheme.Level`s that the
     steps alternate: w is its (J+1, 3) view and prim its checked
     primitive rows (rho, u, p). It fixes the wall-source prefactors,
-    times dt, for the run in its wall memory and keeps the previous
-    source table between steps."""
+    times dt, in its wall memory, and makes its two source tables, and
+    the views a step reads of them, once per run."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: np.ndarray | None = None):
@@ -223,9 +223,12 @@ class Simulation:
                                           self.dt)
         self.history = wall.PressureHistory(n_nodes, self.dt * c2,
                                             self.dt * c3)
-        self.history.append(self.prim[2])
-        # step n's source table in slot n % 2, slot 1 zero before step 0
-        self._tables = np.zeros((2, 2, n_nodes))
+        self.history.append(self._level.p)
+        # per parity n % 2, made once: step n's table, the other one (zero
+        # before step 0) and the two flat views the midpoint increment adds
+        tables = np.zeros((2, 2, n_nodes))
+        self._parity = [(t, tables[1 - i], t.ravel()[:-1], t.ravel()[1:])
+                        for i, t in enumerate(tables)]
         self._s_node, self._s_mid = np.zeros((2, 2, n_nodes))
         self._mid = self._s_mid.reshape(-1)[:-1]
 
@@ -235,13 +238,13 @@ class Simulation:
         gas, grid = sc.gas, sc.grid
         cur, nxt = self._level, self._next
         if sc.losses:
-            g_now = wall.source_table(self.history, n, self._tables[n % 2])
+            g_now, g_prev, g_lo, g_hi = self._parity[n % 2]
+            wall.source_table(self.history, n, g_now)
             s_node, s_mid, mid = self._s_node, self._s_mid, self._mid
-            np.subtract(g_now, self._tables[(n + 1) % 2], s_node)
+            np.subtract(g_now, g_prev, s_node)
             np.multiply(s_node, 0.5, s_node)
             np.add(s_node, g_now, s_node)
-            g = g_now.reshape(-1)
-            np.add(g[:-1], g[1:], mid)
+            np.add(g_lo, g_hi, mid)
             np.multiply(mid, 0.25, mid)
         else:
             s_node = s_mid = None
@@ -272,7 +275,7 @@ class Simulation:
         self.w, self.prim, self.n = nxt.w, prim, n + 1
         self._level, self._next = nxt, cur
         if sc.losses:
-            self.history.append(prim[2])
+            self.history.append(nxt.p)
 
 
 def run(scenario: Scenario,
@@ -280,7 +283,7 @@ def run(scenario: Scenario,
     """Run a scenario to its configured duration.
 
     Probe records hold every native step, as float64 rows: record i's
-    data is row i of one (P, n_steps + 1, 3) array, a view. Stations
+    data is a view of column i of one (n_steps + 1, 3, P) array. Stations
     that share a node record it once, in first-seen order. When the
     inflow has a fundamental period, RunResult.resampled reads each
     record on the tau = T0/2^N grid over the largest whole number of
@@ -294,12 +297,12 @@ def run(scenario: Scenario,
     grid = scenario.grid
     nodes = np.array(list(dict.fromkeys(
         grid.nearest_node(x) for x in scenario.probes)), dtype=np.intp)
-    rows = np.empty((nodes.size, n_steps + 1, 3))
-    rows[:, 0] = sim.prim.take(nodes, axis=1).T
+    rows = np.empty((n_steps + 1, 3, nodes.size))
+    sim.prim.take(nodes, 1, rows[0])
     try:
         for n in range(1, n_steps + 1):
             sim.advance()
-            rows[:, n] = sim.prim.take(nodes, axis=1).T
+            sim.prim.take(nodes, 1, rows[n])
     except DuctwaveError as exc:
         exc.args = (f"{exc} ({_step_context(sim)})",)
         raise
@@ -308,7 +311,7 @@ def run(scenario: Scenario,
     records = tuple(
         ProbeRecord(station_index=j, x=j * grid.dx, tau=sim.dt, data=data,
                     t_start=0.0)
-        for j, data in zip(nodes.tolist(), rows))
+        for j, data in zip(nodes.tolist(), rows.transpose(2, 0, 1)))
     period = scenario.fundamental_period
     grids = () if period is None else (
         PeriodGridRecord(rec, period, scenario.sampling_exponent)

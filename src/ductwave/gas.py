@@ -106,7 +106,7 @@ def primitive_from_characteristics(r_plus: float, r_minus: float,
     u is the mean of the invariants, c their scaled difference, and rho
     follows from c^2 = gamma * S * rho^(gamma-1). Raises DuctwaveError
     unless r_plus > r_minus and the rebuilt density and pressure are
-    positive, naming node when it is given.
+    positive and representable, naming node when it is given.
     """
     if not (r_plus > r_minus):
         raise DuctwaveError(
@@ -114,8 +114,14 @@ def primitive_from_characteristics(r_plus: float, r_minus: float,
     gm1 = gas.gamma - 1.0
     u = 0.5 * (r_plus + r_minus)
     c = gm1 * (r_plus - r_minus) / 4.0
-    rho = (c * c / (gas.gamma * entropy)) ** (1.0 / gm1)
-    p = entropy * rho ** gas.gamma
+    try:
+        rho = (c * c / (gas.gamma * entropy)) ** (1.0 / gm1)
+        p = entropy * rho ** gas.gamma
+    except OverflowError:
+        p = math.inf
+    if p == math.inf:   # an infinite c * c overflows without raising
+        raise DuctwaveError(f"rebuilt state overflows at sound speed c={c}",
+                            node=node)
     if not (rho > 0.0 and p > 0.0):
         raise DuctwaveError(
             f"non-positive rebuilt state rho={rho}, p={p}", node=node)

@@ -120,8 +120,8 @@ class Level:
         "n", "q", "w", "rows", "prim", "mom", "etot", "inner", "sourced",
         "inlet", "inlet_next", "outlet", "outlet_prev",
         "rho", "u", "p", "u2", "u3", "e", "ue", "basis_hi", "basis_lo",
-        "pair", "pair_flat", "f0", "f1", "f2", "f_hi", "f_lo", "flux",
-        "flux_lo", "dt_v", "dv_row", "dv", "dv_rest", "dv_copies", "a_mid",
+        "pair", "pair_flat", "f0", "f1", "f2", "f_hi", "f_lo", "flux_row",
+        "flux", "flux_lo", "dt_v", "dv_row", "dv_src", "dv_copies", "a_mid",
         "a_mid3", "a_rows", "r", "r_flat", "plus", "plus_hi")
 
     def __init__(self, n: int, other: Level | None = None):
@@ -130,9 +130,9 @@ class Level:
         self.w = self.q.T
         q_flat = self.q.reshape(-1)
         self.mom, self.etot = self.q[1], self.q[2]
-        # every entry but the first and the last, and those of the rho u
-        # and rho E rows but the last: the ones the update reads and writes
-        self.inner, self.sourced = q_flat[1:-1], q_flat[n:-1]
+        # every entry but the first and the last, the ones the update reads
+        # and writes, and the rho u and rho E rows, which take the sources
+        self.inner, self.sourced = q_flat[1:-1], self.q[1:]
         self.inlet, self.inlet_next = self.q[:, 0], self.q[:, 1]
         self.outlet, self.outlet_prev = self.q[:, -1], self.q[:, -2]
 
@@ -149,7 +149,7 @@ class Level:
                 setattr(self, name, getattr(other, name))
             return
         # work rows, zero where no operation writes: the last entry of each
-        # raveled buffer below is never written, and stays finite
+        # raveled buffer below stays finite (dt v's, -0 plus s_mid's last)
         work = np.zeros((37, n))
         self.pair, self.a_mid = work[:7], work[7:16]
         self.a_mid3 = self.a_mid.reshape(3, 3, n)
@@ -159,13 +159,13 @@ class Level:
         self.f0, self.f1, self.f2 = f
         f_flat = f.reshape(-1)
         self.f_hi, self.f_lo = f_flat[1:], f_flat[:-1]
-        self.flux = work[19:22].reshape(-1)[:-1]
+        self.flux_row = work[19:22].reshape(-1)
+        self.flux = self.flux_row[:-1]
         self.flux_lo = self.flux[:-1]
         # dt v once per row of A_mid: broadcast, numpy would copy it
         self.dt_v = work[22:31].reshape(3, 3 * n)
         self.dv_row, self.dv_copies = self.dt_v[0], self.dt_v[1:]
-        self.dv = self.dv_row[:-1]
-        self.dv_rest = self.dv[n:]
+        self.dv_src = self.dv_row.reshape(3, n)[1:]
         self.r = work[31:34]
         self.r_flat = self.r.reshape(-1)[:-1]
         self.plus = work[34:37].reshape(-1)[:-1]
@@ -227,8 +227,8 @@ def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray | None,
     """
     n = cur.n
     sourced = s_node is not None or s_mid is not None
-    if nxt.n != n or sourced and not (np.shape(s_node) == np.shape(s_mid)
-                                      == (2, n)):
+    if nxt.n != n or sourced and not (getattr(s_node, "shape", 0)
+                                      == getattr(s_mid, "shape", 0) == (2, n)):
         raise ValueError("both levels and the source increments of every"
                          " node and midpoint must share the grid's nodes")
     half_lam = 0.5 * dt / grid.dx
@@ -255,9 +255,9 @@ def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray | None,
     np.multiply(flux, half_lam, flux)
 
     # dt v = -F + dt G_mid: -F + s is s - F, bit for bit
-    np.negative(flux, cur.dv)
+    np.negative(cur.flux_row, cur.dv_row)
     if sourced:
-        np.add(cur.dv_rest, s_mid.reshape(-1)[:-1], cur.dv_rest)
+        np.add(cur.dv_src, s_mid, cur.dv_src)
     cur.dv_copies[:] = cur.dv_row
     np.multiply(cur.a_rows, cur.dt_v, cur.a_rows)
     np.add.reduce(cur.a_mid3, 1, None, cur.r)
@@ -268,5 +268,5 @@ def lax_wendroff_update(cur: Level, nxt: Level, s_node: np.ndarray | None,
     np.add(cur.plus_hi, cur.flux_lo, cur.plus_hi)
     np.subtract(cur.inner, cur.plus_hi, nxt.inner)
     if sourced:
-        np.add(nxt.sourced, s_node.reshape(-1)[:-1], nxt.sourced)
+        np.add(nxt.sourced, s_node, nxt.sourced)
     return nxt.q

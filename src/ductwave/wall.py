@@ -231,11 +231,11 @@ def source_table(hist: PressureHistory, n: int,
     (they only feed the midpoint source averages of the interior
     expansion). At n = 0 the sums, and so the table, are zero.
     """
-    pair, diff = hist.sums(n)
+    sums = hist.sums(n)     # indexed: unpacking the rows costs more
     table = np.empty((2, hist.n_nodes)) if out is None else out
     g2 = table[0]
-    np.subtract(pair[2:], pair[:-2], g2[1:-1])
+    np.subtract(sums[0, 2:], sums[0, :-2], g2[1:-1])
     g2[0] = g2[1]
     g2[-1] = g2[-2]
-    table[1] = diff
+    table[1] = sums[1]
     return table

@@ -725,30 +725,33 @@ class TestRun:
 
 class TestProbeStorage:
     def test_native_records_are_the_probed_primitive_rows(self, air):
-        # the second station shares the first one's node and is recorded
-        # once; every record is a view of one float64 array
-        sc = _small_scenario(air, probes=(0.05, 0.05, 0.1))
+        # stations 0.05 and 0.051 round to node 2, recorded once after
+        # node 4, in first-seen order; the records are, bit for bit, the
+        # checked primitive columns of a stepper run by hand, and views of
+        # one step-major (n_steps + 1, 3, P) float64 array
+        sc = _small_scenario(air, probes=(0.1, 0.05, 0.051))
         result = run(sc)
-        nodes = (2, 4)
+        nodes = (4, 2)
         sim = Simulation(sc)
         expected = [[] for _ in nodes]
         for step in range(result.report.n_steps + 1):
             if step:
                 sim.advance()
-            prim = np.stack(primitive_arrays(sim.w, air), axis=1)
             for rows, j in zip(expected, nodes):
-                rows.append(prim[j])
+                rows.append(sim.prim[:, j].copy())
         records = result.records
         assert [r.station_index for r in records] == list(nodes)
         for rec, rows in zip(records, expected):
             assert rec.data.dtype == np.float64
-            assert rec.data.flags.c_contiguous
-            np.testing.assert_array_equal(rec.data, np.array(rows))
+            assert rec.data.shape == (result.report.n_steps + 1, 3)
+            assert rec.data.tobytes() == np.array(rows).tobytes()
         buffer = records[0].data.base
-        assert buffer.shape == (len(nodes), result.report.n_steps + 1, 3)
-        for rec in records:
+        assert buffer.shape == (result.report.n_steps + 1, 3, len(nodes))
+        assert buffer.flags.c_contiguous
+        for i, rec in enumerate(records):
             assert rec.data.base is buffer
             assert np.shares_memory(rec.data, buffer)
+            assert rec.data.tobytes() == buffer[:, :, i].tobytes()
 
     def test_run_memory_grows_only_with_its_native_rows(self):
         # the tracemalloc peaks of a 60- and a 25-period lossy run: the

@@ -110,6 +110,17 @@ class TestConversions:
             primitive_from_characteristics(1.0, 1.0, air.s0, air, node=7)
         assert err.value.node == 7
 
+    def test_overflowing_state_is_refused_with_its_node(self, air):
+        # a sound speed near 1e139 overflows the rebuilt density; near
+        # 1e159 its square is already inf, and inf ** x raises nothing
+        for r_plus in (1e140, 1e160):
+            with pytest.raises(DuctwaveError,
+                               match=r"^rebuilt state overflows"
+                                     r" .*\(node 3\)$") as err:
+                primitive_from_characteristics(r_plus, 0.0, air.s0, air,
+                                               node=3)
+            assert err.value.node == 3
+
     @given(rho=finite_rho, u=finite_u, p=finite_p)
     def test_round_trip_primitive_conserved(self, rho, u, p):
         air = GasModel()

@@ -398,6 +398,12 @@ class TestLaxWendroffUpdate:
         with pytest.raises(ValueError):
             lax_wendroff_update(cur, Level(grid.cells), rows, rows, air,
                                 grid, 1e-5)
+        # the shapes are read by attribute: nested lists of the right
+        # shape, or one increment without the other, are refused alike
+        for s_node, s_mid in ((rows.tolist(), rows), (rows, rows.tolist()),
+                              (rows, None), (None, rows)):
+            with pytest.raises(ValueError, match="source increments"):
+                lax_wendroff_update(cur, nxt, s_node, s_mid, air, grid, 1e-5)
 
     def test_rest_maps_to_itself_bit_for_bit(self, air):
         # with zero sources the raveled-row update maps a uniform rest

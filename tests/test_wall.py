@@ -200,6 +200,40 @@ class TestPressureHistory:
             hist = _history([[1, 2, 3, 4, 5]], kind=kind)
             with pytest.raises(ValueError):
                 hist.append(np.zeros(3))
+        # a row of the wrong shape is refused in any form
+        hist = PressureHistory(5)
+        for row in (np.zeros(4), np.zeros((1, 5)), np.zeros((5, 1)),
+                    [0.0] * 6, np.zeros(5, dtype=np.float32)[:4]):
+            with pytest.raises(ValueError):
+                hist.append(row)
+        assert hist.n_levels == 0
+
+    @pytest.mark.parametrize("form", ["list", "int", "strided", "read-only"])
+    def test_append_stores_what_asarray_would(self, rng, form):
+        # 70 levels cross a fold of the ring into the modes; a row in
+        # each form gives the sums, bit for bit, that the contiguous
+        # float64 row np.asarray(row, float) gives
+        levels = rng.normal(1e5, 50.0, (70, 5))
+        if form == "int":
+            levels = np.rint(levels).astype(np.int64)
+        ref, got = PressureHistory(5, 0.3, -0.7), PressureHistory(5, 0.3, -0.7)
+        for n, row in enumerate(levels):
+            if form == "list":
+                given_row = row.tolist()
+            elif form == "strided":
+                wide = np.zeros((5, 3))
+                wide[:, 1] = row
+                given_row = wide[:, 1]
+                assert not given_row.flags.c_contiguous
+            elif form == "read-only":
+                given_row = row.copy()
+                given_row.flags.writeable = False
+            else:
+                given_row = row
+            ref.append(np.asarray(row, dtype=float))
+            got.append(given_row)
+            assert got.sums(n).tobytes() == ref.sums(n).tobytes()
+        assert got.p0.tobytes() == ref.p0.tobytes()
 
     def test_growth_preserves_rows(self):
         hist = ExactHistory(n_nodes=2, capacity=2)
