@@ -3,8 +3,8 @@
 Spectra follow the validation protocol of the experiments: sample the
 probe series on a power-of-two grid per fundamental period, window an
 exact integer number of periods with no taper, and read harmonic
-magnitudes from the direct discrete transform (K_max stays small, so an
-FFT buys nothing).
+magnitudes from one real FFT of the window, on which n whole periods
+put harmonic k on bin n k.
 
 A run keeps only its native probe rows. Its period-grid records
 (`PeriodGridRecord`) hold no samples: each derives its layout (tau, the
@@ -27,12 +27,6 @@ P_REF_SPL = 2e-5   # standard pressure reference [Pa]
 
 # 2^20 samples a period: 1024 times the presets' grid
 MAX_SAMPLING_EXPONENT = 20
-
-# samples per (k_max, chunk) phase block of a spectrum, fewer where k_max
-# > 64 so that a block holds at most _SPECTRUM_BLOCK complex entries
-# (16 MiB); a window of one chunk is summed by one product
-_SPECTRUM_CHUNK = 2 ** 14
-_SPECTRUM_BLOCK = 2 ** 20
 
 _COMPONENTS = {"rho": 0, "u": 1, "p": 2}
 
@@ -211,8 +205,9 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
     The M samples are treated as one rectangular window of length M tau
     (periodic continuation), which must equal an integer number >= 1 of
     periods with at least `min_samples_per_period(k_max)` samples per
-    period to keep aliasing out of the band of interest. The phase
-    products are summed over blocks of at most _SPECTRUM_BLOCK entries.
+    period to keep aliasing out of the band of interest. Harmonic k of
+    n periods is bin n k of the window's M-point DFT, which that floor
+    keeps at or below M/8: the magnitudes are read from one real FFT.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -230,18 +225,9 @@ def harmonic_spectrum(record: ProbeRecord, omega0: float, k_max: int,
             f"{m_samples / n_periods:.0f} samples/period under the"
             f" anti-aliasing floor {floor} for K_max={k_max}"
         )
-    k = np.arange(1, k_max + 1)
-    chunk = max(1, min(_SPECTRUM_CHUNK, _SPECTRUM_BLOCK // k_max))
-    total = 0.0
-    for lo in range(0, m_samples, chunk):
-        hi = min(lo + chunk, m_samples)
-        t_rel = np.arange(lo, hi) * record.tau
-        # one complex block: exponentiated and scaled in place
-        phases = -1j * omega0 * np.outer(k, t_rel)
-        np.exp(phases, out=phases)
-        phases *= 2.0 / m_samples
-        total = total + phases @ signal[lo:hi]
-    return SpectrumResult(np.abs(total))
+    bins = round(n_periods) * np.arange(1, k_max + 1)
+    return SpectrumResult(
+        np.abs(np.fft.rfft(signal)[bins]) * (2.0 / m_samples))
 
 
 def level_db(magnitude: float, reference: float) -> float:

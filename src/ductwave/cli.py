@@ -17,6 +17,10 @@ the output directories it created; one whose output.prefix names a
 directory that is not there fails so before its first step, and an
 output.prefix outside the output directory is a configuration error.
 `--help` prints the usage to stdout and exits 0.
+
+A run builds the rows of its series CSVs one writer's block
+(`csvio._WRITE_BLOCK` rows) at a time: the only rows it holds are those
+of the block `write_csv` is formatting.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .config import (
     scenario_from_config,
     serialize_config,
 )
-from .csvio import read_csv, write_csv
+from .csvio import _WRITE_BLOCK, read_csv, write_csv
 from .errors import ConfigError, DuctwaveError
 from .gas import GasModel
 from .signals import MultiHarmonicSignal
@@ -46,9 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
-
-# rows per read as a run streams its series CSVs, period grids included
-_SERIES_CHUNK = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,10 +178,10 @@ def cmd_run(args) -> int:
 
 def _series_rows(record):
     """Rows (t, rho, u, p) of a native or period-grid record, read
-    _SERIES_CHUNK samples at a time, each time t_start + m * tau as in
-    `record.times`."""
-    for lo in range(0, record.n_samples, _SERIES_CHUNK):
-        hi = min(lo + _SERIES_CHUNK, record.n_samples)
+    _WRITE_BLOCK samples at a time, the block `write_csv` formats, each
+    time t_start + m * tau as in `record.times`."""
+    for lo in range(0, record.n_samples, _WRITE_BLOCK):
+        hi = min(lo + _WRITE_BLOCK, record.n_samples)
         times = record.t_start + np.arange(lo, hi) * record.tau
         yield from np.column_stack([times, record.samples(lo, hi)]).tolist()
 

@@ -20,18 +20,19 @@ The sums run over the full pressure history, summed by parts on the
 stored levels. `PressureHistory` keeps them in fixed storage: the K0 to
 2 K0 - 1 newest levels exactly, in a ring of 2 K0 rows, and the older
 ones folded into Q exponential modes per node, from a sum-of-exponentials
-form of w_m (the diffusive representation of the kernel), Q = 88 of them
+form of w_m (the diffusive representation of the kernel), Q = 92 of them
 after the modes whose decay is 1 to within 1e-13 are folded into one
-running sum. A step costs one row write and one (2, 2 K0 + Q + 1)
-product; the modes are updated once every K0 steps, with one (Q, K0)
-product, both into work rows made with it. The modes serve only lags of
-K0 and more, where the sum-of-exponentials weights match w_m to 1.4e-9
-relative on every lag from K0 - 1 to 10^6. Uniform dt is required by the
-weights. The memory holds pressures only: dt enters through the
-prefactors of the sums, which `source_coefficients` computes once per
-run and the run's `PressureHistory` folds into its summation blocks. A
-run hands it the prefactors times dt, so that its table is dt G, the
-source increment of one step.
+running sum; with K0 = 8 that is 2 K0 + Q + 1 = 109 stored rows. A step
+costs one row write and one (2, 2 K0 + Q + 1) product; the modes are
+updated once every K0 steps, with one (Q, K0) product, both into work
+rows made with it. The modes serve only lags of K0 and more, where the
+sum-of-exponentials weights match w_m to 1.2e-9 relative on every lag
+from K0 - 1 to 10^6, and to 1.3e-11 on lags K0 - 1 to 100. Uniform dt is
+required by the weights. The memory holds pressures only: dt enters
+through the prefactors of the sums, which `source_coefficients` computes
+once per run and the run's `PressureHistory` folds into its summation
+blocks. A run hands it the prefactors times dt, so that its table is
+dt G, the source increment of one step.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def _soe_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     Below s = 1e-13 the decays e^(-s) lie within 1e-13 of 1 (most of them
     round to exactly 1), so those nodes fold into one running-sum node
     s = 0 that carries their summed weight. Relative error on the lags
-    served: below 1.4e-9 up to m = 10^6.
+    served at k0 = 8: below 1.2e-9 up to m = 10^6, and 1.3e-11 up to
+    m = 100.
     """
     step = 0.35
     ln_s = np.arange(math.log(40.0 / (k0 - 1)), -55.0, -step)
@@ -101,8 +103,8 @@ def _phase_blocks(k0: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return blocks
 
 
-K0 = 32                             # near lags summed exactly from the ring
-_SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 88 exponential modes
+K0 = 8                              # near lags summed exactly from the ring
+_SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 92 exponential modes
 _BLOCKS = _phase_blocks(K0, _SOE_S, _SOE_C)
 # a fold moves K0 levels into the modes: Y <- e^(-s K0) Y + E @ levels,
 # E[q, i] = e^(-s_q (K0-1-i)) for the i-th oldest of them

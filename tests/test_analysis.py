@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ductwave.analysis import (
-    _SPECTRUM_CHUNK,
     PeriodGridRecord,
     ProbeRecord,
     _searchsorted,
@@ -17,7 +16,7 @@ from ductwave.analysis import (
     level_db,
     relative_error,
 )
-from ductwave.cli import _SERIES_CHUNK
+from ductwave.csvio import _WRITE_BLOCK
 from ductwave.driver import VELOCITY, Scenario, run
 from ductwave.errors import DuctwaveError
 from ductwave.gas import GasModel
@@ -63,11 +62,11 @@ def _whole(grid):
 
 
 def _by_chunks(grid):
-    """All rows of a period grid, read _SERIES_CHUNK at a time as a run
+    """All rows of a period grid, read _WRITE_BLOCK at a time as a run
     streams its series CSVs."""
     n = grid.n_samples
-    return np.vstack([grid.samples(lo, min(lo + _SERIES_CHUNK, n))
-                      for lo in range(0, n, _SERIES_CHUNK)])
+    return np.vstack([grid.samples(lo, min(lo + _WRITE_BLOCK, n))
+                      for lo in range(0, n, _WRITE_BLOCK)])
 
 
 def _one_interpolation(record, exponent):
@@ -162,27 +161,27 @@ class TestResample:
                                                    exponent):
         # three whole chunks and a partial one, and the native samples run
         # half a period past the grid's end
-        periods = 3 * _SERIES_CHUNK // 2 ** exponent + 1
+        periods = 3 * _WRITE_BLOCK // 2 ** exponent
         n_native = (periods * native_per_period + 1
                     + native_per_period // 2)
         data = rng.standard_normal((n_native, 3)) + [1.2, 0.0, 101325.0]
         rec = ProbeRecord(station_index=0, x=0.0,
                           tau=PERIOD / native_per_period, data=data)
         out = _period_grid(rec, exponent)
-        assert 3 * _SERIES_CHUNK < out.n_samples < 4 * _SERIES_CHUNK
+        assert 3 * _WRITE_BLOCK < out.n_samples < 4 * _WRITE_BLOCK
         expected = _one_interpolation(rec, exponent)
         np.testing.assert_array_equal(_by_chunks(out), expected)
         np.testing.assert_array_equal(_whole(out), expected)
 
     def test_resampled_run_equals_one_interpolation(self):
-        periods = 3 * _SERIES_CHUNK // 2 ** 10 + 1
+        periods = 3 * _WRITE_BLOCK // 2 ** 10 + 1
         result = run(_scenario(10, duration_s=None, duration_periods=periods,
                                probes=(0.5, 1.0)))
         assert len(result.resampled) == 2
         for native, resampled in zip(result.records, result.resampled):
             assert resampled.native is native
             assert resampled.n_samples == periods * 2 ** 10 + 1
-            assert resampled.n_samples % _SERIES_CHUNK != 0
+            assert resampled.n_samples % _WRITE_BLOCK != 0
             np.testing.assert_array_equal(_by_chunks(resampled),
                                           _one_interpolation(native, 10))
 
@@ -200,13 +199,13 @@ class TestPeriodGridRecord:
     def grid(self, rng):
         """Three whole chunks and a partial one, read from native samples
         that start off zero and run past the grid's end."""
-        periods = 3 * _SERIES_CHUNK // 2 ** 8 + 1
+        periods = 3 * _WRITE_BLOCK // 2 ** 8 + 1
         n_native = periods * 100 + 51
         data = rng.standard_normal((n_native, 3)) + [1.2, 0.0, 101325.0]
         native = ProbeRecord(station_index=5, x=0.25, tau=PERIOD / 100,
                              data=data, t_start=0.37 * PERIOD)
         grid = _period_grid(native, 8)
-        assert 3 * _SERIES_CHUNK < grid.n_samples < 4 * _SERIES_CHUNK
+        assert 3 * _WRITE_BLOCK < grid.n_samples < 4 * _WRITE_BLOCK
         return grid
 
     def test_data_equals_one_interpolation(self, grid):
@@ -220,7 +219,7 @@ class TestPeriodGridRecord:
         # windows across chunk boundaries and at the first and last
         # sample, bounds on a sample time and 1e-9 tau to either side
         full, times = _whole(grid), grid.times
-        n, chunk = grid.n_samples, _SERIES_CHUNK
+        n, chunk = grid.n_samples, _WRITE_BLOCK
         eps = 1e-9 * grid.tau
         for lo_index, hi_index in [(0, n), (0, 1), (n - 1, n),
                                    (chunk - 1, chunk + 1),
@@ -377,39 +376,49 @@ class TestHarmonicSpectrum:
         power_signal = float(np.mean(u ** 2))
         assert power_spectral == pytest.approx(power_signal, rel=1e-9)
 
-    def test_one_chunk_window_is_one_product(self):
-        # the presets' windows: bit for bit one (k_max, M) phase product
-        for periods, per_period in ((4, 256), (1, _SPECTRUM_CHUNK)):
-            rec = _sine_record(amplitude=0.7, periods=periods,
-                               per_period=per_period, phase=0.3, dc=0.1)
-            m = rec.n_samples
+    def test_spectrum_matches_the_direct_transform(self):
+        """The FFT bins n k against the direct transform, written out here
+        as one (k_max, M) phase product: the presets' 4 x 1024 windows
+        and a 3 x 1000 one agree within 1e-13 of the largest magnitude
+        (measured 6.3e-16 and 5.3e-16)."""
+        phase = np.random.default_rng(5).uniform(0.0, 6.0, 24)
+        for periods, per_period in ((4, 1024), (3, 1000)):
+            tau = PERIOD / per_period
+            t = np.arange(periods * per_period) * tau
+            u = 0.1 + sum(0.7 / k * np.sin(k * OMEGA0 * t + phase[k - 1])
+                          for k in range(1, 25))
+            data = np.column_stack([np.full_like(u, 1.2), u,
+                                    np.full_like(u, 101325.0)])
+            rec = ProbeRecord(station_index=0, x=0.0, tau=tau, data=data)
             k = np.arange(1, 21)
-            phases = np.exp(-1j * OMEGA0 * np.outer(k, np.arange(m) * rec.tau))
-            one_product = np.abs(2.0 / m * phases @ rec.component("u"))
+            phases = np.exp(-1j * OMEGA0 * np.outer(k, t))
+            direct = np.abs(2.0 / t.size * phases @ u)
             spec = harmonic_spectrum(rec, OMEGA0, 20)
-            np.testing.assert_array_equal(spec.magnitudes, one_product)
+            np.testing.assert_allclose(spec.magnitudes, direct, rtol=0.0,
+                                       atol=1e-13 * direct.max())
 
     def test_long_window_holds_one_chunk(self):
-        # 8 chunks: the phase blocks of one chunk at a time (one product
-        # over the whole window peaked at 83 MiB)
-        rec = _sine_record(amplitude=0.7, periods=8,
-                           per_period=_SPECTRUM_CHUNK, harmonic=3, dc=0.1)
+        # 2^17 samples at k_max 20, read as one chunk by one rfft: about
+        # the component's own 1 MiB (the direct transform's phase blocks
+        # peaked at 12.75 MiB)
+        rec = _sine_record(amplitude=0.7, periods=8, per_period=2 ** 14,
+                           harmonic=3, dc=0.1)
         tracemalloc.start()
         try:
             spec = harmonic_spectrum(rec, OMEGA0, 20)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 20 * _SPECTRUM_CHUNK * 16
+        assert peak < 2 * 2 ** 20
         expected = np.zeros(20)
         expected[2] = 0.7
         np.testing.assert_allclose(spec.magnitudes, expected, rtol=0.0,
                                    atol=1e-12)
 
     def test_wide_band_block_is_bounded_in_k_max(self):
-        # k_max 1024 over one period of 2^13 samples: one (k_max, M) block
-        # would be 128 MiB; blocks of 2^20 entries, each one complex array
-        # exponentiated and scaled in place, peak at about 40 MiB
+        # k_max 1024 over one period of 2^13 samples: the FFT holds the
+        # window's bins whatever k_max, about 0.09 MiB (the direct
+        # transform's phase blocks peaked at about 40 MiB)
         rec = _sine_record(amplitude=0.7, periods=1, per_period=2 ** 13,
                            harmonic=3, dc=0.1)
         tracemalloc.start()
@@ -418,7 +427,7 @@ class TestHarmonicSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.75 * 2 ** 20 * 16
+        assert peak < 2 ** 20
         expected = np.zeros(1024)
         expected[2] = 0.7
         np.testing.assert_allclose(spec.magnitudes, expected, rtol=0.0,

@@ -983,7 +983,7 @@ class TestCsvStreaming:
     def test_series_rows_equal_the_stacked_record(self):
         # several row chunks and a partial one, from a record whose times
         # start off zero
-        n = 2 * cli._SERIES_CHUNK + 7
+        n = 2 * csvio._WRITE_BLOCK + 7
         data = np.column_stack([np.full(n, 1.2), np.sin(np.arange(n) * 0.1),
                                 101325.0 + np.cos(np.arange(n) * 0.1)])
         record = ductwave.ProbeRecord(station_index=3, x=0.1, tau=1.0 / 3.0,
@@ -992,19 +992,40 @@ class TestCsvStreaming:
         assert list(cli._series_rows(record)) == stacked
 
     def test_series_rows_of_a_period_grid_equal_its_stacked_grid(self):
-        # rows read _SERIES_CHUNK at a time equal one read of the grid
-        n = 3 * cli._SERIES_CHUNK + 11
+        # rows read _WRITE_BLOCK at a time equal one read of the grid
+        n = 3 * csvio._WRITE_BLOCK + 11
         data = np.column_stack([np.full(n, 1.2), np.sin(np.arange(n) * 0.1),
                                 101325.0 + np.cos(np.arange(n) * 0.1)])
         native = ductwave.ProbeRecord(station_index=3, x=0.1, tau=0.25,
                                       data=data, t_start=0.7)
-        # tau = 0.8 / 2^3 = 0.1, over the 3843 whole periods of 0.8 the
+        # tau = 0.8 / 2^3 = 0.1, over the 963 whole periods of 0.8 the
         # native rows span
         record = ductwave.PeriodGridRecord(native, 0.8, 3)
-        assert record.n_samples % cli._SERIES_CHUNK != 0
+        assert record.n_samples % csvio._WRITE_BLOCK != 0
         stacked = np.column_stack(
             [record.times, record.samples(0, record.n_samples)]).tolist()
         assert list(cli._series_rows(record)) == stacked
+
+    def test_series_stream_holds_one_block(self, tmp_path):
+        # a 16,385-row period grid, 16 of the writer's blocks and one row,
+        # streamed as a run writes it: the rows of one block are built at
+        # a time, 350 KiB (rows read 4096 samples at a time peaked at 950)
+        n = 16 * 100 + 51
+        data = np.column_stack([np.full(n, 1.2), np.sin(np.arange(n) * 0.1),
+                                101325.0 + np.cos(np.arange(n) * 0.1)])
+        native = ductwave.ProbeRecord(station_index=3, x=0.1, tau=0.01,
+                                      data=data)
+        record = ductwave.PeriodGridRecord(native, 1.0, 10)
+        assert record.n_samples == 16 * csvio._WRITE_BLOCK + 1
+        path = tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, ["t_s", "rho_kgpm3", "u_mps", "p_Pa"],
+                      cli._series_rows(record))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 # sha256 of each preset's emitted text: the presets are part of the

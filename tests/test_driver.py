@@ -780,7 +780,7 @@ class TestStepStorage:
     @pytest.mark.parametrize("losses", [True, False])
     def test_a_step_allocates_no_array(self, air, losses):
         # past a warm-up, 64 steps, across a fold of the wall memory (one
-        # every K0 = 32 levels) when losses are on, trace a peak below one
+        # every K0 = 8 levels) when losses are on, trace a peak below one
         # node row: every array a step writes was made with the stepper
         sc = _small_scenario(air, grid=Grid(length=0.1, cells=400),
                              losses=losses)

@@ -316,11 +316,15 @@ class TestWallMemory:
 
     def test_folded_weights_match_exact_over_long_lags(self):
         """sum_q c_q e^(-s_q m) against w_m = sqrt(m+1) - sqrt(m) on the
-        lags the modes serve, far past the 10^4 levels summed above."""
-        m = np.unique(np.round(np.geomspace(K0 - 1, 1e6, 4000)))
-        exact = 1.0 / (np.sqrt(m) + np.sqrt(m + 1.0))
-        approx = np.exp(-np.outer(m, _SOE_S)) @ _SOE_C
-        assert np.abs(approx / exact - 1.0).max() <= 1e-8
+        lags the modes serve, far past the 10^4 levels summed above, and
+        to 2e-11 on every lag from the ring's edge to 100 (measured
+        1.3e-11), the lags the ring-edge test below steps through."""
+        for m, bound in ((np.unique(np.round(np.geomspace(K0 - 1, 1e6, 4000))),
+                          1e-8),
+                         (np.arange(K0 - 1, 101), 2e-11)):
+            exact = 1.0 / (np.sqrt(m) + np.sqrt(m + 1.0))
+            approx = np.exp(-np.outer(m, _SOE_S)) @ _SOE_C
+            assert np.abs(approx / exact - 1.0).max() <= bound, bound
 
     def test_matches_oracle_through_the_ring_edge(self, air):
         """Step by step across the first 3 K0 + 5 levels: the ring fills
