@@ -12,30 +12,36 @@ wherever a time is needed (the inflow datum, a failure's message, the
 probe records, the CSVs, the samples check), and no running sum of dt is
 kept to drift from it.
 
-One step, all from level-n data: read the wall sources as the rows
-(dt G2, dt G3) of every node from the wall memory, whose prefactors
-carry dt, into one of two table buffers that the steps alternate, and
-form the two increments the interior update adds as flat operations on
-those rows: dt G + dt^2/2 dG/dt = dt (G + (G - G_prev)/2) at the nodes,
-with G_prev the previous step's table (zero before the first step), and
-dt (G_j + G_j+1)/4, half the midpoint increment; with losses off, none.
-Then advance the interior nodes with the second-order expansion, from
-the primitive rows (rho, u, p) kept from the previous step; rebuild both
-boundary nodes by the one characteristic update
-`boundaries.boundary_row`, each checking the node it rebuilds, and write
-its three floats into the node's column. The driver forms each end's
-external velocity u_e: at the inlet the inflow datum at the new time
-level, a velocity as it is or a total pressure pi = p0 + datum, refused
-unless positive, as (pi - p0)/(rho0 c0); at the outlet 0, the rest
-state. Then compute the primitive rows of the completed field, once,
-check the state on them (as for the initial field), and keep them for
-the probes and the next step: they are the first rows of the new level's
-row buffer, whose other rows the next interior update uses. With losses
-on their pressures are appended to the wall memory, whose storage and
-per-step cost do not depend on the step index; with losses off the wall
-memory keeps only the initial level. A step allocates no array. The time
-step is frozen at the start of the run (the convolution weights assume
-uniform dt) at cfl * dx / c0, the CFL step of the rest state.
+One step, all from level-n data: read the wall sources from the wall
+memory, whose prefactors carry dt, into the run's one source table: its
+rows (dt G2, dt G3) of every node, and beside them the node increment
+dt G + dt^2/2 dG/dt = dt (1.5 G - 0.5 G_prev), G_prev the previous
+step's sources (zero before the first step), which the memory's one
+product per step gives with them. The driver forms the other increment
+the interior update adds, dt (G_j + G_j+1)/4, half the midpoint
+increment, as two flat operations on the dt G rows; with losses off
+there are none. Then advance the interior nodes with the second-order
+expansion, from the primitive rows (rho, u, p) kept from the previous
+step; rebuild both boundary nodes by the one characteristic update
+`boundaries.boundary_row`, each checking the node it rebuilds, and
+write its three floats into the node's column. The driver forms each
+end's external velocity u_e: at the inlet the inflow datum at the new
+time level, a velocity as it is or a total pressure pi = p0 + datum,
+refused unless positive, as (pi - p0)/(rho0 c0); at the outlet 0, the
+rest state. Then compute the primitive rows of the completed field,
+once, check the state on them (as for the initial field), and keep them
+for the probes and the next step: they are the first rows of the new
+level's row buffer, whose other rows the next interior update uses.
+With losses on their pressures are appended to the wall memory, whose
+storage and per-step cost do not depend on the step index. The memory
+is sized for MEMORY_MARGIN = 2 times the run's step count, so a
+`Simulation` can be stepped as far again past its duration at the
+memory's full accuracy (past that it keeps summing, its far lags'
+weights drifting as the `wall` docstring states); with losses off it is
+sized for no step and keeps only the initial level. A step allocates no
+array. The time step is frozen at the start of the run (the convolution
+weights assume uniform dt) at cfl * dx / c0, the CFL step of the rest
+state.
 
 `Simulation` is only the stepper; `run` records the probes. It sizes one
 step-major (n_steps + 1, 3, P) float64 array for the P probe nodes before
@@ -72,6 +78,9 @@ from .signals import SampledSignal
 
 PRESSURE = "pressure"
 VELOCITY = "velocity"
+
+# A lossy run's wall memory is sized for this many times its steps
+MEMORY_MARGIN = 2
 
 # The inlet is called by the name of its inflow kind and the outlet by its
 # own, so that perfbench/spans.py can time each end by patching the name.
@@ -197,8 +206,8 @@ class Simulation:
     steps, at time n * dt, held in one of two `scheme.Level`s that the
     steps alternate: w is its (J+1, 3) view and prim its checked
     primitive rows (rho, u, p). It fixes the wall-source prefactors,
-    times dt, in its wall memory, and makes its two source tables, and
-    the views a step reads of them, once per run."""
+    times dt, in its wall memory, sized by the run, and makes its source
+    table, and the views a step reads of it, once per run."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: np.ndarray | None = None):
@@ -221,15 +230,16 @@ class Simulation:
         self.prim = _checked_primitives(self.w, gas, self._level.prim)
         c2, c3 = wall.source_coefficients(gas, scenario.geom, scenario.grid,
                                           self.dt)
+        steps = MEMORY_MARGIN * step_count(scenario) if scenario.losses else 0
         self.history = wall.PressureHistory(n_nodes, self.dt * c2,
-                                            self.dt * c3)
+                                            self.dt * c3, steps)
         self.history.append(self._level.p)
-        # per parity n % 2, made once: step n's table, the other one (zero
-        # before step 0) and the two flat views the midpoint increment adds
-        tables = np.zeros((2, 2, n_nodes))
-        self._parity = [(t, tables[1 - i], t.ravel()[:-1], t.ravel()[1:])
-                        for i, t in enumerate(tables)]
-        self._s_node, self._s_mid = np.zeros((2, 2, n_nodes))
+        # made once: the source table, whose rows are dt G and the node
+        # increment, and the two flat views of dt G the midpoint one adds
+        self._table = wall.SourceTable(n_nodes)
+        g, self._s_node = self._table.rows
+        self._g_lo, self._g_hi = g.reshape(-1)[:-1], g.reshape(-1)[1:]
+        self._s_mid = np.zeros((2, n_nodes))
         self._mid = self._s_mid.reshape(-1)[:-1]
 
     def advance(self):
@@ -238,13 +248,9 @@ class Simulation:
         gas, grid = sc.gas, sc.grid
         cur, nxt = self._level, self._next
         if sc.losses:
-            g_now, g_prev, g_lo, g_hi = self._parity[n % 2]
-            wall.source_table(self.history, n, g_now)
+            wall.source_table(self.history, n, self._table)
             s_node, s_mid, mid = self._s_node, self._s_mid, self._mid
-            np.subtract(g_now, g_prev, s_node)
-            np.multiply(s_node, 0.5, s_node)
-            np.add(s_node, g_now, s_node)
-            np.add(g_lo, g_hi, mid)
+            np.add(self._g_lo, self._g_hi, mid)
             np.multiply(mid, 0.25, mid)
         else:
             s_node = s_mid = None
@@ -270,7 +276,7 @@ class Simulation:
             grid.cells)
 
         # checked before it is kept: a failed step leaves the last good
-        # level, and the source table the next step differences against
+        # level, and the wall memory as that level left it
         prim = _checked_primitives(nxt.w, gas, nxt.prim)
         self.w, self.prim, self.n = nxt.w, prim, n + 1
         self._level, self._next = nxt, cur

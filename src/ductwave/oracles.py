@@ -15,15 +15,17 @@ uses the unique dimensionally consistent completion
 result sqrt(nu omega/2)/(h c0) (1 + (g-1)/sqrt(Pr)).
 
 Outside its validity each oracle raises a DuctwaveError naming the
-cause: a station at or beyond the shock-formation distance, a simple
-wave whose slowest characteristic speed is not positive, or a
-dispersion correction of 0.5 or more.
+cause: a station at or beyond the distance where the simple wave's
+characteristics first cross, a simple wave whose slowest characteristic
+speed is not positive, or a dispersion correction of 0.5 or more.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DuctwaveError
 from .gas import GasModel
@@ -41,15 +43,34 @@ def shock_distance(u0_amp: float, omega0: float, gas: GasModel) -> float:
     return 2.0 * gas.c0 ** 2 / ((gas.gamma + 1.0) * omega0 * u0_amp)
 
 
+def crossing_distance(signal, gas: GasModel) -> float:
+    """Distance where the characteristics of the simple wave driven by
+    the velocity signal first cross: the least (c0 + (gamma+1)/2 u)^2 /
+    ((gamma+1)/2 u') over one period where u' > 0, at the signal's
+    sample_times(); inf for a signal that never rises. For small
+    amplitudes it tends to `shock_distance`, from below."""
+    half_gp1 = 0.5 * (gas.gamma + 1.0)
+    times = signal.sample_times()
+    rise = half_gp1 * np.array([signal.derivative(t) for t in times])
+    up = rise > 0.0
+    if not up.any():
+        return math.inf
+    speed = gas.c0 + half_gp1 * np.array([signal.value(t)
+                                          for t in times[up]])
+    return float((speed * speed / rise[up]).min())
+
+
 @dataclass(frozen=True)
 class SimpleWaveProblem:
     """Exact pre-shock simple wave driven by a velocity signal at x = 0.
 
     The signal is a MultiHarmonicSignal: the oracle reads its value(t),
-    derivative(t) and bounds peak() / max_rate(). Construction refuses
-    stations at or beyond the shock-formation distance implied by the
-    signal's steepest slope, and signals whose slowest characteristic
-    speed c0 - (gamma+1)/2 peak() is not positive.
+    derivative(t), peak() and sample_times(). Construction refuses
+    signals whose slowest characteristic speed c0 - (gamma+1)/2 peak() is
+    not positive, and stations at or beyond `crossing_distance`, where
+    the wave turns multivalued. The refusal gives the station as s, in
+    units of the small-amplitude shock distance of the signal's steepest
+    slope, as `oracle-characteristics --s` takes it.
     """
 
     signal: object
@@ -64,15 +85,18 @@ class SimpleWaveProblem:
             raise DuctwaveError(
                 f"slowest characteristic speed c0 - (gamma+1)/2 u_peak ="
                 f" {slow:.4g} m/s is not positive")
-        rate = self.signal.max_rate()
-        if rate > 0.0 and self.station > 0.0:
-            l_shock = 2.0 * self.gas.c0 ** 2 / ((self.gas.gamma + 1.0) * rate)
-            if self.station >= l_shock:
+        if self.station > 0.0:
+            l_cross = crossing_distance(self.signal, self.gas)
+            if self.station >= l_cross:
+                l_shock = 2.0 * self.gas.c0 ** 2 / (
+                    (self.gas.gamma + 1.0) * self.signal.max_rate())
+                s = self.station / l_shock
+                bound = "1" if s >= 1.0 else (
+                    f"{l_cross / l_shock:.3f}, where its characteristics"
+                    " first cross")
                 raise DuctwaveError(
-                    f"station {self.station:.4g} m is at s ="
-                    f" {self.station / l_shock:.3f} >= 1 (L_shock ="
-                    f" {l_shock:.4g} m)"
-                )
+                    f"station {self.station:.4g} m is at s = {s:.3f} >="
+                    f" {bound} (L_shock = {l_shock:.4g} m)")
 
     @property
     def slowest_speed(self) -> float:

@@ -5,9 +5,10 @@ u0(t) [m/s] or the acoustic part of a pressure pi(t) - p0 [Pa], depending
 on the scenario's inflow kind. There are two families: a sum of harmonics
 of a fundamental (a sine is the one-component sum (1, amplitude, 0.0)),
 and a tabulated series. Both expose value(t) and the rate bound
-max_rate(). The sum also gives derivative(t) and the amplitude bound
-peak(), which with max_rate() the simple-wave oracle uses for its shock
-distance and to bracket its emission-time solve.
+max_rate(). The sum also gives derivative(t), the amplitude bound
+peak() and the sample_times() its bounds are taken at, which the
+simple-wave oracle uses for the distance where its characteristics
+first cross and to bracket its emission-time solve.
 """
 
 from __future__ import annotations
@@ -55,11 +56,15 @@ class MultiHarmonicSignal:
     def peak(self) -> float:
         return sum(abs(a) for _, a, _ in self.components)
 
+    def sample_times(self) -> np.ndarray:
+        """The dense deterministic samples over one period at which the
+        bounds are taken: 4097 times from 0 to the period."""
+        return np.linspace(0.0, self.period, 4097)
+
     def max_rate(self) -> float:
-        # Dense deterministic sampling over one period; the analytic bound
-        # sum(|a| k omega0) overestimates badly for mixed phases.
-        t = np.linspace(0.0, self.period, 4097)
-        rates = np.abs([self.derivative(ti) for ti in t])
+        # the analytic bound sum(|a| k omega0) overestimates badly for
+        # mixed phases
+        rates = np.abs([self.derivative(ti) for ti in self.sample_times()])
         return float(rates.max())
 
 

@@ -20,19 +20,33 @@ The sums run over the full pressure history, summed by parts on the
 stored levels. `PressureHistory` keeps them in fixed storage: the K0 to
 2 K0 - 1 newest levels exactly, in a ring of 2 K0 rows, and the older
 ones folded into Q exponential modes per node, from a sum-of-exponentials
-form of w_m (the diffusive representation of the kernel), Q = 92 of them
-after the modes whose decay is 1 to within 1e-13 are folded into one
-running sum; with K0 = 8 that is 2 K0 + Q + 1 = 109 stored rows. A step
-costs one row write and one (2, 2 K0 + Q + 1) product; the modes are
-updated once every K0 steps, with one (Q, K0) product, both into work
-rows made with it. The modes serve only lags of K0 and more, where the
-sum-of-exponentials weights match w_m to 1.2e-9 relative on every lag
-from K0 - 1 to 10^6, and to 1.3e-11 on lags K0 - 1 to 100. Uniform dt is
-required by the weights. The memory holds pressures only: dt enters
-through the prefactors of the sums, which `source_coefficients` computes
-once per run and the run's `PressureHistory` folds into its summation
-blocks. A run hands it the prefactors times dt, so that its table is
-dt G, the source increment of one step.
+form of w_m (the diffusive representation of the kernel). The memory is
+sized by the number of steps N it sums: the modes whose decay rate lies
+below s*(N) = KAPPA / N hardly decay over N lags and fold into one
+running sum M0, which leaves on lag m a relative error that grows like
+(s* m)^(3/2). KAPPA is fitted so that every lag from K0 - 1 to N keeps
+the relative accuracy of the weights, 1.2e-9 (and 2e-11 on lags up to
+100 for the runs' N); past N the memory keeps summing, within 1.2e-9
+(m / N)^(3/2). Built without N, the memory serves 10^6 lags with
+Q = 92; built for N = 0, it keeps no modes and sums nothing. Uniform dt
+is required by the weights.
+
+A step reads no mode. The modes change only when K0 levels fold into
+them, every K0 steps, and that fold forms, with one product, their share
+(with that of the first level) of each of the next K0 steps' sums into
+share rows that follow the ring. A step's sums are then one product over
+the ring and the share rows up to its own, and the same product gives
+the node increment dt G + dt^2/2 dG/dt = dt (1.5 G^n - 0.5 G^(n-1)): it
+is linear in the memory, so it weighs the ring by 1.5 times the step's
+block less 0.5 times the previous step's, and the share rows by 1.5 and
+-0.5. The previous step's share is kept across a fold as its own rows,
+so that block holds for every step.
+
+The memory holds pressures only: dt enters through the prefactors of the
+sums, which `source_coefficients` computes once per run and the run's
+`PressureHistory` folds into its blocks. A run hands it the prefactors
+times dt, so that its table is dt G, the source increment of one step,
+beside the node increment.
 """
 
 from __future__ import annotations
@@ -110,38 +124,110 @@ _BLOCKS = _phase_blocks(K0, _SOE_S, _SOE_C)
 # E[q, i] = e^(-s_q (K0-1-i)) for the i-th oldest of them
 _FOLD_DECAY = np.exp(-K0 * _SOE_S)[:, None]
 _FOLD = np.exp(-np.outer(_SOE_S, np.arange(K0 - 1, -1, -1)))
+KAPPA = 1.7e-6                      # s*(N) N: modes below s* fold into M0
+
+
+def _sized_nodes(steps: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a memory that sums N = steps steps: the nodes
+    of _SOE_S at or above s*(N) = KAPPA / N, which lead it, and the
+    running sum s = 0 that carries the weight of the rest; all of them
+    for None."""
+    if steps is None:
+        return _SOE_S, _SOE_C
+    q = np.count_nonzero(_SOE_S >= KAPPA / steps)
+    return np.append(_SOE_S[:q], 0.0), np.append(_SOE_C[:q], _SOE_C[q:].sum())
 
 
 class PressureHistory:
     """Wall memory of the nodal pressure series p_j^m on a uniform time step.
 
-    The storage is fixed at construction: one (2 K0 + Q + 1, nodes)
-    array, and (Q, nodes) work rows. The deviations q = p - p^0 from the
-    first level p^0 stored sit in its first 2 K0 rows, a ring that
-    carries the near lags exactly. Every K0-th level appended, the K0
-    oldest levels of the ring fold into the Q exponential modes below it,
-    which carry the older lags through the sum-of-exponentials form of
-    the weights; the ring then holds K0 to 2 K0 - 1 levels. The last row
-    carries the share of p^0 in the pair sums. A step costs one row write
-    and one (2, 2 K0 + Q + 1) product. The sums come out scaled by the
-    prefactors (c2, c3) given here, folded into a copy of the summation
-    blocks (the defaults give the bare sums). Only the latest level can
-    be summed.
+    The storage is fixed at construction by `steps`, the number of steps
+    the memory is sized to sum at the weights' full accuracy (None serves
+    10^6 lags): one (2 K0 + 2 K0 + 2 + Q + 1, nodes) store and (Q, nodes)
+    work rows.
+    The deviations q = p - p^0 from the first level p^0 sit in its first
+    2 K0 rows, a ring that carries the near lags exactly. Every K0-th
+    level appended, the K0 oldest levels of the ring fold into the Q
+    exponential modes, which carry the older lags through the
+    sum-of-exponentials form of the weights; the ring then holds K0 to
+    2 K0 - 1 levels. The last row carries the share of p^0 in the pair
+    sums. At the same appends the modes and that row are summed once, by
+    one (2 K0, Q + 1) product, into the share rows of the next K0 steps,
+    which follow the ring, behind the two rows of the share of the step
+    before them. A step costs one row write and one (4, at most 4 K0 + 2)
+    product over the ring and the share rows up to its own, which gives
+    the sums and the increments of the step. The sums come out scaled by
+    the prefactors (c2, c3) given here, folded into the blocks (the
+    defaults give the bare sums). Only the latest level can be summed.
+    Built for steps = 0 the memory keeps the ring and the p^0 row alone,
+    and sums nothing.
     """
 
-    def __init__(self, n_nodes: int, c2: float = 1.0, c3: float = 1.0):
+    def __init__(self, n_nodes: int, c2: float = 1.0, c3: float = 1.0,
+                 steps: int | None = None):
+        ring = 2 * K0
         self.n_nodes = n_nodes
-        self._store = np.zeros((2 * K0 + _SOE_S.size + 1, n_nodes))
-        self._ring = self._store[:2 * K0]
-        self._modes = self._store[2 * K0:-1]
-        self._pair_p0 = self._store[-1]
-        self._blocks = np.zeros((2 * K0, 2, self._store.shape[0]))
-        np.multiply(_BLOCKS, np.array([[c2], [c3]]),
-                    out=self._blocks[:, :, :-1])
+        self.steps = steps
         self._c2 = c2
         self.p0 = np.zeros(n_nodes)
         self._levels = 0
-        self._work = np.empty((_SOE_S.size, n_nodes))
+        if steps == 0:
+            self._store = np.zeros((ring + 1, n_nodes))
+            self._ring, self._pair_p0 = self._store[:ring], self._store[-1]
+            self._slots = list(self._ring)
+            self._shares = None
+            return
+        s, c = _sized_nodes(steps)
+        q = s.size
+        self._store = np.zeros((2 * ring + 2 + q + 1, n_nodes))
+        self._ring = self._store[:ring]
+        self._slots = list(self._ring)      # a row view each, made once
+        # the previous step's share (2 rows), then those of cycle positions
+        # k = 0 .. K0 - 1; step n sits at k = (n + 1) mod K0
+        self._prev = self._store[ring:ring + 2]
+        self._shares = self._store[ring + 2:2 * ring + 2]
+        self._last = self._shares[-2:]
+        self._modes = self._store[2 * ring + 2:-1]
+        self._tail = self._store[2 * ring + 2:]             # modes and p^0 row
+        self._pair_p0 = self._store[-1]
+        scale = np.array([[c2], [c3]])
+        # share rows 2k, 2k+1 of position k: the modes' weights at
+        # L = K0 + k, those of phase K0 - 1 + k (the running sum's, 2 c
+        # and 0, on its last), and sqrt(n) on the p^0 row
+        self._share_coef = np.zeros((ring, q + 1))
+        coef = self._share_coef.reshape(K0, 2, q + 1)
+        np.multiply(_BLOCKS[K0 - 1:ring - 1, :, ring:ring + q - 1], scale,
+                    coef[:, :, :q - 1])
+        coef[:, 0, q - 1] = 2.0 * c2 * c[-1]
+        self._roots = self._share_coef[0::2, -1]
+        self._k = np.arange(K0, dtype=float)
+        # a fold (see _FOLD), the running sum's row last; the decays are
+        # kept as whole rows: a broadcast column multiplies slower
+        self._fold = _FOLD[:q].copy()
+        self._fold[-1] = 1.0
+        self._decay = np.empty((q, n_nodes))
+        self._decay[...] = _FOLD_DECAY[:q]
+        self._decay[-1] = 1.0
+        self._work = np.empty((q, n_nodes))
+        # per phase r: rows [G pair, G diff, increment pair, increment diff]
+        # over the ring, the previous share and the shares through its
+        # position k, whose last four columns hold those of k - 1 and k
+        near = _BLOCKS[:, :, :ring] * scale
+        blocks = np.zeros((ring, 4, 2 * ring + 2))
+        blocks[:, :2, :ring] = near
+        before = near[np.arange(-1, ring - 1)]          # phase r - 1's
+        np.subtract(1.5 * near, 0.5 * before, blocks[:, 2:, :ring])
+        phase = np.arange(ring)
+        width = ring + 2 * ((phase + 1) % K0) + 4
+        last4 = width[:, None] - np.arange(4, 0, -1)
+        blocks[phase[:, None], :, last4] = np.array(     # [column, row]
+            [[0.0, 0.0, -0.5, 0.0], [0.0, 0.0, 0.0, -0.5],
+             [1.0, 0.0, 1.5, 0.0], [0.0, 1.0, 0.0, 1.5]])
+        # contiguous: a product copies a block it reads through strides
+        self._phases = [(blocks[r, :, :w].copy(), self._store[:w])
+                        for r, w in enumerate(width.tolist())]
+        self._sums = np.empty((2, 2, n_nodes))
+        self._sums_rows = self._sums.reshape(4, n_nodes)
 
     @property
     def n_levels(self) -> int:
@@ -150,8 +236,12 @@ class PressureHistory:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self._store, self._blocks, self.p0,
-                                      self._work))
+        arrays = [self._store, self.p0]
+        if self._shares is not None:
+            arrays += [self._share_coef, self._decay, self._fold,
+                       self._work, self._sums]
+            arrays += [block for block, _ in self._phases]
+        return sum(a.nbytes for a in arrays)
 
     def append(self, pressures: np.ndarray):
         row = np.asarray(pressures, dtype=float)
@@ -162,17 +252,27 @@ class PressureHistory:
             self.p0[:] = row
             np.subtract(row, row[0], out=self._pair_p0)
             self._pair_p0 *= 2.0 * self._c2
-        np.subtract(row, self.p0, out=self._ring[n % (2 * K0)])
-        self._levels += 1
-        if self._levels % K0 == 0 and self._levels >= 2 * K0:
+        np.subtract(row, self.p0, out=self._slots[n % (2 * K0)])
+        self._levels = levels = n + 1
+        if (levels % K0 == 0 or levels == 1) and self._shares is not None:
+            self._next_cycle(levels)
+
+    def _next_cycle(self, levels: int):
+        """Fold and share once level levels - 1 is in: the next K0 steps,
+        cycle positions 0 .. K0 - 1, are steps levels - 1 - levels % K0 on."""
+        if levels >= 2 * K0:
             # the K0 oldest levels of the ring fill the half the next
-            # level starts; decays as a block: a column would be copied
-            lo = self._levels % (2 * K0)
-            work = self._work
-            work[:] = _FOLD_DECAY
-            np.multiply(self._modes, work, self._modes)
-            np.matmul(_FOLD, self._ring[lo:lo + K0], work)
-            np.add(self._modes, work, self._modes)
+            # level starts
+            lo = levels % (2 * K0)
+            np.multiply(self._modes, self._decay, self._modes)
+            np.dot(self._fold, self._ring[lo:lo + K0], self._work)
+            np.add(self._modes, self._work, self._modes)
+        self._prev[...] = self._last
+        roots = np.add(self._k, levels - 1 - levels % K0, self._roots)
+        if levels == 1:
+            roots[0] = 0.0                  # position 0 is the step before 0
+        np.sqrt(roots, roots)
+        np.dot(self._share_coef, self._tail, self._shares)
 
     def window(self, n: int) -> tuple[int, int]:
         """Summation level range [lo, n) at step n: the whole history."""
@@ -182,9 +282,12 @@ class PressureHistory:
         return 0, n
 
     def sums(self, n: int) -> np.ndarray:
-        """Pair and difference sums at step n, scaled by (c2, c3), as a
-        (2, nodes) array; the pair sums up to a share common to all nodes.
-        Its work rows hold them until the next call or append.
+        """Pair and difference sums at step n, scaled by (c2, c3), and the
+        same sums weighed as the node increment, 1.5 times step n's less
+        0.5 times step n - 1's (zero before step 0), as a (2, 2, nodes)
+        array [[pair, difference], [pair, difference]]; the pair sums up
+        to a share common to all nodes. Its work rows hold them until the
+        next call or append.
 
         Summation by parts puts both sums on the levels p^{n-k},
         k = 0..n: the pair sum weighs lag k by w_{k-1} + w_k and the
@@ -193,17 +296,18 @@ class PressureHistory:
         2 p^0 sqrt(n) and that of the difference sum to 0. The pair sums
         leave out the share 2 p^0_0 sqrt(n) of node 0, which the centered
         difference of G2 cancels: a uniform p^0 then adds nothing. The
-        rest, 2 c2 (p^0 - p^0_0), is the store's last row, weighed by
-        sqrt(n) in the pair row of the step's block. Ring slots not yet
-        written and modes not yet fed hold zeros, so one product with the
+        rest, 2 c2 (p^0 - p^0_0), is the store's last row, which the
+        share rows carry weighed by sqrt(n). Ring slots not yet written
+        and share rows of no step yet hold zeros, so one product with the
         block of the step's phase covers every n.
         """
-        if n != self._levels - 1:
-            raise IndexError(f"wall memory holds step {self._levels - 1},"
-                             f" step {n} requested")
-        block = self._blocks[n % (2 * K0)]
-        block[0, -1] = math.sqrt(n)
-        return np.dot(block, self._store, self._work[:2])
+        if n != self._levels - 1 or self._shares is None:
+            held = ("sums no step" if self._shares is None
+                    else f"holds step {self._levels - 1}")
+            raise IndexError(f"wall memory {held}, step {n} requested")
+        block, rows = self._phases[n % (2 * K0)]
+        np.dot(block, rows, self._sums_rows)
+        return self._sums
 
 
 def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
@@ -218,26 +322,52 @@ def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
     return c2, c3
 
 
+class SourceTable:
+    """The (2, 2, J+1) rows `source_table` writes, rows[0] = (G2, G3) and
+    rows[1] their node increments, with the views it writes them through,
+    made once: a step's table then costs three operations and no view."""
+
+    __slots__ = ("rows", "_inner", "_edges", "_next", "_diff", "_sums",
+                 "_hi", "_lo", "_sum_diff")
+
+    def __init__(self, n_nodes: int):
+        self.rows = np.zeros((2, 2, n_nodes))
+        g2, last = self.rows[:, 0], n_nodes - 1
+        self._inner = g2[:, 1:-1]
+        # columns 0 and J take columns 1 and J - 1
+        self._edges, self._next = g2[:, ::last], g2[:, 1:last:max(last - 2, 1)]
+        self._diff = self.rows[:, 1]
+        self._sums = None
+
+    def fill(self, sums: np.ndarray) -> np.ndarray:
+        """The table of the (2, 2, nodes) sums of `PressureHistory.sums`."""
+        if sums is not self._sums:
+            self._sums = sums
+            self._hi, self._lo = sums[:, 0, 2:], sums[:, 0, :-2]
+            self._sum_diff = sums[:, 1]
+        np.subtract(self._hi, self._lo, self._inner)
+        self._edges[...] = self._next       # cheaper than np.copyto
+        self._diff[...] = self._sum_diff
+        return self.rows
+
+
 def source_table(hist: PressureHistory, n: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The sources (G2, G3) at every node for step n, as the rows of a
-    (2, J+1) array: out, or a new one; the mass equation has none. A
-    table kept by the caller stays as it is until passed again as out.
+                 out: SourceTable | None = None) -> np.ndarray:
+    """The sources (G2, G3) at every node for step n and their node
+    increments, as a (2, 2, J+1) array: rows[0] of out, or of a new
+    table, holds (G2, G3), and rows[1] the same rows of the increment
+    1.5 G^n - 0.5 G^(n-1); the mass equation has none. A table kept by
+    the caller stays as it is until passed again as out.
 
     Interior nodes follow the convolution sums of `hist.sums(n)`, which
     carry the prefactors (c2, c3) the memory was built with (those of
     `source_coefficients`, times dt in a run): G2 is the centered
-    difference of the scaled pair sums and G3 the scaled difference sums.
+    difference of the scaled pair sums and G3 the scaled difference sums,
+    and the increments follow from the increment sums in the same way.
     The centered pressure-gradient bracket of G2 is undefined at j = 0
     and j = J, so the boundary entries copy their adjacent interior value
     (they only feed the midpoint source averages of the interior
     expansion). At n = 0 the sums, and so the table, are zero.
     """
-    sums = hist.sums(n)     # indexed: unpacking the rows costs more
-    table = np.empty((2, hist.n_nodes)) if out is None else out
-    g2 = table[0]
-    np.subtract(sums[0, 2:], sums[0, :-2], g2[1:-1])
-    g2[0] = g2[1]
-    g2[-1] = g2[-2]
-    table[1] = sums[1]
-    return table
+    table = SourceTable(hist.n_nodes) if out is None else out
+    return table.fill(hist.sums(n))

@@ -4,9 +4,10 @@
 forms the pair and difference sums over the whole summation window with
 the exact weights w_m = 1/(sqrt(m)+sqrt(m+1)), at a cost of O(n) per node
 per step. It has the interface `wall.source_table` reads from the runtime
-wall memory (`n_nodes`, `n_levels`, `append`, `window`, `sums`) and
-takes the same prefactors (c2, c3) at construction, so a table or a
-whole `Simulation` can run on either.
+wall memory (`n_nodes`, `n_levels`, `append`, `window`, `sums`, the
+latter with the node increment's sums beside the step's) and takes the
+same prefactors (c2, c3) at construction, so a table or a whole
+`Simulation` can run on either.
 """
 
 from __future__ import annotations
@@ -58,12 +59,25 @@ class ExactHistory:
         return 0, n
 
     def sums(self, n: int) -> np.ndarray:
+        """Pair and difference sums at step n, scaled by (c2, c3), and the
+        same sums of the node increment, 1.5 times step n's less 0.5 times
+        step n - 1's (zero before step 0), as a (2, 2, nodes) array
+        [[pair, difference], [pair, difference]], the way
+        `PressureHistory.sums` lays them out."""
+        now = self._sums(n)
+        before = self._sums(n - 1) if n else np.zeros_like(now)
+        return np.stack([now, 1.5 * now - 0.5 * before])
+
+    def _sums(self, n: int) -> np.ndarray:
         """Pair and difference sums at step n, scaled by (c2, c3), as a
         (2, nodes) array.
 
         Summation by parts: the stored level p^{n-k}, k = 0..n, weighs
         w_{k-1} + w_k in the pair sum and w_k - w_{k-1} in the difference
-        sum, with w zero outside m = 0..n-1.
+        sum, with w zero outside m = 0..n-1. The levels are summed less
+        the first pressure of node 0, which the centered difference of G2
+        and the difference sums cancel, so that a node the wave has not
+        reached sums exact zeros, as in the runtime memory.
         """
         lo, hi = self.window(n)
         w_rev = kernel_weights(hi - lo)[::-1]
@@ -73,4 +87,4 @@ class ExactHistory:
         coef[0, 1:] += w_rev
         coef[1, 1:] = w_rev
         coef[1, :-1] -= w_rev
-        return self._scale * (coef @ self._p[lo:hi + 1])
+        return self._scale * (coef @ (self._p[lo:hi + 1] - self._p[0, 0]))

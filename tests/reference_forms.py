@@ -153,9 +153,9 @@ def flux_jacobian(w, gas: GasModel) -> np.ndarray:
 def source_increments(g, dt_g, dt: float):
     """(s_node, s_mid) of `lax_wendroff_update` for sources G and their
     rate dG/dt at the nodes, both (2, J+1) rows of the momentum and
-    energy sources (the layout of `wall.source_table`): dt G + dt^2/2
-    dG/dt at every node, and half of dt (G_j + G_j+1)/2 at the J
-    midpoints, in columns 0..J-1 (column J is zero)."""
+    energy sources (the layout of each half of `wall.source_table`):
+    dt G + dt^2/2 dG/dt at every node, and half of dt (G_j + G_j+1)/2 at
+    the J midpoints, in columns 0..J-1 (column J is zero)."""
     g = np.asarray(g, dtype=float)
     dt_g = np.asarray(dt_g, dtype=float)
     s_mid = np.zeros_like(g)

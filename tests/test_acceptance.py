@@ -221,7 +221,7 @@ class TestA5SourceTermOracle:
             AIR, geom, Grid(0.1, 4), dt))
         for m in range(n + 1):
             hist.append(np.full(5, AIR.p0 + amp * math.sin(omega * m * dt)))
-        g3 = source_table(hist, n)[1, 2]
+        g3 = source_table(hist, n)[0, 1, 2]
 
         t_end = n * dt
         integral, quad_err = integrate.quad(

@@ -680,21 +680,27 @@ class TestOracleCharacteristics:
             assert "slowest characteristic speed" in err[0]
             assert "-16.18 m/s" in err[0]
             assert not (tmp_path / "fast").exists()
+        # at 280 m/s the characteristics cross at 1/135 of the
+        # small-amplitude distance: s = 0.5 is past it
         assert main(["oracle-characteristics", "--u0", "280",
                      "--freq", "440", "--s", "0.5", "--periods", "1",
-                     "--out", str(tmp_path / "slow")]) == EXIT_OK
+                     "--out", str(tmp_path / "slow")]) == EXIT_RUNTIME
+        assert "first cross" in capsys.readouterr().err
+        assert not (tmp_path / "slow").exists()
 
-    @pytest.mark.parametrize("u0", ["285", "286"])
-    def test_solve_within_float_resolution_answers(self, tmp_path, capsys,
-                                                   u0):
-        # the slowest characteristic moves at under 2 m/s: the
-        # emission-time solve stops where no float lies nearer its root
-        # rather than stall on an absolute residual no float reaches
+    @pytest.mark.parametrize("u0, s", [("100", "0.8"), ("285", "0.5"),
+                                       ("286", "0.5")])
+    def test_station_past_the_first_crossing_is_refused(self, tmp_path,
+                                                        capsys, u0, s):
+        # 100 m/s crosses at s = 0.781 (exact s 1.024 at 0.8); within
+        # 2 m/s of the slowest speed at about s = 0.0008
         assert main(["oracle-characteristics", "--u0", u0,
-                     "--freq", "440", "--s", "0.5", "--periods", "1",
-                     "--out", str(tmp_path / "oc")]) == EXIT_OK
-        assert capsys.readouterr().err == ""
-        assert (tmp_path / "oc" / "oracle_series.csv").exists()
+                     "--freq", "440", "--s", s, "--periods", "1",
+                     "--out", str(tmp_path / "oc")]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "where its characteristics first cross" in err[0]
+        assert not (tmp_path / "oc").exists()
 
 
 class TestOracleKirchhoff:

@@ -464,36 +464,60 @@ class TestWallMemoryInTheLoop:
         assert result.history.n_levels == 1
         assert result.records[0].n_samples == result.report.n_steps + 1
 
-    def test_steps_hand_in_source_increments(self, air, monkeypatch):
-        # steps 1 and 2 (the tables of steps 0 and 1 and their zero
-        # predecessor) and steps past K0, where the exponential modes
-        # carry the older levels: each step's increments are those of
-        # source_table at its own level and the level before. The run's
-        # wall memory carries dt, so its tables are dt G
+    @staticmethod
+    def _check_handed_increments(air, monkeypatch, exact):
+        """Every step through three fold cycles, fold phases included: each
+        step's increments are those of source_table's dt G rows at its
+        own level and the level before (the zero table before step 0).
+        The run's wall memory carries dt, so its tables are dt G."""
         sc = _small_scenario(air, grid=Grid(length=0.1, cells=12))
         sim = Simulation(sc)
+        if exact:
+            sim.history = ExactHistory(
+                sc.grid.n_nodes, *(sim.dt * c for c in wall.source_coefficients(
+                    air, sc.geom, sc.grid, sim.dt)))
+            sim.history.append(sim.prim[2])
         tables, handed = [np.zeros((2, sc.grid.n_nodes))], []
         update = driver.lax_wendroff_update
 
         def recording(cur, nxt, s_node, s_mid, *args):
-            tables.append(wall.source_table(sim.history, sim.n))
+            tables.append(wall.source_table(sim.history, sim.n)[0])
             handed.append((s_node.copy(), s_mid.copy()))
             return update(cur, nxt, s_node, s_mid, *args)
 
         monkeypatch.setattr(driver, "lax_wendroff_update", recording)
-        for _ in range(K0 + 3):
+        n_steps = 5 * K0        # folds after levels 2 K0, 3 K0 and 4 K0
+        for _ in range(n_steps):
             sim.advance()
         dt = sim.dt
-        for step in (1, 2, K0 + 2, K0 + 3):
+        for step in range(1, n_steps + 1):
             g_prev, g_now = tables[step - 1], tables[step]
             want_node, want_mid = source_increments(
                 g_now / dt, (g_now - g_prev) / (dt * dt), dt)
             s_node, s_mid = handed[step - 1]
             assert s_node.shape == s_mid.shape == (2, sc.grid.n_nodes)
-            np.testing.assert_allclose(s_node, want_node, rtol=1e-12)
+            np.testing.assert_allclose(s_node, want_node, rtol=1e-12,
+                                       err_msg=f"step {step}")
             np.testing.assert_allclose(s_mid[:, :-1], want_mid[:, :-1],
-                                       rtol=1e-12)
+                                       rtol=1e-12, err_msg=f"step {step}")
         assert np.abs(tables[2]).max() > 0.0
+
+    def test_steps_hand_in_source_increments(self, air, monkeypatch):
+        self._check_handed_increments(air, monkeypatch, exact=False)
+
+    def test_exact_history_hands_in_the_same_increments(self, air,
+                                                        monkeypatch):
+        # the oracle forms the node increment by brute force
+        self._check_handed_increments(air, monkeypatch, exact=True)
+
+    def test_lossless_run_holds_no_mode_memory(self):
+        # simple-wave runs lossless on 398 nodes: its wall memory keeps
+        # the ring and the p0 row of the one level it takes, no modes
+        sc = config.scenario_from_config(
+            config.builtin_scenarios()["simple-wave"])
+        sim = Simulation(sc)
+        assert sim.history.n_levels == 1
+        assert sim.history.nbytes < 64_000
 
     def test_lossy_run_feeds_every_level(self, air):
         sc = _small_scenario(air, duration_s=None, duration_periods=1.0)

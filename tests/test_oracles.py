@@ -10,6 +10,7 @@ from ductwave.oracles import (
     CORRECTED,
     KirchhoffModel,
     SimpleWaveProblem,
+    crossing_distance,
     kirchhoff_alpha,
     kirchhoff_phase_speed,
     kirchhoff_propagate,
@@ -75,9 +76,14 @@ class TestSimpleWave:
                 SimpleWaveProblem(
                     signal=fast, gas=air,
                     station=s * shock_distance(300.0, omega0, air))
-        SimpleWaveProblem(
-            signal=MultiHarmonicSignal(omega0, ((1, 280.0, 0.0),)), gas=air,
-            station=0.5 * shock_distance(280.0, omega0, air))
+        # at 280 m/s the characteristics cross at 1/135 of the
+        # small-amplitude distance, so s = 0.5 is past it
+        with pytest.raises(DuctwaveError,
+                           match=r"is at s = 0\.500 >= 0\.007, where its"
+                                 r" characteristics first cross"):
+            SimpleWaveProblem(
+                signal=MultiHarmonicSignal(omega0, ((1, 280.0, 0.0),)),
+                gas=air, station=0.5 * shock_distance(280.0, omega0, air))
 
     def test_residual_identity(self, air):
         u0, omega0 = 12.0, 2.0 * math.pi * 300.0
@@ -91,27 +97,57 @@ class TestSimpleWave:
             residual = t - t0 - station / (air.c0 + 1.2 * sig.value(t0))
             assert abs(residual) < 1e-12 * station / air.c0
 
+    @pytest.mark.parametrize("u0, s, ratio", [(20.0, 0.995, 1.010),
+                                              (100.0, 0.8, 1.281),
+                                              (162.0, 0.5, 2.003)])
+    def test_refuses_where_the_characteristics_first_cross(self, air, u0, s,
+                                                           ratio):
+        """The exact wave turns multivalued where (c0 + (gamma+1)/2 u)^2 /
+        ((gamma+1)/2 u') is least, short of the small-amplitude distance
+        by the given ratio: a station past it is refused below s = 1, and
+        one short of it answers."""
+        omega0 = 2.0 * math.pi * 440.0
+        sig = MultiHarmonicSignal(omega0, ((1, u0, 0.0),))
+        l_shock = shock_distance(u0, omega0, air)
+        l_cross = crossing_distance(sig, air)
+        assert l_shock / l_cross == pytest.approx(ratio, abs=5e-4)
+        with pytest.raises(DuctwaveError, match=r"first cross"):
+            SimpleWaveProblem(signal=sig, gas=air, station=s * l_shock)
+        SimpleWaveProblem(signal=sig, gas=air, station=0.999 * l_cross)
+        assert crossing_distance(
+            MultiHarmonicSignal(omega0, ((1, 0.0, 0.0),)), air) == math.inf
+
     @pytest.mark.parametrize("u0", [285.0, 286.0])
-    def test_emission_time_stops_at_float_resolution(self, air, u0):
-        """Within 2 m/s of the slowest speed one float step in t0 moves
+    def test_near_the_speed_bound_is_refused(self, air, u0):
+        # within 2 m/s of the slowest speed the characteristics cross at
+        # about 1/1000 of the small-amplitude distance
+        omega0 = 2.0 * math.pi * 440.0
+        with pytest.raises(DuctwaveError, match=r"first cross"):
+            SimpleWaveProblem(
+                signal=MultiHarmonicSignal(omega0, ((1, u0, 0.0),)), gas=air,
+                station=0.5 * shock_distance(u0, omega0, air))
+
+    def test_emission_time_stops_at_float_resolution(self, air):
+        """Late in a long run, t near 1000 s, one float step in t0 moves
         the residual past 1e-12 L/c0: the solve returns a t0 with no float
         nearer the root, its residual within twice that step."""
-        omega0 = 2.0 * math.pi * 440.0
+        u0, omega0 = 20.0, 2.0 * math.pi * 440.0
         station = 0.5 * shock_distance(u0, omega0, air)
         sig = MultiHarmonicSignal(omega0, ((1, u0, 0.0),))
         prob = SimpleWaveProblem(signal=sig, gas=air, station=station)
-        assert prob.slowest_speed == pytest.approx(air.c0 - 1.2 * u0,
-                                                   rel=1e-12)
         period = 2.0 * math.pi / omega0
-        start = (math.ceil(station / prob.slowest_speed / period) + 1) * period
+        start = math.ceil(1000.0 / period) * period
         tol = 1e-12 * station / air.c0
+        stopped = 0
         for t in start + np.arange(1024) * (period / 1024):
             t0 = prob.emission_time(float(t))
             speed = air.c0 + 1.2 * sig.value(t0)
             residual = t - t0 - station / speed
             slope = -1.0 + station * 1.2 * sig.derivative(t0) / speed ** 2
+            stopped += abs(residual) >= tol
             assert abs(residual) < tol \
                 or abs(residual) <= 2.0 * abs(slope) * math.ulp(t0)
+        assert stopped > 512
 
     def test_matches_characteristic_fan(self, air):
         """Dense fan construction: emit many characteristics, build the

@@ -10,14 +10,16 @@ from scipy import integrate
 from scipy.special import erf
 
 from ductwave import driver
-from ductwave.driver import Scenario, Simulation
+from ductwave.driver import MEMORY_MARGIN, Scenario, Simulation
 from ductwave.scheme import DuctGeometry, Grid, Level, lax_wendroff_update
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import (
     _BLOCKS,
     _SOE_C,
     _SOE_S,
+    _sized_nodes,
     K0,
+    KAPPA,
     PressureHistory,
     kernel_weights,
     source_coefficients,
@@ -54,7 +56,7 @@ def _table(levels, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
     memory only answers for its latest level, so it is refilled up to n."""
     hist = _history(levels[:n + 1], n_nodes=grid.n_nodes,
                     coef=_coef(gas, dt, grid, geom))
-    return source_table(hist, n)
+    return source_table(hist, n)[0]
 
 
 def _g2(levels, j, n, gas, grid=GRID, geom=GEOM, dt=1e-5):
@@ -88,7 +90,7 @@ def _step_sources(sim, n_steps, monkeypatch):
     def record(cur, nxt, s_node, s_mid, *args):
         if sc.losses:
             seen.append((s_node.copy(), s_mid.copy(),
-                         source_table(sim.history, sim.n)))
+                         source_table(sim.history, sim.n)[0]))
         else:
             seen.append((s_node, s_mid, None))
         return lax_wendroff_update(cur, nxt, s_node, s_mid, *args)
@@ -257,7 +259,7 @@ class TestPressureHistory:
         hist = _history(levels, kind=ExactHistory, coef=_coef(air, dt))
         kappa = heat_kernel_constant(air)
         for n in (1, 4, 8):
-            table = source_table(hist, n)
+            table = source_table(hist, n)[0]
             for j in (1, 2, 3):
                 assert table[0, j] == pytest.approx(
                     _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
@@ -303,11 +305,13 @@ class TestWallMemory:
             fast.append(row)
             exact.append(row)
         n = 9999
-        got = source_table(fast, n)
+        got = source_table(fast, n)     # [G, node increment][G2, G3]
         want = source_table(exact, n)
-        for row in (0, 1):
-            rel = np.abs(got[row] - want[row]).max() / np.abs(want[row]).max()
-            assert rel <= 1e-6, (row, rel)
+        for half in (0, 1):
+            for row in (0, 1):
+                rel = (np.abs(got[half, row] - want[half, row]).max()
+                       / np.abs(want[half, row]).max())
+                assert rel <= 1e-6, (half, row, rel)
 
     def test_no_two_modes_share_a_decay(self):
         # a decay repeated by another mode would keep a second copy of
@@ -345,10 +349,13 @@ class TestWallMemory:
             exact.append(row)
             got, want = source_table(fast, n), source_table(exact, n)
             folded = n >= 2 * K0 - 1
-            for row in range(2):
-                atol = 1e-10 * np.abs(want[row]).max() if folded else 0.0
-                np.testing.assert_allclose(got[row], want[row],
-                                           rtol=1e-9, atol=atol)
+            for half in range(2):       # G, then the node increment
+                for row in range(2):
+                    scale = np.abs(want[half, row]).max()
+                    atol = 1e-10 * scale if folded else 0.0
+                    np.testing.assert_allclose(got[half, row],
+                                               want[half, row],
+                                               rtol=1e-9, atol=atol)
 
     def test_phase_blocks_weigh_each_slot_by_its_lag(self):
         """At every phase r = n mod 2 K0 the ring carries the
@@ -374,6 +381,83 @@ class TestWallMemory:
                                        rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(modes[1], -scale * np.expm1(_SOE_S),
                                        rtol=1e-13, atol=0.0)
+
+
+class TestRunSizedMemory:
+    """A memory sized by the N steps it sums folds the modes below
+    s*(N) = KAPPA / N into its running sum M0."""
+
+    @staticmethod
+    def _relative_error(s, c, lags):
+        exact = 1.0 / (np.sqrt(lags) + np.sqrt(lags + 1.0))
+        return np.abs(np.exp(-np.outer(lags, s)) @ c / exact - 1.0)
+
+    @pytest.mark.parametrize("n, q", [(2_000, 66), (8_000, 70), (25_000, 73),
+                                      (100_000, 77)])
+    def test_kappa_keeps_the_fewest_modes_that_meet_the_bound(self, n, q):
+        # Q counts M0; the next larger threshold (one mode fewer) would
+        # miss 1.2e-9 on some lag up to N
+        s, c = _sized_nodes(n)
+        assert s.size == q
+        lags = np.arange(K0 - 1, n + 1, dtype=float)
+        assert self._relative_error(s, c, lags).max() <= 1.2e-9
+        fewer_s, fewer_c = _sized_nodes(KAPPA / (1.0000001 * s[-2]))
+        assert fewer_s.size == q - 1
+        assert self._relative_error(fewer_s, fewer_c, lags).max() > 1.2e-9
+
+    @pytest.mark.parametrize("n_steps", [2_001, 7_844])
+    def test_run_sized_weights_match_exact(self, n_steps):
+        """The `trombone` and `lossy-linear-long` runs, with the margin a
+        Simulation gives its memory: 1.2e-9 on every lag it serves, and
+        2e-11 on lags up to 100, those the ring-edge test steps through."""
+        sized = MEMORY_MARGIN * n_steps
+        s, c = _sized_nodes(sized)
+        assert s.size < _SOE_S.size
+        for top, bound in ((sized, 1.2e-9), (100, 2e-11)):
+            lags = np.arange(K0 - 1, top + 1, dtype=float)
+            assert self._relative_error(s, c, lags).max() <= bound, top
+
+    @pytest.mark.parametrize("n", [40, 4_002])
+    def test_past_its_steps_the_error_grows_as_the_folded_modes_decay(self, n):
+        """Past N the memory keeps summing: the folded modes' decay
+        e^(-s m) ~ 1 - s m then leaves an error that grows like
+        (m / N)^(3/2), to 16 N within that growth of the 1.2e-9."""
+        s, c = _sized_nodes(n)
+        lags = np.unique(np.geomspace(n, 16 * n, 400).round())
+        err = self._relative_error(s, c, lags)
+        assert np.all(err <= 1.2e-9 * (lags / n) ** 1.5)
+        assert err[-1] > 1.2e-9     # the bound is not met there for nothing
+
+    def test_memory_sums_past_its_steps(self, air):
+        # built for 40 steps and fed 100 levels, it still sums, within
+        # the grown weight error of the lags it holds
+        rng = np.random.default_rng(5)
+        fast = PressureHistory(5, *_coef(air, 4e-6), steps=40)
+        exact = ExactHistory(5, *_coef(air, 4e-6))
+        for n in range(100):
+            row = air.p0 + 25.0 * rng.standard_normal(5)
+            fast.append(row)
+            exact.append(row)
+        got, want = source_table(fast, 99)[0], source_table(exact, 99)[0]
+        for row in range(2):
+            np.testing.assert_allclose(got[row], want[row], rtol=0.0,
+                                       atol=1e-8 * np.abs(want[row]).max())
+
+    def test_a_memory_for_no_steps_keeps_no_modes(self):
+        hist = PressureHistory(398, steps=0)
+        hist.append(np.full(398, 101325.0))
+        assert hist.n_levels == 1
+        assert hist.nbytes == (2 * K0 + 2) * 398 * 8      # ring, p0 row, p0
+        with pytest.raises(IndexError, match="sums no step"):
+            hist.sums(0)
+
+    def test_simulation_sizes_its_memory_by_its_run(self, air):
+        lossy = Simulation(_scenario(air))
+        assert lossy.history.steps == MEMORY_MARGIN * driver.step_count(
+            lossy.scenario)
+        lossless = Simulation(_scenario(air, losses=False))
+        assert lossless.history.steps == 0
+        assert lossless.history.nbytes < lossy.history.nbytes
 
 
 class TestWallShearSum:
@@ -457,14 +541,14 @@ class TestWallHeatSum:
 class TestSourceAssembly:
     def test_zero_history_gives_zero_vector(self, air):
         hist = _history([np.full(5, 101325.0)] * 4, coef=_coef(air, 1e-5))
-        table = source_table(hist, 3)
+        table = source_table(hist, 3)[0]
         np.testing.assert_array_equal(table, np.zeros((2, 5)))
 
     def test_components_match_the_sums(self, air, rng):
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
         dt = 3e-6
         hist = _history(levels, coef=_coef(air, dt))
-        g2, g3 = source_table(hist, 5)[:, 2]
+        g2, g3 = source_table(hist, 5)[0][:, 2]
         kappa = heat_kernel_constant(air)
         assert g2 == pytest.approx(
             _brute_force_g2(levels, 2, 5, dt, GRID.dx, air, GEOM), rel=1e-9)
@@ -479,7 +563,7 @@ class TestSourceAssembly:
         hist = PressureHistory(5, *_coef(air, 3e-6))
         for n, row in enumerate(levels):
             hist.append(row)
-            assert source_table(hist, n).shape == (2, 5)
+            assert source_table(hist, n)[0].shape == (2, 5)
         seen = []
 
         def unsourced(cur, nxt, s_node, s_mid, *args):
@@ -536,7 +620,7 @@ class TestSourceAssembly:
         dt = 2e-6
         grid = Grid(length=0.06, cells=6)
         hist = _history(levels, n_nodes=7, coef=_coef(air, dt, grid))
-        table = source_table(hist, 6)
+        table = source_table(hist, 6)[0]
         kappa = heat_kernel_constant(air)
         # summation by parts reassociates the sums, so agreement with the
         # per-node oracles is to rounding against the absolute pressures
@@ -562,7 +646,7 @@ class TestSourceAssembly:
         levels = [air.p0 + 50.0 * np.sin(omega * m * dt + 3.0 * x)
                   * (1.0 + x / GRID.length) for m in range(n + 1)]
         kappa = heat_kernel_constant(air)
-        table = source_table(_history(levels, coef=_coef(air, dt)), n)
+        table = source_table(_history(levels, coef=_coef(air, dt)), n)[0]
         for j in range(1, 4):
             assert table[0, j] == pytest.approx(
                 _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
@@ -579,7 +663,7 @@ class TestSourceAssembly:
         def g_of(levels):
             hist = _history([np.asarray(lv) for lv in levels],
                             coef=_coef(air, 2e-6))
-            return source_table(hist, 5)
+            return source_table(hist, 5)[0]
 
         g_base = g_of(base)
         g_sum = g_of([b + d for b, d in zip(base, bump)])
