@@ -251,11 +251,6 @@ def cmd_oracle_characteristics(args) -> int:
         raise ConfigError(f"--sampling-exponent: {exc}") from None
     per_period = 2 ** args.sampling_exponent
     gas = GasModel()
-    if args.s >= 1.0:
-        raise DuctwaveError(
-            f"s = {args.s} >= 1: station at or beyond the shock-formation"
-            " distance; the pre-shock oracle does not apply"
-        )
     if args.u0 == 0.0:
         # Quiescent signal: no shock distance, flat series at any station.
         l_shock = math.inf

@@ -14,13 +14,13 @@ kept to drift from it.
 
 One step, all from level-n data: read the wall sources from the wall
 memory, whose prefactors carry dt, into the run's one source table: its
-rows (dt G2, dt G3) of every node, and beside them the node increment
+rows (dt G2, dt G3) of every node, and beside them the two increments
+the interior update adds, which the table forms: the node increment
 dt G + dt^2/2 dG/dt = dt (1.5 G - 0.5 G_prev), G_prev the previous
 step's sources (zero before the first step), which the memory's one
-product per step gives with them. The driver forms the other increment
-the interior update adds, dt (G_j + G_j+1)/4, half the midpoint
-increment, as two flat operations on the dt G rows; with losses off
-there are none. Then advance the interior nodes with the second-order
+product per step gives with them, and dt (G_j + G_j+1)/4, half the
+midpoint increment. With losses off there is no table and there are no
+increments. Then advance the interior nodes with the second-order
 expansion, from the primitive rows (rho, u, p) kept from the previous
 step; rebuild both boundary nodes by the one characteristic update
 `boundaries.boundary_row`, each checking the node it rebuilds, and
@@ -206,8 +206,8 @@ class Simulation:
     steps, at time n * dt, held in one of two `scheme.Level`s that the
     steps alternate: w is its (J+1, 3) view and prim its checked
     primitive rows (rho, u, p). It fixes the wall-source prefactors,
-    times dt, in its wall memory, sized by the run, and makes its source
-    table, and the views a step reads of it, once per run."""
+    times dt, in its wall memory, sized by the run, and with losses on
+    makes its source table once per run."""
 
     def __init__(self, scenario: Scenario,
                  initial_field: np.ndarray | None = None):
@@ -234,13 +234,7 @@ class Simulation:
         self.history = wall.PressureHistory(n_nodes, self.dt * c2,
                                             self.dt * c3, steps)
         self.history.append(self._level.p)
-        # made once: the source table, whose rows are dt G and the node
-        # increment, and the two flat views of dt G the midpoint one adds
-        self._table = wall.SourceTable(n_nodes)
-        g, self._s_node = self._table.rows
-        self._g_lo, self._g_hi = g.reshape(-1)[:-1], g.reshape(-1)[1:]
-        self._s_mid = np.zeros((2, n_nodes))
-        self._mid = self._s_mid.reshape(-1)[:-1]
+        self._table = wall.SourceTable(n_nodes) if scenario.losses else None
 
     def advance(self):
         """One coupled step (sources, interior, boundaries, history)."""
@@ -248,10 +242,9 @@ class Simulation:
         gas, grid = sc.gas, sc.grid
         cur, nxt = self._level, self._next
         if sc.losses:
-            wall.source_table(self.history, n, self._table)
-            s_node, s_mid, mid = self._s_node, self._s_mid, self._mid
-            np.add(self._g_lo, self._g_hi, mid)
-            np.multiply(mid, 0.25, mid)
+            table = self._table
+            wall.source_table(self.history, n, table)
+            s_node, s_mid = table.node, table.mid
         else:
             s_node = s_mid = None
         lax_wendroff_update(cur, nxt, s_node, s_mid, gas, grid, dt)

@@ -23,7 +23,8 @@ update makes no array. The update advances one level into another. It
 takes the wall sources of the momentum and energy rows as the two
 increments the step adds: dt G + dt^2/2 dG/dt at the nodes and half of
 dt times the mean G of each cell's two nodes at the midpoints, which the
-driver forms once per step; with losses off it is handed none. It works
+wall's source table forms once per step; with losses off it is handed
+none. It works
 on the raveled rows: every operation spans a whole buffer, its operands
 of one shape and its output passed by position, and the few entries
 that straddle two rows land on boundary nodes, which the boundary update

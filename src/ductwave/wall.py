@@ -27,9 +27,10 @@ running sum M0, which leaves on lag m a relative error that grows like
 (s* m)^(3/2). KAPPA is fitted so that every lag from K0 - 1 to N keeps
 the relative accuracy of the weights, 1.2e-9 (and 2e-11 on lags up to
 100 for the runs' N); past N the memory keeps summing, within 1.2e-9
-(m / N)^(3/2). Built without N, the memory serves 10^6 lags with
-Q = 92; built for N = 0, it keeps no modes and sums nothing. Uniform dt
-is required by the weights.
+(m / N)^(3/2). Each memory computes every coefficient of its nodes,
+M0 (s = 0) among them, from the node by one formula. Built for N = 0,
+it keeps no modes and sums nothing. Uniform dt is required by the
+weights.
 
 A step reads no mode. The modes change only when K0 levels fold into
 them, every K0 steps, and that fold forms, with one product, their share
@@ -45,8 +46,9 @@ so that block holds for every step.
 The memory holds pressures only: dt enters through the prefactors of the
 sums, which `source_coefficients` computes once per run and the run's
 `PressureHistory` folds into its blocks. A run hands it the prefactors
-times dt, so that its table is dt G, the source increment of one step,
-beside the node increment.
+times dt, so that its table is dt G, the source increment of one step.
+The table forms from it both increments the interior update adds: the
+node increment beside it, and half the midpoint one, dt (G_j + G_j+1)/4.
 """
 
 from __future__ import annotations
@@ -89,17 +91,15 @@ def _soe_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return np.append(s[~slow], 0.0), np.append(c[~slow], c[slow].sum())
 
 
-def _phase_blocks(k0: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Coefficients of the pair and difference sums on the wall memory's
-    rows, one (2, 2 k0 + Q) block per phase r = n mod 2 k0 of step n.
+def _phase_blocks(k0: int) -> np.ndarray:
+    """Weights of the pair and difference sums on the ring's 2 k0 slots,
+    one (2, 2 k0) block per phase r = n mod 2 k0 of step n.
 
     At step n the ring carries the L = k0 + (n + 1) mod k0 newest levels
     (ring slots not yet written hold zeros). Ring slot i holds the level
     at lag k = (r - i) mod 2 k0. For k < L that level weighs w_{k-1} + w_k
     in the pair sum and w_k - w_{k-1} in the difference sum (w_{-1} = 0);
-    for k >= L it is already in the modes and weighs 0. Mode q carries
-    the lags L + i, i >= 0, as sum_i e^(-s_q i) q^{n-L-i}, so it weighs
-    c_q e^(-s_q L) (e^(s_q) +- 1).
+    for k >= L it is already in the modes and weighs 0.
     """
     ring = 2 * k0
     w = kernel_weights(ring)
@@ -109,31 +109,19 @@ def _phase_blocks(k0: int, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     lag = (phase[:, None] - phase) % ring                       # [r, i]
     held = k0 + (phase + 1) % k0                                # L of phase r
     near = np.where(lag < held[:, None], by_lag[:, lag], 0.0)   # [2, r, i]
-    scale = c * np.exp(-np.outer(held, s))                      # [r, q]
-    blocks = np.empty((ring, 2, ring + s.size))
-    blocks[:, :, :ring] = near.transpose(1, 0, 2)
-    blocks[:, 0, ring:] = scale * (np.exp(s) + 1.0)
-    blocks[:, 1, ring:] = -scale * np.expm1(s)
-    return blocks
+    return near.transpose(1, 0, 2)
 
 
 K0 = 8                              # near lags summed exactly from the ring
-_SOE_S, _SOE_C = _soe_nodes(K0)     # Q = 92 exponential modes
-_BLOCKS = _phase_blocks(K0, _SOE_S, _SOE_C)
-# a fold moves K0 levels into the modes: Y <- e^(-s K0) Y + E @ levels,
-# E[q, i] = e^(-s_q (K0-1-i)) for the i-th oldest of them
-_FOLD_DECAY = np.exp(-K0 * _SOE_S)[:, None]
-_FOLD = np.exp(-np.outer(_SOE_S, np.arange(K0 - 1, -1, -1)))
+_SOE_S, _SOE_C = _soe_nodes(K0)     # 92 nodes; a memory keeps a prefix
+_BLOCKS = _phase_blocks(K0)
 KAPPA = 1.7e-6                      # s*(N) N: modes below s* fold into M0
 
 
-def _sized_nodes(steps: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _sized_nodes(steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a memory that sums N = steps steps: the nodes
     of _SOE_S at or above s*(N) = KAPPA / N, which lead it, and the
-    running sum s = 0 that carries the weight of the rest; all of them
-    for None."""
-    if steps is None:
-        return _SOE_S, _SOE_C
+    running sum s = 0 that carries the weight of the rest."""
     q = np.count_nonzero(_SOE_S >= KAPPA / steps)
     return np.append(_SOE_S[:q], 0.0), np.append(_SOE_C[:q], _SOE_C[q:].sum())
 
@@ -142,9 +130,8 @@ class PressureHistory:
     """Wall memory of the nodal pressure series p_j^m on a uniform time step.
 
     The storage is fixed at construction by `steps`, the number of steps
-    the memory is sized to sum at the weights' full accuracy (None serves
-    10^6 lags): one (2 K0 + 2 K0 + 2 + Q + 1, nodes) store and (Q, nodes)
-    work rows.
+    the memory is sized to sum at the weights' full accuracy: one
+    (2 K0 + 2 K0 + 2 + Q + 1, nodes) store and (Q, nodes) work rows.
     The deviations q = p - p^0 from the first level p^0 sit in its first
     2 K0 rows, a ring that carries the near lags exactly. Every K0-th
     level appended, the K0 oldest levels of the ring fold into the Q
@@ -157,14 +144,13 @@ class PressureHistory:
     before them. A step costs one row write and one (4, at most 4 K0 + 2)
     product over the ring and the share rows up to its own, which gives
     the sums and the increments of the step. The sums come out scaled by
-    the prefactors (c2, c3) given here, folded into the blocks (the
-    defaults give the bare sums). Only the latest level can be summed.
+    the prefactors (c2, c3) given here, folded into the blocks. Only the
+    latest level can be summed.
     Built for steps = 0 the memory keeps the ring and the p^0 row alone,
     and sums nothing.
     """
 
-    def __init__(self, n_nodes: int, c2: float = 1.0, c3: float = 1.0,
-                 steps: int | None = None):
+    def __init__(self, n_nodes: int, c2: float, c3: float, steps: int):
         ring = 2 * K0
         self.n_nodes = n_nodes
         self.steps = steps
@@ -191,28 +177,29 @@ class PressureHistory:
         self._tail = self._store[2 * ring + 2:]             # modes and p^0 row
         self._pair_p0 = self._store[-1]
         scale = np.array([[c2], [c3]])
-        # share rows 2k, 2k+1 of position k: the modes' weights at
-        # L = K0 + k, those of phase K0 - 1 + k (the running sum's, 2 c
-        # and 0, on its last), and sqrt(n) on the p^0 row
+        # each coefficient of node q is one formula of s_q and c_q, M0's
+        # (s = 0) too. Node q carries the lags L + i, i >= 0, as sum_i e^(-s_q i)
+        # q^{n-L-i}, so share rows 2k, 2k+1 of position k, L = K0 + k,
+        # weigh it c_q e^(-s_q L) (e^(s_q) +- 1) (M0: 2 c and 0), and the
+        # p^0 row sqrt(n). A fold (see _next_cycle) weighs the i-th oldest
+        # level e^(-s_q (K0-1-i)) and decays the node by e^(-s_q K0)
+        # (M0: ones).
+        held = c * np.exp(-np.outer(K0 + np.arange(K0), s))     # [k, q]
         self._share_coef = np.zeros((ring, q + 1))
-        coef = self._share_coef.reshape(K0, 2, q + 1)
-        np.multiply(_BLOCKS[K0 - 1:ring - 1, :, ring:ring + q - 1], scale,
-                    coef[:, :, :q - 1])
-        coef[:, 0, q - 1] = 2.0 * c2 * c[-1]
+        np.multiply(np.stack([held * (np.exp(s) + 1.0),
+                              -held * np.expm1(s)], 1), scale,
+                    self._share_coef.reshape(K0, 2, q + 1)[:, :, :q])
         self._roots = self._share_coef[0::2, -1]
         self._k = np.arange(K0, dtype=float)
-        # a fold (see _FOLD), the running sum's row last; the decays are
-        # kept as whole rows: a broadcast column multiplies slower
-        self._fold = _FOLD[:q].copy()
-        self._fold[-1] = 1.0
+        self._fold = np.exp(-np.outer(s, np.arange(K0 - 1, -1, -1)))
+        # whole rows: a broadcast column multiplies slower
         self._decay = np.empty((q, n_nodes))
-        self._decay[...] = _FOLD_DECAY[:q]
-        self._decay[-1] = 1.0
+        self._decay[...] = np.exp(-K0 * s)[:, None]
         self._work = np.empty((q, n_nodes))
         # per phase r: rows [G pair, G diff, increment pair, increment diff]
         # over the ring, the previous share and the shares through its
         # position k, whose last four columns hold those of k - 1 and k
-        near = _BLOCKS[:, :, :ring] * scale
+        near = _BLOCKS * scale
         blocks = np.zeros((ring, 4, 2 * ring + 2))
         blocks[:, :2, :ring] = near
         before = near[np.arange(-1, ring - 1)]          # phase r - 1's
@@ -324,11 +311,15 @@ def source_coefficients(gas: GasModel, geom: DuctGeometry, grid: Grid,
 
 class SourceTable:
     """The (2, 2, J+1) rows `source_table` writes, rows[0] = (G2, G3) and
-    rows[1] their node increments, with the views it writes them through,
-    made once: a step's table then costs three operations and no view."""
+    node = rows[1] their node increments, and beside them mid, half the
+    midpoint increment, (G_j + G_j+1)/4 of cell j in column j of (2, J+1),
+    with the views it writes them through, made once: a step's table then
+    costs five operations and no view. Column J of mid holds a finite
+    value of no cell, which reaches only boundary entries."""
 
-    __slots__ = ("rows", "_inner", "_edges", "_next", "_diff", "_sums",
-                 "_hi", "_lo", "_sum_diff")
+    __slots__ = ("rows", "node", "mid", "_inner", "_edges", "_next",
+                 "_diff", "_g_lo", "_g_hi", "_mid", "_sums", "_hi", "_lo",
+                 "_sum_diff")
 
     def __init__(self, n_nodes: int):
         self.rows = np.zeros((2, 2, n_nodes))
@@ -337,6 +328,10 @@ class SourceTable:
         # columns 0 and J take columns 1 and J - 1
         self._edges, self._next = g2[:, ::last], g2[:, 1:last:max(last - 2, 1)]
         self._diff = self.rows[:, 1]
+        g, self.node = self.rows
+        self._g_lo, self._g_hi = g.reshape(-1)[:-1], g.reshape(-1)[1:]
+        self.mid = np.zeros((2, n_nodes))
+        self._mid = self.mid.reshape(-1)[:-1]
         self._sums = None
 
     def fill(self, sums: np.ndarray) -> np.ndarray:
@@ -348,6 +343,8 @@ class SourceTable:
         np.subtract(self._hi, self._lo, self._inner)
         self._edges[...] = self._next       # cheaper than np.copyto
         self._diff[...] = self._sum_diff
+        np.add(self._g_lo, self._g_hi, self._mid)
+        np.multiply(self._mid, 0.25, self._mid)
         return self.rows
 
 
@@ -356,8 +353,10 @@ def source_table(hist: PressureHistory, n: int,
     """The sources (G2, G3) at every node for step n and their node
     increments, as a (2, 2, J+1) array: rows[0] of out, or of a new
     table, holds (G2, G3), and rows[1] the same rows of the increment
-    1.5 G^n - 0.5 G^(n-1); the mass equation has none. A table kept by
-    the caller stays as it is until passed again as out.
+    1.5 G^n - 0.5 G^(n-1); the mass equation has none. The table's mid
+    holds half the other increment the interior update adds,
+    (G_j + G_j+1)/4 of cell j. A table kept by the caller stays as it is until passed
+    again as out.
 
     Interior nodes follow the convolution sums of `hist.sums(n)`, which
     carry the prefactors (c2, c3) the memory was built with (those of

@@ -2,8 +2,8 @@
 
 `ExactHistory` keeps every nodal pressure level in one growable array and
 forms the pair and difference sums over the whole summation window with
-the exact weights w_m = 1/(sqrt(m)+sqrt(m+1)), at a cost of O(n) per node
-per step. It has the interface `wall.source_table` reads from the runtime
+the exact weights w_m = 1/(sqrt(m)+sqrt(m+1)), computed here and not
+taken from the package it checks, at a cost of O(n) per node per step. It has the interface `wall.source_table` reads from the runtime
 wall memory (`n_nodes`, `n_levels`, `append`, `window`, `sums`, the
 latter with the node increment's sums beside the step's) and takes the
 same prefactors (c2, c3) at construction, so a table or a whole
@@ -13,8 +13,6 @@ same prefactors (c2, c3) at construction, so a table or a whole
 from __future__ import annotations
 
 import numpy as np
-
-from ductwave.wall import kernel_weights
 
 
 class ExactHistory:
@@ -80,7 +78,8 @@ class ExactHistory:
         reached sums exact zeros, as in the runtime memory.
         """
         lo, hi = self.window(n)
-        w_rev = kernel_weights(hi - lo)[::-1]
+        m = np.arange(hi - lo, dtype=float)
+        w_rev = (1.0 / (np.sqrt(m) + np.sqrt(m + 1.0)))[::-1]
         # column i is level lo+i, at lag k = n-lo-i, and w_rev[i] = w_{k-1}
         coef = np.zeros((2, hi - lo + 1))
         coef[0, :-1] = w_rev

@@ -218,7 +218,7 @@ class TestA5SourceTermOracle:
         dt = 1.0 / freq / steps_per_period
         n = 10 * steps_per_period
         hist = PressureHistory(5, *source_coefficients(
-            AIR, geom, Grid(0.1, 4), dt))
+            AIR, geom, Grid(0.1, 4), dt), n)
         for m in range(n + 1):
             hist.append(np.full(5, AIR.p0 + amp * math.sin(omega * m * dt)))
         g3 = source_table(hist, n)[0, 1, 2]

@@ -639,13 +639,16 @@ class TestOracleCharacteristics:
         assert f"{l_shock!r}" in report
 
     def test_quiescent_signal_flat_series(self, tmp_path):
-        out = tmp_path / "quiet"
-        assert main(["oracle-characteristics", "--u0", "0.0", "--freq", "440",
-                     "--s", "0.5", "--periods", "1",
-                     "--sampling-exponent", "6", "--kmax", "4",
-                     "--out", str(out)]) == EXIT_OK
-        _, body = read_csv(out / "oracle_series.csv")
-        assert np.abs(body[:, 1]).max() == 0.0
+        # with u0 = 0 the station is 0 whatever s is: s = 1.5 is no shock
+        for s in ("0.5", "1.5"):
+            out = tmp_path / f"quiet{s}"
+            assert main(["oracle-characteristics", "--u0", "0.0",
+                         "--freq", "440", "--s", s, "--periods", "1",
+                         "--sampling-exponent", "6", "--kmax", "4",
+                         "--out", str(out)]) == EXIT_OK
+            _, body = read_csv(out / "oracle_series.csv")
+            assert body.shape[0] == 64
+            assert np.abs(body[:, 1]).max() == 0.0
 
     def test_sampling_at_the_floor_of_its_kmax_runs(self, tmp_path):
         # 2^3 samples a period is the 8 K_max floor of --kmax 1, the rule

@@ -22,7 +22,7 @@ from ductwave.gas import GasModel, conserved_array, primitive_arrays
 from ductwave.scheme import DuctGeometry, Grid, Level, lax_wendroff_update
 from ductwave.boundaries import boundary_row
 from ductwave.signals import MultiHarmonicSignal
-from ductwave.wall import K0
+from ductwave.wall import K0, SourceTable
 from exact_history import ExactHistory
 from reference_forms import source_increments
 
@@ -510,14 +510,22 @@ class TestWallMemoryInTheLoop:
         # the oracle forms the node increment by brute force
         self._check_handed_increments(air, monkeypatch, exact=True)
 
-    def test_lossless_run_holds_no_mode_memory(self):
+    def test_lossless_run_holds_no_mode_memory(self, monkeypatch):
         # simple-wave runs lossless on 398 nodes: its wall memory keeps
-        # the ring and the p0 row of the one level it takes, no modes
+        # the ring and the p0 row of the one level it takes, no modes,
+        # and the run builds no source table
+        made = []
+        monkeypatch.setattr(wall, "SourceTable",
+                            lambda n: made.append(n) or SourceTable(n))
         sc = config.scenario_from_config(
             config.builtin_scenarios()["simple-wave"])
         sim = Simulation(sc)
         assert sim.history.n_levels == 1
         assert sim.history.nbytes < 64_000
+        sim.advance()
+        assert made == []
+        Simulation(replace(sc, losses=True))
+        assert made == [sc.grid.n_nodes]
 
     def test_lossy_run_feeds_every_level(self, air):
         sc = _small_scenario(air, duration_s=None, duration_periods=1.0)

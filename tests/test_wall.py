@@ -44,8 +44,14 @@ def _coef(gas, dt, grid=GRID, geom=GEOM):
     return source_coefficients(gas, geom, grid, dt)
 
 
-def _history(levels, n_nodes=5, kind=PressureHistory, coef=(1.0, 1.0)):
-    hist = kind(n_nodes, *coef)
+def _history(levels, n_nodes=5, kind=PressureHistory, coef=(1.0, 1.0),
+              steps=None):
+    """kind fed levels: the wall memory, sized for steps (by default as
+    many as levels), or the exact oracle."""
+    if kind is ExactHistory:
+        hist = kind(n_nodes, *coef)
+    else:
+        hist = kind(n_nodes, *coef, len(levels) if steps is None else steps)
     for row in levels:
         hist.append(np.asarray(row, dtype=float))
     return hist
@@ -203,7 +209,7 @@ class TestPressureHistory:
             with pytest.raises(ValueError):
                 hist.append(np.zeros(3))
         # a row of the wrong shape is refused in any form
-        hist = PressureHistory(5)
+        hist = PressureHistory(5, 0.3, -0.7, 100)
         for row in (np.zeros(4), np.zeros((1, 5)), np.zeros((5, 1)),
                     [0.0] * 6, np.zeros(5, dtype=np.float32)[:4]):
             with pytest.raises(ValueError):
@@ -218,7 +224,7 @@ class TestPressureHistory:
         levels = rng.normal(1e5, 50.0, (70, 5))
         if form == "int":
             levels = np.rint(levels).astype(np.int64)
-        ref, got = PressureHistory(5, 0.3, -0.7), PressureHistory(5, 0.3, -0.7)
+        ref, got = (PressureHistory(5, 0.3, -0.7, 70) for _ in range(2))
         for n, row in enumerate(levels):
             if form == "list":
                 given_row = row.tolist()
@@ -276,7 +282,7 @@ class TestWallMemory:
 
     def test_storage_does_not_grow(self):
         rng = np.random.default_rng(3)
-        hist = PressureHistory(n_nodes=5)
+        hist = PressureHistory(5, 0.3, -0.7, 10_000)
         for _ in range(100):
             hist.append(101325.0 + rng.standard_normal(5))
         early = hist.nbytes
@@ -298,7 +304,7 @@ class TestWallMemory:
         measure near 1e-8 on G2 and 1e-11 on G3)."""
         rng = np.random.default_rng(11)
         dt = 2e-6
-        fast = PressureHistory(5, *_coef(air, dt))
+        fast = PressureHistory(5, *_coef(air, dt), 10_000)
         exact = ExactHistory(5, *_coef(air, dt))
         for _ in range(10_000):
             row = air.p0 + 30.0 * rng.standard_normal(5)
@@ -341,7 +347,7 @@ class TestWallMemory:
         then on atol is 1e-10 of the column's scale."""
         rng = np.random.default_rng(9)
         dt = 4e-6
-        fast = PressureHistory(5, *_coef(air, dt))
+        fast = PressureHistory(5, *_coef(air, dt), 10**6)
         exact = ExactHistory(5, *_coef(air, dt))
         for n in range(3 * K0 + 5):
             row = air.p0 + 25.0 * rng.standard_normal(5)
@@ -360,8 +366,12 @@ class TestWallMemory:
     def test_phase_blocks_weigh_each_slot_by_its_lag(self):
         """At every phase r = n mod 2 K0 the ring carries the
         L = K0 + (r + 1) mod K0 newest levels: the block gives them the
-        exact lag weights, the slots already folded zero, and mode q
-        c_q e^(-s_q L) (e^(s_q) +- 1)."""
+        exact lag weights and the slots already folded zero. A sized
+        memory weighs its node q at cycle position k, L = K0 + k, by
+        c_q e^(-s_q L) (e^(s_q) +- 1) times (c2, c3); a fold weighs the
+        i-th oldest level e^(-s_q (K0-1-i)) and decays the node by
+        e^(-s_q K0). The running sum, s = 0, takes 2 c c2 and 0, a fold
+        row of ones and a decay of 1."""
         m = np.arange(2 * K0)
         w = 1.0 / (np.sqrt(m) + np.sqrt(m + 1.0))
         w_prev = np.append(0.0, w[:-1])
@@ -369,18 +379,33 @@ class TestWallMemory:
             held = K0 + (r + 1) % K0
             lag = (r - m) % (2 * K0)
             near = lag < held
-            ring = _BLOCKS[r, :, :2 * K0]
+            ring = _BLOCKS[r]
             np.testing.assert_allclose(ring[0, near], (w_prev + w)[lag[near]],
                                        rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(ring[1, near], (w - w_prev)[lag[near]],
                                        rtol=1e-15, atol=1e-17)
             assert np.all(ring[:, ~near] == 0.0)
-            scale = _SOE_C * np.exp(-_SOE_S * held)
-            modes = _BLOCKS[r, :, 2 * K0:]
-            np.testing.assert_allclose(modes[0], scale * (np.exp(_SOE_S) + 1.0),
+        c2, c3 = 0.3, -0.7
+        for n in (40, 4_002, 15_688):
+            hist = PressureHistory(3, c2, c3, n)
+            s, c = _sized_nodes(n)
+            coef = hist._share_coef.reshape(K0, 2, s.size + 1)[:, :, :-1]
+            scale = c * np.exp(-np.outer(K0 + np.arange(K0), s))
+            np.testing.assert_allclose(coef[:, 0], c2 * scale * (np.exp(s) + 1.0),
                                        rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(modes[1], -scale * np.expm1(_SOE_S),
+            np.testing.assert_allclose(coef[:, 1], -c3 * scale * np.expm1(s),
                                        rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(
+                hist._fold, np.exp(-np.outer(s, K0 - 1 - np.arange(K0))),
+                rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(
+                hist._decay, np.repeat(np.exp(-K0 * s)[:, None], 3, 1),
+                rtol=1e-13, atol=0.0)
+            assert s[-1] == 0.0
+            assert np.all(coef[:, 0, -1] == 2.0 * c[-1] * c2)
+            assert np.all(coef[:, 1, -1] == 0.0)
+            assert np.all(hist._fold[-1] == 1.0)
+            assert np.all(hist._decay[-1] == 1.0)
 
 
 class TestRunSizedMemory:
@@ -444,7 +469,7 @@ class TestRunSizedMemory:
                                        atol=1e-8 * np.abs(want[row]).max())
 
     def test_a_memory_for_no_steps_keeps_no_modes(self):
-        hist = PressureHistory(398, steps=0)
+        hist = PressureHistory(398, 0.3, -0.7, 0)
         hist.append(np.full(398, 101325.0))
         assert hist.n_levels == 1
         assert hist.nbytes == (2 * K0 + 2) * 398 * 8      # ring, p0 row, p0
@@ -560,7 +585,7 @@ class TestSourceAssembly:
         # lossy step's node increments reach the momentum and energy rows
         # only: without them the mass row comes out the same
         levels = [101325.0 + 25.0 * rng.standard_normal(5) for _ in range(6)]
-        hist = PressureHistory(5, *_coef(air, 3e-6))
+        hist = PressureHistory(5, *_coef(air, 3e-6), len(levels))
         for n, row in enumerate(levels):
             hist.append(row)
             assert source_table(hist, n)[0].shape == (2, 5)
@@ -646,7 +671,8 @@ class TestSourceAssembly:
         levels = [air.p0 + 50.0 * np.sin(omega * m * dt + 3.0 * x)
                   * (1.0 + x / GRID.length) for m in range(n + 1)]
         kappa = heat_kernel_constant(air)
-        table = source_table(_history(levels, coef=_coef(air, dt)), n)[0]
+        hist = _history(levels, coef=_coef(air, dt), steps=10**6)
+        table = source_table(hist, n)[0]
         for j in range(1, 4):
             assert table[0, j] == pytest.approx(
                 _brute_force_g2(levels, j, n, dt, GRID.dx, air, GEOM),
