@@ -143,8 +143,10 @@ def cmd_run(args) -> int:
     written = []
     try:
         # a prefix naming a directory that is not there fails every write:
-        # refuse it before the run rather than after it
-        where = (out_dir / prefix).parent
+        # refuse it before the run rather than after it. The directory is
+        # that of a file the run writes, since pathlib drops a trailing
+        # "/" or "/." from the prefix itself
+        where = (out_dir / f"{prefix}_report.txt").parent
         if not where.is_dir():
             raise FileNotFoundError(errno.ENOENT, "output.prefix names no"
                                     " directory", str(where))

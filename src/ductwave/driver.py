@@ -176,8 +176,9 @@ def frozen_dt(scenario: Scenario) -> float:
 def step_count(scenario: Scenario) -> int:
     """Steps of a run: the fewest steps of frozen_dt that cover its
     duration, so the last step time n_steps * dt may pass the duration by
-    up to one dt."""
-    return int(math.ceil(scenario.duration / frozen_dt(scenario) - 1e-9))
+    up to one dt. A positive duration takes at least one step."""
+    return max(1, int(math.ceil(scenario.duration / frozen_dt(scenario)
+                                - 1e-9)))
 
 
 _least, _greatest = np.minimum.reduce, np.maximum.reduce

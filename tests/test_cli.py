@@ -95,6 +95,16 @@ _INVALID_VALUES = [
 ]
 
 
+def _kirchhoff_config(tmp_path, drop, extra):
+    """The kirchhoff preset without its lines for the keys in drop, plus
+    the lines extra, written to tmp_path / "k.cfg"."""
+    text = serialize_config(builtin_scenarios()["kirchhoff"])
+    lines = [ln for ln in text.splitlines() if ln.split(" = ")[0] not in drop]
+    path = tmp_path / "k.cfg"
+    path.write_text("\n".join(lines + extra) + "\n", encoding="utf-8")
+    return path
+
+
 def _kirchhoff_sampled(tmp_path, n_rows):
     """The kirchhoff preset run for 0.01 s (314 steps, the last at
     t = 0.0100084 s) on a table of n_rows inflow samples 1e-5 s apart."""
@@ -102,16 +112,11 @@ def _kirchhoff_sampled(tmp_path, n_rows):
     write_csv(samples, ["t_s", "u_mps"],
               [(i * 1e-5, 0.02 * math.sin(2e3 * math.pi * i * 1e-5))
                for i in range(n_rows)])
-    text = serialize_config(builtin_scenarios()["kirchhoff"])
-    lines = [ln for ln in text.splitlines()
-             if not ln.startswith(("inflow.shape", "inflow.amplitude",
-                                   "inflow.frequency_hz",
-                                   "run.duration_periods"))]
-    path = tmp_path / "ks.cfg"
-    path.write_text("\n".join(lines + [
-        "inflow.shape = samples", f"inflow.samples_file = {samples}",
-        "run.duration_s = 0.01"]) + "\n", encoding="utf-8")
-    return path
+    return _kirchhoff_config(
+        tmp_path, ("inflow.shape", "inflow.amplitude", "inflow.frequency_hz",
+                   "run.duration_periods"),
+        ["inflow.shape = samples", f"inflow.samples_file = {samples}",
+         "run.duration_s = 0.01"])
 
 
 @pytest.fixture
@@ -184,6 +189,7 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "line 2" in err and repr(key) in err
+        assert not (tmp_path / "o").exists()
 
     def test_removed_kernel_mode_flag_is_a_usage_error(self, config_file,
                                                        tmp_path, capsys):
@@ -392,17 +398,23 @@ class TestRunCommand:
         report = (out / "kirchhoff_report.txt").read_text(encoding="utf-8")
         assert "µs" not in report and "wall clock" not in report
 
+    def test_run_shorter_than_a_step_takes_one(self, tmp_path, capsys):
+        cfg = _kirchhoff_config(tmp_path, ("run.duration_periods",),
+                                ["run.duration_s = 1e-15"])
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_OK
+        assert capsys.readouterr().out.startswith("run complete: 1 steps,")
+        report = (out / "kirchhoff_report.txt").read_text(encoding="utf-8")
+        assert "steps = 1" in report.splitlines()
+
     def test_run_shorter_than_a_period_writes_only_native_series(
             self, tmp_path):
         # kirchhoff for half a period (16 steps) spans no whole period: the
         # run keeps no period grid, and each probe's series is its 17
         # native rows at t = n dt, with no spectrum
-        text = serialize_config(builtin_scenarios()["kirchhoff"])
-        lines = [ln for ln in text.splitlines()
-                 if not ln.startswith("run.duration_periods")]
-        cfg = tmp_path / "khalf.cfg"
-        cfg.write_text("\n".join(lines + ["run.duration_periods = 0.5"])
-                       + "\n", encoding="utf-8")
+        cfg = _kirchhoff_config(tmp_path, ("run.duration_periods",),
+                                ["run.duration_periods = 0.5"])
         result = ductwave.run(scenario_from_config(
             parse_config(cfg.read_text(encoding="utf-8"))))
         assert result.report.n_steps == 16
@@ -500,7 +512,10 @@ class TestRunCommand:
         assert code == EXIT_IO
         assert out.is_dir() and list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("prefix", ["sub/k", "sub/deeper/k"])
+    # "sub/" and "sub/." write sub/_report.txt and sub/._report.txt,
+    # though pathlib reads both prefixes as the name "sub"
+    @pytest.mark.parametrize("prefix", ["sub/k", "sub/deeper/k", "sub/",
+                                        "sub/."])
     def test_prefix_in_a_missing_directory_fails_before_the_run(
             self, tmp_path, capsys, monkeypatch, prefix):
         # no write could succeed, so no step is taken: the refusal takes
@@ -638,6 +653,16 @@ class TestOracleCharacteristics:
         l_shock = 2.0 * gas.c0 ** 2 / (2.4 * 2.0 * math.pi * 440.0 * 10.0)
         assert f"{l_shock!r}" in report
 
+    def test_at_the_source_the_fundamental_is_the_inflow_amplitude(
+            self, tmp_path):
+        # at s = 0 the series is the inflow sine itself, and its
+        # fundamental, FFT bin 4 of the 4-period window, is exactly 10.0
+        out = tmp_path / "oc0"
+        assert main(["oracle-characteristics", "--u0", "10", "--freq", "440",
+                     "--s", "0", "--out", str(out)]) == EXIT_OK
+        rows = (out / "oracle_spectrum.csv").read_text().splitlines()
+        assert rows[1] == "1,10.0"
+
     def test_quiescent_signal_flat_series(self, tmp_path):
         # with u0 = 0 the station is 0 whatever s is: s = 1.5 is no shock
         for s in ("0.5", "1.5"):
@@ -730,6 +755,7 @@ class TestOracleKirchhoff:
                      "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().err == ""
         _, body = read_csv(out / "kirchhoff_table.csv")
+        assert body.shape[0] == 11    # one row per station, 11 by default
         model = KirchhoffModel(GasModel(), 0.005, CORRECTED)
         assert body[0, 1] == kirchhoff_alpha(model, 2.0 * math.pi)
 

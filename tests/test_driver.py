@@ -61,6 +61,12 @@ class TestScenario:
         with pytest.raises(ValueError):
             _small_scenario(air, probes=(0.5,))   # outside the 0.1 m duct
 
+    def test_a_positive_duration_takes_at_least_one_step(self, air):
+        dt = frozen_dt(_small_scenario(air))
+        for duration in (1e-15, 0.5 * dt, dt):
+            sc = _small_scenario(air, duration_s=duration)
+            assert driver.step_count(sc) == 1
+
     def test_sampling_exponent_ceiling(self, air):
         assert _small_scenario(air, sampling_exponent=20).sampling_exponent \
             == 20
