@@ -47,8 +47,9 @@ state.
 step-major (n_steps + 1, 3, P) float64 array for the P probe nodes before
 the first step, and the method `take` (np.take dispatches once more)
 writes each level's (rho, u, p) at those nodes into its (3, P) block, so
-a stored row costs 24 bytes from the first step. These native rows are
-all a run keeps of its probes: its period-grid records
+a stored row costs 24 bytes from the first step; a run whose rows cannot
+be held fails before its first step and names their bytes. These native
+rows are all a run keeps of its probes: its period-grid records
 (`analysis.PeriodGridRecord`), one for each record that spans a whole
 period, derive their layout from the record, the period and the sampling
 exponent, hold no samples and interpolate the rows when read, so a read
@@ -297,7 +298,13 @@ def run(scenario: Scenario,
     grid = scenario.grid
     nodes = np.array(list(dict.fromkeys(
         grid.nearest_node(x) for x in scenario.probes)), dtype=np.intp)
-    rows = np.empty((n_steps + 1, 3, nodes.size))
+    try:
+        rows = np.empty((n_steps + 1, 3, nodes.size))
+    except (ValueError, MemoryError):
+        nbytes = 24 * (n_steps + 1) * nodes.size
+        raise DuctwaveError(
+            f"cannot hold the probe rows of {n_steps} steps at {nodes.size}"
+            f" probe nodes: {nbytes:.3g} bytes") from None
     sim.prim.take(nodes, 1, rows[0])
     try:
         for n in range(1, n_steps + 1):

@@ -14,7 +14,16 @@ eta-derivative of the closed-form erf temperature profile: the paper
 prints mu where that profile gives k, and the package uses k.
 The two quadrature rules underlying the sums integrate phi(z) dz/sqrt(z)
 over one step and are exact for constant phi; they and the erf profiles
-are kept as test oracles in `tests/reference_forms.py`.
+are kept as test oracles in `tests/reference_forms.py`. Alone the rules
+are of order dt^1.5. The sums add the z^(-1/2) term of the generalized
+Euler-Maclaurin expansion (Navot 1961), K = -2 zeta(-1/2) =
+zeta(3/2)/(2 pi) = EM_K: K (p^n - p^(n-1)) in each pair sum, and
+(K/2) (p_j^n - 2 p_j^(n-1) + p_j^(n-2)) in the difference sum, levels
+before 0 counting as level 0. That makes them second order in dt for
+smooth histories. The terms sit on the ring's three newest lags, which
+it always holds for K0 >= 3. The start of a run, where the inflow's
+slope jumps and the continuum sums have t^(1/2)-type terms, is not
+corrected.
 
 The sums run over the full pressure history, summed by parts on the
 stored levels. `PressureHistory` keeps them in fixed storage: the K0 to
@@ -98,13 +107,17 @@ def _phase_blocks(k0: int) -> np.ndarray:
     At step n the ring carries the L = k0 + (n + 1) mod k0 newest levels
     (ring slots not yet written hold zeros). Ring slot i holds the level
     at lag k = (r - i) mod 2 k0. For k < L that level weighs w_{k-1} + w_k
-    in the pair sum and w_k - w_{k-1} in the difference sum (w_{-1} = 0);
-    for k >= L it is already in the modes and weighs 0.
+    in the pair sum and w_k - w_{k-1} in the difference sum (w_{-1} = 0),
+    plus the correction EM_K (1, -1) on lags 0, 1 of the pair sum and
+    EM_K (1, -2, 1) / 2 on lags 0..2 of the difference sum (k0 >= 3 keeps
+    them in the ring); for k >= L it is already in the modes and weighs 0.
     """
     ring = 2 * k0
     w = kernel_weights(ring)
     w_prev = np.append(0.0, w[:-1])
     by_lag = np.stack([w_prev + w, w - w_prev])                 # (2, 2k0)
+    by_lag[0, :2] += EM_K * np.array([1.0, -1.0])
+    by_lag[1, :3] += 0.5 * EM_K * np.array([1.0, -2.0, 1.0])
     phase = np.arange(ring)
     lag = (phase[:, None] - phase) % ring                       # [r, i]
     held = k0 + (phase + 1) % k0                                # L of phase r
@@ -113,6 +126,7 @@ def _phase_blocks(k0: int) -> np.ndarray:
 
 
 K0 = 8                              # near lags summed exactly from the ring
+EM_K = 0.4157724499547092           # -2 zeta(-1/2) = zeta(3/2) / (2 pi)
 _SOE_S, _SOE_C = _soe_nodes(K0)     # 92 nodes; a memory keeps a prefix
 _BLOCKS = _phase_blocks(K0)
 KAPPA = 1.7e-6                      # s*(N) N: modes below s* fold into M0

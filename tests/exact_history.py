@@ -3,7 +3,9 @@
 `ExactHistory` keeps every nodal pressure level in one growable array and
 forms the pair and difference sums over the whole summation window with
 the exact weights w_m = 1/(sqrt(m)+sqrt(m+1)), computed here and not
-taken from the package it checks, at a cost of O(n) per node per step. It has the interface `wall.source_table` reads from the runtime
+taken from the package it checks, and the endpoint correction of
+`reference_forms`, at a cost of O(n) per node per step. It has the
+interface `wall.source_table` reads from the runtime
 wall memory (`n_nodes`, `n_levels`, `append`, `window`, `sums`, the
 latter with the node increment's sums beside the step's) and takes the
 same prefactors (c2, c3) at construction, so a table or a whole
@@ -13,6 +15,8 @@ same prefactors (c2, c3) at construction, so a table or a whole
 from __future__ import annotations
 
 import numpy as np
+
+from reference_forms import endpoint_correction
 
 
 class ExactHistory:
@@ -72,8 +76,9 @@ class ExactHistory:
 
         Summation by parts: the stored level p^{n-k}, k = 0..n, weighs
         w_{k-1} + w_k in the pair sum and w_k - w_{k-1} in the difference
-        sum, with w zero outside m = 0..n-1. The levels are summed less
-        the first pressure of node 0, which the centered difference of G2
+        sum, with w zero outside m = 0..n-1; `endpoint_correction` adds
+        its terms on the newest levels. The levels are summed less the
+        first pressure of node 0, which the centered difference of G2
         and the difference sums cancel, so that a node the wave has not
         reached sums exact zeros, as in the runtime memory.
         """
@@ -86,4 +91,6 @@ class ExactHistory:
         coef[0, 1:] += w_rev
         coef[1, 1:] = w_rev
         coef[1, :-1] -= w_rev
-        return self._scale * (coef @ (self._p[lo:hi + 1] - self._p[0, 0]))
+        summed = coef @ (self._p[lo:hi + 1] - self._p[0, 0])
+        summed += endpoint_correction(self._p[lo:hi + 1], n - lo)
+        return self._scale * summed

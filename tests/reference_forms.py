@@ -6,7 +6,9 @@ quadrature rules for integral phi(z) dz/sqrt(z) over one step. The solver
 only uses the weights that result, w_m = 1/(sqrt(m)+sqrt(m+1)); these are
 the forms themselves, kept as independent oracles for A2 (the pulse), A5
 and A6 (the heat-kernel constant and the quadratures), `test_wall` and
-`test_signals`.
+`test_signals`. The brute-force sums of the tests add to those weights
+the endpoint correction that makes the sums second order in dt,
+`endpoint_correction`, with its constant computed here from scipy's zeta.
 
 The Euler flux and its analytic Jacobian, as whole arrays over any leading
 axes, are the matrix form of the interior scheme: `ductwave.scheme` forms
@@ -54,6 +56,21 @@ def quad_one_point(phi_mid: float, a: float, b: float) -> float:
     if not (0.0 <= a < b):
         raise ValueError("need 0 <= a < b")
     return 2.0 * phi_mid * (b - a) / (math.sqrt(a) + math.sqrt(b))
+
+
+# K = -2 zeta(-1/2), written by the functional equation as zeta(3/2)/(2 pi)
+EULER_MACLAURIN_K = float(special.zeta(1.5)) / (2.0 * math.pi)
+
+
+def endpoint_correction(levels, n: int):
+    """(pair, difference) corrections of the wall sums at step n of the
+    levels p^0..p^n (floats, or arrays of nodes): the z^(-1/2) term of the
+    generalized Euler-Maclaurin expansion, K (p^n - p^(n-1)) on the pair
+    sum and (K/2) (p^n - 2 p^(n-1) + p^(n-2)) on the difference sum.
+    Levels before 0 count as level 0."""
+    now, one, two = (levels[max(n - k, 0)] for k in range(3))
+    k = EULER_MACLAURIN_K
+    return k * (now - one), 0.5 * k * (now - 2.0 * one + two)
 
 
 def bl_velocity_profile(dpdx_history: np.ndarray, dt: float, eta: float,

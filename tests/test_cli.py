@@ -14,7 +14,7 @@ import pytest
 
 import ductwave
 
-from ductwave import cli, csvio
+from ductwave import cli, csvio, driver
 from ductwave.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -589,6 +589,23 @@ class TestRunCommand:
         assert len(lines) == 1 and message in lines[0]
         assert not out.exists()
 
+    def test_probe_rows_too_large_to_hold_exit_before_any_step(
+            self, tmp_path, capsys):
+        # numpy refuses the (n_steps + 1, 3, P) shape of this run before it
+        # allocates anything
+        cfg = _kirchhoff_config(tmp_path, ("run.duration_periods",),
+                                ["run.duration_periods = 1e18"])
+        steps = driver.step_count(scenario_from_config(
+            parse_config(cfg.read_text(encoding="utf-8"))))
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot hold the probe rows")
+        assert f" {steps} steps " in lines[0]
+        assert not out.exists()
+
     def test_run_past_the_courant_limit_names_it(self, tmp_path, capsys):
         # trombone's pressure peaks carry max(|u| + c) dt/dx past 1 at
         # cfl 1.0, but not at 0.98
@@ -608,7 +625,7 @@ class TestRunCommand:
         assert lines[0].startswith("error: state lost positivity")
         courant = lines[0].split(", Courant number ")[1]
         value, node = courant.rstrip(")").split(" at node ")
-        assert float(value) > 1.0 and node == "141"
+        assert float(value) > 1.0 and node == "145"
         assert not out.exists()
 
     def test_periods_of_a_sampled_inflow_exit_before_any_step(

@@ -24,7 +24,7 @@ from ductwave.boundaries import boundary_row
 from ductwave.signals import MultiHarmonicSignal
 from ductwave.wall import K0, SourceTable
 from exact_history import ExactHistory
-from reference_forms import source_increments
+from reference_forms import endpoint_correction, source_increments
 
 
 OMEGA0 = 2.0 * math.pi * 500.0   # the 500 Hz fundamental of _small_scenario
@@ -259,17 +259,20 @@ def _oracle_steps(air, scenario, n_steps):
     t = 0.0
 
     for n in range(n_steps):
-        # wall sources from the full pressure history
+        # wall sources from the full pressure history, each node's sums
+        # with their endpoint correction
         g = [[0.0, 0.0, 0.0] for _ in range(n_nodes)]
         if scenario.losses and n > 0:
+            corr = [endpoint_correction([lv[j] for lv in p_hist], n)
+                    for j in range(n_nodes)]
             for j in range(n_nodes):
-                acc3 = 0.0
+                acc3 = corr[j][1]
                 for m in range(n):
                     w_m = 1.0 / (math.sqrt(m) + math.sqrt(m + 1))
                     acc3 += (p_hist[n - m][j] - p_hist[n - m - 1][j]) * w_m
                 g[j][2] = c3 * acc3
             for j in range(1, n_nodes - 1):
-                acc2 = 0.0
+                acc2 = corr[j + 1][0] - corr[j - 1][0]
                 for m in range(n):
                     w_m = 1.0 / (math.sqrt(m) + math.sqrt(m + 1))
                     bracket = (p_hist[n - m - 1][j + 1] + p_hist[n - m][j + 1]) \
